@@ -36,10 +36,21 @@ class VerificationFailure(RuntimeError):
     pass
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser, out_required: bool = True) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--out", type=Path, required=out_required, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")
+    parser.add_argument("--jobs", type=_worker_count, default=1,
+                        help="worker processes (1 = serial), capped at the number of 4-episode chunks")
 
 
 def _ensure_out(args) -> Path:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .expert import ExpertController, ExpertParams
 from .graph import GraphConfig
 from .layout import COMMANDS, Command
-from .rollout import run_episode
+from .rollout import POOL_CHUNKSIZE, call_shared, init_worker, pool_size, run_episode
 from .vehicle import Action
 from .world import EpisodeOutcome, OutcomeTag, ScenarioConfig
 
@@ -119,11 +120,13 @@ def collect_episode(cfg: ScenarioConfig, seed: int, expert: ExpertController,
     return samples, record.outcome
 
 
-def _collect_one(args) -> tuple[str, int, list[DemoSample], EpisodeOutcome]:
-    cfg, seed, expert_params, graph_cfg, noise = args
+def _collect_one(base_cfg: ScenarioConfig, expert_params: ExpertParams, graph_cfg: GraphConfig,
+                 noise: NoiseParams | None, task) -> tuple[str, int, list[DemoSample], EpisodeOutcome]:
+    command, density, seed = task
+    cfg = replace(base_cfg, command=command, density=density)
     expert = ExpertController(expert_params, cfg.vehicle)
     samples, outcome = collect_episode(cfg, seed, expert, graph_cfg, noise=noise)
-    return cfg.command.value, seed, samples, outcome
+    return command.value, seed, samples, outcome
 
 
 def collect_dataset(
@@ -140,16 +143,18 @@ def collect_dataset(
     densities = densities or TRAIN_DENSITIES
     tasks = []
     for ci, command in enumerate(COMMANDS):
-        cfg = replace(base_cfg, command=command, density=densities[command])
         for i in range(episodes_per_command):
-            tasks.append((cfg, base_seed + ci * episodes_per_command + i,
-                          expert_params, graph_cfg, noise))
+            tasks.append((command, densities[command], base_seed + ci * episodes_per_command + i))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_collect_one, tasks, chunksize=4))
+    shared = (base_cfg, expert_params, graph_cfg, noise)
+    workers = pool_size(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=init_worker,
+                                 initargs=shared) as pool:
+            results = list(pool.map(partial(call_shared, _collect_one), tasks,
+                                    chunksize=POOL_CHUNKSIZE))
     else:
-        results = [_collect_one(t) for t in tasks]
+        results = [_collect_one(*shared, t) for t in tasks]
     results.sort(key=lambda r: (r[0], r[1]))
 
     dataset = DemoDataset()

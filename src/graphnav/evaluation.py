@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .dataset import DemoDataset
 from .graph import EdgeStrategy, GraphConfig
 from .layout import COMMANDS, Command
 from .policies import NetworkController
-from .rollout import run_episode
+from .rollout import POOL_CHUNKSIZE, call_shared, init_worker, pool_size, run_episode
 from .training import TrainConfig, train
 from .vehicle import Action
 from .world import EpisodeOutcome, OutcomeTag, ScenarioConfig
@@ -95,10 +96,12 @@ def _cell_stats(results) -> dict:
     }
 
 
-def _run_trial(args) -> tuple:
-    policy, cfg, graph_cfg, setup, seed, record_trajectory = args
+def _run_trial(policy, base_cfg: ScenarioConfig, graph_cfg: GraphConfig,
+               record_trajectory: bool, task) -> tuple:
+    setup, density, command, seed = task
+    cfg = replace(base_cfg, command=command, density=density)
     record = run_episode(cfg, seed, policy, graph_cfg, record_trajectory=record_trajectory)
-    return (setup, cfg.command.value, seed, record.outcome, record.trajectory)
+    return (setup, command.value, seed, record.outcome, record.trajectory)
 
 
 def run_suite(
@@ -121,16 +124,18 @@ def run_suite(
     index = 0
     for setup, density in setups:
         for command in commands:
-            cfg = replace(base_cfg, command=command, density=density)
             for _ in range(trials_per_cell):
-                tasks.append((policy, cfg, graph_cfg, setup, base_seed + index,
-                              trajectory_dir is not None))
+                tasks.append((setup, density, command, base_seed + index))
                 index += 1
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_trial, tasks, chunksize=4))
+    shared = (policy, base_cfg, graph_cfg, trajectory_dir is not None)
+    workers = pool_size(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=init_worker,
+                                 initargs=shared) as pool:
+            raw = list(pool.map(partial(call_shared, _run_trial), tasks,
+                                chunksize=POOL_CHUNKSIZE))
     else:
-        raw = [_run_trial(t) for t in tasks]
+        raw = [_run_trial(*shared, t) for t in tasks]
     raw.sort(key=lambda r: r[2])  # aggregation is order-independent; sort by seed
 
     results = []

@@ -70,11 +70,9 @@ class ExpertController:
                 return True
         return False
 
-    def _target_speed(self, world: WorldState) -> float:
-        route = world.ego_route
+    def _target_speed(self, world: WorldState, s: float) -> float:
         ego = world.ego
-        s, _ = route.path.project(ego.position.x, ego.position.y)
-        dist_to_entry = route.entry_s - s
+        dist_to_entry = world.ego_route.entry_s - s
         if dist_to_entry <= 0.0:
             return self.params.v_pref  # inside or past the box: clear it
         stopping = ego.speed**2 / (2.0 * self.vparams.b_max)
@@ -85,12 +83,10 @@ class ExpertController:
         return self.params.v_pref
 
     def act(self, world: WorldState, goal: GoalSpec, command, obs=None) -> Action:
-        result = track_path(world.ego, world.ego_route.path, self._target_speed(world),
+        path = world.ego_route.path
+        projection = path.project(world.ego.position.x, world.ego.position.y)
+        result = track_path(world.ego, path, projection, self._target_speed(world, projection[0]),
                             self.tracking, self.vparams)
         self.off_path = not result.on_path
         return result.action
 
-
-def expert_control(world: WorldState, params: ExpertParams, vparams: VehicleParams) -> Action:
-    """One-shot expert action for the current world state."""
-    return ExpertController(params, vparams).act(world, None, None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +27,18 @@ class Vec2:
     def distance_to(self, other: "Vec2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 class Polyline:
     """Piecewise-linear path parameterized by arc length.
 
     Lookups beyond either end extrapolate along the terminal segment, so a
     follower near the end of the path always has a defined lookahead point.
+
+    `point_at` and `project` run on per-segment float tuples: routes have at
+    most a few dozen segments, where a Python loop beats numpy's per-call
+    overhead. They repeat the arithmetic of the numpy formulation kept in
+    tests/test_geometry.py operation for operation, so their results are
+    bit-identical to it.
     """
 
     def __init__(self, points) -> None:
@@ -45,45 +49,59 @@ class Polyline:
         lens = np.hypot(segs[:, 0], segs[:, 1])
         if np.any(lens <= 0.0):
             raise ValueError("polyline contains a zero-length segment")
+        cum = np.concatenate([[0.0], np.cumsum(lens)])
         self.points = pts
-        self._segs = segs
-        self._lens = lens
-        self._cum = np.concatenate([[0.0], np.cumsum(lens)])
-        self.length = float(self._cum[-1])
+        self.length = float(cum[-1])
+        self._cum = cum.tolist()
+        self._end = tuple(pts[-1].tolist())
+        # (x0, y0, dx, dy, length, length^2, arc length at x0) per segment
+        self._table = tuple(
+            (px, py, sx, sy, ln, ln * ln, c)
+            for (px, py), (sx, sy), ln, c in zip(pts[:-1].tolist(), segs.tolist(),
+                                                 lens.tolist(), self._cum)
+        )
 
-    def _segment_index(self, s: float) -> int:
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        return min(max(i, 0), len(self._lens) - 1)
+    def _segment(self, s: float) -> tuple:
+        i = bisect_right(self._cum, s) - 1
+        return self._table[min(max(i, 0), len(self._table) - 1)]
 
     def point_at(self, s: float) -> tuple[float, float]:
+        s = float(s)
         if s <= 0.0:
-            d = self._segs[0] / self._lens[0]
-            p = self.points[0] + d * s
-            return float(p[0]), float(p[1])
+            px, py, sx, sy, ln, _, _ = self._table[0]
+            return px + sx / ln * s, py + sy / ln * s
         if s >= self.length:
-            d = self._segs[-1] / self._lens[-1]
-            p = self.points[-1] + d * (s - self.length)
-            return float(p[0]), float(p[1])
-        i = self._segment_index(s)
-        t = (s - self._cum[i]) / self._lens[i]
-        p = self.points[i] + t * self._segs[i]
-        return float(p[0]), float(p[1])
+            _, _, sx, sy, ln, _, _ = self._table[-1]
+            ex, ey = self._end
+            d = s - self.length
+            return ex + sx / ln * d, ey + sy / ln * d
+        px, py, sx, sy, ln, _, c = self._segment(s)
+        t = (s - c) / ln
+        return px + t * sx, py + t * sy
 
     def heading_at(self, s: float) -> float:
-        i = self._segment_index(min(max(s, 0.0), self.length))
-        seg = self._segs[i]
-        return math.atan2(seg[1], seg[0])
+        _, _, sx, sy, _, _, _ = self._segment(min(max(s, 0.0), self.length))
+        return math.atan2(sy, sx)
 
     def project(self, x: float, y: float) -> tuple[float, float]:
-        """Arc length of the closest path point and the distance to it."""
-        p = np.array([x, y])
-        rel = p - self.points[:-1]
-        t = np.clip((rel * self._segs).sum(axis=1) / (self._lens**2), 0.0, 1.0)
-        closest = self.points[:-1] + t[:, None] * self._segs
-        d2 = ((p - closest) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        s = self._cum[i] + t[i] * self._lens[i]
-        return float(s), float(math.sqrt(d2[i]))
+        """Arc length of the closest path point and the distance to it.
+
+        Ties go to the earliest segment.
+        """
+        x, y = float(x), float(y)
+        best_d2 = math.inf
+        best_s = 0.0
+        for px, py, sx, sy, ln, ln2, c in self._table:
+            t = ((x - px) * sx + (y - py) * sy) / ln2
+            t = t if t > 0.0 else 0.0
+            t = t if t < 1.0 else 1.0
+            dx = x - (px + t * sx)
+            dy = y - (py + t * sy)
+            d2 = dx * dx + dy * dy
+            if d2 < best_d2:
+                best_d2 = d2
+                best_s = c + t * ln
+        return best_s, math.sqrt(best_d2)
 
     def sample(self, step: float) -> np.ndarray:
         """Points every `step` meters along the path, endpoints included."""

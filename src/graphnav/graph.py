@@ -118,10 +118,10 @@ def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
         if kind is EdgeStrategyKind.STAR_CONNECTED:
             mask[:, 0] = True
         else:  # n-close sparsity, weighted or not
+            orders = np.argsort(dist, axis=1, kind="stable").tolist()
             for i in range(1, n):
-                order = np.argsort(dist[i], kind="stable")
                 picked = 0
-                for j in order:
+                for j in orders[i]:
                     if j == i or (j == 0 and not strategy.include_ego_candidate):
                         continue
                     mask[i, j] = True
@@ -132,7 +132,7 @@ def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
         raw = np.where(mask, entries, 0.0)
 
     # exact per-row sums keep normalization invariant under node relabeling
-    row_sums = np.array([math.fsum(row) for row in raw])
+    row_sums = np.array([math.fsum(row) for row in raw.tolist()])
     return raw / row_sums[:, None]
 
 

@@ -14,6 +14,32 @@ from .world import (EpisodeLimits, EpisodeOutcome, GoalSpec, OutcomeTracker,
                     ScenarioConfig, WorldState, spawn_scenario, step_world)
 
 
+POOL_CHUNKSIZE = 4  # episodes per task chunk sent to a pool worker
+
+
+def pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker processes for `n_tasks` episodes mapped in POOL_CHUNKSIZE chunks:
+    `jobs`, capped at the chunk count; 1 or less means run serially."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, -(-n_tasks // POOL_CHUNKSIZE))
+
+
+# Arguments every episode of one pool shares (policy, configs), set once per
+# worker by the pool initializer so the per-chunk tasks stay small.
+_worker_shared: tuple = ()
+
+
+def init_worker(*shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def call_shared(fn, task):
+    """fn(*shared, task) with the arguments init_worker stored in this worker."""
+    return fn(*_worker_shared, task)
+
+
 @dataclass
 class StepSample:
     features: np.ndarray   # (N, 12)

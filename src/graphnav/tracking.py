@@ -55,11 +55,14 @@ def speed_control(speed: float, target: float, kp: float) -> float:
 def track_path(
     state: VehicleState,
     path: Polyline,
+    projection: tuple[float, float],
     target_speed: float,
     tparams: TrackingParams,
     vparams: VehicleParams,
 ) -> TrackResult:
-    s, lateral = path.project(state.position.x, state.position.y)
+    """Pure pursuit along `path`; `projection` is `path.project` of the state's
+    position, which the caller has already needed for its own arc length."""
+    s, lateral = projection
     if lateral > tparams.capture_distance:
         return TrackResult(Action(0.0, 0.0), False, s, lateral)
     tx, ty = path.point_at(s + tparams.lookahead)
@@ -72,6 +75,7 @@ def track_path(
 def surrounding_control(
     vehicle: VehicleState,
     path: Polyline,
+    projection: tuple[float, float],
     cruise_speed: float,
     tparams: TrackingParams,
     vparams: VehicleParams,
@@ -84,4 +88,4 @@ def surrounding_control(
     if leader_gap is not None and leader_gap < tparams.follow_gap:
         spacing_term = leader_speed + 0.5 * (leader_gap - tparams.desired_gap)
         target = min(cruise_speed, max(0.0, spacing_term))
-    return track_path(vehicle, path, target, tparams, vparams).action
+    return track_path(vehicle, path, projection, target, tparams, vparams).action

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .geometry import Vec2, normalize_angle
@@ -42,32 +42,31 @@ class VehicleState:
     role: Role = Role.SURROUNDING
 
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, v))
-
-
 def step_vehicle(state: VehicleState, action: Action, dt: float, params: VehicleParams) -> VehicleState:
     """Advance one step: position along the current heading, heading via the
     bicycle yaw rate v * tan(phi) / wheelbase, then the speed update with the
     result clamped to [0, v_max]."""
-    values = (state.position.x, state.position.y, state.heading, state.speed,
-              action.delta, action.tau, dt)
-    if not all(math.isfinite(v) for v in values):
+    pos = state.position
+    isfinite = math.isfinite
+    if not (isfinite(pos.x) and isfinite(pos.y) and isfinite(state.heading)
+            and isfinite(state.speed) and isfinite(action.delta) and isfinite(action.tau)
+            and isfinite(dt)):
         raise ValueError(f"non-finite vehicle step input: state={state}, action={action}, dt={dt}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    delta = _clamp(action.delta, -1.0, 1.0)
-    tau = _clamp(action.tau, -1.0, 1.0)
+    delta = max(-1.0, min(1.0, action.delta))
+    tau = max(-1.0, min(1.0, action.tau))
     phi = delta * params.phi_max
     accel = tau * (params.a_max if tau >= 0.0 else params.b_max)
 
     v = state.speed
-    x = state.position.x + v * math.cos(state.heading) * dt
-    y = state.position.y + v * math.sin(state.heading) * dt
+    x = pos.x + v * math.cos(state.heading) * dt
+    y = pos.y + v * math.sin(state.heading) * dt
     heading = normalize_angle(state.heading + v / params.wheelbase * math.tan(phi) * dt)
-    speed = _clamp(v + accel * dt, 0.0, params.v_max)
-    return replace(state, position=Vec2(x, y), heading=heading, speed=speed)
+    speed = max(0.0, min(params.v_max, v + accel * dt))
+    return VehicleState(id=state.id, position=Vec2(x, y), heading=heading, speed=speed,
+                        length=state.length, width=state.width, role=state.role)
 
 
 def velocity(state: VehicleState) -> tuple[float, float]:

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .geometry import Vec2, rects_collide
 from .layout import Arm, Command, COMMANDS, IntersectionLayout, Route, build_layout
-from .tracking import TrackingParams, surrounding_control, track_path
+from .tracking import TrackingParams, surrounding_control
 from .vehicle import Action, Role, VehicleParams, VehicleState, step_vehicle
 
 
@@ -190,7 +190,7 @@ def spawn_scenario(cfg: ScenarioConfig, seed: int) -> tuple[WorldState, GoalSpec
         width = cfg.small_width if small[i] else cfg.width
         agents.append(_place_on_route(
             routes[i], routes[i].entry_s - positions[i], i + 1,
-            min(cruise[i], cfg.vehicle.v_max), length, width, Role.SURROUNDING,
+            min(float(cruise[i]), cfg.vehicle.v_max), length, width, Role.SURROUNDING,
         ))
 
     world = WorldState(
@@ -217,12 +217,13 @@ def _leader_for(
     inbound arm follow while both are still before the junction entry.
     """
     me = world.agent_routes[i]
+    me_key = me.key
     s_i = arc[i]
     best = None
     for k, other in enumerate(world.agent_routes):
         if k == i:
             continue
-        same_route = other.key == me.key
+        same_route = other.key == me_key
         shared_inbound = other.arm == me.arm and arc[k] <= other.entry_s and s_i <= me.entry_s
         if not (same_route or shared_inbound):
             continue
@@ -230,7 +231,7 @@ def _leader_for(
         if gap > 0.0 and (best is None or gap < best[0]):
             best = (gap, world.surrounding[k].speed)
     if world.react_to_ego and ego_arc is not None and world.ego_route.arm == me.arm:
-        same_route = world.ego_route.key == me.key
+        same_route = world.ego_route.key == me_key
         shared_inbound = ego_arc <= world.ego_route.entry_s and s_i <= me.entry_s
         if same_route or shared_inbound:
             gap = ego_arc - s_i
@@ -241,8 +242,9 @@ def _leader_for(
 
 def step_world(world: WorldState, ego_action: Action, cfg: ScenarioConfig) -> tuple[WorldState, tuple[Action, ...]]:
     """Advance every vehicle one step; all controls come from the pre-step state."""
-    arc = [route.path.project(a.position.x, a.position.y)[0]
-           for a, route in zip(world.surrounding, world.agent_routes)]
+    projections = [route.path.project(a.position.x, a.position.y)
+                   for a, route in zip(world.surrounding, world.agent_routes)]
+    arc = [p[0] for p in projections]
     ego_arc = None
     if world.react_to_ego:
         ego_arc = world.ego_route.path.project(world.ego.position.x, world.ego.position.y)[0]
@@ -251,19 +253,23 @@ def step_world(world: WorldState, ego_action: Action, cfg: ScenarioConfig) -> tu
     for i, agent in enumerate(world.surrounding):
         leader = _leader_for(world, i, arc, ego_arc)
         action = surrounding_control(
-            agent, world.agent_routes[i].path, world.agent_cruise[i],
+            agent, world.agent_routes[i].path, projections[i], world.agent_cruise[i],
             cfg.tracking, cfg.vehicle,
             leader_gap=None if leader is None else leader[0],
             leader_speed=None if leader is None else leader[1],
         )
         agent_actions.append(action)
 
+    dt = world.dt
     new_agents = tuple(
-        step_vehicle(a, act, world.dt, cfg.vehicle)
+        step_vehicle(a, act, dt, cfg.vehicle)
         for a, act in zip(world.surrounding, agent_actions)
     )
-    new_ego = step_vehicle(world.ego, ego_action, world.dt, cfg.vehicle)
-    stepped = replace(world, time=world.time + world.dt, ego=new_ego, surrounding=new_agents)
+    new_ego = step_vehicle(world.ego, ego_action, dt, cfg.vehicle)
+    stepped = WorldState(time=world.time + dt, dt=dt, ego=new_ego, surrounding=new_agents,
+                         layout=world.layout, ego_route=world.ego_route,
+                         agent_routes=world.agent_routes, agent_cruise=world.agent_cruise,
+                         react_to_ego=world.react_to_ego)
     return stepped, tuple(agent_actions)
 
 

@@ -1,7 +1,10 @@
 import pytest
 
+from graphnav import rollout
+
 from graphnav.dataset import collect_dataset
 from graphnav.expert import ExpertParams
+from graphnav.geometry import Polyline
 from graphnav.graph import GraphConfig
 from graphnav.layout import COMMANDS
 from graphnav.world import ScenarioConfig
@@ -22,3 +25,50 @@ def tiny_dataset():
         densities={c: 2 for c in COMMANDS},
     )
     return dataset
+
+
+@pytest.fixture
+def projection_calls(monkeypatch):
+    """Every (x, y) passed to Polyline.project while the test runs."""
+    calls = []
+    real = Polyline.project
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+    monkeypatch.setattr(Polyline, "project", counting)
+    return calls
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records how each pool is built and
+    the tasks it is given, and maps in this process, so no worker starts."""
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.built.append(max_workers)
+        self.shared.append(initargs)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        tasks = list(tasks)
+        self.tasks.extend(tasks)
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """install(module) swaps module.ProcessPoolExecutor for a fresh RecordingPool."""
+    monkeypatch.setattr(rollout, "_worker_shared", ())
+
+    def install(module):
+        class Recorder(RecordingPool):
+            built, shared, tasks = [], [], []
+        monkeypatch.setattr(module, "ProcessPoolExecutor", Recorder)
+        return Recorder
+    return install

@@ -137,6 +137,15 @@ def test_nested_typo_names_nearest_key(tmp_path, capsys):
     assert "traffic.density" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["collect", "--out", str(tmp_path / "o"), "--episodes", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_checkpoint_kind_mismatch_is_runtime_error(workdir, tmp_path, capsys):
     ckpt = workdir["run"] / "checkpoint_final.json"
     code = main(["eval", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),

@@ -119,3 +119,29 @@ def test_parallel_collection_matches_serial():
         for a, b in zip(serial.buffers[command], parallel.buffers[command]):
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.u_star, b.u_star)
+
+
+def test_parallel_collection_sends_shared_state_once(recording_pool):
+    import pickle
+
+    from graphnav import dataset
+    from graphnav.dataset import collect_dataset
+
+    pool = recording_pool(dataset)
+    cfg = ScenarioConfig(density=1, timeout_s=3.0)
+    params = ExpertParams()
+    kwargs = dict(base_seed=61, densities={c: 1 for c in COMMANDS})
+    collect_dataset(cfg, GraphConfig(), params, episodes_per_command=1, jobs=8, **kwargs)
+    assert pool.built == []  # 3 episodes fit one chunk: serial
+    pooled, _ = collect_dataset(cfg, GraphConfig(), params, episodes_per_command=3,
+                                jobs=8, **kwargs)
+    assert pool.built == [3]  # 9 episodes in chunks of 4
+    assert pool.shared[0][1] is params
+    assert len(pool.tasks) == 9 and all(params not in t for t in pool.tasks)
+    assert len(pickle.dumps(pool.tasks)) < 1000
+    serial, _ = collect_dataset(cfg, GraphConfig(), params, episodes_per_command=3,
+                                jobs=1, **kwargs)
+    for command in COMMANDS:
+        for a, b in zip(serial.buffers[command], pooled.buffers[command], strict=True):
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.u_star, b.u_star)

@@ -1,9 +1,11 @@
 import csv
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graphnav import evaluation
 from graphnav.evaluation import (AlwaysBrake, SuiteReport, TrialResult, collision_rate,
                                  format_report, mean_navigation_time, run_suite,
                                  success_rate, write_suite_csv, write_trials_csv)
@@ -81,6 +83,46 @@ class TestRunSuite:
         _, serial = self._run(trials=2)
         _, parallel = self._run(trials=2, jobs=2)
         assert [(r.seed, r.outcome) for r in serial] == [(r.seed, r.outcome) for r in parallel]
+
+
+@pytest.fixture
+def recording_executor(recording_pool):
+    return recording_pool(evaluation)
+
+
+class TestPool:
+    CFG = ScenarioConfig(spawn_window=(19.0, 35.0), ego_spawn_window=(17.0, 22.0),
+                         timeout_s=1.0)
+
+    def _run(self, trials, jobs):
+        return run_suite(AlwaysBrake(), self.CFG, GraphConfig(), trials, 5000,
+                         setups=(("easy", 2),), commands=(Command.FORWARD,), jobs=jobs)
+
+    def test_one_chunk_runs_serially(self, recording_executor):
+        _, results = self._run(trials=2, jobs=8)
+        assert recording_executor.built == []
+        assert len(results) == 2
+
+    def test_pool_capped_at_chunk_count(self, recording_executor):
+        _, pooled = self._run(trials=12, jobs=8)  # 3 chunks of 4
+        assert recording_executor.built == [3]
+        _, serial = self._run(trials=12, jobs=1)
+        assert [(r.seed, r.outcome) for r in pooled] == [(r.seed, r.outcome) for r in serial]
+
+    def test_policy_sent_once_not_per_task(self, recording_executor):
+        policy = AlwaysBrake()
+        run_suite(policy, self.CFG, GraphConfig(), 12, 5000,
+                  setups=(("easy", 2),), commands=(Command.FORWARD,), jobs=2)
+        (shared,) = recording_executor.shared
+        assert shared[0] is policy
+        tasks = recording_executor.tasks
+        assert len(tasks) == 12
+        assert all(policy not in task for task in tasks)
+        assert len(pickle.dumps(tasks)) < 1000
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            self._run(trials=2, jobs=0)
 
 
 class TestReports:

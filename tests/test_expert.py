@@ -119,3 +119,10 @@ class TestExpertControl:
             outcomes.append(record.outcome.tag)
         successes = sum(1 for t in outcomes if t is OutcomeTag.SUCCESS)
         assert successes >= 18
+
+
+def test_act_projects_the_ego_once(projection_calls):
+    cfg = ScenarioConfig(density=3)
+    world, goal, command = spawn_scenario(cfg, seed=8)
+    ExpertController(ExpertParams(), cfg.vehicle).act(world, goal, command)
+    assert projection_calls == [(world.ego.position.x, world.ego.position.y)]

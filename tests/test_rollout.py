@@ -1,10 +1,11 @@
 import numpy as np
+import pytest
 
 from graphnav.dataset import ActionNoise, NoiseParams
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import GraphConfig
 from graphnav.policies import NetworkController, build_network
-from graphnav.rollout import run_episode
+from graphnav.rollout import pool_size, run_episode
 from graphnav.vehicle import Action
 from graphnav.world import OutcomeTag, ScenarioConfig
 
@@ -71,3 +72,21 @@ def test_noise_bursts_are_deterministic():
                 for i in range(200)]
 
     assert run() == run()
+
+
+def test_pool_size_caps_at_chunk_count():
+    assert pool_size(8, 2) == 1      # one chunk of 4: serial
+    assert pool_size(8, 12) == 3     # three chunks
+    assert pool_size(2, 36) == 2
+    assert pool_size(1, 36) == 1
+    assert pool_size(4, 0) == 0
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            pool_size(bad, 10)
+
+
+def test_trajectory_values_are_plain_floats():
+    # numpy scalars would be written as "np.float64(...)" in trajectory CSVs
+    policy = NetworkController(build_network("gcil", seed=1))
+    record = run_episode(CFG, 23, policy, GraphConfig(), record_trajectory=True)
+    assert all(type(v) is float for row in record.trajectory[:40] for v in row[2:])

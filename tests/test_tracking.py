@@ -18,8 +18,17 @@ def agent(x, y, heading, speed):
                         length=4.0, width=2.0, role=Role.SURROUNDING)
 
 
+def on_straight(state):
+    """The projection a caller of track_path computes once per step."""
+    return STRAIGHT.project(state.position.x, state.position.y)
+
+
+def track(state, target_speed):
+    return track_path(state, STRAIGHT, on_straight(state), target_speed, TPARAMS, VPARAMS)
+
+
 def test_on_path_at_cruise_gives_zero_action():
-    result = track_path(agent(0.0, 0.0, math.pi / 2, 5.0), STRAIGHT, 5.0, TPARAMS, VPARAMS)
+    result = track(agent(0.0, 0.0, math.pi / 2, 5.0), 5.0)
     assert result.on_path
     assert abs(result.action.delta) < 1e-6
     assert abs(result.action.tau) < 1e-6
@@ -27,10 +36,10 @@ def test_on_path_at_cruise_gives_zero_action():
 
 def test_offset_left_steers_right():
     # positive delta steers left, so a vehicle left of the path must get delta < 0
-    result = track_path(agent(-0.5, 0.0, math.pi / 2, 5.0), STRAIGHT, 5.0, TPARAMS, VPARAMS)
+    result = track(agent(-0.5, 0.0, math.pi / 2, 5.0), 5.0)
     assert result.action.delta < 0.0
     # and mirrored: offset right steers left
-    mirrored = track_path(agent(0.5, 0.0, math.pi / 2, 5.0), STRAIGHT, 5.0, TPARAMS, VPARAMS)
+    mirrored = track(agent(0.5, 0.0, math.pi / 2, 5.0), 5.0)
     assert mirrored.action.delta > 0.0
 
 
@@ -66,18 +75,19 @@ def test_speed_control_sign_and_clamp():
 
 
 def test_off_path_holds_zero_action():
-    result = track_path(agent(10.0, 0.0, 0.0, 5.0), STRAIGHT, 5.0, TPARAMS, VPARAMS)
+    result = track(agent(10.0, 0.0, 0.0, 5.0), 5.0)
     assert not result.on_path
     assert result.action == pytest.approx((0.0, 0.0)) or (result.action.delta, result.action.tau) == (0.0, 0.0)
 
 
 def test_following_gap_slows_to_leader():
     follower = agent(0.0, 0.0, math.pi / 2, 6.0)
-    free = surrounding_control(follower, STRAIGHT, 6.0, TPARAMS, VPARAMS)
-    held = surrounding_control(follower, STRAIGHT, 6.0, TPARAMS, VPARAMS,
+    projection = on_straight(follower)
+    free = surrounding_control(follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS)
+    held = surrounding_control(follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS,
                                leader_gap=4.0, leader_speed=2.0)
     assert free.tau == pytest.approx(0.0)
     assert held.tau < 0.0
-    far = surrounding_control(follower, STRAIGHT, 6.0, TPARAMS, VPARAMS,
+    far = surrounding_control(follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS,
                               leader_gap=50.0, leader_speed=0.0)
     assert far.tau == pytest.approx(0.0)

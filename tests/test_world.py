@@ -179,3 +179,16 @@ def test_layout_conflicts_are_symmetric_and_sane():
     assert (Arm.WEST, Command.FORWARD) in layout.conflicts[(Arm.SOUTH, Command.FORWARD)]
     # oncoming parallel traffic does not
     assert (Arm.NORTH, Command.FORWARD) not in layout.conflicts[(Arm.SOUTH, Command.FORWARD)]
+
+
+def test_step_projects_each_agent_once(projection_calls):
+    cfg = ScenarioConfig(density=5)
+    world, _, _ = spawn_scenario(cfg, seed=3)
+    step_world(world, Action(0.0, 0.0), cfg)
+    assert len(projection_calls) == 5
+    # reacting to the ego adds exactly the ego's projection
+    react = replace(cfg, react_to_ego=True)
+    world, _, _ = spawn_scenario(react, seed=3)
+    projection_calls.clear()
+    step_world(world, Action(0.0, 0.0), react)
+    assert len(projection_calls) == 6
