@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -69,28 +70,30 @@ def build_features(world: WorldState, goal: GoalSpec, v_pref: float, ego_frame: 
     evx, evy = velocity(ego)
     gx = goal.target.x - ego.position.x
     gy = goal.target.y - ego.position.y
-
-    n = 1 + len(world.surrounding)
-    rel = np.zeros((n, 4))  # dx, dy, dvx, dvy per node (ego row stays zero)
-    for i, agent in enumerate(world.surrounding, start=1):
-        avx, avy = velocity(agent)
-        rel[i] = (agent.position.x - ego.position.x, agent.position.y - ego.position.y,
-                  avx - evx, avy - evy)
-
+    ego_v = (evx, evy)  # the ego block's copy; relative velocities use the world-frame one
     if ego_frame:
         back = -ego.heading
         gx, gy = _rotate(np.array([[gx, gy]]), back)[0]
-        evx, evy = _rotate(np.array([[evx, evy]]), back)[0]
+        ego_v = _rotate(np.array([ego_v]), back)[0]
+
+    # one flat list of rows [ego block, 0, dx, dy, 0, dvx, dvy]; the norms fill the zeros below
+    x_ego = [math.hypot(gx, gy), gx, gy, v_pref - ego.speed, *ego_v]
+    flat = x_ego + [0.0] * (FEATURE_DIM - EGO_DIM)
+    for agent in world.surrounding:
+        avx, avy = velocity(agent)
+        flat += x_ego
+        flat += (0.0, agent.position.x - ego.position.x, agent.position.y - ego.position.y,
+                 0.0, avx - evx, avy - evy)
+    # copied so that the array owns its data: recorded samples keep it, and a
+    # reshaped view would keep a second array header alive with it
+    feats = np.fromiter(flat, float, len(flat)).reshape(-1, FEATURE_DIM).copy()
+
+    if ego_frame:  # rotate [dx, dy, dvx, dvy] as one (N, 4) array; the ego row stays zero
+        rel = feats[:, [7, 8, 10, 11]]
         rel[:, 0:2] = _rotate(rel[:, 0:2], back)
         rel[:, 2:4] = _rotate(rel[:, 2:4], back)
-
-    x_ego = np.array([math.hypot(gx, gy), gx, gy, v_pref - ego.speed, evx, evy])
-    feats = np.zeros((n, FEATURE_DIM))
-    feats[:, :EGO_DIM] = x_ego
-    feats[1:, 6] = np.hypot(rel[1:, 0], rel[1:, 1])
-    feats[1:, 7:9] = rel[1:, 0:2]
-    feats[1:, 9] = np.hypot(rel[1:, 2], rel[1:, 3])
-    feats[1:, 10:12] = rel[1:, 2:4]
+        feats[1:, [7, 8, 10, 11]] = rel[1:]
+    feats[1:, 6::3] = np.hypot(feats[1:, 7::3], feats[1:, 8::3])  # |(dx, dy)| and |(dvx, dvy)|
     return feats
 
 
@@ -104,36 +107,42 @@ def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
     if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
         raise ValueError(f"positions must be (N, 2) with N >= 1, got {pos.shape}")
     n = pos.shape[0]
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    weights = np.exp(-(dist**2) / (strategy.alpha_m**2))
-
     kind = strategy.kind
     if kind is EdgeStrategyKind.FULLY_CONNECTED:
-        raw = np.ones((n, n))
+        return np.full((n, n), 1.0 / n)  # each row sums n ones, exactly n
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
+    if kind in (EdgeStrategyKind.N_CLOSE_WEIGHTED, EdgeStrategyKind.STAR_CONNECTED):
+        weights = np.square(dist)
+        weights /= -(strategy.alpha_m**2)  # the same bits as -(d**2) / alpha**2
+        rows = np.exp(weights, out=weights).tolist()
     else:
-        mask = np.zeros((n, n), dtype=bool)
-        np.fill_diagonal(mask, True)
-        mask[0, :] = True
-        if kind is EdgeStrategyKind.STAR_CONNECTED:
-            mask[:, 0] = True
-        else:  # n-close sparsity, weighted or not
-            orders = np.argsort(dist, axis=1, kind="stable").tolist()
-            for i in range(1, n):
-                picked = 0
-                for j in orders[i]:
-                    if j == i or (j == 0 and not strategy.include_ego_candidate):
-                        continue
-                    mask[i, j] = True
-                    picked += 1
-                    if picked >= strategy.k:
-                        break
-        entries = np.ones((n, n)) if kind is EdgeStrategyKind.NON_WEIGHTED else weights
-        raw = np.where(mask, entries, 0.0)
-
+        rows = [[1.0] * n for _ in range(n)]
+    if kind is EdgeStrategyKind.STAR_CONNECTED:
+        for i in range(1, n):  # the ego row keeps every node
+            raw = [0.0] * n
+            raw[0] = rows[i][0]
+            raw[i] = rows[i][i]
+            rows[i] = raw
+    else:  # n-close sparsity: the k nearest, ties to the lower index
+        k, skip_ego = strategy.k, not strategy.include_ego_candidate
+        orders = np.argsort(dist, axis=1, kind="stable").tolist()
+        for i in range(1, n):
+            entries = rows[i]
+            raw = [0.0] * n
+            raw[i] = entries[i]
+            picked = 0
+            for j in orders[i]:
+                if j == i or (j == 0 and skip_ego):
+                    continue
+                raw[j] = entries[j]
+                picked += 1
+                if picked >= k:
+                    break
+            rows[i] = raw
     # exact per-row sums keep normalization invariant under node relabeling
-    row_sums = np.array([math.fsum(row) for row in raw.tolist()])
-    return raw / row_sums[:, None]
+    totals = np.array(list(map(math.fsum, rows)))
+    return np.fromiter(chain.from_iterable(rows), float, n * n).reshape(n, n) / totals[:, None]
 
 
 def world_positions(world: WorldState) -> np.ndarray:

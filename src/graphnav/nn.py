@@ -17,11 +17,6 @@ IDENTITY = "identity"
 _ACTIVATIONS = (RELU, TANH, IDENTITY)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
 def he_uniform(rng, n_in: int, n_out: int) -> np.ndarray:
     """Fan-in scaled uniform init for ReLU layers."""
     limit = math.sqrt(6.0 / n_in)
@@ -38,11 +33,14 @@ class DenseLayer:
     """Affine map plus an elementwise activation."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str) -> None:
-        _require(activation in _ACTIVATIONS, f"unknown activation {activation!r}")
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
         w = np.asarray(w, dtype=float)
         b = np.asarray(b, dtype=float)
-        _require(w.ndim == 2, f"dense weight must be 2-d, got shape {w.shape}")
-        _require(b.shape == (w.shape[1],), f"bias shape {b.shape} does not fit weight {w.shape}")
+        if w.ndim != 2:
+            raise ValueError(f"dense weight must be 2-d, got shape {w.shape}")
+        if b.shape != (w.shape[1],):
+            raise ValueError(f"bias shape {b.shape} does not fit weight {w.shape}")
         self.w = w
         self.b = b
         self.activation = activation
@@ -53,10 +51,10 @@ class DenseLayer:
         return cls(init(rng, n_in, n_out), np.zeros(n_out), activation)
 
     def forward(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        _require(x.ndim == 2 and x.shape[1] == self.w.shape[0],
-                 f"dense layer expects (B, {self.w.shape[0]}), got {x.shape}")
-        pre = x @ self.w + self.b
+        if not (x.ndim == 2 and x.shape[1] == self.w.shape[0]):
+            raise ValueError(f"dense layer expects (B, {self.w.shape[0]}), got {x.shape}")
+        pre = x @ self.w
+        pre += self.b
         if self.activation == RELU:
             out = np.maximum(pre, 0.0)
         elif self.activation == TANH:
@@ -67,14 +65,14 @@ class DenseLayer:
 
     def backward(self, cache, upstream: np.ndarray):
         x, pre, out = cache
-        up = np.asarray(upstream, dtype=float)
-        _require(up.shape == pre.shape, f"upstream shape {up.shape} does not match {pre.shape}")
+        if upstream.shape != pre.shape:
+            raise ValueError(f"upstream shape {upstream.shape} does not match {pre.shape}")
         if self.activation == RELU:
-            dpre = up * (pre > 0.0)
+            dpre = upstream * (pre > 0.0)
         elif self.activation == TANH:
-            dpre = up * (1.0 - out * out)
+            dpre = upstream * (1.0 - out * out)
         else:
-            dpre = up
+            dpre = upstream
         dw = x.T @ dpre
         db = dpre.sum(axis=0)
         dx = dpre @ self.w.T
@@ -93,7 +91,8 @@ class GcnLayer:
 
     def __init__(self, w: np.ndarray) -> None:
         w = np.asarray(w, dtype=float)
-        _require(w.ndim == 2, f"gcn weight must be 2-d, got shape {w.shape}")
+        if w.ndim != 2:
+            raise ValueError(f"gcn weight must be 2-d, got shape {w.shape}")
         self.w = w
 
     @classmethod
@@ -101,21 +100,20 @@ class GcnLayer:
         return cls(he_uniform(rng, n_in, n_out))
 
     def forward(self, adj: np.ndarray, h: np.ndarray):
-        adj = np.asarray(adj, dtype=float)
-        h = np.asarray(h, dtype=float)
-        _require(adj.ndim == 3 and adj.shape[1] == adj.shape[2],
-                 f"adjacency must be (B, N, N), got {adj.shape}")
-        _require(h.ndim == 3 and h.shape[:2] == adj.shape[:2] and h.shape[2] == self.w.shape[0],
-                 f"node features must be (B, {adj.shape[1]}, {self.w.shape[0]}), got {h.shape}")
+        if not (adj.ndim == 3 and adj.shape[1] == adj.shape[2]):
+            raise ValueError(f"adjacency must be (B, N, N), got {adj.shape}")
+        if not (h.ndim == 3 and h.shape[:2] == adj.shape[:2] and h.shape[2] == self.w.shape[0]):
+            raise ValueError(f"node features must be (B, {adj.shape[1]}, {self.w.shape[0]}), "
+                             f"got {h.shape}")
         ah = adj @ h
         pre = ah @ self.w
         return np.maximum(pre, 0.0), (adj, ah, pre)
 
     def backward(self, cache, upstream: np.ndarray):
         adj, ah, pre = cache
-        up = np.asarray(upstream, dtype=float)
-        _require(up.shape == pre.shape, f"upstream shape {up.shape} does not match {pre.shape}")
-        dpre = up * (pre > 0.0)
+        if upstream.shape != pre.shape:
+            raise ValueError(f"upstream shape {upstream.shape} does not match {pre.shape}")
+        dpre = upstream * (pre > 0.0)
         dw = np.tensordot(ah, dpre, axes=([0, 1], [0, 1]))
         dh = np.swapaxes(adj, 1, 2) @ (dpre @ self.w.T)
         return dh, dw
@@ -133,7 +131,8 @@ class Mlp:
 
     @classmethod
     def create(cls, rng, widths, activations) -> "Mlp":
-        _require(len(widths) == len(activations) + 1, "widths must be one longer than activations")
+        if len(widths) != len(activations) + 1:
+            raise ValueError("widths must be one longer than activations")
         layers = [DenseLayer.create(rng, widths[i], widths[i + 1], act)
                   for i, act in enumerate(activations)]
         return cls(layers)
@@ -170,13 +169,15 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict, grads: dict) -> None:
-        _require(set(grads) == set(self.m), "gradient keys do not match optimizer state")
+        if set(grads) != set(self.m):
+            raise ValueError("gradient keys do not match optimizer state")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for name, p in params.items():
             g = grads[name]
-            _require(g.shape == p.shape, f"gradient shape mismatch for {name}")
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape mismatch for {name}")
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
@@ -203,11 +204,13 @@ class Adam:
         opt.t = int(state["t"])
         for field_name, target in (("m", opt.m), ("v", opt.v)):
             saved = state[field_name]
-            _require(set(saved) == set(target), f"optimizer {field_name} keys do not match parameters")
+            if set(saved) != set(target):
+                raise ValueError(f"optimizer {field_name} keys do not match parameters")
             for k in target:
                 arr = np.asarray(saved[k], dtype=float)
-                _require(arr.shape == target[k].shape,
-                         f"optimizer {field_name}[{k}] shape {arr.shape} does not match {target[k].shape}")
+                if arr.shape != target[k].shape:
+                    raise ValueError(f"optimizer {field_name}[{k}] shape {arr.shape} "
+                                     f"does not match {target[k].shape}")
                 target[k] = arr
         return opt
 
@@ -216,8 +219,10 @@ def action_loss(u: np.ndarray, u_star: np.ndarray) -> tuple[float, np.ndarray]:
     """Per-sample loss (d_steer^2 + d_throttle^2) and its gradient in u."""
     u = np.asarray(u, dtype=float)
     u_star = np.asarray(u_star, dtype=float)
-    _require(u.shape == u_star.shape == (2,), f"actions must be 2-vectors, got {u.shape} and {u_star.shape}")
-    _require(bool(np.all(np.isfinite(u)) and np.all(np.isfinite(u_star))), "non-finite action in loss")
+    if not u.shape == u_star.shape == (2,):
+        raise ValueError(f"actions must be 2-vectors, got {u.shape} and {u_star.shape}")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(u_star))):
+        raise ValueError("non-finite action in loss")
     d = u - u_star
     return float(d @ d), 2.0 * d
 
@@ -230,8 +235,8 @@ def batch_action_loss(u: np.ndarray, targets: np.ndarray, denom: int | None = No
     """
     u = np.asarray(u, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    _require(u.shape == targets.shape and u.ndim == 2 and u.shape[1] == 2,
-             f"batch actions must be (B, 2), got {u.shape} and {targets.shape}")
+    if not (u.shape == targets.shape and u.ndim == 2 and u.shape[1] == 2):
+        raise ValueError(f"batch actions must be (B, 2), got {u.shape} and {targets.shape}")
     diff = u - targets
     per_sample = (diff * diff).sum(axis=1)
     n = denom if denom is not None else u.shape[0]

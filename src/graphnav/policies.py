@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import EGO_DIM, FEATURE_DIM, build_features
+from .graph import EGO_DIM, FEATURE_DIM
 from .layout import COMMANDS, Command
 from .nn import IDENTITY, RELU, TANH, GcnLayer, Mlp
 from .vehicle import Action
@@ -37,23 +37,23 @@ FEATURE_SCALE = np.concatenate([BLOCK_SCALE, BLOCK_SCALE])
 NNCIL_SCALE = np.concatenate([BLOCK_SCALE] * 4)
 
 
-def _canonical_node_order(feats: np.ndarray) -> np.ndarray:
-    """Ego stays at index 0; remaining rows sort lexicographically."""
-    n = feats.shape[0]
-    if n <= 2:
-        return np.arange(n)
-    order = np.lexsort(feats[1:].T[::-1]) + 1
-    return np.concatenate([[0], order])
+def _canonicalize(x: np.ndarray, fixed: int, adj: np.ndarray | None = None):
+    """Put the rows of each (B, N, D) sample in canonical order, and the
+    (B, N, N) adjacency, if given, in the same order.
 
-
-def _canonicalize_batch(feats: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    out_f = np.empty_like(feats)
-    out_a = np.empty_like(adj)
-    for b in range(feats.shape[0]):
-        order = _canonical_node_order(feats[b])
-        out_f[b] = feats[b][order]
-        out_a[b] = adj[b][np.ix_(order, order)]
-    return out_f, out_a
+    The first `fixed` rows keep their place; the rest sort lexicographically
+    and stably, as np.lexsort does on finite rows. One Python sort per sample
+    over its row lists serves every batch size; one advanced index per array
+    then gathers the whole batch.
+    """
+    batch, n = x.shape[:2]
+    head = list(range(fixed))
+    order = [head + sorted(range(fixed, n), key=rows.__getitem__) for rows in x.tolist()]
+    r = np.array(order, dtype=np.intp).reshape(batch, n)
+    b = np.arange(batch)[:, None]
+    if adj is None:
+        return x[b, r], None
+    return x[b, r], adj[b[:, :, None], r[:, :, None], r[:, None, :]]
 
 
 class _BranchedHead:
@@ -131,10 +131,10 @@ class GcilNetwork:
         return params
 
     def forward_batch(self, feats: np.ndarray, adj: np.ndarray, x_ego: np.ndarray, command: Command):
-        feats = np.asarray(feats, dtype=float) / FEATURE_SCALE
+        feats = feats / FEATURE_SCALE
         adj = np.asarray(adj, dtype=float)
-        x_ego = np.asarray(x_ego, dtype=float) / BLOCK_SCALE
-        h, adj_c = _canonicalize_batch(feats, adj)
+        x_ego = x_ego / BLOCK_SCALE
+        h, adj_c = _canonicalize(feats, 1, adj)  # the ego node stays first
         gcn_caches = []
         for layer in self.gcn:
             h, cache = layer.forward(adj_c, h)
@@ -185,10 +185,6 @@ def nncil_vector(feats: np.ndarray) -> np.ndarray:
     return out
 
 
-def nncil_input(world, goal, v_pref: float, ego_frame: bool = False) -> np.ndarray:
-    return nncil_vector(build_features(world, goal, v_pref, ego_frame))
-
-
 class NnCilNetwork:
     """Fixed-width nearest-3 perception MLP into the branched control head."""
 
@@ -216,7 +212,7 @@ class NnCilNetwork:
         return params
 
     def forward_batch(self, x: np.ndarray, command: Command):
-        x = np.asarray(x, dtype=float) / NNCIL_SCALE
+        x = x / NNCIL_SCALE
         z, pcache = self.perception.forward(x)
         u, head_cache = self.head.forward(z, command)
         return u, (pcache, head_cache)
@@ -280,13 +276,11 @@ class SetCilNetwork:
         return params
 
     def forward_batch(self, elements: np.ndarray, command: Command):
-        elems = np.asarray(elements, dtype=float) / BLOCK_SCALE
+        elems = elements / BLOCK_SCALE
         if elems.ndim != 3:
             raise ValueError(f"set elements must be (B, M, 6), got shape {elems.shape}")
         b, m, d = elems.shape
-        canon = np.empty_like(elems)
-        for i in range(b):
-            canon[i] = elems[i][np.lexsort(elems[i].T[::-1])]
+        canon, _ = _canonicalize(elems, 0)
         enc, ecache = self.encoder.forward(canon.reshape(b * m, d))
         pooled = enc.reshape(b, m, -1).sum(axis=1)
         u, head_cache = self.head.forward(pooled, command)

@@ -56,13 +56,12 @@ def _grid_overlap_oracle(a, b, n=100):
     ax, ay, ah, al, aw = a
     bx, by, bh, bl, bw = b
     us = np.linspace(-0.5, 0.5, n)
-    pts = np.array([(ax + u * al * math.cos(ah) - v * aw * math.sin(ah),
-                     ay + u * al * math.sin(ah) + v * aw * math.cos(ah))
-                    for u in us for v in us])
-    rel = pts - np.array([bx, by])
+    u, v = us[:, None], us[None, :]
+    rel_x = ax + u * al * math.cos(ah) - v * aw * math.sin(ah) - bx
+    rel_y = ay + u * al * math.sin(ah) + v * aw * math.cos(ah) - by
     c, s = math.cos(bh), math.sin(bh)
-    local_x = rel[:, 0] * c + rel[:, 1] * s
-    local_y = -rel[:, 0] * s + rel[:, 1] * c
+    local_x = rel_x * c + rel_y * s
+    local_y = -rel_x * s + rel_y * c
     return bool(np.any((np.abs(local_x) <= bl / 2) & (np.abs(local_y) <= bw / 2)))
 
 

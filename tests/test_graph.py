@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig,
+from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, _rotate,
                             adjacency_from_features, build_adjacency, build_features,
                             edge_weight, encode_world, world_positions)
+from graphnav.vehicle import velocity
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 NCLOSE = EdgeStrategy(kind=EdgeStrategyKind.N_CLOSE_WEIGHTED)
@@ -192,3 +193,123 @@ def test_adjacency_from_features_matches_direct_build():
     star = adjacency_from_features(feats, STAR)
     direct = build_adjacency(world_positions(world), STAR)
     assert np.allclose(star, direct, atol=1e-12)
+
+
+def _reference_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
+    """The numpy formulation build_adjacency replaced: boolean mask, one
+    stable argsort for the neighbor pick, np.where, fsum per row."""
+    pos = np.asarray(positions, dtype=float)
+    n = pos.shape[0]
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
+    weights = np.exp(-(dist**2) / (strategy.alpha_m**2))
+    kind = strategy.kind
+    if kind is EdgeStrategyKind.FULLY_CONNECTED:
+        raw = np.ones((n, n))
+    else:
+        mask = np.zeros((n, n), dtype=bool)
+        np.fill_diagonal(mask, True)
+        mask[0, :] = True
+        if kind is EdgeStrategyKind.STAR_CONNECTED:
+            mask[:, 0] = True
+        else:
+            orders = np.argsort(dist, axis=1, kind="stable").tolist()
+            for i in range(1, n):
+                picked = 0
+                for j in orders[i]:
+                    if j == i or (j == 0 and not strategy.include_ego_candidate):
+                        continue
+                    mask[i, j] = True
+                    picked += 1
+                    if picked >= strategy.k:
+                        break
+        entries = np.ones((n, n)) if kind is EdgeStrategyKind.NON_WEIGHTED else weights
+        raw = np.where(mask, entries, 0.0)
+    row_sums = np.array([math.fsum(row) for row in raw.tolist()])
+    return raw / row_sums[:, None]
+
+
+def _position_sets(n, rng):
+    """Random, coincident and equidistant layouts of n nodes."""
+    yield rng.uniform(-40, 40, size=(n, 2))
+    yield np.zeros((n, 2))
+    yield np.round(rng.uniform(-3, 3, size=(n, 2)))  # repeated points and equal gaps
+    angles = 2 * np.pi * np.arange(n) / max(n - 1, 1)
+    ring = np.stack([7.5 * np.cos(angles), 7.5 * np.sin(angles)], axis=1)
+    ring[0] = 0.0  # every other node equidistant from the ego
+    yield ring
+    yield np.stack([np.arange(n) * 4.0, np.zeros(n)], axis=1)  # a line: equal neighbor gaps
+    yield -np.zeros((n, 2))
+
+
+def test_adjacency_bit_identical_to_numpy_reference():
+    rng = np.random.default_rng(11)
+    for kind in EdgeStrategyKind:
+        for include_ego in (True, False):
+            for k in (1, 3, 7):
+                strategy = EdgeStrategy(kind=kind, k=k, include_ego_candidate=include_ego)
+                for n in range(1, 10):
+                    for pos in _position_sets(n, rng):
+                        got = build_adjacency(pos, strategy)
+                        want = _reference_adjacency(pos, strategy)
+                        assert got.shape == want.shape and got.dtype == want.dtype
+                        assert np.array_equal(got, want), (kind, include_ego, k, n, pos)
+
+
+def test_adjacency_from_features_bit_identical_to_numpy_reference():
+    rng = np.random.default_rng(12)
+    features = []
+    for seed in range(12):
+        world, goal, _ = spawn_scenario(ScenarioConfig(density=seed % 7), seed=seed)
+        features.append(build_features(world, goal, v_pref=6.0))
+    for n in range(1, 10):
+        feats = np.zeros((n, 12))
+        feats[1:, 7:9] = np.round(rng.uniform(-5, 5, size=(n - 1, 2)))
+        features.append(feats)
+    for kind in EdgeStrategyKind:
+        for include_ego in (True, False):
+            for k in (1, 3, 7):
+                strategy = EdgeStrategy(kind=kind, k=k, include_ego_candidate=include_ego)
+                for feats in features:
+                    rel = np.zeros((feats.shape[0], 2))
+                    rel[1:] = feats[1:, 7:9]
+                    assert np.array_equal(adjacency_from_features(feats, strategy),
+                                          _reference_adjacency(rel, strategy))
+
+
+def _reference_features(world, goal, v_pref, ego_frame):
+    """The numpy formulation build_features replaced: row setitems into a
+    zero matrix, block assignments and one np.hypot per column pair."""
+    ego = world.ego
+    evx, evy = velocity(ego)
+    gx = goal.target.x - ego.position.x
+    gy = goal.target.y - ego.position.y
+    n = 1 + len(world.surrounding)
+    rel = np.zeros((n, 4))
+    for i, agent in enumerate(world.surrounding, start=1):
+        avx, avy = velocity(agent)
+        rel[i] = (agent.position.x - ego.position.x, agent.position.y - ego.position.y,
+                  avx - evx, avy - evy)
+    if ego_frame:
+        back = -ego.heading
+        gx, gy = _rotate(np.array([[gx, gy]]), back)[0]
+        evx, evy = _rotate(np.array([[evx, evy]]), back)[0]
+        rel[:, 0:2] = _rotate(rel[:, 0:2], back)
+        rel[:, 2:4] = _rotate(rel[:, 2:4], back)
+    x_ego = np.array([math.hypot(gx, gy), gx, gy, v_pref - ego.speed, evx, evy])
+    feats = np.zeros((n, 12))
+    feats[:, :6] = x_ego
+    feats[1:, 6] = np.hypot(rel[1:, 0], rel[1:, 1])
+    feats[1:, 7:9] = rel[1:, 0:2]
+    feats[1:, 9] = np.hypot(rel[1:, 2], rel[1:, 3])
+    feats[1:, 10:12] = rel[1:, 2:4]
+    return feats
+
+
+def test_features_bit_identical_to_numpy_reference():
+    for seed in range(40):
+        world, goal, _ = spawn_scenario(ScenarioConfig(density=seed % 7), seed=seed)
+        for ego_frame in (False, True):
+            got = build_features(world, goal, 6.0, ego_frame)
+            want = _reference_features(world, goal, 6.0, ego_frame)
+            assert got.shape == want.shape and np.array_equal(got, want), (seed, ego_frame)

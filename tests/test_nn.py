@@ -41,6 +41,41 @@ def test_dense_shape_mismatch_rejected():
         DenseLayer(np.eye(3), np.zeros(3), "sigmoid")
 
 
+def test_shape_errors_name_the_shapes():
+    dense = DenseLayer(np.eye(3), np.zeros(3), TANH)
+    with pytest.raises(ValueError, match=r"^dense layer expects \(B, 3\), got \(2, 4\)$"):
+        dense.forward(np.ones((2, 4)))
+    with pytest.raises(ValueError, match=r"^dense layer expects \(B, 3\), got \(3,\)$"):
+        dense.forward(np.ones(3))
+    _, cache = dense.forward(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"^upstream shape \(2, 2\) does not match \(2, 3\)$"):
+        dense.backward(cache, np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"^dense weight must be 2-d, got shape \(3,\)$"):
+        DenseLayer(np.ones(3), np.zeros(3), RELU)
+    with pytest.raises(ValueError, match=r"^bias shape \(4,\) does not fit weight \(3, 3\)$"):
+        DenseLayer(np.eye(3), np.zeros(4), RELU)
+    with pytest.raises(ValueError, match=r"^unknown activation 'sigmoid'$"):
+        DenseLayer(np.eye(3), np.zeros(3), "sigmoid")
+
+    gcn = GcnLayer(np.ones((4, 2)))
+    with pytest.raises(ValueError, match=r"^adjacency must be \(B, N, N\), got \(1, 3, 2\)$"):
+        gcn.forward(np.ones((1, 3, 2)), np.ones((1, 3, 4)))
+    with pytest.raises(ValueError, match=r"^node features must be \(B, 3, 4\), got \(1, 3, 5\)$"):
+        gcn.forward(np.ones((1, 3, 3)), np.ones((1, 3, 5)))
+    with pytest.raises(ValueError, match=r"^node features must be \(B, 3, 4\), got \(2, 3, 4\)$"):
+        gcn.forward(np.ones((1, 3, 3)), np.ones((2, 3, 4)))
+    _, cache = gcn.forward(np.ones((1, 3, 3)), np.ones((1, 3, 4)))
+    with pytest.raises(ValueError, match=r"^upstream shape \(1, 3, 4\) does not match \(1, 3, 2\)$"):
+        gcn.backward(cache, np.ones((1, 3, 4)))
+    with pytest.raises(ValueError, match=r"^gcn weight must be 2-d, got shape \(4,\)$"):
+        GcnLayer(np.ones(4))
+
+    with pytest.raises(ValueError, match=r"^batch actions must be \(B, 2\), got \(3, 2\) and \(2, 2\)$"):
+        batch_action_loss(np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^batch actions must be \(B, 2\), got \(3,\) and \(3,\)$"):
+        batch_action_loss(np.zeros(3), np.zeros(3))
+
+
 def test_gcn_worked_example():
     adj = np.array([[[0.6, 0.4], [0.5, 0.5]]])
     h = np.array([[[1.0, -1.0], [2.0, 0.0]]])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from graphnav.gradcheck import policy_gradient_check, run_policy_check, synthetic_inputs
-from graphnav.graph import GraphConfig, encode_world
+from graphnav.graph import GraphConfig, build_features, encode_world
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import batch_action_loss
-from graphnav.policies import (GcilNetwork, NnCilNetwork, SetCilNetwork, build_network,
-                               nncil_input, nncil_vector, set_elements)
+from graphnav.policies import (GcilNetwork, NnCilNetwork, SetCilNetwork, _canonicalize,
+                               build_network, nncil_vector, set_elements)
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 
@@ -120,7 +120,7 @@ class TestGcil:
 class TestNnCilInput:
     def test_empty_road_pads_with_zeros(self):
         world, goal, _ = spawn_scenario(ScenarioConfig(density=0), seed=1)
-        vec = nncil_input(world, goal, v_pref=6.0)
+        vec = nncil_vector(build_features(world, goal, v_pref=6.0))
         assert vec.shape == (24,)
         assert np.all(vec[6:] == 0.0)
 
@@ -231,3 +231,75 @@ def test_branch_isolation_holds_for_every_network(kind):
 def test_build_network_rejects_unknown_kind():
     with pytest.raises(ValueError):
         build_network("mlp")
+
+
+def _reference_gcil_order(feats, adj):
+    """The per-sample canonicalization the shared helper replaced: ego first,
+    the other rows by np.lexsort, gathered with np.ix_."""
+    out_f = np.empty_like(feats)
+    out_a = np.empty_like(adj)
+    for b in range(feats.shape[0]):
+        n = feats.shape[1]
+        order = np.arange(n)
+        if n > 2:
+            order = np.concatenate([[0], np.lexsort(feats[b][1:].T[::-1]) + 1])
+        out_f[b] = feats[b][order]
+        out_a[b] = adj[b][np.ix_(order, order)]
+    return out_f, out_a
+
+
+def _reference_set_order(elems):
+    canon = np.empty_like(elems)
+    for i in range(elems.shape[0]):
+        canon[i] = elems[i][np.lexsort(elems[i].T[::-1])]
+    return canon
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def _tie_heavy_rows(rng, shape):
+    """Rows drawn from a few values, -0.0 and 0.0 among them, so that equal
+    rows and ties decided several columns in are common."""
+    values = np.array([-1.5, -0.0, 0.0, 0.25, 2.0])
+    rows = values[rng.integers(0, len(values), size=shape)]
+    rows[..., -1] = rng.normal(size=shape[:-1]) * (rng.uniform(size=shape[:-1]) < 0.5)
+    return rows
+
+
+@pytest.mark.parametrize("batch", [1, 7, 512])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_canonical_order_matches_lexsort_reference(batch, n):
+    rng = np.random.default_rng(batch * 10 + n)
+    feats = _tie_heavy_rows(rng, (batch, n, 12))
+    feats[:, :, :6] = feats[:, :1, :6]  # the shared ego block, as in real features
+    adj = rng.uniform(size=(batch, n, n))
+    got_f, got_a = _canonicalize(feats, 1, adj)
+    want_f, want_a = _reference_gcil_order(feats, adj)
+    assert _same_bits(got_f, want_f) and _same_bits(got_a, want_a)
+
+    elems = _tie_heavy_rows(rng, (batch, n, 6))
+    got_e, none = _canonicalize(elems, 0)
+    assert none is None and _same_bits(got_e, _reference_set_order(elems))
+
+
+def test_canonical_order_of_a_sample_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(9)
+    feats = _tie_heavy_rows(rng, (64, 8, 12))
+    adj = rng.uniform(size=(64, 8, 8))
+    batch_f, batch_a = _canonicalize(feats, 1, adj)
+    batch_e, _ = _canonicalize(feats[:, :, 6:], 0)
+    for i in (0, 17, 63):
+        alone_f, alone_a = _canonicalize(feats[i:i + 1], 1, adj[i:i + 1])
+        alone_e, _ = _canonicalize(feats[i:i + 1, :, 6:], 0)
+        assert _same_bits(alone_f[0], batch_f[i]) and _same_bits(alone_a[0], batch_a[i])
+        assert _same_bits(alone_e[0], batch_e[i])
+
+
+def test_canonical_order_on_recorded_observations():
+    obs = [_observation(density=d, seed=s) for d in (0, 3, 7) for s in range(3)]
+    for feats, adj, _ in obs:
+        got_f, got_a = _canonicalize(feats[None], 1, adj[None])
+        want_f, want_a = _reference_gcil_order(feats[None], adj[None])
+        assert _same_bits(got_f, want_f) and _same_bits(got_a, want_a)
