@@ -15,7 +15,7 @@ from .dataset import DatasetFormatError, collect_dataset, read_dataset, write_da
 from .evaluation import (AlwaysBrake, REFERENCE_ABLATION, format_report, run_ablation,
                          run_suite, write_ablation_csv, write_suite_csv,
                          write_trajectory_csv, write_trials_csv)
-from .graph import EdgeStrategy, EdgeStrategyKind
+from .graph import EdgeStrategyKind
 from .gradcheck import run_policy_check
 from .layout import Command
 from .manifest import now_utc, write_manifest
@@ -97,9 +97,7 @@ def cmd_train(args) -> int:
     dataset = read_dataset(args.dataset)
     tcfg = train_config(cfg)
     if args.strategy is not None:
-        strategy = EdgeStrategy(kind=EdgeStrategyKind(args.strategy),
-                                alpha_m=cfg["graph"]["alpha_m"], k=cfg["graph"]["k"],
-                                include_ego_candidate=cfg["graph"]["include_ego_candidate"])
+        strategy = replace(graph_config(cfg).strategy, kind=EdgeStrategyKind(args.strategy))
         tcfg = replace(tcfg, graph=replace(tcfg.graph, strategy=strategy), reencode=True)
     run = train(dataset, tcfg, out_dir=out, resume=args.resume)
     files = list(out.glob("checkpoint_*.json")) + [out / "loss.csv"]
@@ -152,17 +150,16 @@ def cmd_ablate(args) -> int:
     trials = args.trials if args.trials is not None else 35
     base_seed = args.seed if args.seed is not None else cfg["eval"]["base_seed"]
     strategy_names = args.strategies.split(",") if args.strategies else [k.value for k in EdgeStrategyKind]
+    graph_cfg = graph_config(cfg)
     strategies = []
     for name in strategy_names:
         try:
             kind = EdgeStrategyKind(name.strip())
         except ValueError:
             raise ConfigError(f"unknown edge strategy {name!r}") from None
-        strategies.append(EdgeStrategy(kind=kind, alpha_m=cfg["graph"]["alpha_m"],
-                                       k=cfg["graph"]["k"],
-                                       include_ego_candidate=cfg["graph"]["include_ego_candidate"]))
+        strategies.append(replace(graph_cfg.strategy, kind=kind))
     rows, _ = run_ablation(dataset, strategies, train_config(cfg),
-                           scenario_config(cfg, mode="eval"), graph_config(cfg),
+                           scenario_config(cfg, mode="eval"), graph_cfg,
                            trials=trials, base_seed=base_seed, jobs=args.jobs)
     write_ablation_csv(rows, out / "ablation.csv")
     print(f"{'strategy':20} {'SR%':>8} {'CR%':>8} {'time(s)':>8}   reference SR/CR/time")

@@ -17,6 +17,7 @@ from pathlib import Path
 from .expert import ExpertParams
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
 from .layout import Arm, Command
+from .policies import NETWORK_KINDS
 from .tracking import TrackingParams
 from .vehicle import VehicleParams
 from .world import ScenarioConfig
@@ -176,8 +177,11 @@ def _sanity(cfg: dict) -> None:
             raise ConfigError(f"{section}.{key} must lie within (0, layout.arm_length]")
     if cfg["episode"]["dt"] <= 0:
         raise ConfigError("episode.dt must be positive")
-    if cfg["train"]["network"] not in ("gcil", "nncil", "setcil"):
-        raise ConfigError("train.network must be one of: gcil, nncil, setcil")
+    for key in ("length", "width"):
+        if not cfg["vehicle"][key] > 0:
+            raise ConfigError(f"vehicle.{key} must be positive")
+    if cfg["train"]["network"] not in NETWORK_KINDS:
+        raise ConfigError(f"train.network must be one of: {', '.join(NETWORK_KINDS)}")
     try:
         EdgeStrategyKind(cfg["graph"]["strategy"])
     except ValueError:

@@ -59,7 +59,6 @@ class ExpertController:
             speed_kp=params.speed_kp,
             capture_distance=params.capture_distance,
         )
-        self.off_path = False
 
     def _gap_rejected(self, world: WorldState) -> bool:
         radius = world.layout.junction_half + self.params.yield_zone
@@ -85,8 +84,6 @@ class ExpertController:
     def act(self, world: WorldState, goal: GoalSpec, command, obs=None) -> Action:
         path = world.ego_route.path
         projection = path.project(world.ego.position.x, world.ego.position.y)
-        result = track_path(world.ego, path, projection, self._target_speed(world, projection[0]),
-                            self.tracking, self.vparams)
-        self.off_path = not result.on_path
-        return result.action
+        return track_path(world.ego, path, projection, self._target_speed(world, projection[0]),
+                          self.tracking, self.vparams).action
 

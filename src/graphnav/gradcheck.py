@@ -6,6 +6,7 @@ import numpy as np
 
 from .layout import COMMANDS
 from .nn import batch_action_loss
+from .policies import FEATURE_SCALE, NETWORKS, build_network
 
 
 def finite_diff_check(loss_fn, params: dict, analytic: dict, n_samples: int = 200,
@@ -46,8 +47,6 @@ def finite_diff_check(loss_fn, params: dict, analytic: dict, n_samples: int = 20
 
 def synthetic_inputs(kind: str, rng, batch: int = 4, n_nodes: int = 4):
     """Random physical-unit-scaled inputs for gradient verification."""
-    from .policies import FEATURE_SCALE
-
     samples = []
     for _ in range(batch):
         feats = rng.normal(0.0, 2.0, size=(n_nodes, 12)) * FEATURE_SCALE
@@ -56,16 +55,7 @@ def synthetic_inputs(kind: str, rng, batch: int = 4, n_nodes: int = 4):
         raw = np.abs(rng.normal(1.0, 0.5, size=(n_nodes, n_nodes))) + 0.05
         adj = raw / raw.sum(axis=1, keepdims=True)
         x_ego = feats[0, :6].copy()
-        if kind == "gcil":
-            samples.append((feats, adj, x_ego))
-        elif kind == "nncil":
-            from .policies import nncil_vector
-
-            samples.append((nncil_vector(feats),))
-        else:
-            from .policies import set_elements
-
-            samples.append((set_elements(feats),))
+        samples.append(NETWORKS[kind].inputs(feats, adj, x_ego))
     commands = [COMMANDS[i % 3] for i in range(batch)]
     return samples, commands
 
@@ -121,8 +111,6 @@ def run_policy_check(kind: str, seed: int = 0, n_samples: int = 200, eps: float 
     keeps central-difference cancellation noise far below the tolerance.
     Configurations whose ReLU pre-activations hug a kink are redrawn.
     """
-    from .policies import build_network
-
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt, 3])
         network = build_network(kind, rng=np.random.default_rng([seed, attempt, 1]))

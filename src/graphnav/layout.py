@@ -52,7 +52,6 @@ class Route:
     command: Command
     path: Polyline
     entry_s: float   # arc length of the junction entry point
-    exit_s: float    # arc length of the junction exit point
     goal: Vec2       # target on the outbound lane
 
     @property
@@ -74,24 +73,17 @@ def _south_template(lane_width: float, arm_length: float, goal_offset: float, co
     entry = (w2, -j)
     if command is Command.FORWARD:
         pts = [start, (w2, j + arm_length)]
-        exit_s = arm_length + 2.0 * j
         goal = (w2, j + goal_offset)
     elif command is Command.TURN_RIGHT:
         arc = _arc_points(j, -j, j - w2, math.pi, 0.5 * math.pi)
         pts = [start] + arc + [(j + arm_length, -w2)]
-        exit_s = None  # filled from the polyline below
         goal = (j + goal_offset, -w2)
     else:  # TURN_LEFT
         arc = _arc_points(-j, -j, j + w2, 0.0, 0.5 * math.pi)
         pts = [start] + arc + [(-(j + arm_length), w2)]
-        exit_s = None
         goal = (-(j + goal_offset), w2)
-    if exit_s is None:
-        # junction exit is the last arc vertex, one point before the arm end
-        chord = np.diff(np.asarray(pts), axis=0)
-        exit_s = float(np.hypot(chord[:-1, 0], chord[:-1, 1]).sum())
     assert abs(math.hypot(start[0] - entry[0], start[1] - entry[1]) - arm_length) < 1e-9
-    return pts, arm_length, exit_s, goal
+    return pts, arm_length, goal
 
 
 @dataclass(frozen=True)
@@ -145,7 +137,7 @@ def build_layout(lane_width: float = 4.0, arm_length: float = 40.0, goal_offset:
     routes = {}
     for arm, rot in _ROTATIONS.items():
         for command in COMMANDS:
-            pts, entry_s, exit_s, goal = _south_template(lane_width, arm_length, goal_offset, command)
+            pts, entry_s, goal = _south_template(lane_width, arm_length, goal_offset, command)
             rpts = [rot(x, y) for x, y in pts]
             gx, gy = rot(*goal)
             routes[(arm, command)] = Route(
@@ -153,7 +145,6 @@ def build_layout(lane_width: float = 4.0, arm_length: float = 40.0, goal_offset:
                 command=command,
                 path=Polyline(rpts),
                 entry_s=entry_s,
-                exit_s=exit_s,
                 goal=Vec2(gx, gy),
             )
     conflicts = _route_conflicts(routes, junction_half)

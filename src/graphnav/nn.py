@@ -215,18 +215,6 @@ class Adam:
         return opt
 
 
-def action_loss(u: np.ndarray, u_star: np.ndarray) -> tuple[float, np.ndarray]:
-    """Per-sample loss (d_steer^2 + d_throttle^2) and its gradient in u."""
-    u = np.asarray(u, dtype=float)
-    u_star = np.asarray(u_star, dtype=float)
-    if not u.shape == u_star.shape == (2,):
-        raise ValueError(f"actions must be 2-vectors, got {u.shape} and {u_star.shape}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(u_star))):
-        raise ValueError("non-finite action in loss")
-    d = u - u_star
-    return float(d @ d), 2.0 * d
-
-
 def batch_action_loss(u: np.ndarray, targets: np.ndarray, denom: int | None = None):
     """Per-sample losses and the gradient of their mean.
 

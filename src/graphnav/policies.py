@@ -1,10 +1,12 @@
 """Branched command-conditional policies over three perception frontends.
 
-The graph policy runs a 3-layer GCN, takes the ego node's output, appends the
-shared ego block, and feeds a trunk MLP whose output is mapped to an action
-by the branch selected by the high-level command. The two baselines swap the
-perception frontend (fixed nearest-3 vector, or a summed set encoding) and
-keep the identical trunk-plus-branches head.
+Every network is one skeleton, `BranchedPolicy`: a perception frontend whose
+output feeds a shared trunk MLP, mapped to an action by the branch selected
+by the high-level command. The graph policy's frontend is a 3-layer GCN
+whose ego-node output is joined by the shared ego block; the two baselines
+use a fixed nearest-3 vector MLP or a summed set encoding. `NETWORKS` is the
+one place that maps a kind to its class; each class's `inputs` turns an
+observation (features, adjacency, ego block) into what its forward takes.
 
 Nodes (and set elements) are put into a canonical sort order inside forward,
 which makes permutation equivariance/invariance hold bitwise despite
@@ -17,7 +19,7 @@ import numpy as np
 
 from .graph import EGO_DIM, FEATURE_DIM
 from .layout import COMMANDS, Command
-from .nn import IDENTITY, RELU, TANH, GcnLayer, Mlp
+from .nn import RELU, TANH, GcnLayer, Mlp
 from .vehicle import Action
 
 GCN_WIDTHS = (32, 32, 10)
@@ -25,7 +27,6 @@ TRUNK_WIDTHS = (128, 256, 64, 64)
 BRANCH_HIDDEN = 64
 PERCEPTION_WIDTHS = (64, 64, 64)
 NNCIL_INPUT_DIM = 24  # ego block + three nearest relative blocks
-NETWORK_KINDS = ("gcil", "nncil", "setcil")
 
 # Characteristic scales dividing each feature block at the network boundary
 # (meters for distances, m/s for speeds). Raw-unit inputs saturate the tanh
@@ -56,6 +57,20 @@ def _canonicalize(x: np.ndarray, fixed: int, adj: np.ndarray | None = None):
     return x[b, r], adj[b[:, :, None], r[:, :, None], r[:, None, :]]
 
 
+def _named(prefix: str, pairs) -> dict:
+    """Name a stack of (weight, bias) pairs `{prefix}.{i}.w` / `{prefix}.{i}.b`:
+    an Mlp's layers for parameters(), or the gradients its backward returns."""
+    named = {}
+    for i, (w, b) in enumerate(pairs):
+        named[f"{prefix}.{i}.w"] = w
+        named[f"{prefix}.{i}.b"] = b
+    return named
+
+
+def _weights(mlp: Mlp) -> list:
+    return [(layer.w, layer.b) for layer in mlp.layers]
+
+
 class _BranchedHead:
     """Shared trunk MLP plus one two-layer branch per command."""
 
@@ -81,33 +96,57 @@ class _BranchedHead:
         command, trunk_cache, branch_cache = cache
         dz, branch_grads = self.branches[command].backward(branch_cache, du)
         dp, trunk_grads = self.trunk.backward(trunk_cache, dz)
-        grads = {}
-        for i, (dw, db) in enumerate(trunk_grads):
-            grads[f"trunk.{i}.w"] = dw
-            grads[f"trunk.{i}.b"] = db
+        grads = _named("trunk", trunk_grads)
         for c in COMMANDS:
-            for i, layer in enumerate(self.branches[c].layers):
-                if c is command:
-                    dw, db = branch_grads[i]
-                else:
-                    dw, db = np.zeros_like(layer.w), np.zeros_like(layer.b)
-                grads[f"branch.{c.value}.{i}.w"] = dw
-                grads[f"branch.{c.value}.{i}.b"] = db
+            pairs = branch_grads if c is command else [
+                (np.zeros_like(w), np.zeros_like(b)) for w, b in _weights(self.branches[c])]
+            grads.update(_named(f"branch.{c.value}", pairs))
         return dp, grads
 
     def parameters(self) -> dict:
-        params = {}
-        for i, layer in enumerate(self.trunk.layers):
-            params[f"trunk.{i}.w"] = layer.w
-            params[f"trunk.{i}.b"] = layer.b
+        params = _named("trunk", _weights(self.trunk))
         for c in COMMANDS:
-            for i, layer in enumerate(self.branches[c].layers):
-                params[f"branch.{c.value}.{i}.w"] = layer.w
-                params[f"branch.{c.value}.{i}.b"] = layer.b
+            params.update(_named(f"branch.{c.value}", _weights(self.branches[c])))
         return params
 
 
-class GcilNetwork:
+class BranchedPolicy:
+    """A perception frontend feeding the shared branched head.
+
+    Each subclass builds its frontend from `rng` before the head, and
+    defines the per-sample `inputs(feats, adj, x_ego)` tuple its
+    `forward_batch` takes stacked, its `backward_batch`, and the frontend's
+    topology keys, parameters and ReLU kink margin. Batch caches start with
+    (frontend cache, head cache).
+    """
+
+    kind: str
+
+    def topology(self) -> dict:
+        return {**self.frontend_topology(), "trunk_widths": list(TRUNK_WIDTHS),
+                "branch_hidden": BRANCH_HIDDEN}
+
+    def parameters(self) -> dict:
+        return {**self.frontend_parameters(), **self.head.parameters()}
+
+    def kink_margin(self, cache) -> float:
+        return min(self.frontend_margin(cache[0]), self.head.kink_margin(cache[1]))
+
+    def forward(self, *args):
+        """One sample: the `inputs` tuple, then the command."""
+        *inputs, command = args
+        u, cache = self.forward_batch(*[np.asarray(a, dtype=float)[None] for a in inputs], command)
+        return u[0], cache
+
+    def backward(self, cache, du) -> dict:
+        return self.backward_batch(cache, np.asarray(du, dtype=float).reshape(1, 2))
+
+    def act(self, *args) -> Action:
+        u, _ = self.forward(*args)
+        return Action(float(u[0]), float(u[1]))
+
+
+class GcilNetwork(BranchedPolicy):
     """GCN perception into the branched control head."""
 
     kind = "gcil"
@@ -117,18 +156,18 @@ class GcilNetwork:
         self.gcn = [GcnLayer.create(rng, widths[i], widths[i + 1]) for i in range(len(GCN_WIDTHS))]
         self.head = _BranchedHead(rng, GCN_WIDTHS[-1] + EGO_DIM)
 
-    def topology(self) -> dict:
-        return {
-            "feature_dim": FEATURE_DIM,
-            "gcn_widths": list(GCN_WIDTHS),
-            "trunk_widths": list(TRUNK_WIDTHS),
-            "branch_hidden": BRANCH_HIDDEN,
-        }
+    @staticmethod
+    def inputs(feats, adj, x_ego) -> tuple:
+        return feats, adj, x_ego
 
-    def parameters(self) -> dict:
-        params = {f"gcn.{i}.w": layer.w for i, layer in enumerate(self.gcn)}
-        params.update(self.head.parameters())
-        return params
+    def frontend_topology(self) -> dict:
+        return {"feature_dim": FEATURE_DIM, "gcn_widths": list(GCN_WIDTHS)}
+
+    def frontend_parameters(self) -> dict:
+        return {f"gcn.{i}.w": layer.w for i, layer in enumerate(self.gcn)}
+
+    def frontend_margin(self, gcn_caches) -> float:
+        return min(layer.kink_margin(c) for layer, c in zip(self.gcn, gcn_caches))
 
     def forward_batch(self, feats: np.ndarray, adj: np.ndarray, x_ego: np.ndarray, command: Command):
         feats = feats / FEATURE_SCALE
@@ -153,23 +192,6 @@ class GcilNetwork:
             grads[f"gcn.{i}.w"] = dw
         return grads
 
-    def kink_margin(self, cache) -> float:
-        gcn_caches, head_cache, _ = cache
-        margins = [layer.kink_margin(c) for layer, c in zip(self.gcn, gcn_caches)]
-        return min(min(margins), self.head.kink_margin(head_cache))
-
-    def forward(self, feats, adj, x_ego, command: Command):
-        u, cache = self.forward_batch(np.asarray(feats)[None], np.asarray(adj)[None],
-                                      np.asarray(x_ego)[None], command)
-        return u[0], cache
-
-    def backward(self, cache, du) -> dict:
-        return self.backward_batch(cache, np.asarray(du, dtype=float).reshape(1, 2))
-
-    def act(self, feats, adj, x_ego, command: Command) -> Action:
-        u, _ = self.forward(feats, adj, x_ego, command)
-        return Action(float(u[0]), float(u[1]))
-
 
 def nncil_vector(feats: np.ndarray) -> np.ndarray:
     """Fixed 24-vector: ego block plus the three nearest relative blocks,
@@ -185,7 +207,7 @@ def nncil_vector(feats: np.ndarray) -> np.ndarray:
     return out
 
 
-class NnCilNetwork:
+class NnCilNetwork(BranchedPolicy):
     """Fixed-width nearest-3 perception MLP into the branched control head."""
 
     kind = "nncil"
@@ -195,21 +217,18 @@ class NnCilNetwork:
         self.perception = Mlp.create(rng, list(widths), [RELU] * len(PERCEPTION_WIDTHS))
         self.head = _BranchedHead(rng, PERCEPTION_WIDTHS[-1])
 
-    def topology(self) -> dict:
-        return {
-            "input_dim": NNCIL_INPUT_DIM,
-            "perception_widths": list(PERCEPTION_WIDTHS),
-            "trunk_widths": list(TRUNK_WIDTHS),
-            "branch_hidden": BRANCH_HIDDEN,
-        }
+    @staticmethod
+    def inputs(feats, adj, x_ego) -> tuple:
+        return (nncil_vector(feats),)
 
-    def parameters(self) -> dict:
-        params = {}
-        for i, layer in enumerate(self.perception.layers):
-            params[f"perception.{i}.w"] = layer.w
-            params[f"perception.{i}.b"] = layer.b
-        params.update(self.head.parameters())
-        return params
+    def frontend_topology(self) -> dict:
+        return {"input_dim": NNCIL_INPUT_DIM, "perception_widths": list(PERCEPTION_WIDTHS)}
+
+    def frontend_parameters(self) -> dict:
+        return _named("perception", _weights(self.perception))
+
+    def frontend_margin(self, pcache) -> float:
+        return self.perception.kink_margin(pcache)
 
     def forward_batch(self, x: np.ndarray, command: Command):
         x = x / NNCIL_SCALE
@@ -221,25 +240,8 @@ class NnCilNetwork:
         pcache, head_cache = cache
         dz, grads = self.head.backward(head_cache, du)
         _, pgrads = self.perception.backward(pcache, dz)
-        for i, (dw, db) in enumerate(pgrads):
-            grads[f"perception.{i}.w"] = dw
-            grads[f"perception.{i}.b"] = db
+        grads.update(_named("perception", pgrads))
         return grads
-
-    def kink_margin(self, cache) -> float:
-        pcache, head_cache = cache
-        return min(self.perception.kink_margin(pcache), self.head.kink_margin(head_cache))
-
-    def forward(self, x, command: Command):
-        u, cache = self.forward_batch(np.asarray(x, dtype=float)[None], command)
-        return u[0], cache
-
-    def backward(self, cache, du) -> dict:
-        return self.backward_batch(cache, np.asarray(du, dtype=float).reshape(1, 2))
-
-    def act(self, x, command: Command) -> Action:
-        u, _ = self.forward(x, command)
-        return Action(float(u[0]), float(u[1]))
 
 
 def set_elements(feats: np.ndarray) -> np.ndarray:
@@ -249,7 +251,7 @@ def set_elements(feats: np.ndarray) -> np.ndarray:
     return np.vstack([feats[0, :EGO_DIM], feats[1:, EGO_DIM:]])
 
 
-class SetCilNetwork:
+class SetCilNetwork(BranchedPolicy):
     """Order-free perception: encode each 6-vector and sum, then the head."""
 
     kind = "setcil"
@@ -259,21 +261,18 @@ class SetCilNetwork:
         self.encoder = Mlp.create(rng, list(widths), [RELU] * len(PERCEPTION_WIDTHS))
         self.head = _BranchedHead(rng, PERCEPTION_WIDTHS[-1])
 
-    def topology(self) -> dict:
-        return {
-            "element_dim": EGO_DIM,
-            "encoder_widths": list(PERCEPTION_WIDTHS),
-            "trunk_widths": list(TRUNK_WIDTHS),
-            "branch_hidden": BRANCH_HIDDEN,
-        }
+    @staticmethod
+    def inputs(feats, adj, x_ego) -> tuple:
+        return (set_elements(feats),)
 
-    def parameters(self) -> dict:
-        params = {}
-        for i, layer in enumerate(self.encoder.layers):
-            params[f"encoder.{i}.w"] = layer.w
-            params[f"encoder.{i}.b"] = layer.b
-        params.update(self.head.parameters())
-        return params
+    def frontend_topology(self) -> dict:
+        return {"element_dim": EGO_DIM, "encoder_widths": list(PERCEPTION_WIDTHS)}
+
+    def frontend_parameters(self) -> dict:
+        return _named("encoder", _weights(self.encoder))
+
+    def frontend_margin(self, ecache) -> float:
+        return self.encoder.kink_margin(ecache)
 
     def forward_batch(self, elements: np.ndarray, command: Command):
         elems = elements / BLOCK_SCALE
@@ -291,37 +290,20 @@ class SetCilNetwork:
         dpool, grads = self.head.backward(head_cache, du)
         dspread = np.repeat(dpool, m, axis=0)
         _, egrads = self.encoder.backward(ecache, dspread)
-        for i, (dw, db) in enumerate(egrads):
-            grads[f"encoder.{i}.w"] = dw
-            grads[f"encoder.{i}.b"] = db
+        grads.update(_named("encoder", egrads))
         return grads
 
-    def kink_margin(self, cache) -> float:
-        ecache, head_cache, _ = cache
-        return min(self.encoder.kink_margin(ecache), self.head.kink_margin(head_cache))
 
-    def forward(self, elements, command: Command):
-        u, cache = self.forward_batch(np.asarray(elements, dtype=float)[None], command)
-        return u[0], cache
-
-    def backward(self, cache, du) -> dict:
-        return self.backward_batch(cache, np.asarray(du, dtype=float).reshape(1, 2))
-
-    def act(self, elements, command: Command) -> Action:
-        u, _ = self.forward(elements, command)
-        return Action(float(u[0]), float(u[1]))
+NETWORKS = {cls.kind: cls for cls in (GcilNetwork, NnCilNetwork, SetCilNetwork)}
+NETWORK_KINDS = tuple(NETWORKS)
 
 
-def build_network(kind: str, seed: int = 0, rng=None):
+def build_network(kind: str, seed: int = 0, rng=None) -> BranchedPolicy:
+    if kind not in NETWORKS:
+        raise ValueError(f"unknown network kind {kind!r}, expected one of {NETWORK_KINDS}")
     if rng is None:
         rng = np.random.default_rng([seed, 1])
-    if kind == "gcil":
-        return GcilNetwork(rng)
-    if kind == "nncil":
-        return NnCilNetwork(rng)
-    if kind == "setcil":
-        return SetCilNetwork(rng)
-    raise ValueError(f"unknown network kind {kind!r}, expected one of {NETWORK_KINDS}")
+    return NETWORKS[kind](rng)
 
 
 class NetworkController:
@@ -331,9 +313,4 @@ class NetworkController:
         self.network = network
 
     def act(self, world, goal, command: Command, obs) -> Action:
-        feats, adj, x_ego = obs
-        if self.network.kind == "gcil":
-            return self.network.act(feats, adj, x_ego, command)
-        if self.network.kind == "nncil":
-            return self.network.act(nncil_vector(feats), command)
-        return self.network.act(set_elements(feats), command)
+        return self.network.act(*self.network.inputs(*obs), command)

@@ -22,7 +22,7 @@ from .dataset import DemoDataset
 from .graph import GraphConfig, adjacency_from_features
 from .layout import COMMANDS, Command
 from .nn import Adam, batch_action_loss
-from .policies import build_network, nncil_vector, set_elements
+from .policies import NETWORKS, build_network
 
 LOSS_COLUMNS = ("step", "mean_loss", "loss_forward", "loss_left", "loss_right", "wall_clock_s")
 
@@ -85,7 +85,7 @@ def sample_minibatch(dataset_sizes: dict, batch_size: int, rng, step: int) -> di
 @dataclass
 class _Group:
     n_nodes: int
-    inputs: tuple          # network-kind specific stacked input arrays
+    inputs: tuple          # the network's per-sample `inputs`, stacked column by column
     targets: np.ndarray    # (B, 2)
 
 
@@ -93,7 +93,7 @@ class _PreparedData:
     """Per-command sample arrays grouped by node count for batched forward passes."""
 
     def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig, reencode: bool) -> None:
-        self.kind = kind
+        network_cls = NETWORKS[kind]
         self.groups: dict = {}
         self.group_of: dict = {}
         self.local_of: dict = {}
@@ -115,20 +115,13 @@ class _PreparedData:
             groups = []
             for n in order:
                 bucket = buckets[n]
-                feats = np.stack([s.features for s in bucket])
                 if reencode:
-                    adj = np.stack([adjacency_from_features(s.features, graph_cfg.strategy)
-                                    for s in bucket])
+                    adjs = [adjacency_from_features(s.features, graph_cfg.strategy) for s in bucket]
                 else:
-                    adj = np.stack([s.adjacency for s in bucket])
-                x_ego = np.stack([s.x_ego for s in bucket])
+                    adjs = [s.adjacency for s in bucket]
+                rows = [network_cls.inputs(s.features, a, s.x_ego) for s, a in zip(bucket, adjs)]
+                inputs = tuple(np.stack(column) for column in zip(*rows))
                 targets = np.stack([s.u_star for s in bucket])
-                if kind == "gcil":
-                    inputs = (feats, adj, x_ego)
-                elif kind == "nncil":
-                    inputs = (np.stack([nncil_vector(f) for f in feats]),)
-                else:
-                    inputs = (np.stack([set_elements(f) for f in feats]),)
                 groups.append(_Group(n_nodes=n, inputs=inputs, targets=targets))
             self.groups[command] = groups
             self.group_of[command] = group_of

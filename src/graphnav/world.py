@@ -282,14 +282,6 @@ def ego_collision(world: WorldState) -> bool:
     return False
 
 
-def detect_collision(a: VehicleState, b: VehicleState) -> bool:
-    """Oriented-rectangle overlap between two vehicle footprints."""
-    if a.length <= 0 or a.width <= 0 or b.length <= 0 or b.width <= 0:
-        raise ValueError("vehicle footprints must be positive")
-    return rects_collide(a.position.x, a.position.y, a.heading, a.length, a.width,
-                         b.position.x, b.position.y, b.heading, b.length, b.width)
-
-
 @dataclass(frozen=True)
 class EpisodeLimits:
     timeout_s: float = 30.0

@@ -1,5 +1,6 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -135,6 +136,61 @@ def test_nested_typo_names_nearest_key(tmp_path, capsys):
     config.write_text(json.dumps({"traffic": {"densty": 3}}))
     assert main(["collect", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "traffic.density" in capsys.readouterr().err
+
+
+def test_zero_vehicle_length_is_config_error(tmp_path, capsys):
+    config = tmp_path / "flat.json"
+    config.write_text(json.dumps({"vehicle": {"length": 0}}))
+    code = main(["collect", "--config", str(config), "--out", str(tmp_path / "o"), "--episodes", "1"])
+    assert code == 2
+    assert "vehicle.length must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+GRAPH_CONFIG = {"graph": {"alpha_m": 7.5, "k": 2, "include_ego_candidate": False}}
+
+
+def _strategy_fields(strategy):
+    return strategy.alpha_m, strategy.k, strategy.include_ego_candidate
+
+
+def test_train_strategy_keeps_the_configured_graph(workdir, tmp_path, monkeypatch):
+    import graphnav.cli as cli_mod
+
+    config = tmp_path / "graph.json"
+    config.write_text(json.dumps(GRAPH_CONFIG))
+    seen = []
+
+    def fake_train(dataset, tcfg, out_dir, resume=None):
+        seen.append(tcfg)
+        (out_dir / "loss.csv").write_text("")
+        return SimpleNamespace(steps=0, history=[])
+    monkeypatch.setattr(cli_mod, "train", fake_train)
+    assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
+                 "--strategy", "star_connected", "--out", str(tmp_path / "o")]) == 0
+    [tcfg] = seen
+    assert tcfg.reencode and tcfg.graph.strategy.kind.value == "star_connected"
+    assert _strategy_fields(tcfg.graph.strategy) == (7.5, 2, False)
+
+
+def test_ablate_strategies_keep_the_configured_graph(workdir, tmp_path, monkeypatch, capsys):
+    import graphnav.cli as cli_mod
+
+    config = tmp_path / "graph.json"
+    config.write_text(json.dumps(GRAPH_CONFIG))
+    seen = []
+
+    def fake_ablation(dataset, strategies, *args, **kwargs):
+        seen.extend(strategies)
+        return [], {}
+    monkeypatch.setattr(cli_mod, "run_ablation", fake_ablation)
+    args = ["ablate", "--config", str(config), "--dataset", str(workdir["data"]),
+            "--out", str(tmp_path / "o")]
+    assert main(args + ["--strategies", "non_weighted, star_connected"]) == 0
+    assert [s.kind.value for s in seen] == ["non_weighted", "star_connected"]
+    assert all(_strategy_fields(s) == (7.5, 2, False) for s in seen)
+    assert main(args + ["--strategies", "mesh"]) == 2
+    assert "unknown edge strategy 'mesh'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

@@ -8,6 +8,7 @@ from graphnav.config import (ConfigError, DEFAULTS, _flat_keys, config_hash,
                              scenario_config, vehicle_params)
 from graphnav.graph import EdgeStrategyKind
 from graphnav.layout import Arm
+from graphnav.policies import NETWORK_KINDS
 
 
 def test_defaults_load_and_validate():
@@ -64,6 +65,19 @@ def test_spawn_window_outside_arm_rejected():
 def test_bad_strategy_rejected():
     with pytest.raises(ConfigError):
         load_config(None, overrides={"graph": {"strategy": "mesh"}})
+
+
+@pytest.mark.parametrize("key", ["length", "width"])
+@pytest.mark.parametrize("value", [0, -2.0])
+def test_non_positive_vehicle_footprint_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"vehicle.{key} must be positive"):
+        load_config(None, overrides={"vehicle": {key: value}})
+
+
+def test_unknown_network_rejected_naming_every_kind():
+    with pytest.raises(ConfigError) as err:
+        load_config(None, overrides={"train": {"network": "mlp"}})
+    assert all(kind in str(err.value) for kind in NETWORK_KINDS)
 
 
 def test_config_hash_stable_and_sensitive():

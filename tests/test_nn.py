@@ -6,7 +6,7 @@ import pytest
 
 from graphnav.gradcheck import finite_diff_check
 from graphnav.nn import (Adam, DenseLayer, GcnLayer, IDENTITY, Mlp, RELU, TANH,
-                         action_loss, batch_action_loss)
+                         batch_action_loss)
 
 
 def test_identity_layer_passes_through():
@@ -191,34 +191,28 @@ def test_linear_network_finite_differences_are_tight():
 
 class TestActionLoss:
     def test_zero_at_match(self):
-        loss, grad = action_loss(np.array([0.3, -0.4]), np.array([0.3, -0.4]))
-        assert loss == 0.0
-        assert np.array_equal(grad, [0.0, 0.0])
+        per, du = batch_action_loss(np.array([[0.3, -0.4]]), np.array([[0.3, -0.4]]))
+        assert per.tolist() == [0.0]
+        assert np.array_equal(du, [[0.0, 0.0]])
 
     def test_forced_arithmetic(self):
-        loss, grad = action_loss(np.array([0.5, 0.2]), np.array([0.0, 0.2]))
-        assert loss == pytest.approx(0.25)
-        assert grad[0] == pytest.approx(1.0) and grad[1] == 0.0
+        per, du = batch_action_loss(np.array([[0.5, 0.2]]), np.array([[0.0, 0.2]]))
+        assert per[0] == pytest.approx(0.25)
+        assert du[0, 0] == pytest.approx(1.0) and du[0, 1] == 0.0
+
+    def test_non_negative(self):
+        u, t = np.random.default_rng(9).uniform(-1, 1, size=(2, 100, 2))
+        per, _ = batch_action_loss(u, t)
+        assert np.all(per >= 0.0)
 
     def test_batch_mean_matches_scalar_recompute(self):
         u = np.array([[0.5, 0.0], [-0.2, 0.3]])
         t = np.array([[0.0, 0.0], [0.0, 0.0]])
         per, du = batch_action_loss(u, t)
-        singles = [action_loss(u[i], t[i])[0] for i in range(2)]
-        assert per.tolist() == pytest.approx(singles)
-        assert float(per.mean()) == pytest.approx(sum(singles) / 2)
+        singles = ((u - t) ** 2).sum(axis=1)
+        assert per.tolist() == pytest.approx(singles.tolist())
+        assert float(per.mean()) == pytest.approx(float(singles.sum()) / 2)
         assert np.allclose(du, 2.0 * u / 2)
-
-    def test_non_negative(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            u, t = rng.uniform(-1, 1, size=(2, 2))
-            loss, _ = action_loss(u, t)
-            assert loss >= 0.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            action_loss(np.array([np.nan, 0.0]), np.zeros(2))
 
 
 class TestAdam:

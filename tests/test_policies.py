@@ -5,8 +5,9 @@ from graphnav.gradcheck import policy_gradient_check, run_policy_check, syntheti
 from graphnav.graph import GraphConfig, build_features, encode_world
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import batch_action_loss
-from graphnav.policies import (GcilNetwork, NnCilNetwork, SetCilNetwork, _canonicalize,
-                               build_network, nncil_vector, set_elements)
+from graphnav.policies import (NETWORK_KINDS, NETWORKS, GcilNetwork, NnCilNetwork,
+                               SetCilNetwork, _canonicalize, build_network, nncil_vector,
+                               set_elements)
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 
@@ -205,16 +206,10 @@ class TestGradientFidelity:
         assert net.head.n_in == 16  # 10 graph channels + 6 ego entries
 
 
-@pytest.mark.parametrize("kind", ["gcil", "nncil", "setcil"])
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
 def test_branch_isolation_holds_for_every_network(kind):
     net = build_network(kind, seed=4)
-    feats, adj, x_ego = _observation(density=4, seed=8)
-    if kind == "gcil":
-        inputs = (feats, adj, x_ego)
-    elif kind == "nncil":
-        inputs = (nncil_vector(feats),)
-    else:
-        inputs = (set_elements(feats),)
+    inputs = net.inputs(*_observation(density=4, seed=8))
     before = net.act(*inputs, Command.TURN_RIGHT)
     for cmd in (Command.FORWARD, Command.TURN_LEFT):
         for layer in net.head.branches[cmd].layers:
@@ -231,6 +226,36 @@ def test_branch_isolation_holds_for_every_network(kind):
 def test_build_network_rejects_unknown_kind():
     with pytest.raises(ValueError):
         build_network("mlp")
+
+
+def test_registry_maps_each_kind_to_its_class():
+    assert NETWORKS == {"gcil": GcilNetwork, "nncil": NnCilNetwork, "setcil": SetCilNetwork}
+    assert NETWORK_KINDS == ("gcil", "nncil", "setcil")
+    for kind, cls in NETWORKS.items():
+        assert type(build_network(kind, seed=0)) is cls and cls.kind == kind
+
+
+def _layer_names(prefix, n, bias=True):
+    return [f"{prefix}.{i}.{p}" for i in range(n) for p in (("w", "b") if bias else ("w",))]
+
+
+HEAD_NAMES = _layer_names("trunk", 4) + [
+    name for c in ("forward", "turn_left", "turn_right") for name in _layer_names(f"branch.{c}", 2)]
+HEAD_TOPOLOGY = {"trunk_widths": [128, 256, 64, 64], "branch_hidden": 64}
+
+
+@pytest.mark.parametrize("kind, frontend_names, frontend_topology", [
+    ("gcil", _layer_names("gcn", 3, bias=False), {"feature_dim": 12, "gcn_widths": [32, 32, 10]}),
+    ("nncil", _layer_names("perception", 3), {"input_dim": 24, "perception_widths": [64, 64, 64]}),
+    ("setcil", _layer_names("encoder", 3), {"element_dim": 6, "encoder_widths": [64, 64, 64]}),
+])
+def test_parameter_names_and_topology_are_pinned(kind, frontend_names, frontend_topology):
+    net = build_network(kind, seed=0)
+    assert list(net.parameters()) == frontend_names + HEAD_NAMES
+    assert net.topology() == {**frontend_topology, **HEAD_TOPOLOGY}
+    inputs = net.inputs(*_observation(density=3, seed=2))
+    _, cache = net.forward(*inputs, Command.TURN_LEFT)
+    assert sorted(net.backward(cache, np.array([0.3, -0.2]))) == sorted(net.parameters())
 
 
 def _reference_gcil_order(feats, adj):

@@ -7,12 +7,12 @@ import pytest
 
 from graphnav.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from graphnav.dataset import DemoDataset, DemoSample
-from graphnav.graph import GraphConfig
+from graphnav.graph import GraphConfig, adjacency_from_features
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import Adam
-from graphnav.policies import build_network
-from graphnav.training import (TrainConfig, dataset_mean_loss, minibatch_counts,
-                               sample_minibatch, train)
+from graphnav.policies import NETWORK_KINDS, NETWORKS, NetworkController, build_network
+from graphnav.training import (TrainConfig, TrainingError, _PreparedData, dataset_mean_loss,
+                               minibatch_counts, sample_minibatch, train)
 
 SIZES = {c: 50 for c in COMMANDS}
 
@@ -60,6 +60,30 @@ def _subset_dataset(dataset, per_command):
     return small
 
 
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+@pytest.mark.parametrize("reencode", [False, True])
+def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, reencode):
+    # a recorded sample's training row is the network's own `inputs` of that
+    # sample, and the episode controller acts on it with the same bits
+    graph_cfg = GraphConfig()
+    prepared = _PreparedData(tiny_dataset, kind, graph_cfg, reencode)
+    net = build_network(kind, seed=2)
+    controller = NetworkController(net)
+    for command in COMMANDS:
+        samples = tiny_dataset.buffers[command]
+        for i in (0, len(samples) // 2, len(samples) - 1):
+            s = samples[i]
+            adj = adjacency_from_features(s.features, graph_cfg.strategy) if reencode else s.adjacency
+            [(row, _)] = prepared.gather(command, np.array([i]))
+            expected = NETWORKS[kind].inputs(s.features, adj, s.x_ego)
+            assert len(row) == len(expected)
+            for got, want in zip(row, expected):
+                assert got.shape == (1, *want.shape) and got[0].tobytes() == want.tobytes()
+            action = controller.act(None, None, command, (s.features, adj, s.x_ego))
+            u, _ = net.forward_batch(*row, command)
+            assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
+
+
 def _tiny_config(**kw):
     defaults = dict(batch_size=24, epochs=2, eval_every=0, seed=1, network="gcil")
     defaults.update(kw)
@@ -103,6 +127,15 @@ class TestTraining:
         after = run.network.parameters()
         assert all(np.array_equal(before[k], after[k]) for k in before)
         assert run.history[0]["mean_loss"] == 0.0
+
+    def test_non_finite_loss_stops_with_a_diagnostic_checkpoint(self, tiny_dataset, tmp_path):
+        ds = _subset_dataset(tiny_dataset, 4)
+        ds.buffers[Command.FORWARD] = [
+            DemoSample(s.features, s.adjacency, s.x_ego, s.command, np.array([np.nan, 0.0]),
+                       s.episode_id, s.step) for s in ds.buffers[Command.FORWARD]]
+        with pytest.raises(TrainingError, match="non-finite loss nan at step 0"):
+            train(ds, _tiny_config(batch_size=12), out_dir=tmp_path)
+        assert (tmp_path / "checkpoint_diagnostic.json").exists()
 
     def test_overfits_a_small_dataset(self, tiny_dataset):
         ds = _subset_dataset(tiny_dataset, 6)  # 18 samples total

@@ -8,7 +8,7 @@ from graphnav.geometry import Vec2
 from graphnav.layout import Arm, Command, COMMANDS, build_layout
 from graphnav.vehicle import Action, Role, VehicleState
 from graphnav.world import (EpisodeLimits, GoalSpec, OutcomeTag, OutcomeTracker,
-                            ScenarioConfig, ScenarioError, WorldState, detect_collision,
+                            ScenarioConfig, ScenarioError, WorldState,
                             ego_collision, spawn_scenario, step_world)
 
 
@@ -83,13 +83,6 @@ def test_step_world_moves_agents_along_routes():
         assert moved > 0.0
         _, lateral = route.path.project(a1.position.x, a1.position.y)
         assert lateral < 0.5
-
-
-def test_detect_collision_requires_positive_footprints():
-    a = VehicleState(0, Vec2(0, 0), 0.0, 0.0, 4.0, 2.0, Role.EGO)
-    b = replace(a, id=1, length=0.0)
-    with pytest.raises(ValueError):
-        detect_collision(a, b)
 
 
 class TestOutcomeTracker:
