@@ -96,6 +96,8 @@ def load_checkpoint(path, expected_kind: str | None = None) -> LoadedCheckpoint:
         if arr.shape != target.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {arr.shape}, expected {target.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint {path}: parameter {name!r} holds a non-finite value")
         target[...] = arr
 
     try:

@@ -1,8 +1,12 @@
-"""Run configuration: defaults, file loading, key validation, typed builders.
+"""Run configuration: one binding table from JSON keys to typed fields.
 
-One flat JSON file per run with sections (layout, episode, traffic, vehicle,
-ego, graph, expert, train, eval). Unknown keys are rejected with the nearest
-valid key named, so typos fail fast instead of silently using defaults.
+One JSON file per run, with sections layout, episode, traffic, vehicle, ego,
+graph, expert, train and eval. `_TABLE` has one row per key: the dataclass
+fields it sets, the JSON-to-field conversion and an optional range check. A
+key's default is its field's dataclass default; only keys whose default no
+field holds carry a literal. `DEFAULTS`, the valid keys and the typed builders
+derive from the table. `load_config` names the nearest valid key for an unknown one and checks
+each value's type, conversion and range, raising a `ConfigError` naming its key.
 """
 
 from __future__ import annotations
@@ -12,13 +16,19 @@ import difflib
 import hashlib
 import json
 import math
+import sys
+from collections import namedtuple
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
+from .dataset import NoiseParams
 from .expert import ExpertParams
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
 from .layout import Arm, Command
 from .policies import NETWORK_KINDS
 from .tracking import TrackingParams
+from .training import TrainConfig
 from .vehicle import VehicleParams
 from .world import ScenarioConfig
 
@@ -27,122 +37,140 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "layout": {
-        "lane_width": 4.0,
-        "arm_length": 40.0,
-        "goal_offset_m": 10.0,
-    },
-    "episode": {
-        "dt": 0.1,
-        "timeout_s": 30.0,
-        "success_radius_m": 2.0,
-        "miss_receding_s": 2.0,
-    },
-    "traffic": {
-        "density": 3,
-        "min_separation_m": 6.0,
-        "cruise_speed_range": [3.0, 7.0],
-        "spawn_window_m": [3.0, 18.0],
-        "nonconflicting_fraction": 0.0,
-        "small_agent_fraction": 0.0,
-        "react_to_ego": False,
-        "allow_ego_arm": False,
-        "follow_gap_m": 8.0,
-        "desired_gap_m": 6.0,
-    },
-    "vehicle": {
-        "wheelbase": 2.5,
-        "phi_max_deg": 35.0,
-        "a_max": 3.0,
-        "b_max": 6.0,
-        "v_max": 10.0,
-        "length": 4.0,
-        "width": 2.0,
-    },
-    "ego": {
-        "arm": "south",
-        "spawn_window_m": [10.0, 16.0],
-        "start_speed": 4.0,
-    },
-    "graph": {
-        "strategy": "n_close_weighted",
-        "alpha_m": 10.0,
-        "k": 3,
-        "include_ego_candidate": True,
-        "ego_frame": False,
-    },
-    "expert": {
-        "lookahead_m": 4.0,
-        "ttc_threshold_s": 2.5,
-        "creep_speed": 1.5,
-        "v_pref": 6.0,
-        "yield_zone_m": 1.0,
-        "stop_distance_m": 5.0,
-        "speed_kp": 0.5,
-        "capture_distance_m": 3.0,
-        "noise_burst_prob": 0.03,
-        "noise_duration_s": [0.4, 1.0],
-        "noise_delta_amp": 0.35,
-        "noise_tau_amp": 0.2,
-    },
-    "train": {
-        "batch_size": 512,
-        "epochs": 50,
-        "lr": 0.001,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "epsilon": 1e-8,
-        "eval_every": 200,
-        "seed": 0,
-        "network": "gcil",
-        "episodes_per_command": 100,
-        "densities": {"forward": 5, "turn_left": 3, "turn_right": 3},
-    },
-    "eval": {
-        "trials": 70,
-        "base_seed": 10000,
-        "spawn_window_m": [19.0, 35.0],
-        "ego_spawn_window_m": [17.0, 22.0],
-        "nonconflicting_fraction": 0.25,
-    },
-}
+# Range checks: (predicate on the converted value, what the key must be).
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+_FRACTION = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 
 
-def _flat_keys(tree: dict, prefix: str = "") -> list[str]:
-    keys = []
-    for k, v in tree.items():
-        dotted = f"{prefix}{k}"
-        keys.append(dotted)
-        if isinstance(v, dict):
-            keys.extend(_flat_keys(v, prefix=f"{dotted}."))
-    return keys
+def _one_of(options):
+    return (lambda v: v in options, f"one of: {', '.join(getattr(o, 'value', o) for o in options)}")
 
 
-_VALID_KEYS = _flat_keys(DEFAULTS)
+def _same(v):
+    return v
 
 
-def _validate_tree(user: dict, defaults: dict, prefix: str = "") -> None:
-    for key, value in user.items():
-        dotted = f"{prefix}{key}"
-        if key not in defaults:
-            hint = difflib.get_close_matches(dotted, _VALID_KEYS, n=1)
-            suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise ConfigError(f"unknown config key {dotted!r}{suggestion}")
-        if isinstance(defaults[key], dict) and key != "densities":
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {dotted!r} must be a section")
-            _validate_tree(value, defaults[key], prefix=f"{dotted}.")
+def _densities(d: dict) -> dict:
+    return {Command(k): v for k, v in d.items()}
 
 
-def _merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+# targets: (dataclass, field) pairs; "eval" marks a ScenarioConfig field that
+# only the evaluation scenario takes from the key;
+# convert: JSON value -> field value; check: (predicate, requirement) on the
+# converted value; default: the JSON value.
+_Row = namedtuple("_Row", "section name targets convert check default")
+# The JSON form of a field default, for each conversion that is not the identity.
+_TO_JSON = {math.radians: math.degrees, tuple: list,
+            Arm: attrgetter("value"), EdgeStrategyKind: attrgetter("value")}
+
+
+def _row(key, *targets, convert=_same, check=None, default=None) -> _Row:
+    """Without a literal `default`, the first target field's default in JSON form."""
+    if default is None:
+        cls, name = targets[0]
+        default = _TO_JSON.get(convert, _same)(getattr(cls(), name))
+    return _Row(*key.split("."), targets, convert, check, default)
+
+
+_TABLE = (
+    _row("layout.lane_width", (ScenarioConfig, "lane_width"), check=_POSITIVE),
+    _row("layout.arm_length", (ScenarioConfig, "arm_length"), check=_POSITIVE),
+    _row("layout.goal_offset_m", (ScenarioConfig, "goal_offset"), check=_POSITIVE),
+    _row("episode.dt", (ScenarioConfig, "dt"), check=_POSITIVE),
+    _row("episode.timeout_s", (ScenarioConfig, "timeout_s"), check=_POSITIVE),
+    _row("episode.success_radius_m", (ScenarioConfig, "success_radius"), check=_POSITIVE),
+    _row("episode.miss_receding_s", (ScenarioConfig, "miss_receding_s"), check=_POSITIVE),
+    _row("traffic.density", (ScenarioConfig, "density"), check=_NON_NEGATIVE),
+    _row("traffic.min_separation_m", (ScenarioConfig, "min_separation"), check=_NON_NEGATIVE),
+    _row("traffic.cruise_speed_range", (ScenarioConfig, "cruise_speed_range"), convert=tuple),
+    _row("traffic.spawn_window_m", (ScenarioConfig, "spawn_window"), convert=tuple),
+    _row("traffic.nonconflicting_fraction", (ScenarioConfig, "nonconflicting_fraction"),
+         check=_FRACTION),
+    _row("traffic.small_agent_fraction", (ScenarioConfig, "small_agent_fraction"), check=_FRACTION),
+    _row("traffic.react_to_ego", (ScenarioConfig, "react_to_ego")),
+    _row("traffic.allow_ego_arm", (ScenarioConfig, "allow_ego_arm")),
+    _row("traffic.follow_gap_m", (TrackingParams, "follow_gap"), check=_POSITIVE),
+    _row("traffic.desired_gap_m", (TrackingParams, "desired_gap"), check=_NON_NEGATIVE),
+    _row("vehicle.wheelbase", (VehicleParams, "wheelbase"), check=_POSITIVE),
+    _row("vehicle.phi_max_deg", (VehicleParams, "phi_max"), convert=math.radians,
+         check=(lambda v: 0 < v < math.pi / 2, "in (0, 90)")),
+    _row("vehicle.a_max", (VehicleParams, "a_max"), check=_POSITIVE),
+    _row("vehicle.b_max", (VehicleParams, "b_max"), check=_POSITIVE),
+    _row("vehicle.v_max", (VehicleParams, "v_max"), check=_POSITIVE),
+    _row("vehicle.length", (ScenarioConfig, "length"), check=_POSITIVE),
+    _row("vehicle.width", (ScenarioConfig, "width"), check=_POSITIVE),
+    _row("ego.arm", (ScenarioConfig, "ego_arm"), convert=Arm, check=_one_of(Arm)),
+    _row("ego.spawn_window_m", (ScenarioConfig, "ego_spawn_window"), convert=tuple),
+    _row("ego.start_speed", (ScenarioConfig, "ego_start_speed"), check=_NON_NEGATIVE),
+    _row("graph.strategy", (EdgeStrategy, "kind"), convert=EdgeStrategyKind,
+         check=_one_of(EdgeStrategyKind)),
+    _row("graph.alpha_m", (EdgeStrategy, "alpha_m"), check=_POSITIVE),
+    _row("graph.k", (EdgeStrategy, "k"), check=_AT_LEAST_ONE),
+    _row("graph.include_ego_candidate", (EdgeStrategy, "include_ego_candidate")),
+    _row("graph.ego_frame", (GraphConfig, "ego_frame")),
+    _row("expert.lookahead_m", (TrackingParams, "lookahead"), check=_POSITIVE),
+    _row("expert.ttc_threshold_s", (ExpertParams, "ttc_threshold"), check=_NON_NEGATIVE),
+    _row("expert.creep_speed", (ExpertParams, "creep_speed"), check=_NON_NEGATIVE),
+    # checkpoints store the graph encoder's copy, so both fields follow this key
+    _row("expert.v_pref", (ExpertParams, "v_pref"), (GraphConfig, "v_pref"), check=_POSITIVE),
+    _row("expert.yield_zone_m", (ExpertParams, "yield_zone"), check=_NON_NEGATIVE),
+    _row("expert.stop_distance_m", (ExpertParams, "stop_distance"), check=_NON_NEGATIVE),
+    _row("expert.speed_kp", (TrackingParams, "speed_kp"), check=_POSITIVE),
+    _row("expert.capture_distance_m", (TrackingParams, "capture_distance"), check=_POSITIVE),
+    _row("expert.noise_burst_prob", (NoiseParams, "burst_prob"), check=_FRACTION),
+    _row("expert.noise_duration_s", (NoiseParams, "duration_s"), convert=tuple,
+         check=(lambda v: 0 <= v[0] <= v[1], "an ordered pair of non-negative durations")),
+    _row("expert.noise_delta_amp", (NoiseParams, "delta_amp"), check=_NON_NEGATIVE),
+    _row("expert.noise_tau_amp", (NoiseParams, "tau_amp"), check=_NON_NEGATIVE),
+    _row("train.batch_size", (TrainConfig, "batch_size"), check=(lambda v: v >= 3, "at least 3")),
+    _row("train.epochs", (TrainConfig, "epochs"), check=_NON_NEGATIVE),
+    _row("train.lr", (TrainConfig, "lr"), check=_POSITIVE),
+    _row("train.beta1", (TrainConfig, "beta1"), check=(lambda v: 0 <= v < 1, "in [0, 1)")),
+    _row("train.beta2", (TrainConfig, "beta2"), check=(lambda v: 0 <= v < 1, "in [0, 1)")),
+    _row("train.epsilon", (TrainConfig, "epsilon"), check=_POSITIVE),
+    _row("train.eval_every", (TrainConfig, "eval_every"), check=_NON_NEGATIVE),
+    _row("train.seed", (TrainConfig, "seed"), check=_NON_NEGATIVE),
+    _row("train.network", (TrainConfig, "network"), check=_one_of(NETWORK_KINDS)),
+    _row("train.episodes_per_command", check=_NON_NEGATIVE, default=100),
+    _row("train.densities", convert=_densities,
+         check=(lambda d: min(d.values()) >= 0, "non-negative counts for forward, turn_left, turn_right"),
+         default={"forward": 5, "turn_left": 3, "turn_right": 3}),
+    _row("eval.trials", check=_AT_LEAST_ONE, default=70),
+    _row("eval.base_seed", check=_NON_NEGATIVE, default=10000),
+    _row("eval.spawn_window_m", ("eval", "spawn_window"), convert=tuple, default=[19.0, 35.0]),
+    _row("eval.ego_spawn_window_m", ("eval", "ego_spawn_window"), convert=tuple, default=[17.0, 22.0]),
+    _row("eval.nonconflicting_fraction", ("eval", "nonconflicting_fraction"), check=_FRACTION,
+         default=0.25),
+)
+
+DEFAULTS = {section: {r.name: r.default for r in _TABLE if r.section == section}
+            for section in dict.fromkeys(r.section for r in _TABLE)}
+_VALID_KEYS = [*DEFAULTS, *(f"{r.section}.{r.name}" for r in _TABLE)]
+
+
+def _unknown_key(dotted: str) -> ConfigError:
+    hint = difflib.get_close_matches(dotted, _VALID_KEYS, n=1)
+    suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
+    return ConfigError(f"unknown config key {dotted!r}{suggestion}")
+
+
+def _overlay(cfg: dict, user: dict) -> None:
+    """Write the user's values into `cfg`; a dict value (the densities) is
+    merged key by key into the current one."""
+    for section, keys in user.items():
+        if section not in DEFAULTS:
+            raise _unknown_key(section)
+        if not isinstance(keys, dict):
+            raise ConfigError(f"config key {section!r} must be a section")
+        for key, value in keys.items():
+            if key not in DEFAULTS[section]:
+                raise _unknown_key(f"{section}.{key}")
+            current = cfg[section][key]
+            if isinstance(current, dict) and isinstance(value, dict):
+                value = {**current, **value}
+            cfg[section][key] = copy.deepcopy(value)
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
@@ -157,16 +185,44 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        _validate_tree(user, DEFAULTS)
-        cfg = _merge(cfg, user)
+        _overlay(cfg, user)
     if overrides:
-        _validate_tree(overrides, DEFAULTS)
-        cfg = _merge(cfg, overrides)
-    _sanity(cfg)
+        _overlay(cfg, overrides)
+    _validate(cfg)
     return cfg
 
 
-def _sanity(cfg: dict) -> None:
+def _has_type_of(value, default) -> bool:
+    """JSON type check against the default: an int passes for a float, a
+    number must be finite, and a list must have the default's length."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_has_type_of, value, default)))
+    if isinstance(default, dict):
+        first = next(iter(default.values()))
+        return isinstance(value, dict) and all(_has_type_of(v, first) for v in value.values())
+    kinds = (int, float) if type(default) is float else (type(default),)
+    return type(value) in kinds and (type(value) is str or abs(value) <= sys.float_info.max)
+
+
+def _type_name(default) -> str:
+    if isinstance(default, (list, dict)):
+        return f"a list of {len(default)} numbers" if isinstance(default, list) else "an object of integers"
+    return {bool: "true or false", str: "a string", int: "an integer", float: "a finite number"}[type(default)]
+
+
+def _validate(cfg: dict) -> None:
+    for row in _TABLE:
+        key, value = f"{row.section}.{row.name}", cfg[row.section][row.name]
+        if not _has_type_of(value, row.default):
+            raise ConfigError(f"{key} must be {_type_name(row.default)}, got {value!r}")
+        predicate, requirement = row.check or (lambda v: True, "")
+        try:
+            ok = predicate(row.convert(value))
+        except ValueError:  # an enum conversion names its valid values in the check
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {requirement}, got {value!r}")
     lo, hi = cfg["traffic"]["cruise_speed_range"]
     if not (0.0 < lo <= hi <= cfg["vehicle"]["v_max"]):
         raise ConfigError("traffic.cruise_speed_range must be within (0, vehicle.v_max]")
@@ -175,18 +231,6 @@ def _sanity(cfg: dict) -> None:
         a, b = cfg[section][key]
         if not (0.0 < a < b <= cfg["layout"]["arm_length"]):
             raise ConfigError(f"{section}.{key} must lie within (0, layout.arm_length]")
-    if cfg["episode"]["dt"] <= 0:
-        raise ConfigError("episode.dt must be positive")
-    for key in ("length", "width"):
-        if not cfg["vehicle"][key] > 0:
-            raise ConfigError(f"vehicle.{key} must be positive")
-    if cfg["train"]["network"] not in NETWORK_KINDS:
-        raise ConfigError(f"train.network must be one of: {', '.join(NETWORK_KINDS)}")
-    try:
-        EdgeStrategyKind(cfg["graph"]["strategy"])
-    except ValueError:
-        valid = ", ".join(k.value for k in EdgeStrategyKind)
-        raise ConfigError(f"graph.strategy must be one of: {valid}") from None
 
 
 def config_hash(cfg: dict) -> str:
@@ -194,64 +238,35 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _fields(target, cfg: dict) -> dict:
+    """Converted values of the rows that set fields of `target`, by field name."""
+    return {name: row.convert(cfg[row.section][row.name])
+            for row in _TABLE for cls, name in row.targets if cls == target}
+
+
+def _build(cls, cfg: dict, **extra):
+    return cls(**_fields(cls, cfg), **extra)
+
+
 def vehicle_params(cfg: dict) -> VehicleParams:
-    v = cfg["vehicle"]
-    return VehicleParams(
-        wheelbase=v["wheelbase"],
-        phi_max=math.radians(v["phi_max_deg"]),
-        a_max=v["a_max"],
-        b_max=v["b_max"],
-        v_max=v["v_max"],
-    )
+    return _build(VehicleParams, cfg)
 
 
 def tracking_params(cfg: dict) -> TrackingParams:
-    return TrackingParams(
-        lookahead=cfg["expert"]["lookahead_m"],
-        speed_kp=cfg["expert"]["speed_kp"],
-        capture_distance=cfg["expert"]["capture_distance_m"],
-        follow_gap=cfg["traffic"]["follow_gap_m"],
-        desired_gap=cfg["traffic"]["desired_gap_m"],
-    )
+    return _build(TrackingParams, cfg)
 
 
 def graph_config(cfg: dict) -> GraphConfig:
-    g = cfg["graph"]
-    strategy = EdgeStrategy(
-        kind=EdgeStrategyKind(g["strategy"]),
-        alpha_m=g["alpha_m"],
-        k=g["k"],
-        include_ego_candidate=g["include_ego_candidate"],
-    )
-    return GraphConfig(strategy=strategy, v_pref=cfg["expert"]["v_pref"], ego_frame=g["ego_frame"])
+    return _build(GraphConfig, cfg, strategy=_build(EdgeStrategy, cfg))
 
 
 def expert_params(cfg: dict) -> ExpertParams:
-    e = cfg["expert"]
-    return ExpertParams(
-        lookahead=e["lookahead_m"],
-        ttc_threshold=e["ttc_threshold_s"],
-        creep_speed=e["creep_speed"],
-        v_pref=e["v_pref"],
-        yield_zone=e["yield_zone_m"],
-        stop_distance=e["stop_distance_m"],
-        speed_kp=e["speed_kp"],
-        capture_distance=e["capture_distance_m"],
-    )
+    return _build(ExpertParams, cfg)
 
 
-def noise_params(cfg: dict):
-    from .dataset import NoiseParams
-
-    e = cfg["expert"]
-    if e["noise_burst_prob"] <= 0.0:
-        return None
-    return NoiseParams(
-        burst_prob=e["noise_burst_prob"],
-        duration_s=tuple(e["noise_duration_s"]),
-        delta_amp=e["noise_delta_amp"],
-        tau_amp=e["noise_tau_amp"],
-    )
+def noise_params(cfg: dict) -> NoiseParams | None:
+    noise = _build(NoiseParams, cfg)
+    return noise if noise.burst_prob > 0.0 else None
 
 
 def scenario_config(cfg: dict, mode: str = "train") -> ScenarioConfig:
@@ -259,60 +274,13 @@ def scenario_config(cfg: dict, mode: str = "train") -> ScenarioConfig:
     spawn windows and non-conflicting traffic fraction."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"scenario mode must be 'train' or 'eval', got {mode!r}")
-    traffic = cfg["traffic"]
-    if mode == "eval":
-        spawn_window = tuple(cfg["eval"]["spawn_window_m"])
-        ego_window = tuple(cfg["eval"]["ego_spawn_window_m"])
-        nonconflicting = cfg["eval"]["nonconflicting_fraction"]
-    else:
-        spawn_window = tuple(traffic["spawn_window_m"])
-        ego_window = tuple(cfg["ego"]["spawn_window_m"])
-        nonconflicting = traffic["nonconflicting_fraction"]
-    return ScenarioConfig(
-        command=Command.FORWARD,
-        density=traffic["density"],
-        ego_arm=Arm(cfg["ego"]["arm"]),
-        lane_width=cfg["layout"]["lane_width"],
-        arm_length=cfg["layout"]["arm_length"],
-        goal_offset=cfg["layout"]["goal_offset_m"],
-        dt=cfg["episode"]["dt"],
-        timeout_s=cfg["episode"]["timeout_s"],
-        success_radius=cfg["episode"]["success_radius_m"],
-        miss_receding_s=cfg["episode"]["miss_receding_s"],
-        min_separation=traffic["min_separation_m"],
-        cruise_speed_range=tuple(traffic["cruise_speed_range"]),
-        spawn_window=spawn_window,
-        nonconflicting_fraction=nonconflicting,
-        small_agent_fraction=traffic["small_agent_fraction"],
-        react_to_ego=traffic["react_to_ego"],
-        allow_ego_arm=traffic["allow_ego_arm"],
-        ego_spawn_window=ego_window,
-        ego_start_speed=cfg["ego"]["start_speed"],
-        length=cfg["vehicle"]["length"],
-        width=cfg["vehicle"]["width"],
-        vehicle=vehicle_params(cfg),
-        tracking=tracking_params(cfg),
-    )
+    scenario = _build(ScenarioConfig, cfg, vehicle=vehicle_params(cfg), tracking=tracking_params(cfg))
+    return replace(scenario, **_fields("eval", cfg)) if mode == "eval" else scenario
 
 
-def train_config(cfg: dict) -> "TrainConfig":
-    from .training import TrainConfig
-
-    t = cfg["train"]
-    return TrainConfig(
-        batch_size=t["batch_size"],
-        epochs=t["epochs"],
-        lr=t["lr"],
-        beta1=t["beta1"],
-        beta2=t["beta2"],
-        epsilon=t["epsilon"],
-        eval_every=t["eval_every"],
-        seed=t["seed"],
-        network=t["network"],
-        graph=graph_config(cfg),
-    )
+def train_config(cfg: dict) -> TrainConfig:
+    return _build(TrainConfig, cfg, graph=graph_config(cfg))
 
 
 def train_densities(cfg: dict) -> dict:
-    d = cfg["train"]["densities"]
-    return {Command(k): int(v) for k, v in d.items()}
+    return _densities(cfg["train"]["densities"])

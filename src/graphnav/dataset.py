@@ -124,7 +124,7 @@ def _collect_one(base_cfg: ScenarioConfig, expert_params: ExpertParams, graph_cf
                  noise: NoiseParams | None, task) -> tuple[str, int, list[DemoSample], EpisodeOutcome]:
     command, density, seed = task
     cfg = replace(base_cfg, command=command, density=density)
-    expert = ExpertController(expert_params, cfg.vehicle)
+    expert = ExpertController(expert_params, cfg.vehicle, cfg.tracking)
     samples, outcome = collect_episode(cfg, seed, expert, graph_cfg, noise=noise)
     return command.value, seed, samples, outcome
 
@@ -207,6 +207,9 @@ def _record_to_sample(record: dict) -> DemoSample:
         raise ValueError(f"A must be (N, N) matching S, got {adj.shape}")
     if x_ego.shape != (6,) or u_star.shape != (2,):
         raise ValueError("x_ego must have 6 entries and u_star 2")
+    for name, arr in (("S", feats), ("A", adj), ("x_ego", x_ego), ("u_star", u_star)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds a non-finite value")
     return DemoSample(
         features=feats,
         adjacency=adj,

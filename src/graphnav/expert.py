@@ -21,14 +21,11 @@ from .world import GoalSpec, WorldState
 
 @dataclass(frozen=True)
 class ExpertParams:
-    lookahead: float = 4.0          # m, pure-pursuit lookahead
     ttc_threshold: float = 2.5      # s, reject gaps shorter than this
     creep_speed: float = 1.5        # m/s while blocked but far from the line
     v_pref: float = 6.0             # m/s cruise target
     yield_zone: float = 1.0         # m of junction-box inflation
     stop_distance: float = 5.0      # m before the entry line to hold at
-    speed_kp: float = 0.5
-    capture_distance: float = 3.0   # m, off-path beyond this
 
 
 def time_to_circle(rel_x: float, rel_y: float, vel_x: float, vel_y: float, radius: float) -> float:
@@ -51,14 +48,10 @@ def time_to_circle(rel_x: float, rel_y: float, vel_x: float, vel_y: float, radiu
 class ExpertController:
     """Episode-loop controller wrapping the scripted expert."""
 
-    def __init__(self, params: ExpertParams, vparams: VehicleParams) -> None:
+    def __init__(self, params: ExpertParams, vparams: VehicleParams, tracking: TrackingParams) -> None:
         self.params = params
         self.vparams = vparams
-        self.tracking = TrackingParams(
-            lookahead=params.lookahead,
-            speed_kp=params.speed_kp,
-            capture_distance=params.capture_distance,
-        )
+        self.tracking = tracking
 
     def _gap_rejected(self, world: WorldState) -> bool:
         radius = world.layout.junction_half + self.params.yield_zone

@@ -121,6 +121,7 @@ class BranchedPolicy:
     """
 
     kind: str
+    reads_adjacency = False  # whether `inputs` uses its `adj` argument
 
     def topology(self) -> dict:
         return {**self.frontend_topology(), "trunk_widths": list(TRUNK_WIDTHS),
@@ -150,6 +151,7 @@ class GcilNetwork(BranchedPolicy):
     """GCN perception into the branched control head."""
 
     kind = "gcil"
+    reads_adjacency = True
 
     def __init__(self, rng) -> None:
         widths = (FEATURE_DIM, *GCN_WIDTHS)

@@ -115,7 +115,7 @@ class _PreparedData:
             groups = []
             for n in order:
                 bucket = buckets[n]
-                if reencode:
+                if reencode and network_cls.reads_adjacency:
                     adjs = [adjacency_from_features(s.features, graph_cfg.strategy) for s in bucket]
                 else:
                     adjs = [s.adjacency for s in bucket]

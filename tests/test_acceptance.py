@@ -201,7 +201,7 @@ def test_criterion_6_expert_gate():
     for i in range(100):
         cmd = COMMANDS[i % 3]
         record = run_episode(replace(cfg, command=cmd), 9000 + i,
-                             ExpertController(expert_params, cfg.vehicle), GraphConfig())
+                             ExpertController(expert_params, cfg.vehicle, cfg.tracking), GraphConfig())
         successes += record.outcome.tag is OutcomeTag.SUCCESS
     elapsed = time.perf_counter() - t0
     assert successes >= 90, f"expert succeeded only {successes}/100"

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from types import SimpleNamespace
 
 import pytest
@@ -145,6 +146,55 @@ def test_zero_vehicle_length_is_config_error(tmp_path, capsys):
     assert code == 2
     assert "vehicle.length must be positive" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("graph", "alpha_m", 0),
+    ("graph", "k", 0),
+    ("vehicle", "wheelbase", 0),
+    ("ego", "arm", "up"),
+    ("train", "densities", {"fwd": 3}),
+    ("train", "batch_size", 2),
+    ("episode", "dt", "0.1"),
+    ("traffic", "cruise_speed_range", 5),
+    ("eval", "trials", 0),
+])
+def test_bad_config_value_is_config_error_naming_the_key(tmp_path, capsys, section, key, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    code = main(["collect", "--config", str(config), "--out", str(tmp_path / "o"), "--episodes", "1"])
+    assert code == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field", ["S", "A", "x_ego", "u_star"])
+def test_non_finite_dataset_value_is_runtime_error(workdir, tmp_path, capsys, field):
+    data = tmp_path / "data"
+    shutil.copytree(workdir["data"], data)
+    path = data / "turn_left.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    values = record[field][0] if field in ("S", "A") else record[field]
+    values[0] = float("nan")
+    lines[1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    assert main(["train", "--config", str(workdir["config"]), "--dataset", str(data),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}:2:" in err and f"{field} holds a non-finite value" in err
+
+
+def test_non_finite_checkpoint_parameter_is_runtime_error(workdir, tmp_path, capsys):
+    doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
+    name = next(n for n in sorted(doc["params"]) if n.endswith(".b"))
+    doc["params"][name][0] = float("inf")
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(["eval", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "o"), "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and repr(name) in err and "non-finite" in err
 
 
 GRAPH_CONFIG = {"graph": {"alpha_m": 7.5, "k": 2, "include_ego_candidate": False}}

@@ -3,12 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from graphnav.config import (ConfigError, DEFAULTS, _flat_keys, config_hash,
-                             expert_params, graph_config, load_config,
-                             scenario_config, vehicle_params)
-from graphnav.graph import EdgeStrategyKind
+from graphnav.config import (ConfigError, DEFAULTS, _VALID_KEYS, config_hash,
+                             expert_params, graph_config, load_config, noise_params,
+                             scenario_config, tracking_params, train_config, vehicle_params)
+from graphnav.dataset import NoiseParams
+from graphnav.expert import ExpertParams
+from graphnav.graph import EdgeStrategyKind, GraphConfig
 from graphnav.layout import Arm
 from graphnav.policies import NETWORK_KINDS
+from graphnav.tracking import TrackingParams
+from graphnav.training import TrainConfig
+from graphnav.vehicle import VehicleParams
+from graphnav.world import ScenarioConfig
 
 
 def test_defaults_load_and_validate():
@@ -35,7 +41,7 @@ def test_flag_overrides_beat_file(tmp_path):
 
 def test_fuzzed_typos_raise_with_suggestion():
     rng = np.random.default_rng(5)
-    keys = [k for k in _flat_keys(DEFAULTS) if "." in k and not k.endswith("densities")]
+    keys = [k for k in _VALID_KEYS if "." in k and not k.endswith("densities")]
     checked = 0
     for dotted in rng.choice(keys, size=12, replace=False):
         section, key = dotted.split(".", 1)
@@ -104,3 +110,36 @@ def test_typed_builders():
     # training and evaluation spawn windows are disjoint ranges
     assert train_world.spawn_window[1] <= eval_world.spawn_window[0]
     assert train_world.ego_spawn_window[1] <= eval_world.ego_spawn_window[0]
+
+
+def test_default_config_hash_is_pinned():
+    assert config_hash(load_config(None)) == (
+        "90f37ee9f53f18c31dc9a68a5dd537f4a2a7662d749a53441f3ba834dc084ff9")
+
+
+def test_default_config_builds_the_dataclass_defaults():
+    cfg = load_config(None)
+    assert scenario_config(cfg) == ScenarioConfig()
+    assert vehicle_params(cfg) == VehicleParams()
+    assert tracking_params(cfg) == TrackingParams()
+    assert expert_params(cfg) == ExpertParams()
+    assert graph_config(cfg) == GraphConfig()
+    assert train_config(cfg) == TrainConfig()
+    assert noise_params(cfg) == NoiseParams()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("episode", "dt", float("nan")),
+    ("vehicle", "a_max", float("inf")),
+    ("traffic", "spawn_window_m", [3.0, 10.0, 18.0]),
+    ("traffic", "react_to_ego", 1),
+    ("train", "epochs", 2.0),
+])
+def test_wrong_json_type_rejected_naming_the_key(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+        load_config(None, overrides={section: {key: value}})
+
+
+def test_an_int_passes_for_a_float():
+    cfg = load_config(None, overrides={"episode": {"dt": 1}, "traffic": {"cruise_speed_range": [2, 6]}})
+    assert scenario_config(cfg).dt == 1 and scenario_config(cfg).cruise_speed_range == (2, 6)

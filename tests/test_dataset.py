@@ -13,7 +13,7 @@ from graphnav.world import ScenarioConfig
 
 def _collect(seed=13, density=2):
     cfg = ScenarioConfig(density=density)
-    expert = ExpertController(ExpertParams(), cfg.vehicle)
+    expert = ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking)
     return collect_episode(cfg, seed, expert, GraphConfig())
 
 

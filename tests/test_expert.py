@@ -62,7 +62,7 @@ class TestTimeToCircle:
 
 
 def _expert(cfg):
-    return ExpertController(ExpertParams(), cfg.vehicle)
+    return ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking)
 
 
 class TestExpertControl:
@@ -124,5 +124,5 @@ class TestExpertControl:
 def test_act_projects_the_ego_once(projection_calls):
     cfg = ScenarioConfig(density=3)
     world, goal, command = spawn_scenario(cfg, seed=8)
-    ExpertController(ExpertParams(), cfg.vehicle).act(world, goal, command)
+    ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking).act(world, goal, command)
     assert projection_calls == [(world.ego.position.x, world.ego.position.y)]

@@ -13,7 +13,7 @@ CFG = ScenarioConfig(density=3)
 
 
 def _expert():
-    return ExpertController(ExpertParams(), CFG.vehicle)
+    return ExpertController(ExpertParams(), CFG.vehicle, CFG.tracking)
 
 
 def test_exactly_one_terminal_outcome():

@@ -84,6 +84,18 @@ def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, reencode
             assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
 
 
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+def test_reencode_only_for_networks_that_read_the_adjacency(tiny_dataset, monkeypatch, kind):
+    calls = []
+
+    def counting(feats, strategy):
+        calls.append(1)
+        return adjacency_from_features(feats, strategy)
+    monkeypatch.setattr("graphnav.training.adjacency_from_features", counting)
+    _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=True)
+    assert len(calls) == (tiny_dataset.total() if kind == "gcil" else 0)
+
+
 def _tiny_config(**kw):
     defaults = dict(batch_size=24, epochs=2, eval_every=0, seed=1, network="gcil")
     defaults.update(kw)
