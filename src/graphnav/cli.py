@@ -9,8 +9,8 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (ConfigError, config_hash, expert_params, graph_config, load_config,
-                     noise_params, scenario_config, train_config, train_densities)
+from .config import (ConfigError, config_hash, expert_params, graph_config, key_check,
+                     load_config, noise_params, scenario_config, train_config, train_densities)
 from .dataset import DatasetFormatError, collect_dataset, read_dataset, write_dataset
 from .evaluation import (AlwaysBrake, REFERENCE_ABLATION, format_report, run_ablation,
                          run_suite, write_ablation_csv, write_suite_csv,
@@ -36,14 +36,29 @@ class VerificationFailure(RuntimeError):
     pass
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_flag(check):
+    """argparse type for an integer flag with a (predicate, requirement)
+    range check; a bad value is a usage error (exit 2) naming the flag,
+    raised before any output is written."""
+    predicate, requirement = check
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not predicate(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+    return parse
+
+
+def _flag_for(key: str):
+    """argparse type for a flag that stands in for config `key`: its range check."""
+    return _int_flag(key_check(key))
+
+
+_worker_count = _int_flag((lambda v: v >= 1, "at least 1"))
 
 
 def _add_common(parser, out_required: bool = True) -> None:
@@ -221,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect", help="record expert demonstrations")
     _add_common(p)
-    p.add_argument("--episodes", type=int, default=None, help="episodes per command")
-    p.add_argument("--seed", type=int, default=None, help="base seed")
+    p.add_argument("--episodes", type=_flag_for("train.episodes_per_command"), default=None,
+                   help="episodes per command")
+    p.add_argument("--seed", type=_flag_for("train.seed"), default=None, help="base seed")
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("train", help="behavior-clone a policy from a dataset")
@@ -232,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=[k.value for k in EdgeStrategyKind], default=None,
                    help="re-encode adjacencies under this edge strategy")
     p.add_argument("--resume", type=Path, default=None, help="checkpoint to resume from")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_flag_for("train.seed"), default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="run the seeded evaluation suite")
@@ -241,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint path, or 'always-brake' for the degenerate baseline")
     p.add_argument("--network", choices=NETWORK_KINDS, default=None,
                    help="require this network kind in the checkpoint")
-    p.add_argument("--trials", type=int, default=None, help="trials per cell")
-    p.add_argument("--seed", type=int, default=None, help="base seed")
+    p.add_argument("--trials", type=_flag_for("eval.trials"), default=None, help="trials per cell")
+    p.add_argument("--seed", type=_flag_for("eval.base_seed"), default=None, help="base seed")
     p.add_argument("--dump-trajectories", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -250,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--strategies", default=None, help="comma-separated strategy names")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=_flag_for("eval.trials"), default=None)
+    p.add_argument("--seed", type=_flag_for("eval.base_seed"), default=None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("replay", help="re-run one seeded trial and dump action curves")
@@ -259,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--network", choices=NETWORK_KINDS, default=None)
     p.add_argument("--command", choices=[c.value for c in Command], default="forward")
-    p.add_argument("--density", type=int, default=3)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--density", type=_flag_for("traffic.density"), default=3)
+    p.add_argument("--seed", type=_flag_for("eval.base_seed"), required=True)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of policy gradients")
     p.add_argument("--network", choices=NETWORK_KINDS, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_flag_for("train.seed"), default=None)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

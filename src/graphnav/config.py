@@ -233,6 +233,11 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"{section}.{key} must lie within (0, layout.arm_length]")
 
 
+def key_check(key: str) -> tuple:
+    """The (predicate, requirement) range check of the dotted config `key`."""
+    return next(row.check for row in _TABLE if f"{row.section}.{row.name}" == key)
+
+
 def config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

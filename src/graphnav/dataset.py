@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .expert import ExpertController, ExpertParams
 from .graph import GraphConfig
 from .layout import COMMANDS, Command
@@ -225,7 +226,7 @@ def write_dataset(dataset: DemoDataset, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for command, filename in BUFFER_FILES.items():
-        with open(out_dir / filename, "w") as fh:
+        with atomic_write(out_dir / filename) as fh:
             for sample in dataset.buffers[command]:
                 fh.write(json.dumps(_sample_to_record(sample), sort_keys=True,
                                     separators=(",", ":")) + "\n")
@@ -233,7 +234,8 @@ def write_dataset(dataset: DemoDataset, out_dir) -> Path:
     manifest.setdefault("schema_version", SCHEMA_VERSION)
     manifest["counts"] = dataset.counts()
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with atomic_write(manifest_path) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest_path
 
 

@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_write
 from .config import config_hash
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -43,7 +44,8 @@ def write_manifest(out_dir, subcommand: str, cfg: dict, seeds: dict,
     if extra:
         doc.update(extra)
     path = out_dir / "run_manifest.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return path
 
 

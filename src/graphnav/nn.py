@@ -187,18 +187,21 @@ class Adam:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def state_dict(self) -> dict:
+        """Hyperparameters, step count and the moment arrays themselves (not
+        copies), which the checkpoint writer streams to disk."""
         return {
             "t": self.t,
             "lr": self.lr,
             "beta1": self.beta1,
             "beta2": self.beta2,
             "eps": self.eps,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
+            "m": dict(self.m),
+            "v": dict(self.v),
         }
 
     @classmethod
     def from_state_dict(cls, state: dict, params: dict) -> "Adam":
+        """A new optimizer whose moments are copies of `state`'s arrays."""
         opt = cls(params, lr=state["lr"], beta1=state["beta1"],
                   beta2=state["beta2"], eps=state["eps"])
         opt.t = int(state["t"])
@@ -211,7 +214,7 @@ class Adam:
                 if arr.shape != target[k].shape:
                     raise ValueError(f"optimizer {field_name}[{k}] shape {arr.shape} "
                                      f"does not match {target[k].shape}")
-                target[k] = arr
+                target[k][...] = arr
         return opt
 
 

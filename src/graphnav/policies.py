@@ -8,9 +8,12 @@ use a fixed nearest-3 vector MLP or a summed set encoding. `NETWORKS` is the
 one place that maps a kind to its class; each class's `inputs` turns an
 observation (features, adjacency, ego block) into what its forward takes.
 
-Nodes (and set elements) are put into a canonical sort order inside forward,
-which makes permutation equivariance/invariance hold bitwise despite
-floating-point summation order.
+Each class's static `canonical` puts a sample's nodes (or set elements) in
+a canonical sort order, which makes permutation equivariance/invariance hold
+bitwise despite floating-point summation order. The order is set once per
+sample: `forward` (the `act` path) applies it to its one sample, training
+applies it once when it stacks its samples, and `forward_batch` takes
+inputs already in canonical order.
 """
 
 from __future__ import annotations
@@ -38,23 +41,17 @@ FEATURE_SCALE = np.concatenate([BLOCK_SCALE, BLOCK_SCALE])
 NNCIL_SCALE = np.concatenate([BLOCK_SCALE] * 4)
 
 
-def _canonicalize(x: np.ndarray, fixed: int, adj: np.ndarray | None = None):
-    """Put the rows of each (B, N, D) sample in canonical order, and the
-    (B, N, N) adjacency, if given, in the same order.
+def _canonical_order(x: np.ndarray, fixed: int) -> np.ndarray:
+    """(B, N) row indices that put each (B, N, D) sample in canonical order.
 
     The first `fixed` rows keep their place; the rest sort lexicographically
     and stably, as np.lexsort does on finite rows. One Python sort per sample
-    over its row lists serves every batch size; one advanced index per array
-    then gathers the whole batch.
+    over its row lists serves every batch size.
     """
     batch, n = x.shape[:2]
     head = list(range(fixed))
     order = [head + sorted(range(fixed, n), key=rows.__getitem__) for rows in x.tolist()]
-    r = np.array(order, dtype=np.intp).reshape(batch, n)
-    b = np.arange(batch)[:, None]
-    if adj is None:
-        return x[b, r], None
-    return x[b, r], adj[b[:, :, None], r[:, :, None], r[:, None, :]]
+    return np.array(order, dtype=np.intp).reshape(batch, n)
 
 
 def _named(prefix: str, pairs) -> dict:
@@ -114,10 +111,11 @@ class BranchedPolicy:
     """A perception frontend feeding the shared branched head.
 
     Each subclass builds its frontend from `rng` before the head, and
-    defines the per-sample `inputs(feats, adj, x_ego)` tuple its
-    `forward_batch` takes stacked, its `backward_batch`, and the frontend's
-    topology keys, parameters and ReLU kink margin. Batch caches start with
-    (frontend cache, head cache).
+    defines the per-sample `inputs(feats, adj, x_ego)` tuple, the static
+    `canonical` that puts stacked inputs in canonical order, the
+    `forward_batch` that takes them so ordered, its `backward_batch`, and
+    the frontend's topology keys, parameters and ReLU kink margin. Batch
+    caches start with (frontend cache, head cache).
     """
 
     kind: str
@@ -134,9 +132,10 @@ class BranchedPolicy:
         return min(self.frontend_margin(cache[0]), self.head.kink_margin(cache[1]))
 
     def forward(self, *args):
-        """One sample: the `inputs` tuple, then the command."""
+        """One sample in any node order: the `inputs` tuple, then the command."""
         *inputs, command = args
-        u, cache = self.forward_batch(*[np.asarray(a, dtype=float)[None] for a in inputs], command)
+        batch = self.canonical(*[np.asarray(a, dtype=float)[None] for a in inputs])
+        u, cache = self.forward_batch(*batch, command)
         return u[0], cache
 
     def backward(self, cache, du) -> dict:
@@ -162,6 +161,14 @@ class GcilNetwork(BranchedPolicy):
     def inputs(feats, adj, x_ego) -> tuple:
         return feats, adj, x_ego
 
+    @staticmethod
+    def canonical(feats, adj, x_ego) -> tuple:
+        """The ego node first, the others sorted by their scaled rows; the
+        adjacency follows the same order."""
+        r = _canonical_order(feats / FEATURE_SCALE, 1)
+        b = np.arange(len(r))[:, None]
+        return feats[b, r], adj[b[:, :, None], r[:, :, None], r[:, None, :]], x_ego
+
     def frontend_topology(self) -> dict:
         return {"feature_dim": FEATURE_DIM, "gcn_widths": list(GCN_WIDTHS)}
 
@@ -172,13 +179,12 @@ class GcilNetwork(BranchedPolicy):
         return min(layer.kink_margin(c) for layer, c in zip(self.gcn, gcn_caches))
 
     def forward_batch(self, feats: np.ndarray, adj: np.ndarray, x_ego: np.ndarray, command: Command):
-        feats = feats / FEATURE_SCALE
-        adj = np.asarray(adj, dtype=float)
+        """A batch of `canonical` samples; the ego node is row 0."""
+        h = feats / FEATURE_SCALE
         x_ego = x_ego / BLOCK_SCALE
-        h, adj_c = _canonicalize(feats, 1, adj)  # the ego node stays first
         gcn_caches = []
         for layer in self.gcn:
-            h, cache = layer.forward(adj_c, h)
+            h, cache = layer.forward(adj, h)
             gcn_caches.append(cache)
         p = np.concatenate([h[:, 0, :], x_ego], axis=1)
         u, head_cache = self.head.forward(p, command)
@@ -222,6 +228,11 @@ class NnCilNetwork(BranchedPolicy):
     @staticmethod
     def inputs(feats, adj, x_ego) -> tuple:
         return (nncil_vector(feats),)
+
+    @staticmethod
+    def canonical(x) -> tuple:
+        """The identity: `nncil_vector` already fixes the slot order."""
+        return (x,)
 
     def frontend_topology(self) -> dict:
         return {"input_dim": NNCIL_INPUT_DIM, "perception_widths": list(PERCEPTION_WIDTHS)}
@@ -267,6 +278,12 @@ class SetCilNetwork(BranchedPolicy):
     def inputs(feats, adj, x_ego) -> tuple:
         return (set_elements(feats),)
 
+    @staticmethod
+    def canonical(elements) -> tuple:
+        """The elements sorted by their scaled rows."""
+        r = _canonical_order(elements / BLOCK_SCALE, 0)
+        return (elements[np.arange(len(r))[:, None], r],)
+
     def frontend_topology(self) -> dict:
         return {"element_dim": EGO_DIM, "encoder_widths": list(PERCEPTION_WIDTHS)}
 
@@ -277,12 +294,12 @@ class SetCilNetwork(BranchedPolicy):
         return self.encoder.kink_margin(ecache)
 
     def forward_batch(self, elements: np.ndarray, command: Command):
+        """A batch of `canonical` element sets."""
         elems = elements / BLOCK_SCALE
         if elems.ndim != 3:
             raise ValueError(f"set elements must be (B, M, 6), got shape {elems.shape}")
         b, m, d = elems.shape
-        canon, _ = _canonicalize(elems, 0)
-        enc, ecache = self.encoder.forward(canon.reshape(b * m, d))
+        enc, ecache = self.encoder.forward(elems.reshape(b * m, d))
         pooled = enc.reshape(b, m, -1).sum(axis=1)
         u, head_cache = self.head.forward(pooled, command)
         return u, (ecache, head_cache, (b, m))

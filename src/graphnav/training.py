@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .atomic import atomic_write
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import DemoDataset
 from .graph import GraphConfig, adjacency_from_features
 from .layout import COMMANDS, Command
@@ -25,6 +26,7 @@ from .nn import Adam, batch_action_loss
 from .policies import NETWORKS, build_network
 
 LOSS_COLUMNS = ("step", "mean_loss", "loss_forward", "loss_left", "loss_right", "wall_clock_s")
+CANONICAL_CHUNK = 1024  # samples put in canonical order per pass while preparing
 
 
 class TrainingError(RuntimeError):
@@ -86,11 +88,13 @@ def sample_minibatch(dataset_sizes: dict, batch_size: int, rng, step: int) -> di
 class _Group:
     n_nodes: int
     inputs: tuple          # the network's per-sample `inputs`, stacked column by column
+                           # and each sample in `canonical` order
     targets: np.ndarray    # (B, 2)
 
 
 class _PreparedData:
-    """Per-command sample arrays grouped by node count for batched forward passes."""
+    """Per-command sample arrays grouped by node count for batched forward
+    passes, each sample put in its network's canonical order once."""
 
     def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig, reencode: bool) -> None:
         network_cls = NETWORKS[kind]
@@ -121,6 +125,11 @@ class _PreparedData:
                     adjs = [s.adjacency for s in bucket]
                 rows = [network_cls.inputs(s.features, a, s.x_ego) for s, a in zip(bucket, adjs)]
                 inputs = tuple(np.stack(column) for column in zip(*rows))
+                for start in range(0, len(bucket), CANONICAL_CHUNK):
+                    part = slice(start, start + CANONICAL_CHUNK)
+                    canon = network_cls.canonical(*(column[part] for column in inputs))
+                    for column, ordered in zip(inputs, canon):
+                        column[part] = ordered
                 targets = np.stack([s.u_star for s in bucket])
                 groups.append(_Group(n_nodes=n, inputs=inputs, targets=targets))
             self.groups[command] = groups
@@ -180,7 +189,10 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
     if resume is not None:
         loaded = load_checkpoint(resume, expected_kind=config.network)
         network = loaded.network
-        optimizer = Adam.from_state_dict(loaded.optimizer_state, network.parameters())
+        try:
+            optimizer = Adam.from_state_dict(loaded.optimizer_state, network.parameters())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {resume}: invalid optimizer state: {exc}") from exc
         start_step = int((loaded.train_state or {}).get("step", optimizer.t))
     else:
         network = build_network(config.network, rng=np.random.default_rng([config.seed, 1]))
@@ -230,7 +242,7 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
 
 
 def write_loss_csv(path, history) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(LOSS_COLUMNS) + "\n")
         for row in history:
             fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])

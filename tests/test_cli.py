@@ -197,6 +197,28 @@ def test_non_finite_checkpoint_parameter_is_runtime_error(workdir, tmp_path, cap
     assert str(ckpt) in err and repr(name) in err and "non-finite" in err
 
 
+def test_ragged_checkpoint_parameter_is_runtime_error(workdir, tmp_path, capsys):
+    doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
+    doc["params"]["gcn.1.w"][2] = doc["params"]["gcn.1.w"][2][:-1]
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(["eval", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "o"), "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "'gcn.1.w'" in err
+
+
+def test_resume_without_optimizer_state_is_runtime_error(workdir, tmp_path, capsys):
+    doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
+    doc["optimizer"] = None
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(workdir["config"]), "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "o"), "--resume", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "invalid optimizer state" in err
+
+
 GRAPH_CONFIG = {"graph": {"alpha_m": 7.5, "k": 2, "include_ego_candidate": False}}
 
 
@@ -241,6 +263,29 @@ def test_ablate_strategies_keep_the_configured_graph(workdir, tmp_path, monkeypa
     assert all(_strategy_fields(s) == (7.5, 2, False) for s in seen)
     assert main(args + ["--strategies", "mesh"]) == 2
     assert "unknown edge strategy 'mesh'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["collect", "--episodes", "1", "--seed", "-1"], "--seed"),
+    (["collect", "--episodes", "-2"], "--episodes"),
+    (["eval", "--checkpoint", "always-brake", "--trials", "0"], "--trials"),
+    (["eval", "--checkpoint", "always-brake", "--seed", "-5"], "--seed"),
+    (["ablate", "--dataset", "d", "--trials", "0"], "--trials"),
+    (["replay", "--checkpoint", "c", "--seed", "1", "--density", "-1"], "--density"),
+])
+def test_flag_out_of_its_config_range_is_usage_error(tmp_path, capsys, argv, flag):
+    # the flags stand in for config keys and take those keys' range checks
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_gradcheck_seed_below_zero_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seed", "-1"])
+    assert exc.value.code == 2 and "argument --seed:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -245,11 +244,15 @@ class TestAdam:
         params = {"w": np.array([1.0, -1.0])}
         opt = Adam(params, lr=0.01)
         opt.step(params, {"w": np.array([0.5, 0.5])})
-        state = json.loads(json.dumps(opt.state_dict()))
+        state = opt.state_dict()
+        assert state["m"]["w"] is opt.m["w"]  # the live arrays: saving copies nothing
         opt2 = Adam.from_state_dict(state, params)
         assert opt2.t == opt.t
         assert np.array_equal(opt2.m["w"], opt.m["w"])
         assert np.array_equal(opt2.v["w"], opt.v["w"])
+        # the restored moments are copies: stepping one optimizer leaves the other
+        opt2.step(params, {"w": np.array([0.5, 0.5])})
+        assert not np.array_equal(opt2.m["w"], opt.m["w"])
 
     def test_mismatched_keys_rejected(self):
         params = {"w": np.zeros(2)}

@@ -5,9 +5,9 @@ from graphnav.gradcheck import policy_gradient_check, run_policy_check, syntheti
 from graphnav.graph import GraphConfig, build_features, encode_world
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import batch_action_loss
-from graphnav.policies import (NETWORK_KINDS, NETWORKS, GcilNetwork, NnCilNetwork,
-                               SetCilNetwork, _canonicalize, build_network, nncil_vector,
-                               set_elements)
+from graphnav.policies import (BLOCK_SCALE, FEATURE_SCALE, NETWORK_KINDS, NETWORKS,
+                               GcilNetwork, NnCilNetwork, SetCilNetwork, build_network,
+                               nncil_vector, set_elements)
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 
@@ -92,7 +92,7 @@ class TestGcil:
         feats = np.stack([o[0] for o in obs])
         adj = np.stack([o[1] for o in obs])
         x_ego = np.stack([o[2] for o in obs])
-        batched, _ = net.forward_batch(feats, adj, x_ego, Command.FORWARD)
+        batched, _ = net.forward_batch(*net.canonical(feats, adj, x_ego), Command.FORWARD)
         for i, (f, a, x) in enumerate(obs):
             single, _ = net.forward(f, a, x, Command.FORWARD)
             # BLAS kernel choice varies with batch size, so agreement is to
@@ -106,7 +106,7 @@ class TestGcil:
         adj = np.stack([o[1] for o in obs])
         x_ego = np.stack([o[2] for o in obs])
         targets = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 2))
-        u, cache = net.forward_batch(feats, adj, x_ego, Command.FORWARD)
+        u, cache = net.forward_batch(*net.canonical(feats, adj, x_ego), Command.FORWARD)
         _, du = batch_action_loss(u, targets)
         batched = net.backward_batch(cache, du)
         summed = None
@@ -300,31 +300,66 @@ def test_canonical_order_matches_lexsort_reference(batch, n):
     feats = _tie_heavy_rows(rng, (batch, n, 12))
     feats[:, :, :6] = feats[:, :1, :6]  # the shared ego block, as in real features
     adj = rng.uniform(size=(batch, n, n))
-    got_f, got_a = _canonicalize(feats, 1, adj)
-    want_f, want_a = _reference_gcil_order(feats, adj)
-    assert _same_bits(got_f, want_f) and _same_bits(got_a, want_a)
+    x_ego = feats[:, 0, :6].copy()
+    got_f, got_a, got_x = GcilNetwork.canonical(feats, adj, x_ego)
+    # the order is that of the scaled rows; scaling and gathering commute bitwise
+    want_f, want_a = _reference_gcil_order(feats / FEATURE_SCALE, adj)
+    assert _same_bits(got_f / FEATURE_SCALE, want_f) and _same_bits(got_a, want_a)
+    assert got_x is x_ego
 
     elems = _tie_heavy_rows(rng, (batch, n, 6))
-    got_e, none = _canonicalize(elems, 0)
-    assert none is None and _same_bits(got_e, _reference_set_order(elems))
+    (got_e,) = SetCilNetwork.canonical(elems)
+    assert _same_bits(got_e / BLOCK_SCALE, _reference_set_order(elems / BLOCK_SCALE))
 
 
 def test_canonical_order_of_a_sample_does_not_depend_on_its_batch():
     rng = np.random.default_rng(9)
     feats = _tie_heavy_rows(rng, (64, 8, 12))
     adj = rng.uniform(size=(64, 8, 8))
-    batch_f, batch_a = _canonicalize(feats, 1, adj)
-    batch_e, _ = _canonicalize(feats[:, :, 6:], 0)
+    x_ego = feats[:, 0, :6].copy()
+    batch_f, batch_a, _ = GcilNetwork.canonical(feats, adj, x_ego)
+    (batch_e,) = SetCilNetwork.canonical(feats[:, :, 6:])
     for i in (0, 17, 63):
-        alone_f, alone_a = _canonicalize(feats[i:i + 1], 1, adj[i:i + 1])
-        alone_e, _ = _canonicalize(feats[i:i + 1, :, 6:], 0)
+        alone_f, alone_a, _ = GcilNetwork.canonical(feats[i:i + 1], adj[i:i + 1], x_ego[i:i + 1])
+        (alone_e,) = SetCilNetwork.canonical(feats[i:i + 1, :, 6:])
         assert _same_bits(alone_f[0], batch_f[i]) and _same_bits(alone_a[0], batch_a[i])
         assert _same_bits(alone_e[0], batch_e[i])
 
 
 def test_canonical_order_on_recorded_observations():
     obs = [_observation(density=d, seed=s) for d in (0, 3, 7) for s in range(3)]
-    for feats, adj, _ in obs:
-        got_f, got_a = _canonicalize(feats[None], 1, adj[None])
-        want_f, want_a = _reference_gcil_order(feats[None], adj[None])
-        assert _same_bits(got_f, want_f) and _same_bits(got_a, want_a)
+    for feats, adj, x_ego in obs:
+        got_f, got_a, _ = GcilNetwork.canonical(feats[None], adj[None], x_ego[None])
+        want_f, want_a = _reference_gcil_order(feats[None] / FEATURE_SCALE, adj[None])
+        assert _same_bits(got_f / FEATURE_SCALE, want_f) and _same_bits(got_a, want_a)
+
+
+def _collapsing_pair():
+    """Two raw values a < b whose quotients by 20 m are equal."""
+    a = 0.7
+    while True:
+        b = np.nextafter(a, 1.0)
+        if a / 20.0 == b / 20.0:
+            return a, b
+        a = b
+
+
+def test_canonical_order_is_that_of_the_scaled_rows():
+    # raw rows order by their first column, but scaled they tie there and the
+    # second column decides the other way
+    a, b = _collapsing_pair()
+    feats = np.zeros((1, 3, 12))
+    feats[0, 1, 6:8] = (b, 0.0)
+    feats[0, 2, 6:8] = (a, 1.0)
+    adj = np.arange(9.0).reshape(1, 3, 3)
+    got_f, got_a, _ = GcilNetwork.canonical(feats, adj, feats[:, 0, :6])
+    assert got_f[0, 1, 6] == b and got_f[0, 2, 6] == a
+    assert np.array_equal(got_a, adj)
+    (got_e,) = SetCilNetwork.canonical(feats[:, :, 6:])
+    assert got_e[0, 1, 0] == b and got_e[0, 2, 0] == a
+
+
+def test_nncil_canonical_is_the_identity():
+    x = np.random.default_rng(0).normal(size=(5, 24))
+    (got,) = NnCilNetwork.canonical(x)
+    assert got is x

@@ -64,24 +64,59 @@ def _subset_dataset(dataset, per_command):
 @pytest.mark.parametrize("reencode", [False, True])
 def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, reencode):
     # a recorded sample's training row is the network's own `inputs` of that
-    # sample, and the episode controller acts on it with the same bits
+    # sample in `canonical` order, and the episode controller acts on it with
+    # the same bits
     graph_cfg = GraphConfig()
     prepared = _PreparedData(tiny_dataset, kind, graph_cfg, reencode)
     net = build_network(kind, seed=2)
     controller = NetworkController(net)
+    cls = NETWORKS[kind]
     for command in COMMANDS:
         samples = tiny_dataset.buffers[command]
         for i in (0, len(samples) // 2, len(samples) - 1):
             s = samples[i]
             adj = adjacency_from_features(s.features, graph_cfg.strategy) if reencode else s.adjacency
             [(row, _)] = prepared.gather(command, np.array([i]))
-            expected = NETWORKS[kind].inputs(s.features, adj, s.x_ego)
+            inputs = cls.inputs(s.features, adj, s.x_ego)
+            expected = cls.canonical(*[a[None] for a in inputs])
             assert len(row) == len(expected)
             for got, want in zip(row, expected):
-                assert got.shape == (1, *want.shape) and got[0].tobytes() == want.tobytes()
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
             action = controller.act(None, None, command, (s.features, adj, s.x_ego))
             u, _ = net.forward_batch(*row, command)
             assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+def test_prepared_rows_are_canonical_and_act_ignores_node_order(tiny_dataset, kind):
+    prepared = _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=False)
+    net = build_network(kind, seed=4)
+    cls = NETWORKS[kind]
+    rng = np.random.default_rng(0)
+    for command in COMMANDS:
+        for group in prepared.groups[command]:
+            # canonical rows are a fixed point: ordering them again moves no bit
+            again = cls.canonical(*group.inputs)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(group.inputs, again))
+        samples = tiny_dataset.buffers[command]
+        for i in range(0, len(samples), 7):
+            s = samples[i]
+            order = np.concatenate([[0], 1 + rng.permutation(len(s.features) - 1)])
+            feats, adj = s.features[order], s.adjacency[np.ix_(order, order)]
+            action = net.act(*cls.inputs(feats, adj, s.x_ego), command)
+            [(row, _)] = prepared.gather(command, np.array([i]))
+            u, _ = net.forward_batch(*row, command)
+            assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+def test_canonical_order_does_not_depend_on_the_preparation_chunk(tiny_dataset, monkeypatch, kind):
+    whole = _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=False)
+    monkeypatch.setattr("graphnav.training.CANONICAL_CHUNK", 3)
+    chunked = _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=False)
+    for command in COMMANDS:
+        for a, b in zip(whole.groups[command], chunked.groups[command], strict=True):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a.inputs, b.inputs, strict=True))
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
