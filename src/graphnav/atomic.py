@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 from pathlib import Path
 
 
 @contextlib.contextmanager
 def atomic_write(path):
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x") as fh:
             yield fh
