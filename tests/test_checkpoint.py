@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphnav.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from graphnav.checkpoint import (FORMAT_VERSION, CheckpointError, graph_config_to_dict,
+                                 load_checkpoint, save_checkpoint)
 from graphnav.graph import GraphConfig
 from graphnav.nn import Adam
 from graphnav.policies import NETWORK_KINDS, build_network
@@ -25,7 +26,6 @@ def _stepped(kind, seed=0, steps=2):
 
 def _reference_bytes(net, graph_cfg, opt, train_state) -> bytes:
     """The checkpoint as one in-memory JSON document, nested lists and all."""
-    from graphnav.checkpoint import FORMAT_VERSION, graph_config_to_dict
     optimizer = None
     if opt is not None:
         optimizer = {"t": opt.t, "lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
