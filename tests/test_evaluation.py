@@ -9,8 +9,9 @@ from graphnav import evaluation
 from graphnav.evaluation import (AlwaysBrake, SuiteReport, TrialResult, collision_rate,
                                  format_report, mean_navigation_time, run_suite,
                                  success_rate, write_suite_csv, write_trials_csv)
+from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import GraphConfig
-from graphnav.layout import COMMANDS, Command
+from graphnav.layout import COMMANDS, Command, build_layout
 from graphnav.world import EpisodeOutcome, OutcomeTag, ScenarioConfig
 
 
@@ -83,6 +84,31 @@ class TestRunSuite:
         _, serial = self._run(trials=2)
         _, parallel = self._run(trials=2, jobs=2)
         assert [(r.seed, r.outcome) for r in serial] == [(r.seed, r.outcome) for r in parallel]
+
+
+def test_trial_order_does_not_change_trials_csv(tmp_path):
+    """No state leaks from one trial into the next: the same tasks run in
+    reverse order give a byte-identical trials.csv and the same trajectories.
+    Agents follow each other and the ego, so per-trial leader bookkeeping is
+    exercised on routes and layouts that every trial shares."""
+    cfg = ScenarioConfig(react_to_ego=True, allow_ego_arm=True, nonconflicting_fraction=0.5,
+                         small_agent_fraction=0.3)
+    expert = ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking)
+    tasks = [(setup, density, command, 40 + i)
+             for i, (setup, density, command) in enumerate(
+                 [("easy", 3, Command.FORWARD), ("middle", 5, Command.TURN_LEFT),
+                  ("hard", 7, Command.TURN_RIGHT), ("hard", 7, Command.FORWARD),
+                  ("middle", 5, Command.TURN_RIGHT), ("easy", 3, Command.TURN_LEFT)])]
+    written = []
+    for order in (tasks, tasks[::-1]):
+        build_layout.cache_clear()  # so that state kept on the shared routes starts afresh
+        raw = sorted((evaluation._run_trial(expert, cfg, GraphConfig(), True, t) for t in order),
+                     key=lambda r: r[2])
+        path = tmp_path / f"trials_{len(written)}.csv"
+        write_trials_csv([TrialResult(setup, Command(command), seed, outcome)
+                          for setup, command, seed, outcome, _ in raw], path)
+        written.append((path.read_bytes(), [r[4] for r in raw]))
+    assert written[0] == written[1]
 
 
 @pytest.fixture
