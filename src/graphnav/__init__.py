@@ -9,7 +9,7 @@ baseline perception frontends.
 __version__ = "0.1.0"
 
 from .layout import Arm, Command
-from .vehicle import Action, VehicleParams, VehicleState
+from .vehicle import Action, VehicleParams
 from .world import EpisodeOutcome, GoalSpec, OutcomeTag, ScenarioConfig, WorldState
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "OutcomeTag",
     "ScenarioConfig",
     "VehicleParams",
-    "VehicleState",
     "WorldState",
     "__version__",
 ]

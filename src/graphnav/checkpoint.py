@@ -118,6 +118,11 @@ def _arrays(pairs):
     return obj
 
 
+def _plain(value):
+    """A value as JSON parsed it, before `_arrays` made a float array of it."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def load_checkpoint(path, expected_kind: str | None = None) -> LoadedCheckpoint:
     path = Path(path)
     try:
@@ -139,6 +144,15 @@ def load_checkpoint(path, expected_kind: str | None = None) -> LoadedCheckpoint:
             f"checkpoint {path} holds a {kind!r} network, expected {expected_kind!r}")
 
     network = build_network(kind, seed=0)
+    topology = network.topology()
+    saved_topology = doc.get("topology")
+    if not isinstance(saved_topology, dict):
+        saved_topology = {}
+    differing = sorted(key for key in set(topology) | set(saved_topology)
+                       if _plain(saved_topology.get(key)) != topology.get(key))
+    if differing:
+        raise CheckpointError(f"checkpoint {path}: topology does not match the {kind!r} "
+                              f"network: differing keys {differing}")
     params = network.parameters()
     saved = doc.get("params", {})
     if set(saved) != set(params):

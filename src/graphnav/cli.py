@@ -8,12 +8,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .config import (ConfigError, config_hash, expert_params, graph_config, key_check,
                      load_config, noise_params, scenario_config, train_config, train_densities)
 from .dataset import DatasetFormatError, collect_dataset, read_dataset, write_dataset
 from .evaluation import (AlwaysBrake, REFERENCE_ABLATION, format_report, run_ablation,
-                         run_suite, write_ablation_csv, write_suite_csv,
+                         run_suite, write_ablation_csv, write_actions_csv, write_suite_csv,
                          write_trajectory_csv, write_trials_csv)
 from .graph import EdgeStrategyKind
 from .gradcheck import run_policy_check
@@ -200,11 +200,7 @@ def cmd_replay(args) -> int:
     scenario = replace(scenario, command=Command(args.command), density=args.density)
     record = run_episode(scenario, args.seed, policy, loaded.graph, record_trajectory=True)
     actions_path = out / "actions.csv"
-    with open(actions_path, "w") as fh:
-        fh.write("step,delta,tau\n")
-        for row in record.trajectory:
-            if row[1] == 0:  # ego rows only
-                fh.write(f"{row[0]},{row[6]!r},{row[7]!r}\n")
+    write_actions_csv(actions_path, record.trajectory)
     trajectory_path = out / "trajectory.csv"
     write_trajectory_csv(trajectory_path, record.trajectory)
     print(f"outcome: {record.outcome.tag.value} after {record.outcome.elapsed:.1f} s "

@@ -7,8 +7,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
+from .atomic import atomic_write
 from .dataset import DemoDataset
-from .graph import EdgeStrategy, GraphConfig
+from .graph import GraphConfig
 from .layout import COMMANDS, Command
 from .policies import NetworkController
 from .rollout import POOL_CHUNKSIZE, call_shared, init_worker, pool_size, run_episode
@@ -163,7 +164,7 @@ def _fmt(value, decimals: int = 2) -> str:
 
 
 def write_suite_csv(report: SuiteReport, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("setup,method,command,success_rate_pct,collision_rate_pct,"
                  "mean_nav_time_s,trials,base_seed\n")
         for setup, _density in SETUPS:
@@ -182,7 +183,7 @@ def write_suite_csv(report: SuiteReport, path) -> None:
 
 
 def write_trials_csv(results, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("setup,command,seed,outcome,elapsed_s,steps,nav_time_s\n")
         for r in results:
             nav = "" if r.nav_time is None else repr(r.nav_time)
@@ -191,10 +192,19 @@ def write_trials_csv(results, path) -> None:
 
 
 def write_trajectory_csv(path, rows) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("step,vehicle_id,x,y,heading,speed,delta,tau\n")
         for row in rows:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def write_actions_csv(path, rows) -> None:
+    """The ego's (step, delta, tau) from trajectory rows."""
+    with atomic_write(path) as fh:
+        fh.write("step,delta,tau\n")
+        for row in rows:
+            if row[1] == 0:  # ego rows only
+                fh.write(f"{row[0]},{row[6]!r},{row[7]!r}\n")
 
 
 def format_report(report: SuiteReport) -> str:
@@ -257,7 +267,7 @@ def run_ablation(
 
 
 def write_ablation_csv(rows, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("strategy,success_rate_pct,collision_rate_pct,mean_nav_time_s,trials,"
                  "ref_success_rate_pct,ref_collision_rate_pct,ref_mean_nav_time_s\n")
         for row in rows:

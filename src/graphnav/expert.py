@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .tracking import TrackingParams, track_path
-from .vehicle import Action, VehicleParams, velocity
+from .vehicle import Action, VehicleParams
 from .world import GoalSpec, WorldState
 
 
@@ -55,19 +55,19 @@ class ExpertController:
 
     def _gap_rejected(self, world: WorldState) -> bool:
         radius = world.layout.junction_half + self.params.yield_zone
-        for agent in world.surrounding:
-            vx, vy = velocity(agent)
-            t = time_to_circle(agent.position.x, agent.position.y, vx, vy, radius)
+        x, y, heading, speed = world.x, world.y, world.heading, world.speed
+        for k in range(1, len(x)):
+            v = speed[k]
+            t = time_to_circle(x[k], y[k], v * math.cos(heading[k]), v * math.sin(heading[k]), radius)
             if t < self.params.ttc_threshold:
                 return True
         return False
 
     def _target_speed(self, world: WorldState, s: float) -> float:
-        ego = world.ego
-        dist_to_entry = world.ego_route.entry_s - s
+        dist_to_entry = world.route[0].entry_s - s
         if dist_to_entry <= 0.0:
             return self.params.v_pref  # inside or past the box: clear it
-        stopping = ego.speed**2 / (2.0 * self.vparams.b_max)
+        stopping = world.speed[0]**2 / (2.0 * self.vparams.b_max)
         if dist_to_entry <= stopping + 0.3:
             return self.params.v_pref  # cannot brake in time, commit
         if self._gap_rejected(world):
@@ -75,8 +75,10 @@ class ExpertController:
         return self.params.v_pref
 
     def act(self, world: WorldState, goal: GoalSpec, command, obs=None) -> Action:
-        path = world.ego_route.path
-        projection = path.project(world.ego.position.x, world.ego.position.y)
-        return track_path(world.ego, path, projection, self._target_speed(world, projection[0]),
-                          self.tracking, self.vparams).action
+        path = world.route[0].path
+        x, y = world.x[0], world.y[0]
+        projection = path.project(x, y)
+        return track_path(x, y, world.heading[0], world.speed[0], path, projection,
+                          self._target_speed(world, projection[0]), self.tracking,
+                          self.vparams).action
 

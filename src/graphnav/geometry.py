@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,15 +16,6 @@ def normalize_angle(theta: float) -> float:
     if r <= 0.0:
         r += TWO_PI
     return r - math.pi
-
-
-@dataclass(frozen=True)
-class Vec2:
-    x: float
-    y: float
-
-    def distance_to(self, other: "Vec2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 class Polyline:

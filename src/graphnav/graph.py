@@ -16,7 +16,6 @@ from itertools import chain
 
 import numpy as np
 
-from .vehicle import velocity
 from .world import GoalSpec, WorldState
 
 FEATURE_DIM = 12
@@ -66,24 +65,25 @@ def _rotate(pairs: np.ndarray, angle: float) -> np.ndarray:
 
 def build_features(world: WorldState, goal: GoalSpec, v_pref: float, ego_frame: bool = False) -> np.ndarray:
     """N x 12 node feature matrix; row i is [shared ego block, relative block i]."""
-    ego = world.ego
-    evx, evy = velocity(ego)
-    gx = goal.target.x - ego.position.x
-    gy = goal.target.y - ego.position.y
+    x, y, heading, speed = world.x, world.y, world.heading, world.speed
+    ex, ey, ev = x[0], y[0], speed[0]
+    evx, evy = ev * math.cos(heading[0]), ev * math.sin(heading[0])
+    gx = goal.target[0] - ex
+    gy = goal.target[1] - ey
     ego_v = (evx, evy)  # the ego block's copy; relative velocities use the world-frame one
     if ego_frame:
-        back = -ego.heading
+        back = -heading[0]
         gx, gy = _rotate(np.array([[gx, gy]]), back)[0]
         ego_v = _rotate(np.array([ego_v]), back)[0]
 
     # one flat list of rows [ego block, 0, dx, dy, 0, dvx, dvy]; the norms fill the zeros below
-    x_ego = [math.hypot(gx, gy), gx, gy, v_pref - ego.speed, *ego_v]
+    x_ego = [math.hypot(gx, gy), gx, gy, v_pref - ev, *ego_v]
     flat = x_ego + [0.0] * (FEATURE_DIM - EGO_DIM)
-    for agent in world.surrounding:
-        avx, avy = velocity(agent)
+    for k in range(1, len(x)):
+        v = speed[k]
         flat += x_ego
-        flat += (0.0, agent.position.x - ego.position.x, agent.position.y - ego.position.y,
-                 0.0, avx - evx, avy - evy)
+        flat += (0.0, x[k] - ex, y[k] - ey,
+                 0.0, v * math.cos(heading[k]) - evx, v * math.sin(heading[k]) - evy)
     # copied so that the array owns its data: recorded samples keep it, and a
     # reshaped view would keep a second array header alive with it
     feats = np.fromiter(flat, float, len(flat)).reshape(-1, FEATURE_DIM).copy()
@@ -146,7 +146,7 @@ def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
 
 
 def world_positions(world: WorldState) -> np.ndarray:
-    return np.array([[v.position.x, v.position.y] for v in world.vehicles])
+    return np.column_stack((world.x, world.y))
 
 
 def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Polyline, Vec2
+from .geometry import Polyline
 
 
 class Command(Enum):
@@ -52,7 +52,7 @@ class Route:
     command: Command
     path: Polyline
     entry_s: float   # arc length of the junction entry point
-    goal: Vec2       # target on the outbound lane
+    goal: tuple[float, float]  # (x, y) target on the outbound lane
 
     @property
     def key(self) -> tuple[Arm, Command]:
@@ -139,13 +139,12 @@ def build_layout(lane_width: float = 4.0, arm_length: float = 40.0, goal_offset:
         for command in COMMANDS:
             pts, entry_s, goal = _south_template(lane_width, arm_length, goal_offset, command)
             rpts = [rot(x, y) for x, y in pts]
-            gx, gy = rot(*goal)
             routes[(arm, command)] = Route(
                 arm=arm,
                 command=command,
                 path=Polyline(rpts),
                 entry_s=entry_s,
-                goal=Vec2(gx, gy),
+                goal=rot(*goal),
             )
     conflicts = _route_conflicts(routes, junction_half)
     return IntersectionLayout(

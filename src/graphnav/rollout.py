@@ -10,7 +10,7 @@ import numpy as np
 from .graph import GraphConfig, encode_world
 from .layout import Command
 from .vehicle import Action
-from .world import (EpisodeLimits, EpisodeOutcome, GoalSpec, OutcomeTracker,
+from .world import (EpisodeLimits, EpisodeOutcome, OutcomeTracker,
                     ScenarioConfig, WorldState, spawn_scenario, step_world)
 
 
@@ -57,13 +57,9 @@ class EpisodeRecord:
     trajectory: list | None  # rows (step, vehicle_id, x, y, heading, speed, delta, tau)
 
 
-def _trajectory_rows(step: int, world: WorldState, ego_action: Action,
-                     agent_actions: tuple[Action, ...]) -> list[tuple]:
-    rows = []
-    for vehicle, action in zip(world.vehicles, (ego_action,) + agent_actions):
-        rows.append((step, vehicle.id, vehicle.position.x, vehicle.position.y,
-                     vehicle.heading, vehicle.speed, action.delta, action.tau))
-    return rows
+def _trajectory_rows(step: int, world: WorldState, actions: list[Action]) -> list[tuple]:
+    return [(step, i, world.x[i], world.y[i], world.heading[i], world.speed[i], a.delta, a.tau)
+            for i, a in enumerate(actions)]
 
 
 def run_episode(
@@ -103,9 +99,9 @@ def run_episode(
             feats, adj, x_ego = obs
             samples.append(StepSample(feats, adj, x_ego, action))
         executed = action if action_noise is None else action_noise(step, action)
-        world, agent_actions = step_world(world, executed, cfg)
+        actions = step_world(world, executed, cfg)
         if record_trajectory:
-            trajectory.extend(_trajectory_rows(step, world, executed, agent_actions))
+            trajectory.extend(_trajectory_rows(step, world, actions))
         step += 1
         outcome = tracker.check(world, goal)
     if outcome is None:  # dt jitter guard; the timeout check is inclusive

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Polyline
-from .vehicle import Action, VehicleParams, VehicleState
+from .vehicle import Action, VehicleParams
 
 
 @dataclass(frozen=True)
@@ -53,27 +53,34 @@ def speed_control(speed: float, target: float, kp: float) -> float:
 
 
 def track_path(
-    state: VehicleState,
+    x: float,
+    y: float,
+    heading: float,
+    speed: float,
     path: Polyline,
     projection: tuple[float, float],
     target_speed: float,
     tparams: TrackingParams,
     vparams: VehicleParams,
 ) -> TrackResult:
-    """Pure pursuit along `path`; `projection` is `path.project` of the state's
-    position, which the caller has already needed for its own arc length."""
+    """Pure pursuit along `path` from the pose (x, y, heading, speed);
+    `projection` is `path.project(x, y)`, which the caller has already
+    needed for its own arc length."""
     s, lateral = projection
     if lateral > tparams.capture_distance:
         return TrackResult(Action(0.0, 0.0), False, s, lateral)
     tx, ty = path.point_at(s + tparams.lookahead)
-    kappa = pursuit_curvature(state.position.x, state.position.y, state.heading, tx, ty)
+    kappa = pursuit_curvature(x, y, heading, tx, ty)
     delta = steering_for_curvature(kappa, vparams)
-    tau = speed_control(state.speed, target_speed, tparams.speed_kp)
+    tau = speed_control(speed, target_speed, tparams.speed_kp)
     return TrackResult(Action(delta, tau), True, s, lateral)
 
 
 def surrounding_control(
-    vehicle: VehicleState,
+    x: float,
+    y: float,
+    heading: float,
+    speed: float,
     path: Polyline,
     projection: tuple[float, float],
     cruise_speed: float,
@@ -88,4 +95,4 @@ def surrounding_control(
     if leader_gap is not None and leader_gap < tparams.follow_gap:
         spacing_term = leader_speed + 0.5 * (leader_gap - tparams.desired_gap)
         target = min(cruise_speed, max(0.0, spacing_term))
-    return track_path(vehicle, path, projection, target, tparams, vparams).action
+    return track_path(x, y, heading, speed, path, projection, target, tparams, vparams).action

@@ -1,17 +1,11 @@
-"""Vehicle state and the kinematic bicycle step."""
+"""Vehicle controls and the kinematic bicycle step."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .geometry import Vec2, normalize_angle
-
-
-class Role(Enum):
-    EGO = "ego"
-    SURROUNDING = "surrounding"
+from .geometry import normalize_angle
 
 
 @dataclass(frozen=True)
@@ -31,27 +25,17 @@ class VehicleParams:
     v_max: float = 10.0                      # m/s
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    id: int
-    position: Vec2
-    heading: float  # rad, (-pi, pi]
-    speed: float    # m/s, >= 0 (no reverse)
-    length: float   # m
-    width: float    # m
-    role: Role = Role.SURROUNDING
-
-
-def step_vehicle(state: VehicleState, action: Action, dt: float, params: VehicleParams) -> VehicleState:
-    """Advance one step: position along the current heading, heading via the
+def step_vehicle(x: float, y: float, heading: float, speed: float, action: Action,
+                 dt: float, params: VehicleParams) -> tuple[float, float, float, float]:
+    """Advance the pose (x, y, heading in (-pi, pi], speed >= 0) one step and
+    return the new one: position along the current heading, heading via the
     bicycle yaw rate v * tan(phi) / wheelbase, then the speed update with the
     result clamped to [0, v_max]."""
-    pos = state.position
     isfinite = math.isfinite
-    if not (isfinite(pos.x) and isfinite(pos.y) and isfinite(state.heading)
-            and isfinite(state.speed) and isfinite(action.delta) and isfinite(action.tau)
-            and isfinite(dt)):
-        raise ValueError(f"non-finite vehicle step input: state={state}, action={action}, dt={dt}")
+    if not (isfinite(x) and isfinite(y) and isfinite(heading) and isfinite(speed)
+            and isfinite(action.delta) and isfinite(action.tau) and isfinite(dt)):
+        raise ValueError(f"non-finite vehicle step input: pose=({x}, {y}, {heading}, {speed}), "
+                         f"action={action}, dt={dt}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
@@ -60,14 +44,7 @@ def step_vehicle(state: VehicleState, action: Action, dt: float, params: Vehicle
     phi = delta * params.phi_max
     accel = tau * (params.a_max if tau >= 0.0 else params.b_max)
 
-    v = state.speed
-    x = pos.x + v * math.cos(state.heading) * dt
-    y = pos.y + v * math.sin(state.heading) * dt
-    heading = normalize_angle(state.heading + v / params.wheelbase * math.tan(phi) * dt)
-    speed = max(0.0, min(params.v_max, v + accel * dt))
-    return VehicleState(id=state.id, position=Vec2(x, y), heading=heading, speed=speed,
-                        length=state.length, width=state.width, role=state.role)
-
-
-def velocity(state: VehicleState) -> tuple[float, float]:
-    return state.speed * math.cos(state.heading), state.speed * math.sin(state.heading)
+    return (x + speed * math.cos(heading) * dt,
+            y + speed * math.sin(heading) * dt,
+            normalize_angle(heading + speed / params.wheelbase * math.tan(phi) * dt),
+            max(0.0, min(params.v_max, speed + accel * dt)))

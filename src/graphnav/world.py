@@ -8,10 +8,10 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Vec2, rects_collide
+from .geometry import rects_collide
 from .layout import Arm, Command, COMMANDS, IntersectionLayout, Route, build_layout
 from .tracking import TrackingParams, surrounding_control
-from .vehicle import Action, Role, VehicleParams, VehicleState, step_vehicle
+from .vehicle import Action, VehicleParams, step_vehicle
 
 
 class ScenarioError(RuntimeError):
@@ -34,7 +34,7 @@ class EpisodeOutcome:
 
 @dataclass(frozen=True)
 class GoalSpec:
-    target: Vec2
+    target: tuple[float, float]  # (x, y)
     success_radius: float  # m
 
 
@@ -76,35 +76,44 @@ class ScenarioConfig:
         return build_layout(self.lane_width, self.arm_length, self.goal_offset)
 
 
-@dataclass(frozen=True)
+@dataclass
 class WorldState:
-    time: float
+    """One trial's vehicles, stepped in place by `step_world`.
+
+    Per-vehicle values are parallel lists indexed by vehicle, 0 being the
+    ego. `x`, `y`, `heading` and `speed` change every step. `route`,
+    `length`, `width` and `cruise` (the agents' set-point speeds; the ego's
+    entry is unused) are fixed at spawn, and so is `leaders`, derived from
+    the routes: per agent, (vehicle, same route, that vehicle's entry_s) for
+    each vehicle that may lead it. Those are the other agents on its inbound
+    arm in index order, then the ego if agents react to it and it shares
+    the arm. The layout and its routes are shared by every trial and never
+    mutated, so nothing carries over from one trial to the next.
+    """
+
     dt: float
-    ego: VehicleState
-    surrounding: tuple[VehicleState, ...]
     layout: IntersectionLayout
-    ego_route: Route
-    agent_routes: tuple[Route, ...]
-    agent_cruise: tuple[float, ...]
+    route: list[Route]
+    length: list[float]
+    width: list[float]
+    cruise: list[float]
+    x: list[float]
+    y: list[float]
+    heading: list[float]
+    speed: list[float]
     react_to_ego: bool = False
+    time: float = 0.0
+    leaders: list[tuple] = field(init=False)
 
-    @property
-    def vehicles(self) -> tuple[VehicleState, ...]:
-        return (self.ego,) + self.surrounding
-
-
-def _place_on_route(route: Route, s: float, vid: int, speed: float,
-                    length: float, width: float, role: Role) -> VehicleState:
-    x, y = route.path.point_at(s)
-    return VehicleState(
-        id=vid,
-        position=Vec2(x, y),
-        heading=route.path.heading_at(s),
-        speed=speed,
-        length=length,
-        width=width,
-        role=role,
-    )
+    def __post_init__(self) -> None:
+        route = self.route
+        self.leaders = [()]
+        for i in range(1, len(route)):
+            me = route[i]
+            ahead = [k for k in range(1, len(route)) if k != i and route[k].arm is me.arm]
+            if self.react_to_ego and route[0].arm is me.arm:
+                ahead.append(0)
+            self.leaders.append(tuple((k, route[k].key == me.key, route[k].entry_s) for k in ahead))
 
 
 def _pick_routes(rng, cfg: ScenarioConfig, layout: IntersectionLayout, ego_route: Route) -> list[Route]:
@@ -142,8 +151,8 @@ def spawn_scenario(cfg: ScenarioConfig, seed: int) -> tuple[WorldState, GoalSpec
     ego_route = layout.route(cfg.ego_arm, cfg.command)
 
     d_ego = rng.uniform(*cfg.ego_spawn_window)
-    ego = _place_on_route(ego_route, ego_route.entry_s - d_ego, 0,
-                          cfg.ego_start_speed, cfg.length, cfg.width, Role.EGO)
+    ego_s = ego_route.entry_s - d_ego
+    ego_xy = ego_route.path.point_at(ego_s)
 
     n = cfg.density
     span = hi - lo
@@ -153,8 +162,8 @@ def spawn_scenario(cfg: ScenarioConfig, seed: int) -> tuple[WorldState, GoalSpec
     for _attempt in range(cfg.max_spawn_attempts):
         routes = _pick_routes(rng, cfg, layout, ego_route)
         by_arm: dict = {}
-        for idx, route in enumerate(routes):
-            by_arm.setdefault(route.arm, []).append(idx)
+        for idx, r in enumerate(routes):
+            by_arm.setdefault(r.arm, []).append(idx)
         if any((len(idxs) - 1) * gap > span for idxs in by_arm.values()):
             continue  # this arm allocation cannot hold its agents, redraw routes
         offsets = np.zeros(n)
@@ -165,7 +174,7 @@ def spawn_scenario(cfg: ScenarioConfig, seed: int) -> tuple[WorldState, GoalSpec
             for rank, idx in enumerate(idxs):
                 offsets[idx] = lo + u[rank] + rank * gap
         pts = [r.path.point_at(r.entry_s - d) for r, d in zip(routes, offsets)]
-        pts_all = [(ego.position.x, ego.position.y)] + pts
+        pts_all = [ego_xy] + pts
         ok = all(
             math.hypot(pts_all[i][0] - pts_all[k][0], pts_all[i][1] - pts_all[k][1]) >= cfg.min_separation
             for i in range(len(pts_all))
@@ -184,100 +193,78 @@ def spawn_scenario(cfg: ScenarioConfig, seed: int) -> tuple[WorldState, GoalSpec
 
     cruise = rng.uniform(*cfg.cruise_speed_range, size=n)
     small = rng.random(n) < cfg.small_agent_fraction
-    agents = []
-    for i in range(n):
-        length = cfg.small_length if small[i] else cfg.length
-        width = cfg.small_width if small[i] else cfg.width
-        agents.append(_place_on_route(
-            routes[i], routes[i].entry_s - positions[i], i + 1,
-            min(float(cruise[i]), cfg.vehicle.v_max), length, width, Role.SURROUNDING,
-        ))
-
+    route = [ego_route] + routes
+    starts = [ego_s] + [r.entry_s - d for r, d in zip(routes, positions)]
+    xy = [r.path.point_at(s) for r, s in zip(route, starts)]
     world = WorldState(
-        time=0.0,
         dt=cfg.dt,
-        ego=ego,
-        surrounding=tuple(agents),
         layout=layout,
-        ego_route=ego_route,
-        agent_routes=tuple(routes[:n]),
-        agent_cruise=tuple(float(c) for c in cruise),
+        route=route,
+        length=[cfg.length] + [cfg.small_length if tiny else cfg.length for tiny in small],
+        width=[cfg.width] + [cfg.small_width if tiny else cfg.width for tiny in small],
+        cruise=[0.0] + [float(c) for c in cruise],
+        x=[p[0] for p in xy],
+        y=[p[1] for p in xy],
+        heading=[r.path.heading_at(s) for r, s in zip(route, starts)],
+        speed=[cfg.ego_start_speed] + [min(float(c), cfg.vehicle.v_max) for c in cruise],
         react_to_ego=cfg.react_to_ego,
     )
     goal = GoalSpec(target=ego_route.goal, success_radius=cfg.success_radius)
     return world, goal, cfg.command
 
 
-def _leader_for(
-    world: WorldState, i: int, arc: list[float], ego_arc: float | None
-) -> tuple[float, float] | None:
-    """Nearest vehicle directly ahead on the same path as agent i, if any.
+def _leader_for(world: WorldState, i: int, arc: list) -> tuple[float, float] | None:
+    """(gap, speed) of the nearest vehicle directly ahead on agent i's path, if any.
 
     Agents on the same full route follow anywhere; agents sharing only the
-    inbound arm follow while both are still before the junction entry.
+    inbound arm follow while both are still before the junction entry. Ties
+    go to the earlier candidate in `world.leaders[i]`.
     """
-    me = world.agent_routes[i]
-    me_key = me.key
     s_i = arc[i]
+    before_entry = s_i <= world.route[i].entry_s
     best = None
-    for k, other in enumerate(world.agent_routes):
-        if k == i:
-            continue
-        same_route = other.key == me_key
-        shared_inbound = other.arm == me.arm and arc[k] <= other.entry_s and s_i <= me.entry_s
-        if not (same_route or shared_inbound):
-            continue
-        gap = arc[k] - s_i
-        if gap > 0.0 and (best is None or gap < best[0]):
-            best = (gap, world.surrounding[k].speed)
-    if world.react_to_ego and ego_arc is not None and world.ego_route.arm == me.arm:
-        same_route = world.ego_route.key == me_key
-        shared_inbound = ego_arc <= world.ego_route.entry_s and s_i <= me.entry_s
-        if same_route or shared_inbound:
-            gap = ego_arc - s_i
+    for k, same_route, entry_k in world.leaders[i]:
+        if same_route or (arc[k] <= entry_k and before_entry):
+            gap = arc[k] - s_i
             if gap > 0.0 and (best is None or gap < best[0]):
-                best = (gap, world.ego.speed)
+                best = (gap, world.speed[k])
     return best
 
 
-def step_world(world: WorldState, ego_action: Action, cfg: ScenarioConfig) -> tuple[WorldState, tuple[Action, ...]]:
-    """Advance every vehicle one step; all controls come from the pre-step state."""
-    projections = [route.path.project(a.position.x, a.position.y)
-                   for a, route in zip(world.surrounding, world.agent_routes)]
-    arc = [p[0] for p in projections]
-    ego_arc = None
-    if world.react_to_ego:
-        ego_arc = world.ego_route.path.project(world.ego.position.x, world.ego.position.y)[0]
+def step_world(world: WorldState, ego_action: Action, cfg: ScenarioConfig) -> list[Action]:
+    """Advance every vehicle one step in place; return the actions taken,
+    indexed by vehicle. Every control comes from the pre-step state: all
+    agents' actions are computed before any vehicle moves."""
+    x, y, heading, speed, route = world.x, world.y, world.heading, world.speed, world.route
+    n = len(x)
+    projections = [route[i].path.project(x[i], y[i]) for i in range(1, n)]
+    # the ego's arc length is read only by agents that react to it
+    arc = [route[0].path.project(x[0], y[0])[0] if world.react_to_ego else None]
+    arc += [p[0] for p in projections]
 
-    agent_actions = []
-    for i, agent in enumerate(world.surrounding):
-        leader = _leader_for(world, i, arc, ego_arc)
-        action = surrounding_control(
-            agent, world.agent_routes[i].path, projections[i], world.agent_cruise[i],
-            cfg.tracking, cfg.vehicle,
+    actions = [ego_action]
+    for i in range(1, n):
+        leader = _leader_for(world, i, arc)
+        actions.append(surrounding_control(
+            x[i], y[i], heading[i], speed[i], route[i].path, projections[i - 1],
+            world.cruise[i], cfg.tracking, cfg.vehicle,
             leader_gap=None if leader is None else leader[0],
             leader_speed=None if leader is None else leader[1],
-        )
-        agent_actions.append(action)
+        ))
 
     dt = world.dt
-    new_agents = tuple(
-        step_vehicle(a, act, dt, cfg.vehicle)
-        for a, act in zip(world.surrounding, agent_actions)
-    )
-    new_ego = step_vehicle(world.ego, ego_action, dt, cfg.vehicle)
-    stepped = WorldState(time=world.time + dt, dt=dt, ego=new_ego, surrounding=new_agents,
-                         layout=world.layout, ego_route=world.ego_route,
-                         agent_routes=world.agent_routes, agent_cruise=world.agent_cruise,
-                         react_to_ego=world.react_to_ego)
-    return stepped, tuple(agent_actions)
+    for i, action in enumerate(actions):
+        x[i], y[i], heading[i], speed[i] = step_vehicle(x[i], y[i], heading[i], speed[i],
+                                                        action, dt, cfg.vehicle)
+    world.time += dt
+    return actions
 
 
 def ego_collision(world: WorldState) -> bool:
-    e = world.ego
-    for a in world.surrounding:
-        if rects_collide(e.position.x, e.position.y, e.heading, e.length, e.width,
-                         a.position.x, a.position.y, a.heading, a.length, a.width):
+    x, y, heading, length, width = world.x, world.y, world.heading, world.length, world.width
+    for k in range(1, len(x)):
+        if rects_collide(x[0], y[0], heading[0], length[0], width[0],
+                         x[k], y[k], heading[k], length[k], width[k]):
             return True
     return False
 
@@ -306,12 +293,14 @@ class OutcomeTracker:
         steps = int(round(world.time / world.dt))
         if ego_collision(world):
             return EpisodeOutcome(OutcomeTag.COLLISION, world.time, steps)
-        dist = world.ego.position.distance_to(goal.target)
+        ex, ey = world.x[0], world.y[0]
+        gx, gy = goal.target
+        dist = math.hypot(ex - gx, ey - gy)
         if dist < goal.success_radius:
             return EpisodeOutcome(OutcomeTag.SUCCESS, world.time, steps)
         if world.time >= self.limits.timeout_s:
             return EpisodeOutcome(OutcomeTag.TIMEOUT, world.time, steps)
-        outside = not world.layout.junction_contains(world.ego.position.x, world.ego.position.y)
+        outside = not world.layout.junction_contains(ex, ey)
         if (outside and dist > self.limits.miss_distance
                 and self._prev_dist is not None and dist > self._prev_dist):
             self._receding += world.dt

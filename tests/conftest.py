@@ -6,8 +6,8 @@ from graphnav.dataset import collect_dataset
 from graphnav.expert import ExpertParams
 from graphnav.geometry import Polyline
 from graphnav.graph import GraphConfig
-from graphnav.layout import COMMANDS
-from graphnav.world import ScenarioConfig
+from graphnav.layout import COMMANDS, build_layout
+from graphnav.world import ScenarioConfig, WorldState
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +25,18 @@ def tiny_dataset():
         densities={c: 2 for c in COMMANDS},
     )
     return dataset
+
+
+def make_world(vehicles, route, **fields) -> WorldState:
+    """A WorldState built by hand: one (x, y, heading, speed) row per vehicle,
+    the ego first. Every vehicle is 4 m x 2 m, follows `route` and cruises at
+    its start speed in the default layout with dt = 0.1 s; `fields` sets
+    `time` or `react_to_ego`."""
+    x, y, heading, speed = (list(column) for column in zip(*vehicles))
+    n = len(vehicles)
+    return WorldState(dt=0.1, layout=build_layout(), route=[route] * n, length=[4.0] * n,
+                      width=[2.0] * n, cruise=list(speed), x=x, y=y, heading=heading,
+                      speed=speed, **fields)
 
 
 @pytest.fixture

@@ -4,11 +4,14 @@ import pytest
 from graphnav.atomic import atomic_write
 from graphnav.checkpoint import save_checkpoint
 from graphnav.dataset import BUFFER_FILES, DemoDataset, DemoSample, write_dataset
+from graphnav.evaluation import (SuiteReport, TrialResult, write_ablation_csv, write_actions_csv,
+                                 write_suite_csv, write_trajectory_csv, write_trials_csv)
 from graphnav.graph import GraphConfig
 from graphnav.layout import Command
 from graphnav.manifest import write_manifest
 from graphnav.policies import build_network
 from graphnav.training import write_loss_csv
+from graphnav.world import EpisodeOutcome, OutcomeTag
 
 PREVIOUS = "previous contents\n"
 
@@ -56,10 +59,24 @@ def _unserializable(tmp_path, name):
         row = {"step": 0, "mean_loss": 1.0, "loss_forward": 1.0, "loss_left": 1.0,
                "loss_right": 1.0, "wall_clock_s": 0.1}
         write_loss_csv(tmp_path / name, [row, row, {"step": 2}])
+    elif name == "trials.csv":
+        trial = TrialResult("easy", Command.FORWARD, 1, EpisodeOutcome(OutcomeTag.TIMEOUT, 30.0, 300))
+        write_trials_csv([trial, trial, None], tmp_path / name)
+    elif name == "suite_report.csv":
+        report = SuiteReport({("easy", Command.FORWARD): {"success_rate_pct": 0.0}}, 1, 0, "gcil")
+        write_suite_csv(report, tmp_path / name)
+    elif name == "ablation.csv":
+        write_ablation_csv([{"strategy": "fully_connected"}], tmp_path / name)
+    elif name in ("trajectory.csv", "actions.csv"):
+        row = (0, 0, 1.0, 2.0, 0.5, 3.0, 0.1, -0.2)
+        writer = write_trajectory_csv if name == "trajectory.csv" else write_actions_csv
+        writer(tmp_path / name, [row, row, None])
 
 
 @pytest.mark.parametrize("name", ["checkpoint_final.json", "forward.jsonl", "manifest.json",
-                                  "run_manifest.json", "loss.csv"])
+                                  "run_manifest.json", "loss.csv", "trials.csv",
+                                  "suite_report.csv", "ablation.csv", "trajectory.csv",
+                                  "actions.csv"])
 def test_a_failed_artifact_write_keeps_the_previous_file(tmp_path, name):
     path = tmp_path / name
     path.write_text(PREVIOUS)

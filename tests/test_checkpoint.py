@@ -133,6 +133,8 @@ BAD_DOCUMENTS = {
     "non-finite": (_set("params", "gcn.0.w", [[None] * 32] * 12), None,
                    "'gcn.0.w' holds a non-finite value"),
     "graph-section": (_set("graph", "strategy", "hexagonal"), None, "invalid graph section"),
+    "topology": (_set("topology", "gcn_widths", [32, 32, 16]), None,
+                 "topology does not match the 'gcil' network: differing keys ['gcn_widths']"),
 }
 
 

@@ -1,15 +1,14 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from graphnav.expert import ExpertController, ExpertParams, time_to_circle
-from graphnav.geometry import Vec2
 from graphnav.graph import GraphConfig
 from graphnav.rollout import run_episode
-from graphnav.vehicle import Role, VehicleParams, VehicleState
 from graphnav.world import OutcomeTag, ScenarioConfig, spawn_scenario
+
+from conftest import make_world
 
 
 class TestTimeToCircle:
@@ -77,10 +76,9 @@ class TestExpertControl:
         cfg = ScenarioConfig(density=0, ego_start_speed=6.0)
         world, goal, command = spawn_scenario(cfg, seed=1)
         # crossing vehicle about to enter the junction from the west at 9 m/s
-        crossing = VehicleState(1, Vec2(-18.0, -2.0), 0.0, 9.0, 4.0, 2.0, Role.SURROUNDING)
-        route = world.layout.route(list(world.layout.routes)[0][0], command)
-        world = replace(world, surrounding=(crossing,),
-                        agent_routes=(world.ego_route,), agent_cruise=(9.0,))
+        ego = (world.x[0], world.y[0], world.heading[0], world.speed[0])
+        crossing = (-18.0, -2.0, 0.0, 9.0)
+        world = make_world([ego, crossing], world.route[0])
         action = _expert(cfg).act(world, goal, command)
         assert action.tau < 0.0
 
@@ -88,12 +86,11 @@ class TestExpertControl:
         cfg = ScenarioConfig(density=0, ego_start_speed=5.0)
         world, goal, command = spawn_scenario(cfg, seed=1)
         # place the ego just past the junction entry, traffic bearing down
-        route = world.ego_route
+        route = world.route[0]
         x, y = route.path.point_at(route.entry_s + 1.0)
-        ego = replace(world.ego, position=Vec2(x, y), heading=route.path.heading_at(route.entry_s + 1.0))
-        crossing = VehicleState(1, Vec2(-15.0, -2.0), 0.0, 8.0, 4.0, 2.0, Role.SURROUNDING)
-        world = replace(world, ego=ego, surrounding=(crossing,),
-                        agent_routes=(route,), agent_cruise=(8.0,))
+        ego = (x, y, route.path.heading_at(route.entry_s + 1.0), world.speed[0])
+        crossing = (-15.0, -2.0, 0.0, 8.0)
+        world = make_world([ego, crossing], route)
         action = _expert(cfg).act(world, goal, command)
         assert action.tau > -0.2  # keeps rolling instead of stopping in the box
 
@@ -125,4 +122,4 @@ def test_act_projects_the_ego_once(projection_calls):
     cfg = ScenarioConfig(density=3)
     world, goal, command = spawn_scenario(cfg, seed=8)
     ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking).act(world, goal, command)
-    assert projection_calls == [(world.ego.position.x, world.ego.position.y)]
+    assert projection_calls == [(world.x[0], world.y[0])]

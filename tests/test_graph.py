@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, _rotate,
                             adjacency_from_features, build_adjacency, build_features,
                             edge_weight, encode_world, world_positions)
-from graphnav.vehicle import velocity
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 NCLOSE = EdgeStrategy(kind=EdgeStrategyKind.N_CLOSE_WEIGHTED)
@@ -50,19 +49,19 @@ class TestFeatures:
     def test_fields_match_independent_recomputation(self):
         world, goal, _ = self._spawned(density=5, seed=8)
         feats = build_features(world, goal, v_pref=6.0)
-        ego = world.ego
-        evx = ego.speed * math.cos(ego.heading)
-        evy = ego.speed * math.sin(ego.heading)
-        gx, gy = goal.target.x - ego.position.x, goal.target.y - ego.position.y
+        x, y, heading, speed = world.x, world.y, world.heading, world.speed
+        evx = speed[0] * math.cos(heading[0])
+        evy = speed[0] * math.sin(heading[0])
+        gx, gy = goal.target[0] - x[0], goal.target[1] - y[0]
         assert feats[0, 0] == pytest.approx(math.sqrt(gx * gx + gy * gy), abs=1e-9)
         assert feats[0, 1] == gx and feats[0, 2] == gy
-        assert feats[0, 3] == pytest.approx(6.0 - ego.speed)
+        assert feats[0, 3] == pytest.approx(6.0 - speed[0])
         assert feats[0, 4] == pytest.approx(evx) and feats[0, 5] == pytest.approx(evy)
-        for i, agent in enumerate(world.surrounding, start=1):
-            dx = agent.position.x - ego.position.x
-            dy = agent.position.y - ego.position.y
-            avx = agent.speed * math.cos(agent.heading) - evx
-            avy = agent.speed * math.sin(agent.heading) - evy
+        for i in range(1, len(x)):
+            dx = x[i] - x[0]
+            dy = y[i] - y[0]
+            avx = speed[i] * math.cos(heading[i]) - evx
+            avy = speed[i] * math.sin(heading[i]) - evy
             assert feats[i, 6] == pytest.approx(math.hypot(dx, dy), abs=1e-9)
             assert feats[i, 7] == pytest.approx(dx) and feats[i, 8] == pytest.approx(dy)
             assert feats[i, 9] == pytest.approx(math.hypot(avx, avy), abs=1e-9)
@@ -83,7 +82,7 @@ class TestFeatures:
         # norms unchanged, vector components rotated
         assert np.allclose(plain[:, 0], rotated[:, 0])
         assert np.allclose(plain[1:, 6], rotated[1:, 6])
-        assert rotated[0, 4] == pytest.approx(world.ego.speed, abs=1e-9)  # velocity now forward
+        assert rotated[0, 4] == pytest.approx(world.speed[0], abs=1e-9)  # velocity now forward
         assert rotated[0, 5] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -280,23 +279,22 @@ def test_adjacency_from_features_bit_identical_to_numpy_reference():
 def _reference_features(world, goal, v_pref, ego_frame):
     """The numpy formulation build_features replaced: row setitems into a
     zero matrix, block assignments and one np.hypot per column pair."""
-    ego = world.ego
-    evx, evy = velocity(ego)
-    gx = goal.target.x - ego.position.x
-    gy = goal.target.y - ego.position.y
-    n = 1 + len(world.surrounding)
+    x, y, heading, speed = world.x, world.y, world.heading, world.speed
+    evx, evy = speed[0] * math.cos(heading[0]), speed[0] * math.sin(heading[0])
+    gx = goal.target[0] - x[0]
+    gy = goal.target[1] - y[0]
+    n = len(x)
     rel = np.zeros((n, 4))
-    for i, agent in enumerate(world.surrounding, start=1):
-        avx, avy = velocity(agent)
-        rel[i] = (agent.position.x - ego.position.x, agent.position.y - ego.position.y,
-                  avx - evx, avy - evy)
+    for i in range(1, n):
+        avx, avy = speed[i] * math.cos(heading[i]), speed[i] * math.sin(heading[i])
+        rel[i] = (x[i] - x[0], y[i] - y[0], avx - evx, avy - evy)
     if ego_frame:
-        back = -ego.heading
+        back = -heading[0]
         gx, gy = _rotate(np.array([[gx, gy]]), back)[0]
         evx, evy = _rotate(np.array([[evx, evy]]), back)[0]
         rel[:, 0:2] = _rotate(rel[:, 0:2], back)
         rel[:, 2:4] = _rotate(rel[:, 2:4], back)
-    x_ego = np.array([math.hypot(gx, gy), gx, gy, v_pref - ego.speed, evx, evy])
+    x_ego = np.array([math.hypot(gx, gy), gx, gy, v_pref - speed[0], evx, evy])
     feats = np.zeros((n, 12))
     feats[:, :6] = x_ego
     feats[1:, 6] = np.hypot(rel[1:, 0], rel[1:, 1])

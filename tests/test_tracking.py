@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from graphnav.geometry import Polyline, Vec2
+from graphnav.geometry import Polyline
 from graphnav.tracking import (TrackingParams, pursuit_curvature, speed_control,
                                steering_for_curvature, surrounding_control, track_path)
-from graphnav.vehicle import Role, VehicleParams, VehicleState
+from graphnav.vehicle import VehicleParams
 
 VPARAMS = VehicleParams()
 TPARAMS = TrackingParams()
@@ -14,17 +14,17 @@ STRAIGHT = Polyline([(0.0, -50.0), (0.0, 50.0)])  # northbound along x = 0
 
 
 def agent(x, y, heading, speed):
-    return VehicleState(id=1, position=Vec2(x, y), heading=heading, speed=speed,
-                        length=4.0, width=2.0, role=Role.SURROUNDING)
+    """(x, y, heading, speed), the leading arguments of the tracking controllers."""
+    return x, y, heading, speed
 
 
 def on_straight(state):
     """The projection a caller of track_path computes once per step."""
-    return STRAIGHT.project(state.position.x, state.position.y)
+    return STRAIGHT.project(state[0], state[1])
 
 
 def track(state, target_speed):
-    return track_path(state, STRAIGHT, on_straight(state), target_speed, TPARAMS, VPARAMS)
+    return track_path(*state, STRAIGHT, on_straight(state), target_speed, TPARAMS, VPARAMS)
 
 
 def test_on_path_at_cruise_gives_zero_action():
@@ -83,11 +83,11 @@ def test_off_path_holds_zero_action():
 def test_following_gap_slows_to_leader():
     follower = agent(0.0, 0.0, math.pi / 2, 6.0)
     projection = on_straight(follower)
-    free = surrounding_control(follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS)
-    held = surrounding_control(follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS,
+    free = surrounding_control(*follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS)
+    held = surrounding_control(*follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS,
                                leader_gap=4.0, leader_speed=2.0)
     assert free.tau == pytest.approx(0.0)
     assert held.tau < 0.0
-    far = surrounding_control(follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS,
+    far = surrounding_control(*follower, STRAIGHT, projection, 6.0, TPARAMS, VPARAMS,
                               leader_gap=50.0, leader_speed=0.0)
     assert far.tau == pytest.approx(0.0)
