@@ -14,6 +14,16 @@ order and B=1 forward) on 200 spawned evaluation worlds with 1 to 8 nodes.
 They were recorded before the list-based adjacency and canonical order
 replaced the numpy ones, and they hold under the default BLAS thread count
 and under OPENBLAS_NUM_THREADS=1 alike.
+
+The training digests hash `checkpoint_final.json` of gcil, nncil and setcil
+trained for four epochs (B=512, seed 3) on that collection: the weights, the
+Adam moments, the graph settings and the topology, every byte of the file up
+to its closing `train_state` block, which records the run's provenance
+rather than its training bits. They were recorded before training changed
+the C allocator's settings, at the default two OpenBLAS threads of a 2 vCPU
+host. Unlike the policy digests they depend on the BLAS thread count: at
+OPENBLAS_NUM_THREADS=1 nncil's digest holds but gcil's and setcil's differ,
+so no single-thread check of them runs.
 """
 
 import dataclasses
@@ -25,11 +35,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from graphnav.cli import main
 from graphnav.config import load_config, scenario_config
+from graphnav.dataset import read_dataset
 from graphnav.graph import GraphConfig, encode_world
 from graphnav.layout import COMMANDS
 from graphnav.policies import NETWORK_KINDS, NetworkController, build_network
+from graphnav.training import TrainConfig, train
 from graphnav.world import spawn_scenario
 
 GOLDEN_SHA256 = {
@@ -44,13 +58,41 @@ POLICY_SHA256 = {
     "setcil": "ed1215702f373b1f3be83af8eb1eec7566661b33c61756b13853b8a9032a3515",
 }
 
+TRAINING_SHA256 = {
+    "gcil": "9a4a17e4c687a86f28f067d4f9e814129e37938a6c053bcd5c4e3438a4f1e0d1",
+    "nncil": "b15cb01c47c4933daf80a39947e8c3a4832fdacd4aae65c4abffac195e025c69",
+    "setcil": "ffc4acd0062c51785a9caa87553070d83c91884a21e92de64d63ebc38e17ea61",
+}
 
-def test_collect_digest_is_pinned(tmp_path):
-    out = tmp_path / "data"
+
+@pytest.fixture(scope="module")
+def collected(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden") / "data"
     assert main(["collect", "--out", str(out), "--episodes", "1", "--seed", "0",
                  "--jobs", "1"]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    return out
+
+
+def test_collect_digest_is_pinned(collected):
+    got = {name: hashlib.sha256((collected / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+def training_digests(data, out) -> dict:
+    """sha256 of each network's final checkpoint up to its `train_state`."""
+    dataset = read_dataset(data)
+    digests = {}
+    for kind in NETWORK_KINDS:
+        train(dataset, TrainConfig(epochs=4, eval_every=0, seed=3, network=kind),
+              out_dir=Path(out) / kind)
+        blob = (Path(out) / kind / "checkpoint_final.json").read_bytes()
+        digests[kind] = hashlib.sha256(blob[:blob.rindex(b',"train_state":')]).hexdigest()
+    return digests
+
+
+def test_training_bits_are_pinned(collected, tmp_path):
+    assert training_digests(collected, tmp_path) == TRAINING_SHA256
 
 
 def policy_digests() -> dict:
@@ -87,3 +129,4 @@ def test_policy_actions_are_pinned_at_one_blas_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, text=True,
                          capture_output=True).stdout
     assert json.loads(out) == POLICY_SHA256
+
