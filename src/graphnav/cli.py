@@ -117,7 +117,8 @@ def cmd_train(args) -> int:
     run = train(dataset, tcfg, out_dir=out, resume=args.resume)
     files = list(out.glob("checkpoint_*.json")) + [out / "loss.csv"]
     write_manifest(out, "train", cfg, {"seed": tcfg.seed}, files, started,
-                   extra={"steps": run.steps, "final_loss": run.history[-1]["mean_loss"] if run.history else None})
+                   extra={"steps": run.steps, "counters": run.counters,
+                          "final_loss": run.history[-1]["mean_loss"] if run.history else None})
     final = run.history[-1]["mean_loss"] if run.history else float("nan")
     print(f"trained {run.steps} steps, final minibatch loss {final:.6f}")
     print(f"checkpoint: {out / 'checkpoint_final.json'}")

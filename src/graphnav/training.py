@@ -5,20 +5,22 @@ the three command buffers (with replacement), runs every sample through its
 command's branch, and applies one Adam step to the shared trunk, perception
 weights and all touched branches. Sampling at step t is a pure function of
 (seed, t), so an interrupted run resumed from a checkpoint reproduces the
-uninterrupted trajectory bit for bit.
+uninterrupted trajectory bit for bit, and refuses a dataset or a training
+setting other than the checkpoint's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, graph_config_to_dict, load_checkpoint, save_checkpoint
 from .dataset import DemoDataset
 from .graph import GraphConfig, adjacency_from_features
 from .layout import COMMANDS, Command
@@ -27,6 +29,18 @@ from .policies import NETWORKS, build_network
 
 LOSS_COLUMNS = ("step", "mean_loss", "loss_forward", "loss_left", "loss_right", "wall_clock_s")
 CANONICAL_CHUNK = 1024  # samples put in canonical order per pass while preparing
+RESUMABLE_FIELDS = ("epochs", "eval_every")  # TrainConfig fields a resume may change
+
+# glibc's mallopt parameters (malloc.h) and the values train() gives them. At
+# B=512 a step's largest numpy temporary lies between 256 KB and 1 MB, and a
+# setcil step frees 4-16 MB at the top of the heap. Under glibc's defaults
+# that memory goes back to the OS after every step and is faulted in again
+# (about 1,500 minor faults per setcil step); with these values a step
+# faults in a few pages at most, measured up to B=2048.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 4 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 class TrainingError(RuntimeError):
@@ -59,6 +73,7 @@ class TrainRun:
     network: object
     optimizer: Adam
     checkpoint_paths: list
+    counters: dict          # run telemetry: minor_page_faults over the step loop
 
 
 def minibatch_counts(batch_size: int, step: int) -> dict:
@@ -178,6 +193,42 @@ def steps_for(config: TrainConfig, total_samples: int) -> int:
     return config.epochs * max(1, math.ceil(total_samples / config.batch_size))
 
 
+def provenance(dataset: DemoDataset, config: TrainConfig) -> dict:
+    """What a resume must match: the hash of the dataset manifest and of every
+    training setting except the budget and the checkpoint cadence."""
+    from .config import config_hash  # config imports this module
+
+    settings = {f.name: getattr(config, f.name) for f in fields(config)
+                if f.name not in RESUMABLE_FIELDS}
+    settings["graph"] = graph_config_to_dict(config.graph)
+    return {"dataset_hash": config_hash(dataset.manifest),
+            "train_config_hash": config_hash(settings)}
+
+
+@functools.cache
+def keep_freed_heap() -> bool:
+    """Have glibc keep freed memory in the process, so that each training
+    step reuses the heap pages of the last one instead of faulting in fresh
+    ones. Setting either threshold also switches off glibc's dynamic mmap
+    threshold. Returns False, changing nothing, where there is no mallopt."""
+    import ctypes  # loaded by numpy already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
+
+
+def _minor_faults() -> int:
+    import resource  # Unix only; kept out of `import graphnav.cli`
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) -> TrainRun:
     """Run the full training budget; optionally resume from a checkpoint."""
     prepared = _PreparedData(dataset, config.network, config.graph, config.reencode)
@@ -186,8 +237,15 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
             raise ValueError(f"empty demonstration buffer for command {command.value!r}")
 
     steps_total = steps_for(config, dataset.total())
+    hashes = provenance(dataset, config)
     if resume is not None:
         loaded = load_checkpoint(resume, expected_kind=config.network)
+        saved = {key: (loaded.train_state or {}).get(key) for key in hashes}
+        if saved != hashes:
+            raise CheckpointError(
+                f"checkpoint {resume} was trained on dataset {saved['dataset_hash']} with "
+                f"train config {saved['train_config_hash']}; this run has dataset "
+                f"{hashes['dataset_hash']} and train config {hashes['train_config_hash']}")
         network = loaded.network
         try:
             optimizer = Adam.from_state_dict(loaded.optimizer_state, network.parameters())
@@ -213,9 +271,11 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
             return
         path = save_checkpoint(out_path / name, network, config.graph, optimizer,
                                train_state={"seed": config.seed, "step": step,
-                                            "steps_total": steps_total})
+                                            "steps_total": steps_total, **hashes})
         checkpoint_paths.append(path)
 
+    keep_freed_heap()
+    faults_before = _minor_faults()
     for step in range(start_step, steps_total):
         rng = np.random.default_rng([config.seed, 2, step])
         indices = sample_minibatch(prepared.sizes, config.batch_size, rng, step)
@@ -234,11 +294,12 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
         })
         if config.eval_every > 0 and (step + 1) % config.eval_every == 0 and step + 1 < steps_total:
             save(step + 1, f"checkpoint_step{step + 1}.json")
+    counters = {"minor_page_faults": _minor_faults() - faults_before}
     save(steps_total, "checkpoint_final.json")
     if out_path is not None:
         write_loss_csv(out_path / "loss.csv", history)
-    return TrainRun(steps=steps_total - start_step, history=history,
-                    network=network, optimizer=optimizer, checkpoint_paths=checkpoint_paths)
+    return TrainRun(steps=steps_total - start_step, history=history, network=network,
+                    optimizer=optimizer, checkpoint_paths=checkpoint_paths, counters=counters)
 
 
 def write_loss_csv(path, history) -> None:

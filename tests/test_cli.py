@@ -6,6 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 from graphnav.cli import main
+from graphnav.config import load_config, train_config
+from graphnav.dataset import read_dataset
+from graphnav.training import provenance
 
 TINY_CONFIG = {
     "train": {
@@ -219,6 +222,45 @@ def test_resume_without_optimizer_state_is_runtime_error(workdir, tmp_path, caps
     assert str(ckpt) in err and "invalid optimizer state" in err
 
 
+
+def _refused_resume(workdir, tmp_path, capsys, config, data):
+    """Resume the workdir run under `config` on `data`: exit 3, and the
+    message names the checkpoint's hashes and this run's."""
+    ckpt = workdir["run"] / "checkpoint_final.json"
+    saved = json.loads(ckpt.read_text())["train_state"]
+    now = provenance(read_dataset(data), train_config(load_config(config)))
+    assert main(["train", "--config", str(config), "--dataset", str(data),
+                 "--out", str(tmp_path / "o"), "--resume", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    for key in ("dataset_hash", "train_config_hash"):
+        assert saved[key] in err and now[key] in err
+    return saved, now
+
+
+def test_resume_on_another_dataset_is_refused(workdir, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["collect", "--config", str(workdir["config"]), "--out", str(data),
+                 "--seed", "4"]) == 0
+    saved, now = _refused_resume(workdir, tmp_path, capsys, workdir["config"], data)
+    assert saved["dataset_hash"] != now["dataset_hash"]
+    assert saved["train_config_hash"] == now["train_config_hash"]
+
+
+def test_resume_with_another_lr_is_refused(workdir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "lr": 5e-4}}))
+    saved, now = _refused_resume(workdir, tmp_path, capsys, config, workdir["data"])
+    assert saved["dataset_hash"] == now["dataset_hash"]
+    assert saved["train_config_hash"] != now["train_config_hash"]
+
+
+def test_train_manifest_counts_page_faults(workdir):
+    manifest = json.loads((workdir["run"] / "run_manifest.json").read_text())
+    faults = manifest["counters"]["minor_page_faults"]
+    assert isinstance(faults, int) and faults >= 0
+
+
 GRAPH_CONFIG = {"graph": {"alpha_m": 7.5, "k": 2, "include_ego_candidate": False}}
 
 
@@ -236,7 +278,7 @@ def test_train_strategy_keeps_the_configured_graph(workdir, tmp_path, monkeypatc
     def fake_train(dataset, tcfg, out_dir, resume=None):
         seen.append(tcfg)
         (out_dir / "loss.csv").write_text("")
-        return SimpleNamespace(steps=0, history=[])
+        return SimpleNamespace(steps=0, history=[], counters={})
     monkeypatch.setattr(cli_mod, "train", fake_train)
     assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
                  "--strategy", "star_connected", "--out", str(tmp_path / "o")]) == 0

@@ -1,6 +1,13 @@
 import copy
+import json
 import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +271,49 @@ class TestCheckpointing:
         a = run.network.act(sample.features, sample.adjacency, sample.x_ego, Command.FORWARD)
         b = loaded.network.act(sample.features, sample.adjacency, sample.x_ego, Command.FORWARD)
         assert a == b
+
+
+# Trains setcil at B=512 on 900 six-node samples and prints the minor page
+# faults between consecutive Adam steps.
+FAULTS_PER_STEP = """
+import json, resource
+import numpy as np
+from graphnav import nn
+from graphnav.dataset import DemoDataset, DemoSample
+from graphnav.layout import COMMANDS
+from graphnav.training import TrainConfig, train
+
+rng = np.random.default_rng(0)
+dataset = DemoDataset()
+for command in COMMANDS:
+    dataset.buffers[command] = [
+        DemoSample(features=rng.normal(size=(6, 12)), adjacency=np.eye(6),
+                   x_ego=rng.normal(size=6), command=command,
+                   u_star=rng.uniform(-1.0, 1.0, size=2), episode_id=0, step=i)
+        for i in range(300)]
+marks = []
+adam_step = nn.Adam.step
+
+def counting(self, params, grads):
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return adam_step(self, params, grads)
+
+nn.Adam.step = counting
+train(dataset, TrainConfig(batch_size=512, epochs=15, eval_every=0, network="setcil"))
+print(json.dumps([b - a for a, b in zip(marks, marks[1:])]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="train() sets its allocator thresholds through glibc's mallopt")
+def test_training_steps_do_not_page_fault():
+    """A fresh process, so that no earlier test has grown its heap. With
+    glibc's default thresholds each of these steps faults in about 1,300
+    pages that the step before returned to the OS."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env, check=True,
+                         text=True, capture_output=True).stdout
+    per_step = json.loads(out)
+    assert len(per_step) == 29
+    assert statistics.median(per_step[5:]) <= 8, per_step
