@@ -222,7 +222,6 @@ def test_resume_without_optimizer_state_is_runtime_error(workdir, tmp_path, caps
     assert str(ckpt) in err and "invalid optimizer state" in err
 
 
-
 def _refused_resume(workdir, tmp_path, capsys, config, data):
     """Resume the workdir run under `config` on `data`: exit 3, and the
     message names the checkpoint's hashes and this run's."""

@@ -308,7 +308,7 @@ print(json.dumps([b - a for a, b in zip(marks, marks[1:])]))
                     reason="train() sets its allocator thresholds through glibc's mallopt")
 def test_training_steps_do_not_page_fault():
     """A fresh process, so that no earlier test has grown its heap. With
-    glibc's default thresholds each of these steps faults in about 1,300
+    glibc's default thresholds each of these steps faults in about 1,600
     pages that the step before returned to the OS."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
