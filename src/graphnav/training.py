@@ -31,16 +31,13 @@ LOSS_COLUMNS = ("step", "mean_loss", "loss_forward", "loss_left", "loss_right", 
 CANONICAL_CHUNK = 1024  # samples put in canonical order per pass while preparing
 RESUMABLE_FIELDS = ("epochs", "eval_every")  # TrainConfig fields a resume may change
 
-# glibc's mallopt parameters (malloc.h) and the values train() gives them. At
-# B=512 a step's largest numpy temporary lies between 256 KB and 1 MB, and a
-# setcil step frees 4-16 MB at the top of the heap. Under glibc's defaults
-# that memory goes back to the OS after every step and is faulted in again
-# (about 1,500 minor faults per setcil step); with these values a step
-# faults in a few pages at most, measured up to B=2048. With a high mmap
-# threshold the larger arrays too (prepared data, parsed checkpoints) reuse
-# the freed heap the trim threshold keeps, instead of being mapped on top of
-# it: 4 MB / 64 MB raised perfbench train's peak RSS by 2-3 MB over glibc's
-# defaults, 32 MB / 256 MB lowered it by about 1.5 MB.
+# glibc's mallopt parameters (malloc.h) and the values train() sets. At B=512
+# a step's numpy temporaries reach about 1 MB and a setcil step frees 4-16 MB
+# of heap top; under glibc's defaults that memory went back to the OS after
+# every step and was faulted in again, about 1,500 minor faults per setcil
+# step. These values leave a few faults per step up to B=2048, and the high
+# mmap threshold lets larger arrays reuse the kept heap too: 4 MB / 64 MB
+# raised perfbench train's peak RSS by 2-3 MB, 32 MB / 256 MB did not.
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 32 << 20
@@ -244,7 +241,8 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
     hashes = provenance(dataset, config)
     if resume is not None:
         loaded = load_checkpoint(resume, expected_kind=config.network)
-        saved = {key: (loaded.train_state or {}).get(key) for key in hashes}
+        state = loaded.train_state if isinstance(loaded.train_state, dict) else {}
+        saved = {key: state.get(key) for key in hashes}
         if saved != hashes:
             raise CheckpointError(
                 f"checkpoint {resume} was trained on dataset {saved['dataset_hash']} with "
@@ -255,7 +253,7 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
             optimizer = Adam.from_state_dict(loaded.optimizer_state, network.parameters())
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint {resume}: invalid optimizer state: {exc}") from exc
-        start_step = int((loaded.train_state or {}).get("step", optimizer.t))
+        start_step = int(state.get("step", optimizer.t))
     else:
         network = build_network(config.network, rng=np.random.default_rng([config.seed, 1]))
         optimizer = Adam(network.parameters(), lr=config.lr, beta1=config.beta1,

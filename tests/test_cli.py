@@ -254,6 +254,19 @@ def test_resume_with_another_lr_is_refused(workdir, tmp_path, capsys):
     assert saved["train_config_hash"] != now["train_config_hash"]
 
 
+@pytest.mark.parametrize("train_state", [{"seed": 0, "step": 2, "steps_total": 2}, [2]],
+                         ids=["no-hashes", "not-an-object"])
+def test_resume_without_provenance_is_refused(workdir, tmp_path, capsys, train_state):
+    doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
+    doc["train_state"] = train_state
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(workdir["config"]), "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "o"), "--resume", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "trained on dataset None with train config None" in err
+
+
 def test_train_manifest_counts_page_faults(workdir):
     manifest = json.loads((workdir["run"] / "run_manifest.json").read_text())
     faults = manifest["counters"]["minor_page_faults"]
