@@ -19,11 +19,12 @@ from .atomic import atomic_write
 from .expert import ExpertController, ExpertParams
 from .graph import GraphConfig
 from .layout import COMMANDS, Command
-from .rollout import POOL_CHUNKSIZE, call_shared, init_worker, pool_size, run_episode
+from .rollout import (POOL_CHUNKSIZE, DemoSample, call_shared, init_worker, pool_size,
+                      run_episode)
 from .vehicle import Action
 from .world import EpisodeOutcome, OutcomeTag, ScenarioConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 1 also stored each record's ego block as "x_ego"; still read
 BUFFER_FILES = {
     Command.FORWARD: "forward.jsonl",
     Command.TURN_LEFT: "turn_left.jsonl",
@@ -75,17 +76,6 @@ class ActionNoise:
 
 
 @dataclass
-class DemoSample:
-    features: np.ndarray   # (N, 12)
-    adjacency: np.ndarray  # (N, N)
-    x_ego: np.ndarray      # (6,)
-    command: Command
-    u_star: np.ndarray     # (2,)
-    episode_id: int
-    step: int
-
-
-@dataclass
 class DemoDataset:
     buffers: dict = field(default_factory=lambda: {c: [] for c in COMMANDS})
     manifest: dict = field(default_factory=dict)
@@ -106,19 +96,7 @@ def collect_episode(cfg: ScenarioConfig, seed: int, expert: ExpertController,
         action_noise = ActionNoise(noise, np.random.default_rng([seed, 5]), cfg.dt)
     record = run_episode(cfg, seed, expert, graph_cfg, record_samples=True,
                          action_noise=action_noise)
-    samples = [
-        DemoSample(
-            features=s.features,
-            adjacency=s.adjacency,
-            x_ego=s.x_ego,
-            command=record.command,
-            u_star=np.array([s.action.delta, s.action.tau]),
-            episode_id=seed,
-            step=i,
-        )
-        for i, s in enumerate(record.samples)
-    ]
-    return samples, record.outcome
+    return record.samples, record.outcome
 
 
 def _collect_one(base_cfg: ScenarioConfig, expert_params: ExpertParams, graph_cfg: GraphConfig,
@@ -189,32 +167,37 @@ def _sample_to_record(sample: DemoSample) -> dict:
         "command": sample.command.value,
         "S": sample.features.tolist(),
         "A": sample.adjacency.tolist(),
-        "x_ego": sample.x_ego.tolist(),
         "u_star": sample.u_star.tolist(),
     }
 
 
-_RECORD_KEYS = {"episode_id", "step", "command", "S", "A", "x_ego", "u_star"}
+_RECORD_KEYS = {"episode_id", "step", "command", "S", "A", "u_star"}
 
 
 def _record_to_sample(record: dict) -> DemoSample:
     feats = np.asarray(record["S"], dtype=float)
     adj = np.asarray(record["A"], dtype=float)
-    x_ego = np.asarray(record["x_ego"], dtype=float)
     u_star = np.asarray(record["u_star"], dtype=float)
     if feats.ndim != 2 or feats.shape[1] != 12:
         raise ValueError(f"S must be (N, 12), got {feats.shape}")
     if adj.shape != (feats.shape[0], feats.shape[0]):
         raise ValueError(f"A must be (N, N) matching S, got {adj.shape}")
-    if x_ego.shape != (6,) or u_star.shape != (2,):
-        raise ValueError("x_ego must have 6 entries and u_star 2")
-    for name, arr in (("S", feats), ("A", adj), ("x_ego", x_ego), ("u_star", u_star)):
+    if u_star.shape != (2,):
+        raise ValueError("u_star must have 2 entries")
+    for name, arr in (("S", feats), ("A", adj), ("u_star", u_star)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} holds a non-finite value")
+    if "x_ego" in record:  # schema 1 stored a copy of the ego block
+        x_ego = np.asarray(record["x_ego"], dtype=float)
+        if x_ego.shape != (6,):
+            raise ValueError("x_ego must have 6 entries")
+        if not np.isfinite(x_ego).all():
+            raise ValueError("x_ego holds a non-finite value")
+        if x_ego.tobytes() != feats[0, :6].tobytes():
+            raise ValueError("x_ego differs from S[0,:6]")
     return DemoSample(
         features=feats,
         adjacency=adj,
-        x_ego=x_ego,
         command=Command(record["command"]),
         u_star=u_star,
         episode_id=int(record["episode_id"]),
@@ -230,8 +213,7 @@ def write_dataset(dataset: DemoDataset, out_dir) -> Path:
             for sample in dataset.buffers[command]:
                 fh.write(json.dumps(_sample_to_record(sample), sort_keys=True,
                                     separators=(",", ":")) + "\n")
-    manifest = dict(dataset.manifest)
-    manifest.setdefault("schema_version", SCHEMA_VERSION)
+    manifest = {**dataset.manifest, "schema_version": SCHEMA_VERSION}
     manifest["counts"] = dataset.counts()
     manifest_path = out_dir / "manifest.json"
     with atomic_write(manifest_path) as fh:
@@ -254,7 +236,7 @@ def read_buffer(path, expected_command: Command) -> list[DemoSample]:
                 raise DatasetFormatError(path, line_no, f"missing fields: {missing}")
             try:
                 sample = _record_to_sample(record)
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise DatasetFormatError(path, line_no, str(exc)) from exc
             if sample.command is not expected_command:
                 raise DatasetFormatError(path, line_no,
@@ -267,12 +249,17 @@ def read_buffer(path, expected_command: Command) -> list[DemoSample]:
 def read_dataset(directory) -> DemoDataset:
     directory = Path(directory)
     dataset = DemoDataset()
+    manifest_path = directory / "manifest.json"
+    if manifest_path.exists():
+        try:
+            dataset.manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(manifest_path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(dataset.manifest, dict):
+            raise DatasetFormatError(manifest_path, 1, "not a JSON object")
     for command, filename in BUFFER_FILES.items():
         path = directory / filename
         if not path.exists():
             raise FileNotFoundError(f"missing buffer file {path}")
         dataset.buffers[command] = read_buffer(path, command)
-    manifest_path = directory / "manifest.json"
-    if manifest_path.exists():
-        dataset.manifest = json.loads(manifest_path.read_text())
     return dataset

@@ -54,8 +54,7 @@ def synthetic_inputs(kind: str, rng, batch: int = 4, n_nodes: int = 4):
         feats[:, :6] = feats[0, :6]
         raw = np.abs(rng.normal(1.0, 0.5, size=(n_nodes, n_nodes))) + 0.05
         adj = raw / raw.sum(axis=1, keepdims=True)
-        x_ego = feats[0, :6].copy()
-        samples.append(NETWORKS[kind].inputs(feats, adj, x_ego))
+        samples.append(NETWORKS[kind].inputs(feats, adj))
     commands = [COMMANDS[i % 3] for i in range(batch)]
     return samples, commands
 

@@ -77,11 +77,11 @@ def build_features(world: WorldState, goal: GoalSpec, v_pref: float, ego_frame: 
         ego_v = _rotate(np.array([ego_v]), back)[0]
 
     # one flat list of rows [ego block, 0, dx, dy, 0, dvx, dvy]; the norms fill the zeros below
-    x_ego = [math.hypot(gx, gy), gx, gy, v_pref - ev, *ego_v]
-    flat = x_ego + [0.0] * (FEATURE_DIM - EGO_DIM)
+    ego = [math.hypot(gx, gy), gx, gy, v_pref - ev, *ego_v]
+    flat = ego + [0.0] * (FEATURE_DIM - EGO_DIM)
     for k in range(1, len(x)):
         v = speed[k]
-        flat += x_ego
+        flat += ego
         flat += (0.0, x[k] - ex, y[k] - ey,
                  0.0, v * math.cos(heading[k]) - evx, v * math.sin(heading[k]) - evy)
     # copied so that the array owns its data: recorded samples keep it, and a
@@ -95,10 +95,6 @@ def build_features(world: WorldState, goal: GoalSpec, v_pref: float, ego_frame: 
         feats[1:, [7, 8, 10, 11]] = rel[1:]
     feats[1:, 6::3] = np.hypot(feats[1:, 7::3], feats[1:, 8::3])  # |(dx, dy)| and |(dvx, dvy)|
     return feats
-
-
-def ego_feature(features: np.ndarray) -> np.ndarray:
-    return features[0, :EGO_DIM].copy()
 
 
 def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
@@ -149,11 +145,12 @@ def world_positions(world: WorldState) -> np.ndarray:
     return np.column_stack((world.x, world.y))
 
 
-def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convenience bundle: (features, adjacency, ego block) for one world state."""
+def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The observation of one world state: (features, adjacency). The ego
+    block is `features[0, :EGO_DIM]`."""
     feats = build_features(world, goal, cfg.v_pref, cfg.ego_frame)
     adj = build_adjacency(world_positions(world), cfg.strategy)
-    return feats, adj, ego_feature(feats)
+    return feats, adj
 
 
 def adjacency_from_features(features: np.ndarray, strategy: EdgeStrategy) -> np.ndarray:

@@ -6,7 +6,8 @@ by the high-level command. The graph policy's frontend is a 3-layer GCN
 whose ego-node output is joined by the shared ego block; the two baselines
 use a fixed nearest-3 vector MLP or a summed set encoding. `NETWORKS` is the
 one place that maps a kind to its class; each class's `inputs` turns an
-observation (features, adjacency, ego block) into what its forward takes.
+observation (features, adjacency) into what its forward takes. The ego
+block is row 0's first six features; no network takes it separately.
 
 Each class's static `canonical` puts a sample's nodes (or set elements) in
 a canonical sort order, which makes permutation equivariance/invariance hold
@@ -111,7 +112,7 @@ class BranchedPolicy:
     """A perception frontend feeding the shared branched head.
 
     Each subclass builds its frontend from `rng` before the head, and
-    defines the per-sample `inputs(feats, adj, x_ego)` tuple, the static
+    defines the per-sample `inputs(feats, adj)` tuple, the static
     `canonical` that puts stacked inputs in canonical order, the
     `forward_batch` that takes them so ordered, its `backward_batch`, and
     the frontend's topology keys, parameters and ReLU kink margin. Batch
@@ -158,16 +159,16 @@ class GcilNetwork(BranchedPolicy):
         self.head = _BranchedHead(rng, GCN_WIDTHS[-1] + EGO_DIM)
 
     @staticmethod
-    def inputs(feats, adj, x_ego) -> tuple:
-        return feats, adj, x_ego
+    def inputs(feats, adj) -> tuple:
+        return feats, adj
 
     @staticmethod
-    def canonical(feats, adj, x_ego) -> tuple:
+    def canonical(feats, adj) -> tuple:
         """The ego node first, the others sorted by their scaled rows; the
         adjacency follows the same order."""
         r = _canonical_order(feats / FEATURE_SCALE, 1)
         b = np.arange(len(r))[:, None]
-        return feats[b, r], adj[b[:, :, None], r[:, :, None], r[:, None, :]], x_ego
+        return feats[b, r], adj[b[:, :, None], r[:, :, None], r[:, None, :]]
 
     def frontend_topology(self) -> dict:
         return {"feature_dim": FEATURE_DIM, "gcn_widths": list(GCN_WIDTHS)}
@@ -178,15 +179,16 @@ class GcilNetwork(BranchedPolicy):
     def frontend_margin(self, gcn_caches) -> float:
         return min(layer.kink_margin(c) for layer, c in zip(self.gcn, gcn_caches))
 
-    def forward_batch(self, feats: np.ndarray, adj: np.ndarray, x_ego: np.ndarray, command: Command):
-        """A batch of `canonical` samples; the ego node is row 0."""
+    def forward_batch(self, feats: np.ndarray, adj: np.ndarray, command: Command):
+        """A batch of `canonical` samples; the ego node is row 0, and its
+        first EGO_DIM features are the ego block the head also takes."""
         h = feats / FEATURE_SCALE
-        x_ego = x_ego / BLOCK_SCALE
+        ego = feats[:, 0, :EGO_DIM] / BLOCK_SCALE
         gcn_caches = []
         for layer in self.gcn:
             h, cache = layer.forward(adj, h)
             gcn_caches.append(cache)
-        p = np.concatenate([h[:, 0, :], x_ego], axis=1)
+        p = np.concatenate([h[:, 0, :], ego], axis=1)
         u, head_cache = self.head.forward(p, command)
         return u, (gcn_caches, head_cache, h.shape)
 
@@ -226,7 +228,7 @@ class NnCilNetwork(BranchedPolicy):
         self.head = _BranchedHead(rng, PERCEPTION_WIDTHS[-1])
 
     @staticmethod
-    def inputs(feats, adj, x_ego) -> tuple:
+    def inputs(feats, adj) -> tuple:
         return (nncil_vector(feats),)
 
     @staticmethod
@@ -275,7 +277,7 @@ class SetCilNetwork(BranchedPolicy):
         self.head = _BranchedHead(rng, PERCEPTION_WIDTHS[-1])
 
     @staticmethod
-    def inputs(feats, adj, x_ego) -> tuple:
+    def inputs(feats, adj) -> tuple:
         return (set_elements(feats),)
 
     @staticmethod

@@ -41,11 +41,16 @@ def call_shared(fn, task):
 
 
 @dataclass
-class StepSample:
+class DemoSample:
+    """One recorded step: the observation (its ego block is `features[0, :6]`)
+    and the controller's action label."""
+
     features: np.ndarray   # (N, 12)
     adjacency: np.ndarray  # (N, N)
-    x_ego: np.ndarray      # (6,)
-    action: Action
+    command: Command
+    u_star: np.ndarray     # (2,) the (delta, tau) label
+    episode_id: int        # the episode's seed
+    step: int
 
 
 @dataclass
@@ -96,8 +101,8 @@ def run_episode(
         obs = encode_world(world, goal, graph_cfg)
         action = controller.act(world, goal, command, obs)
         if record_samples:
-            feats, adj, x_ego = obs
-            samples.append(StepSample(feats, adj, x_ego, action))
+            samples.append(DemoSample(*obs, command, np.array([action.delta, action.tau]),
+                                      seed, step))
         executed = action if action_noise is None else action_noise(step, action)
         actions = step_world(world, executed, cfg)
         if record_trajectory:

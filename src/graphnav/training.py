@@ -139,7 +139,7 @@ class _PreparedData:
                     adjs = [adjacency_from_features(s.features, graph_cfg.strategy) for s in bucket]
                 else:
                     adjs = [s.adjacency for s in bucket]
-                rows = [network_cls.inputs(s.features, a, s.x_ego) for s, a in zip(bucket, adjs)]
+                rows = [network_cls.inputs(s.features, a) for s, a in zip(bucket, adjs)]
                 inputs = tuple(np.stack(column) for column in zip(*rows))
                 for start in range(0, len(bucket), CANONICAL_CHUNK):
                     part = slice(start, start + CANONICAL_CHUNK)

@@ -298,7 +298,7 @@ class OutcomeTracker:
         dist = math.hypot(ex - gx, ey - gy)
         if dist < goal.success_radius:
             return EpisodeOutcome(OutcomeTag.SUCCESS, world.time, steps)
-        if world.time >= self.limits.timeout_s:
+        if steps * world.dt >= self.limits.timeout_s:  # `time` sums dt and can run an ulp short
             return EpisodeOutcome(OutcomeTag.TIMEOUT, world.time, steps)
         outside = not world.layout.junction_contains(ex, ey)
         if (outside and dist > self.limits.miss_distance

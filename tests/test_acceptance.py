@@ -107,7 +107,7 @@ def test_criterion_3_edge_weight_points():
 
 def test_criterion_4_structural_checks():
     world, goal, _ = spawn_scenario(ScenarioConfig(density=5), seed=33)
-    feats, adj, x_ego = encode_world(world, goal, GraphConfig())
+    feats, adj = encode_world(world, goal, GraphConfig())
     assert feats.shape == (6, 12)
     for i in range(6):
         assert np.array_equal(feats[i, :6], feats[0, :6])
@@ -118,16 +118,16 @@ def test_criterion_4_structural_checks():
 
     for kind in ("gcil", "nncil", "setcil"):
         policy = NetworkController(build_network(kind, seed=11))
-        action = policy.act(world, goal, Command.TURN_LEFT, (feats, adj, x_ego))
+        action = policy.act(world, goal, Command.TURN_LEFT, (feats, adj))
         assert -1.0 <= action.delta <= 1.0 and -1.0 <= action.tau <= 1.0
 
     # branch isolation: bit-exact output, exactly-zero gradients elsewhere
-    before = net.act(feats, adj, x_ego, Command.FORWARD)
+    before = net.act(feats, adj, Command.FORWARD)
     for cmd in (Command.TURN_LEFT, Command.TURN_RIGHT):
         for layer in net.head.branches[cmd].layers:
             layer.w += 55.0
-    assert net.act(feats, adj, x_ego, Command.FORWARD) == before
-    _, cache = net.forward(feats, adj, x_ego, Command.FORWARD)
+    assert net.act(feats, adj, Command.FORWARD) == before
+    _, cache = net.forward(feats, adj, Command.FORWARD)
     grads = net.backward(cache, np.array([0.4, -0.2]))
     for cmd in (Command.TURN_LEFT, Command.TURN_RIGHT):
         for i in range(2):
@@ -137,8 +137,8 @@ def test_criterion_4_structural_checks():
     # permutation equivariance / invariance, bit-exact
     rng = np.random.default_rng(3)
     perm = np.concatenate([[0], rng.permutation(np.arange(1, 6))])
-    permuted = net.act(feats[perm], adj[np.ix_(perm, perm)], x_ego, Command.FORWARD)
-    assert permuted == net.act(feats, adj, x_ego, Command.FORWARD)
+    permuted = net.act(feats[perm], adj[np.ix_(perm, perm)], Command.FORWARD)
+    assert permuted == net.act(feats, adj, Command.FORWARD)
     setnet = build_network("setcil", seed=5)
     elements = set_elements(feats)
     base = setnet.act(elements, Command.FORWARD)

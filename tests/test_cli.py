@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 from types import SimpleNamespace
 
@@ -171,21 +172,67 @@ def test_bad_config_value_is_config_error_naming_the_key(tmp_path, capsys, secti
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("field", ["S", "A", "x_ego", "u_star"])
-def test_non_finite_dataset_value_is_runtime_error(workdir, tmp_path, capsys, field):
+def _train_on_edited_record(workdir, tmp_path, edit):
+    """Train on a copy of the workdir dataset whose second turn_left record
+    went through `edit`; returns the exit code and that buffer's path."""
     data = tmp_path / "data"
     shutil.copytree(workdir["data"], data)
     path = data / "turn_left.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     record = json.loads(lines[1])
-    values = record[field][0] if field in ("S", "A") else record[field]
-    values[0] = float("nan")
+    edit(record)
     lines[1] = json.dumps(record) + "\n"
     path.write_text("".join(lines))
+    code = main(["train", "--config", str(workdir["config"]), "--dataset", str(data),
+                 "--out", str(tmp_path / "o")])
+    return code, path
+
+
+@pytest.mark.parametrize("field", ["S", "A", "x_ego", "u_star"])
+def test_non_finite_dataset_value_is_runtime_error(workdir, tmp_path, capsys, field):
+    def edit(record):
+        if field == "x_ego":  # a schema-1 record, which also held the ego block
+            record["x_ego"] = record["S"][0][:6]
+        values = record[field][0] if field in ("S", "A") else record[field]
+        values[0] = float("nan")
+
+    code, path = _train_on_edited_record(workdir, tmp_path, edit)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{path}:2:" in err and f"{field} holds a non-finite value" in err
+
+
+def test_schema_1_ego_block_one_ulp_off_is_runtime_error(workdir, tmp_path, capsys):
+    def edit(record):
+        record["x_ego"] = record["S"][0][:6]
+        record["x_ego"][1] = math.nextafter(record["x_ego"][1], math.inf)
+
+    code, path = _train_on_edited_record(workdir, tmp_path, edit)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{path}:2:" in err and "x_ego differs from S[0,:6]" in err
+
+
+@pytest.mark.parametrize("field, value", [("step", None), ("episode_id", [1]), ("S", {"a": 1})],
+                         ids=["step-null", "episode_id-list", "S-object"])
+def test_wrong_json_type_in_dataset_record_is_runtime_error(workdir, tmp_path, capsys,
+                                                             field, value):
+    code, path = _train_on_edited_record(workdir, tmp_path, lambda r: r.update({field: value}))
+    assert code == 3
+    assert f"{path}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [("{oops\n", "invalid JSON"),
+                                          ("[1, 2]\n", "not a JSON object")],
+                         ids=["invalid-json", "not-an-object"])
+def test_unreadable_manifest_is_runtime_error(workdir, tmp_path, capsys, text, reason):
+    data = tmp_path / "data"
+    shutil.copytree(workdir["data"], data)
+    (data / "manifest.json").write_text(text)
     assert main(["train", "--config", str(workdir["config"]), "--dataset", str(data),
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert f"{path}:2:" in err and f"{field} holds a non-finite value" in err
+    assert f"{data / 'manifest.json'}:1:" in err and reason in err
 
 
 def test_non_finite_checkpoint_parameter_is_runtime_error(workdir, tmp_path, capsys):

@@ -10,6 +10,8 @@ from graphnav.graph import GraphConfig
 from graphnav.layout import COMMANDS, Command
 from graphnav.world import ScenarioConfig
 
+from conftest import write_schema_1
+
 
 def _collect(seed=13, density=2):
     cfg = ScenarioConfig(density=density)
@@ -50,8 +52,28 @@ def test_roundtrip_is_exact(tmp_path, tiny_dataset):
         for a, b in zip(originals, restored):
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.adjacency, b.adjacency)
-            assert np.array_equal(a.x_ego, b.x_ego)
             assert np.array_equal(a.u_star, b.u_star)
+            assert (a.episode_id, a.step, a.command) == (b.episode_id, b.step, b.command)
+
+
+def test_records_hold_the_ego_block_once(tmp_path, tiny_dataset):
+    write_dataset(tiny_dataset, tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text())["schema_version"] == 2
+    for filename in BUFFER_FILES.values():
+        for line in (tmp_path / filename).read_text().splitlines():
+            assert set(json.loads(line)) == {"A", "S", "command", "episode_id", "step", "u_star"}
+
+
+def test_schema_1_records_read_as_schema_2(tmp_path, tiny_dataset):
+    write_dataset(tiny_dataset, tmp_path / "new")
+    write_schema_1(tmp_path / "new", tmp_path / "old")
+    new, old = read_dataset(tmp_path / "new"), read_dataset(tmp_path / "old")
+    assert old.manifest == {**new.manifest, "schema_version": 1}
+    for command in COMMANDS:
+        for a, b in zip(new.buffers[command], old.buffers[command], strict=True):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.adjacency.tobytes() == b.adjacency.tobytes()
+            assert a.u_star.tobytes() == b.u_star.tobytes()
             assert (a.episode_id, a.step, a.command) == (b.episode_id, b.step, b.command)
 
 

@@ -99,8 +99,9 @@ class TestExpertControl:
         expert = _expert(cfg)
         record = run_episode(cfg, 77, expert, GraphConfig(), record_samples=True)
         for sample in record.samples:
-            assert -1.0 <= sample.action.delta <= 1.0
-            assert -1.0 <= sample.action.tau <= 1.0
+            delta, tau = sample.u_star
+            assert -1.0 <= delta <= 1.0
+            assert -1.0 <= tau <= 1.0
 
     def test_expert_never_reverses(self):
         cfg = ScenarioConfig(density=5)

@@ -6,7 +6,11 @@ adjacency and action label of every step of three episodes. The digests
 below were recorded from the scalar numpy-geometry simulator before the
 pure-Python polyline and the single per-step projection replaced it; any
 later engine (a vectorized one included) must reproduce them, or report the
-disagreement instead of re-recording them.
+disagreement instead of re-recording them. They were recorded in dataset
+schema 1, whose records also held the ego block on its own as a last key,
+"x_ego"; the test rebuilds each schema-2 line as schema 1 before hashing
+(`conftest.schema_1_line`), which reproduces every recorded line byte for
+byte.
 
 The policy digests hash the actions that seeded gcil, nncil and setcil
 networks return through `NetworkController.act` (encoding, canonical node
@@ -23,7 +27,8 @@ rather than its training bits. They were recorded before training changed
 the C allocator's settings, at the default two OpenBLAS threads of a 2 vCPU
 host. Unlike the policy digests they depend on the BLAS thread count: at
 OPENBLAS_NUM_THREADS=1 nncil's digest holds but gcil's and setcil's differ,
-so no single-thread check of them runs.
+so no single-thread check of them runs. The schema-1 copy of the collection
+trains to the same digests.
 """
 
 import dataclasses
@@ -45,6 +50,8 @@ from graphnav.layout import COMMANDS
 from graphnav.policies import NETWORK_KINDS, NetworkController, build_network
 from graphnav.training import TrainConfig, train
 from graphnav.world import spawn_scenario
+
+from conftest import schema_1_line, write_schema_1
 
 GOLDEN_SHA256 = {
     "forward.jsonl": "e5654cb5cdb40b55f3355d52f8bf54844c9b303e555ca3e2e2a87b73512cbab5",
@@ -73,10 +80,15 @@ def collected(tmp_path_factory):
     return out
 
 
+def schema_1_digests(data) -> dict:
+    """sha256 of each buffer with every line rebuilt as schema 1."""
+    return {name: hashlib.sha256("".join(map(schema_1_line, (data / name).read_text()
+                                            .splitlines(keepends=True))).encode()).hexdigest()
+            for name in GOLDEN_SHA256}
+
+
 def test_collect_digest_is_pinned(collected):
-    got = {name: hashlib.sha256((collected / name).read_bytes()).hexdigest()
-           for name in GOLDEN_SHA256}
-    assert got == GOLDEN_SHA256
+    assert schema_1_digests(collected) == GOLDEN_SHA256
 
 
 def training_digests(data, out) -> dict:
@@ -93,6 +105,14 @@ def training_digests(data, out) -> dict:
 
 def test_training_bits_are_pinned(collected, tmp_path):
     assert training_digests(collected, tmp_path) == TRAINING_SHA256
+
+
+def test_schema_1_collection_trains_to_the_pinned_bits(collected, tmp_path):
+    old = tmp_path / "schema1"
+    write_schema_1(collected, old)
+    assert {name: hashlib.sha256((old / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256} == GOLDEN_SHA256
+    assert training_digests(old, tmp_path / "runs") == TRAINING_SHA256
 
 
 def policy_digests() -> dict:

@@ -186,7 +186,7 @@ def test_row_sums_property(n, seed):
 
 def test_adjacency_from_features_matches_direct_build():
     world, goal, _ = spawn_scenario(ScenarioConfig(density=5), seed=17)
-    feats, adj, _ = encode_world(world, goal, GraphConfig())
+    feats, adj = encode_world(world, goal, GraphConfig())
     rebuilt = adjacency_from_features(feats, NCLOSE)
     assert np.allclose(rebuilt, adj, atol=1e-12)
     star = adjacency_from_features(feats, STAR)

@@ -26,34 +26,34 @@ class TestGcil:
         net = build_network("gcil", seed=0)
         rng = np.random.default_rng(1)
         for density in (0, 1, 3, 7):
-            feats, adj, x_ego = _observation(density=density, seed=int(rng.integers(1000)))
-            action = net.act(feats, adj, x_ego, Command.FORWARD)
+            feats, adj = _observation(density=density, seed=int(rng.integers(1000)))
+            action = net.act(feats, adj, Command.FORWARD)
             assert -1.0 <= action.delta <= 1.0
             assert -1.0 <= action.tau <= 1.0
 
     def test_forward_deterministic(self):
         net = build_network("gcil", seed=0)
-        feats, adj, x_ego = _observation()
-        a1 = net.act(feats, adj, x_ego, Command.TURN_LEFT)
-        a2 = net.act(feats, adj, x_ego, Command.TURN_LEFT)
+        feats, adj = _observation()
+        a1 = net.act(feats, adj, Command.TURN_LEFT)
+        a2 = net.act(feats, adj, Command.TURN_LEFT)
         assert a1 == a2
 
     def test_branch_isolation_bitwise(self):
         net = build_network("gcil", seed=0)
-        feats, adj, x_ego = _observation()
-        before = net.act(feats, adj, x_ego, Command.FORWARD)
+        feats, adj = _observation()
+        before = net.act(feats, adj, Command.FORWARD)
         # mangle the weights of the two non-selected branches
         for cmd in (Command.TURN_LEFT, Command.TURN_RIGHT):
             for layer in net.head.branches[cmd].layers:
                 layer.w += 123.0
                 layer.b -= 7.0
-        after = net.act(feats, adj, x_ego, Command.FORWARD)
+        after = net.act(feats, adj, Command.FORWARD)
         assert before == after
 
     def test_non_selected_branch_gradients_exactly_zero(self):
         net = build_network("gcil", seed=0)
-        feats, adj, x_ego = _observation()
-        _, cache = net.forward(feats, adj, x_ego, Command.FORWARD)
+        feats, adj = _observation()
+        _, cache = net.forward(feats, adj, Command.FORWARD)
         grads = net.backward(cache, np.array([0.3, -0.7]))
         for cmd in (Command.TURN_LEFT, Command.TURN_RIGHT):
             for i in range(2):
@@ -63,8 +63,8 @@ class TestGcil:
 
     def test_zero_upstream_zero_gradients(self):
         net = build_network("gcil", seed=0)
-        feats, adj, x_ego = _observation()
-        _, cache = net.forward(feats, adj, x_ego, Command.FORWARD)
+        feats, adj = _observation()
+        _, cache = net.forward(feats, adj, Command.FORWARD)
         grads = net.backward(cache, np.zeros(2))
         assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -72,29 +72,28 @@ class TestGcil:
         net = build_network("gcil", seed=2)
         rng = np.random.default_rng(5)
         for seed in range(8):
-            feats, adj, x_ego = _observation(density=5, seed=seed)
-            base = net.act(feats, adj, x_ego, Command.TURN_RIGHT)
+            feats, adj = _observation(density=5, seed=seed)
+            base = net.act(feats, adj, Command.TURN_RIGHT)
             perm = rng.permutation(np.arange(1, feats.shape[0]))
             pf, pa = _permute(feats, adj, perm)
-            permuted = net.act(pf, pa, x_ego, Command.TURN_RIGHT)
+            permuted = net.act(pf, pa, Command.TURN_RIGHT)
             assert base == permuted  # bitwise, thanks to canonical node ordering
 
     def test_handles_any_node_count_without_reinstantiation(self):
         net = build_network("gcil", seed=0)
         for density in (0, 2, 6):
-            feats, adj, x_ego = _observation(density=density, seed=9)
+            feats, adj = _observation(density=density, seed=9)
             assert feats.shape == (density + 1, 12)
-            net.act(feats, adj, x_ego, Command.FORWARD)
+            net.act(feats, adj, Command.FORWARD)
 
     def test_batched_forward_matches_singles(self):
         net = build_network("gcil", seed=3)
         obs = [_observation(density=4, seed=s) for s in range(6)]
         feats = np.stack([o[0] for o in obs])
         adj = np.stack([o[1] for o in obs])
-        x_ego = np.stack([o[2] for o in obs])
-        batched, _ = net.forward_batch(*net.canonical(feats, adj, x_ego), Command.FORWARD)
-        for i, (f, a, x) in enumerate(obs):
-            single, _ = net.forward(f, a, x, Command.FORWARD)
+        batched, _ = net.forward_batch(*net.canonical(feats, adj), Command.FORWARD)
+        for i, (f, a) in enumerate(obs):
+            single, _ = net.forward(f, a, Command.FORWARD)
             # BLAS kernel choice varies with batch size, so agreement is to
             # rounding, not bitwise
             assert np.allclose(batched[i], single, rtol=0, atol=1e-12)
@@ -104,14 +103,13 @@ class TestGcil:
         obs = [_observation(density=3, seed=s) for s in range(4)]
         feats = np.stack([o[0] for o in obs])
         adj = np.stack([o[1] for o in obs])
-        x_ego = np.stack([o[2] for o in obs])
         targets = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 2))
-        u, cache = net.forward_batch(*net.canonical(feats, adj, x_ego), Command.FORWARD)
+        u, cache = net.forward_batch(*net.canonical(feats, adj), Command.FORWARD)
         _, du = batch_action_loss(u, targets)
         batched = net.backward_batch(cache, du)
         summed = None
-        for i, (f, a, x) in enumerate(obs):
-            ui, ci = net.forward(f, a, x, Command.FORWARD)
+        for i, (f, a) in enumerate(obs):
+            ui, ci = net.forward(f, a, Command.FORWARD)
             gi = net.backward(ci, du[i])
             summed = gi if summed is None else {k: summed[k] + gi[k] for k in gi}
         for k in batched:
@@ -146,7 +144,7 @@ class TestNnCilInput:
 
     def test_network_output_in_box(self):
         net = build_network("nncil", seed=1)
-        feats, _, _ = _observation(density=5, seed=4)
+        feats, _ = _observation(density=5, seed=4)
         action = net.act(nncil_vector(feats), Command.TURN_LEFT)
         assert -1.0 <= action.delta <= 1.0 and -1.0 <= action.tau <= 1.0
 
@@ -154,7 +152,7 @@ class TestNnCilInput:
 class TestSetCil:
     def test_permutation_invariance_bit_exact(self):
         net = build_network("setcil", seed=1)
-        feats, _, _ = _observation(density=6, seed=2)
+        feats, _ = _observation(density=6, seed=2)
         elements = set_elements(feats)
         base = net.act(elements, Command.FORWARD)
         rng = np.random.default_rng(0)
@@ -188,7 +186,7 @@ class TestSetCil:
         assert np.allclose(via_set, doubled[0], atol=1e-12)
 
     def test_elements_layout_from_features(self):
-        feats, _, _ = _observation(density=3, seed=6)
+        feats, _ = _observation(density=3, seed=6)
         elements = set_elements(feats)
         assert elements.shape == (4, 6)
         assert np.array_equal(elements[0], feats[0, :6])
@@ -300,12 +298,11 @@ def test_canonical_order_matches_lexsort_reference(batch, n):
     feats = _tie_heavy_rows(rng, (batch, n, 12))
     feats[:, :, :6] = feats[:, :1, :6]  # the shared ego block, as in real features
     adj = rng.uniform(size=(batch, n, n))
-    x_ego = feats[:, 0, :6].copy()
-    got_f, got_a, got_x = GcilNetwork.canonical(feats, adj, x_ego)
+    got_f, got_a = GcilNetwork.canonical(feats, adj)
     # the order is that of the scaled rows; scaling and gathering commute bitwise
     want_f, want_a = _reference_gcil_order(feats / FEATURE_SCALE, adj)
     assert _same_bits(got_f / FEATURE_SCALE, want_f) and _same_bits(got_a, want_a)
-    assert got_x is x_ego
+    assert _same_bits(got_f[:, 0], feats[:, 0])  # the ego row, which forward_batch reads
 
     elems = _tie_heavy_rows(rng, (batch, n, 6))
     (got_e,) = SetCilNetwork.canonical(elems)
@@ -316,11 +313,10 @@ def test_canonical_order_of_a_sample_does_not_depend_on_its_batch():
     rng = np.random.default_rng(9)
     feats = _tie_heavy_rows(rng, (64, 8, 12))
     adj = rng.uniform(size=(64, 8, 8))
-    x_ego = feats[:, 0, :6].copy()
-    batch_f, batch_a, _ = GcilNetwork.canonical(feats, adj, x_ego)
+    batch_f, batch_a = GcilNetwork.canonical(feats, adj)
     (batch_e,) = SetCilNetwork.canonical(feats[:, :, 6:])
     for i in (0, 17, 63):
-        alone_f, alone_a, _ = GcilNetwork.canonical(feats[i:i + 1], adj[i:i + 1], x_ego[i:i + 1])
+        alone_f, alone_a = GcilNetwork.canonical(feats[i:i + 1], adj[i:i + 1])
         (alone_e,) = SetCilNetwork.canonical(feats[i:i + 1, :, 6:])
         assert _same_bits(alone_f[0], batch_f[i]) and _same_bits(alone_a[0], batch_a[i])
         assert _same_bits(alone_e[0], batch_e[i])
@@ -328,8 +324,8 @@ def test_canonical_order_of_a_sample_does_not_depend_on_its_batch():
 
 def test_canonical_order_on_recorded_observations():
     obs = [_observation(density=d, seed=s) for d in (0, 3, 7) for s in range(3)]
-    for feats, adj, x_ego in obs:
-        got_f, got_a, _ = GcilNetwork.canonical(feats[None], adj[None], x_ego[None])
+    for feats, adj in obs:
+        got_f, got_a = GcilNetwork.canonical(feats[None], adj[None])
         want_f, want_a = _reference_gcil_order(feats[None] / FEATURE_SCALE, adj[None])
         assert _same_bits(got_f / FEATURE_SCALE, want_f) and _same_bits(got_a, want_a)
 
@@ -352,7 +348,7 @@ def test_canonical_order_is_that_of_the_scaled_rows():
     feats[0, 1, 6:8] = (b, 0.0)
     feats[0, 2, 6:8] = (a, 1.0)
     adj = np.arange(9.0).reshape(1, 3, 3)
-    got_f, got_a, _ = GcilNetwork.canonical(feats, adj, feats[:, 0, :6])
+    got_f, got_a = GcilNetwork.canonical(feats, adj)
     assert got_f[0, 1, 6] == b and got_f[0, 2, 6] == a
     assert np.array_equal(got_a, adj)
     (got_e,) = SetCilNetwork.canonical(feats[:, :, 6:])

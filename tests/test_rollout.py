@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphnav.dataset import ActionNoise, NoiseParams
+from graphnav.evaluation import AlwaysBrake
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import GraphConfig
 from graphnav.policies import NetworkController, build_network
@@ -21,6 +22,23 @@ def test_exactly_one_terminal_outcome():
     assert record.outcome.tag in OutcomeTag
     assert record.outcome.steps >= 1
     assert record.outcome.elapsed <= CFG.timeout_s + CFG.dt
+
+
+def test_timeout_ends_on_the_step_count():
+    # `world.time` sums dt: after 10 steps of 0.1 s it reads 0.9999999999999999
+    record = run_episode(ScenarioConfig(density=1, timeout_s=1.0), 0, AlwaysBrake(), GraphConfig())
+    assert record.outcome.tag is OutcomeTag.TIMEOUT
+    assert record.outcome.steps == 10
+
+
+def test_recorded_samples_carry_their_episode_step_and_label():
+    record = run_episode(CFG, 5, _expert(), GraphConfig(), record_samples=True,
+                         record_trajectory=True)
+    assert [s.step for s in record.samples] == list(range(record.outcome.steps))
+    ego_rows = [row for row in record.trajectory if row[1] == 0]
+    for s, row in zip(record.samples, ego_rows, strict=True):
+        assert (s.episode_id, s.command) == (5, record.command)
+        assert s.u_star.tolist() == [row[6], row[7]]  # no action noise: executed == label
 
 
 def test_replay_is_bit_identical():
@@ -60,9 +78,7 @@ def test_action_noise_perturbs_execution_not_labels():
                              action_noise=ActionNoise(NoiseParams(), np.random.default_rng([31, 5]), CFG.dt))
     without = run_episode(CFG, 31, _expert(), GraphConfig(), record_samples=True)
     # first recorded label identical (same spawn state); later states diverge
-    assert np.array_equal(
-        np.array([with_noise.samples[0].action.delta, with_noise.samples[0].action.tau]),
-        np.array([without.samples[0].action.delta, without.samples[0].action.tau]))
+    assert np.array_equal(with_noise.samples[0].u_star, without.samples[0].u_star)
 
 
 def test_noise_bursts_are_deterministic():

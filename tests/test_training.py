@@ -84,12 +84,12 @@ def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, reencode
             s = samples[i]
             adj = adjacency_from_features(s.features, graph_cfg.strategy) if reencode else s.adjacency
             [(row, _)] = prepared.gather(command, np.array([i]))
-            inputs = cls.inputs(s.features, adj, s.x_ego)
+            inputs = cls.inputs(s.features, adj)
             expected = cls.canonical(*[a[None] for a in inputs])
             assert len(row) == len(expected)
             for got, want in zip(row, expected):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            action = controller.act(None, None, command, (s.features, adj, s.x_ego))
+            action = controller.act(None, None, command, (s.features, adj))
             u, _ = net.forward_batch(*row, command)
             assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
 
@@ -110,7 +110,7 @@ def test_prepared_rows_are_canonical_and_act_ignores_node_order(tiny_dataset, ki
             s = samples[i]
             order = np.concatenate([[0], 1 + rng.permutation(len(s.features) - 1)])
             feats, adj = s.features[order], s.adjacency[np.ix_(order, order)]
-            action = net.act(*cls.inputs(feats, adj, s.x_ego), command)
+            action = net.act(*cls.inputs(feats, adj), command)
             [(row, _)] = prepared.gather(command, np.array([i]))
             u, _ = net.forward_batch(*row, command)
             assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
@@ -173,9 +173,9 @@ class TestTraining:
         relabeled = DemoDataset()
         for c in COMMANDS:
             s = tiny_dataset.buffers[c][0]
-            u, _ = net.forward(s.features, s.adjacency, s.x_ego, c)
-            relabeled.buffers[c] = [DemoSample(s.features, s.adjacency, s.x_ego,
-                                               s.command, np.array(u), s.episode_id, s.step)]
+            u, _ = net.forward(s.features, s.adjacency, c)
+            relabeled.buffers[c] = [DemoSample(s.features, s.adjacency, s.command,
+                                               np.array(u), s.episode_id, s.step)]
         before = {k: v.copy() for k, v in net.parameters().items()}
         run = train(relabeled, cfg)
         after = run.network.parameters()
@@ -185,7 +185,7 @@ class TestTraining:
     def test_non_finite_loss_stops_with_a_diagnostic_checkpoint(self, tiny_dataset, tmp_path):
         ds = _subset_dataset(tiny_dataset, 4)
         ds.buffers[Command.FORWARD] = [
-            DemoSample(s.features, s.adjacency, s.x_ego, s.command, np.array([np.nan, 0.0]),
+            DemoSample(s.features, s.adjacency, s.command, np.array([np.nan, 0.0]),
                        s.episode_id, s.step) for s in ds.buffers[Command.FORWARD]]
         with pytest.raises(TrainingError, match="non-finite loss nan at step 0"):
             train(ds, _tiny_config(batch_size=12), out_dir=tmp_path)
@@ -268,8 +268,8 @@ class TestCheckpointing:
         run = train(ds, _tiny_config(epochs=1), out_dir=tmp_path)
         loaded = load_checkpoint(tmp_path / "checkpoint_final.json")
         sample = ds.buffers[Command.FORWARD][0]
-        a = run.network.act(sample.features, sample.adjacency, sample.x_ego, Command.FORWARD)
-        b = loaded.network.act(sample.features, sample.adjacency, sample.x_ego, Command.FORWARD)
+        a = run.network.act(sample.features, sample.adjacency, Command.FORWARD)
+        b = loaded.network.act(sample.features, sample.adjacency, Command.FORWARD)
         assert a == b
 
 
@@ -287,8 +287,7 @@ rng = np.random.default_rng(0)
 dataset = DemoDataset()
 for command in COMMANDS:
     dataset.buffers[command] = [
-        DemoSample(features=rng.normal(size=(6, 12)), adjacency=np.eye(6),
-                   x_ego=rng.normal(size=6), command=command,
+        DemoSample(features=rng.normal(size=(6, 12)), adjacency=np.eye(6), command=command,
                    u_star=rng.uniform(-1.0, 1.0, size=2), episode_id=0, step=i)
         for i in range(300)]
 marks = []
