@@ -24,7 +24,7 @@ from .rollout import (POOL_CHUNKSIZE, DemoSample, call_shared, init_worker, pool
 from .vehicle import Action
 from .world import EpisodeOutcome, OutcomeTag, ScenarioConfig
 
-SCHEMA_VERSION = 2  # 1 also stored each record's ego block as "x_ego"; still read
+SCHEMA_VERSION = 2  # 1 also stored each record's ego block on its own; still read
 BUFFER_FILES = {
     Command.FORWARD: "forward.jsonl",
     Command.TURN_LEFT: "turn_left.jsonl",

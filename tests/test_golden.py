@@ -8,8 +8,8 @@ pure-Python polyline and the single per-step projection replaced it; any
 later engine (a vectorized one included) must reproduce them, or report the
 disagreement instead of re-recording them. They were recorded in dataset
 schema 1, whose records also held the ego block on its own as a last key,
-"x_ego"; the test rebuilds each schema-2 line as schema 1 before hashing
-(`conftest.schema_1_line`), which reproduces every recorded line byte for
+"x_ego"; the test hashes the collection rebuilt line by line as schema 1
+(`conftest.write_schema_1`), which reproduces every recorded line byte for
 byte.
 
 The policy digests hash the actions that seeded gcil, nncil and setcil
@@ -51,7 +51,7 @@ from graphnav.policies import NETWORK_KINDS, NetworkController, build_network
 from graphnav.training import TrainConfig, train
 from graphnav.world import spawn_scenario
 
-from conftest import schema_1_line, write_schema_1
+from conftest import write_schema_1
 
 GOLDEN_SHA256 = {
     "forward.jsonl": "e5654cb5cdb40b55f3355d52f8bf54844c9b303e555ca3e2e2a87b73512cbab5",
@@ -80,15 +80,17 @@ def collected(tmp_path_factory):
     return out
 
 
-def schema_1_digests(data) -> dict:
-    """sha256 of each buffer with every line rebuilt as schema 1."""
-    return {name: hashlib.sha256("".join(map(schema_1_line, (data / name).read_text()
-                                            .splitlines(keepends=True))).encode()).hexdigest()
-            for name in GOLDEN_SHA256}
+@pytest.fixture(scope="module")
+def collected_schema_1(collected):
+    out = collected.parent / "schema1"
+    write_schema_1(collected, out)
+    return out
 
 
-def test_collect_digest_is_pinned(collected):
-    assert schema_1_digests(collected) == GOLDEN_SHA256
+def test_collect_digest_is_pinned(collected_schema_1):
+    got = {name: hashlib.sha256((collected_schema_1 / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
 
 
 def training_digests(data, out) -> dict:
@@ -107,12 +109,8 @@ def test_training_bits_are_pinned(collected, tmp_path):
     assert training_digests(collected, tmp_path) == TRAINING_SHA256
 
 
-def test_schema_1_collection_trains_to_the_pinned_bits(collected, tmp_path):
-    old = tmp_path / "schema1"
-    write_schema_1(collected, old)
-    assert {name: hashlib.sha256((old / name).read_bytes()).hexdigest()
-            for name in GOLDEN_SHA256} == GOLDEN_SHA256
-    assert training_digests(old, tmp_path / "runs") == TRAINING_SHA256
+def test_schema_1_collection_trains_to_the_pinned_bits(collected_schema_1, tmp_path):
+    assert training_digests(collected_schema_1, tmp_path) == TRAINING_SHA256
 
 
 def policy_digests() -> dict:
