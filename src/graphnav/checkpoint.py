@@ -20,6 +20,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
+from .jsontypes import require_types
 from .nn import Adam
 from .policies import NETWORK_KINDS, build_network
 
@@ -41,14 +42,14 @@ def graph_config_to_dict(cfg: GraphConfig) -> dict:
     }
 
 
+_GRAPH_TYPES = graph_config_to_dict(GraphConfig())
+
+
 def graph_config_from_dict(d: dict) -> GraphConfig:
-    strategy = EdgeStrategy(
-        kind=EdgeStrategyKind(d["strategy"]),
-        alpha_m=float(d["alpha_m"]),
-        k=int(d["k"]),
-        include_ego_candidate=bool(d["include_ego_candidate"]),
-    )
-    return GraphConfig(strategy=strategy, v_pref=float(d["v_pref"]), ego_frame=bool(d["ego_frame"]))
+    require_types(d, _GRAPH_TYPES)
+    strategy = EdgeStrategy(kind=EdgeStrategyKind(d["strategy"]), alpha_m=d["alpha_m"], k=d["k"],
+                            include_ego_candidate=d["include_ego_candidate"])
+    return GraphConfig(strategy=strategy, v_pref=d["v_pref"], ego_frame=d["ego_frame"])
 
 
 @dataclass
@@ -172,8 +173,8 @@ def load_checkpoint(path, expected_kind: str | None = None) -> LoadedCheckpoint:
         target[...] = arr
 
     try:
-        graph_cfg = graph_config_from_dict(doc["graph"])
-    except (KeyError, TypeError, ValueError) as exc:
+        graph_cfg = graph_config_from_dict(doc.get("graph"))
+    except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: invalid graph section: {exc}") from exc
     return LoadedCheckpoint(
         network=network,

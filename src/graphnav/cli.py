@@ -12,7 +12,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import (ConfigError, config_hash, expert_params, graph_config, key_check,
                      load_config, noise_params, scenario_config, train_config, train_densities)
 from .dataset import DatasetFormatError, collect_dataset, read_dataset, write_dataset
-from .evaluation import (AlwaysBrake, REFERENCE_ABLATION, format_report, run_ablation,
+from .evaluation import (AlwaysBrake, REFERENCE_TRIALS, format_report, run_ablation,
                          run_suite, write_ablation_csv, write_actions_csv, write_suite_csv,
                          write_trajectory_csv, write_trials_csv)
 from .graph import EdgeStrategyKind
@@ -163,7 +163,7 @@ def cmd_ablate(args) -> int:
     started = now_utc()
     out = _ensure_out(args)
     dataset = read_dataset(args.dataset)
-    trials = args.trials if args.trials is not None else 35
+    trials = args.trials if args.trials is not None else REFERENCE_TRIALS
     base_seed = args.seed if args.seed is not None else cfg["eval"]["base_seed"]
     strategy_names = args.strategies.split(",") if args.strategies else [k.value for k in EdgeStrategyKind]
     graph_cfg = graph_config(cfg)
@@ -180,12 +180,11 @@ def cmd_ablate(args) -> int:
     write_ablation_csv(rows, out / "ablation.csv")
     print(f"{'strategy':20} {'SR%':>8} {'CR%':>8} {'time(s)':>8}   reference SR/CR/time")
     for row in rows:
-        ref = REFERENCE_ABLATION.get(row["strategy"], {})
         nav = "NA" if row["mean_nav_time_s"] is None else f"{row['mean_nav_time_s']:.2f}"
+        ref = "/".join("NA" if row[f"ref_{name}"] is None else str(row[f"ref_{name}"])
+                       for name in ("success_rate_pct", "collision_rate_pct", "mean_nav_time_s"))
         print(f"{row['strategy']:20} {row['success_rate_pct']:8.2f} "
-              f"{row['collision_rate_pct']:8.2f} {nav:>8}   "
-              f"{ref.get('success_rate_pct', 'NA')}/{ref.get('collision_rate_pct', 'NA')}"
-              f"/{ref.get('mean_nav_time_s', 'NA')}")
+              f"{row['collision_rate_pct']:8.2f} {nav:>8}   {ref}")
     write_manifest(out, "ablate", cfg, {"base_seed": base_seed, "trials": trials},
                    [out / "ablation.csv"], started)
     return EXIT_OK

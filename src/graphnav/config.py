@@ -16,15 +16,15 @@ import difflib
 import hashlib
 import json
 import math
-import sys
 from collections import namedtuple
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
-from .dataset import NoiseParams
+from .dataset import TRAIN_DENSITIES, NoiseParams
 from .expert import ExpertParams
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
+from .jsontypes import has_type_of, type_name
 from .layout import Arm, Command
 from .policies import NETWORK_KINDS
 from .tracking import TrackingParams
@@ -136,7 +136,7 @@ _TABLE = (
     _row("train.episodes_per_command", check=_NON_NEGATIVE, default=100),
     _row("train.densities", convert=_densities,
          check=(lambda d: min(d.values()) >= 0, "non-negative counts for forward, turn_left, turn_right"),
-         default={"forward": 5, "turn_left": 3, "turn_right": 3}),
+         default={c.value: n for c, n in TRAIN_DENSITIES.items()}),
     _row("eval.trials", check=_AT_LEAST_ONE, default=70),
     _row("eval.base_seed", check=_NON_NEGATIVE, default=10000),
     _row("eval.spawn_window_m", ("eval", "spawn_window"), convert=tuple, default=[19.0, 35.0]),
@@ -192,30 +192,11 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def _has_type_of(value, default) -> bool:
-    """JSON type check against the default: an int passes for a float, a
-    number must be finite, and a list must have the default's length."""
-    if isinstance(default, list):
-        return (isinstance(value, list) and len(value) == len(default)
-                and all(map(_has_type_of, value, default)))
-    if isinstance(default, dict):
-        first = next(iter(default.values()))
-        return isinstance(value, dict) and all(_has_type_of(v, first) for v in value.values())
-    kinds = (int, float) if type(default) is float else (type(default),)
-    return type(value) in kinds and (type(value) is str or abs(value) <= sys.float_info.max)
-
-
-def _type_name(default) -> str:
-    if isinstance(default, (list, dict)):
-        return f"a list of {len(default)} numbers" if isinstance(default, list) else "an object of integers"
-    return {bool: "true or false", str: "a string", int: "an integer", float: "a finite number"}[type(default)]
-
-
 def _validate(cfg: dict) -> None:
     for row in _TABLE:
         key, value = f"{row.section}.{row.name}", cfg[row.section][row.name]
-        if not _has_type_of(value, row.default):
-            raise ConfigError(f"{key} must be {_type_name(row.default)}, got {value!r}")
+        if not has_type_of(value, row.default):
+            raise ConfigError(f"{key} must be {type_name(row.default)}, got {value!r}")
         predicate, requirement = row.check or (lambda v: True, "")
         try:
             ok = predicate(row.convert(value))

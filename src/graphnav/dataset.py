@@ -18,13 +18,15 @@ import numpy as np
 from .atomic import atomic_write
 from .expert import ExpertController, ExpertParams
 from .graph import GraphConfig
+from .jsontypes import has_type_of, require_types
 from .layout import COMMANDS, Command
 from .rollout import (POOL_CHUNKSIZE, DemoSample, call_shared, init_worker, pool_size,
                       run_episode)
 from .vehicle import Action
 from .world import EpisodeOutcome, OutcomeTag, ScenarioConfig
 
-SCHEMA_VERSION = 2  # 1 also stored each record's ego block on its own; still read
+SCHEMA_VERSION = 2
+_RECOLLECT = f"not a schema-{SCHEMA_VERSION} dataset; re-collect it with `graphnav collect`"
 BUFFER_FILES = {
     Command.FORWARD: "forward.jsonl",
     Command.TURN_LEFT: "turn_left.jsonl",
@@ -35,8 +37,8 @@ TRAIN_DENSITIES = {Command.FORWARD: 5, Command.TURN_LEFT: 3, Command.TURN_RIGHT:
 
 
 class DatasetFormatError(ValueError):
-    def __init__(self, path, line_no: int, reason: str) -> None:
-        super().__init__(f"{path}:{line_no}: {reason}")
+    def __init__(self, path, line_no: int | None, reason: str) -> None:
+        super().__init__(f"{path}:{line_no}: {reason}" if line_no else f"{path}: {reason}")
         self.path = str(path)
         self.line_no = line_no
         self.reason = reason
@@ -171,7 +173,8 @@ def _sample_to_record(sample: DemoSample) -> dict:
     }
 
 
-_RECORD_KEYS = {"episode_id", "step", "command", "S", "A", "u_star"}
+_RECORD_TYPES = {"episode_id": 0, "step": 0, "command": "forward", "u_star": [0.0, 0.0]}  # S, A: arrays
+_RECORD_KEYS = {*_RECORD_TYPES, "S", "A"}
 
 
 def _record_to_sample(record: dict) -> DemoSample:
@@ -187,21 +190,14 @@ def _record_to_sample(record: dict) -> DemoSample:
     for name, arr in (("S", feats), ("A", adj), ("u_star", u_star)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} holds a non-finite value")
-    if "x_ego" in record:  # schema 1 stored a copy of the ego block
-        x_ego = np.asarray(record["x_ego"], dtype=float)
-        if x_ego.shape != (6,):
-            raise ValueError("x_ego must have 6 entries")
-        if not np.isfinite(x_ego).all():
-            raise ValueError("x_ego holds a non-finite value")
-        if x_ego.tobytes() != feats[0, :6].tobytes():
-            raise ValueError("x_ego differs from S[0,:6]")
+    require_types(record, _RECORD_TYPES)
     return DemoSample(
         features=feats,
         adjacency=adj,
         command=Command(record["command"]),
         u_star=u_star,
-        episode_id=int(record["episode_id"]),
-        step=int(record["step"]),
+        episode_id=record["episode_id"],
+        step=record["step"],
     )
 
 
@@ -231,9 +227,10 @@ def read_buffer(path, expected_command: Command) -> list[DemoSample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict) or not _RECORD_KEYS.issubset(record):
-                missing = sorted(_RECORD_KEYS - set(record)) if isinstance(record, dict) else "all"
-                raise DatasetFormatError(path, line_no, f"missing fields: {missing}")
+            keys = record.keys() if isinstance(record, dict) else set()
+            if keys != _RECORD_KEYS:
+                raise DatasetFormatError(path, line_no, f"missing fields {sorted(_RECORD_KEYS - keys)}, "
+                                         f"unexpected fields {sorted(keys - _RECORD_KEYS)}: {_RECOLLECT}")
             try:
                 sample = _record_to_sample(record)
             except (ValueError, KeyError, TypeError) as exc:
@@ -250,13 +247,17 @@ def read_dataset(directory) -> DemoDataset:
     directory = Path(directory)
     dataset = DemoDataset()
     manifest_path = directory / "manifest.json"
-    if manifest_path.exists():
-        try:
-            dataset.manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(manifest_path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(dataset.manifest, dict):
-            raise DatasetFormatError(manifest_path, 1, "not a JSON object")
+    try:
+        dataset.manifest = json.loads(manifest_path.read_text())
+    except FileNotFoundError as exc:
+        raise DatasetFormatError(manifest_path, None, f"missing: {_RECOLLECT}") from exc
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(manifest_path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(dataset.manifest, dict):
+        raise DatasetFormatError(manifest_path, 1, "not a JSON object")
+    version = dataset.manifest.get("schema_version")
+    if not has_type_of(version, SCHEMA_VERSION) or version != SCHEMA_VERSION:
+        raise DatasetFormatError(manifest_path, None, f"schema_version {version!r}: {_RECOLLECT}")
     for command, filename in BUFFER_FILES.items():
         path = directory / filename
         if not path.exists():

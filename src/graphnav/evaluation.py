@@ -19,8 +19,9 @@ from .world import EpisodeOutcome, OutcomeTag, ScenarioConfig
 
 SETUPS = (("easy", 3), ("middle", 5), ("hard", 7))
 
-# Reported full-scale reference results for the edge-strategy ablation;
-# printed for orientation next to desk-scale numbers, never asserted.
+# Reported full-scale reference results for the edge-strategy ablation, out of
+# 35 trials (57.14% = 20/35); printed next to desk-scale numbers, never asserted.
+REFERENCE_TRIALS = 35
 REFERENCE_ABLATION = {
     "n_close_weighted": {"success_rate_pct": 57.14, "collision_rate_pct": 42.86, "mean_nav_time_s": 15.45},
     "fully_connected": {"success_rate_pct": 40.00, "collision_rate_pct": 60.00, "mean_nav_time_s": 15.95},

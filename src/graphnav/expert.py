@@ -80,5 +80,5 @@ class ExpertController:
         projection = path.project(x, y)
         return track_path(x, y, world.heading[0], world.speed[0], path, projection,
                           self._target_speed(world, projection[0]), self.tracking,
-                          self.vparams).action
+                          self.vparams)
 

@@ -10,8 +10,7 @@ import numpy as np
 from .graph import GraphConfig, encode_world
 from .layout import Command
 from .vehicle import Action
-from .world import (EpisodeLimits, EpisodeOutcome, OutcomeTracker,
-                    ScenarioConfig, WorldState, spawn_scenario, step_world)
+from .world import EpisodeOutcome, OutcomeTracker, ScenarioConfig, WorldState, spawn_scenario, step_world
 
 
 POOL_CHUNKSIZE = 4  # episodes per task chunk sent to a pool worker
@@ -88,9 +87,7 @@ def run_episode(
     expert's corrections.
     """
     world, goal, command = spawn_scenario(cfg, seed)
-    limits = EpisodeLimits(timeout_s=cfg.timeout_s, miss_distance=cfg.arm_length,
-                           miss_receding_s=cfg.miss_receding_s)
-    tracker = OutcomeTracker(limits)
+    tracker = OutcomeTracker(cfg)
     samples: list | None = [] if record_samples else None
     trajectory: list | None = [] if record_trajectory else None
 

@@ -21,14 +21,6 @@ class TrackingParams:
     desired_gap: float = 6.0         # m, spacing the follower regulates toward
 
 
-@dataclass(frozen=True)
-class TrackResult:
-    action: Action
-    on_path: bool
-    s: float        # arc length of the projection onto the path
-    lateral: float  # distance from the path
-
-
 def pursuit_curvature(x: float, y: float, heading: float, tx: float, ty: float) -> float:
     """Curvature of the arc from the pose (x, y, heading) through (tx, ty).
 
@@ -62,18 +54,18 @@ def track_path(
     target_speed: float,
     tparams: TrackingParams,
     vparams: VehicleParams,
-) -> TrackResult:
+) -> Action:
     """Pure pursuit along `path` from the pose (x, y, heading, speed);
     `projection` is `path.project(x, y)`, which the caller has already
     needed for its own arc length."""
     s, lateral = projection
     if lateral > tparams.capture_distance:
-        return TrackResult(Action(0.0, 0.0), False, s, lateral)
+        return Action(0.0, 0.0)
     tx, ty = path.point_at(s + tparams.lookahead)
     kappa = pursuit_curvature(x, y, heading, tx, ty)
     delta = steering_for_curvature(kappa, vparams)
     tau = speed_control(speed, target_speed, tparams.speed_kp)
-    return TrackResult(Action(delta, tau), True, s, lateral)
+    return Action(delta, tau)
 
 
 def surrounding_control(
@@ -95,4 +87,4 @@ def surrounding_control(
     if leader_gap is not None and leader_gap < tparams.follow_gap:
         spacing_term = leader_speed + 0.5 * (leader_gap - tparams.desired_gap)
         target = min(cruise_speed, max(0.0, spacing_term))
-    return track_path(x, y, heading, speed, path, projection, target, tparams, vparams).action
+    return track_path(x, y, heading, speed, path, projection, target, tparams, vparams)

@@ -269,23 +269,17 @@ def ego_collision(world: WorldState) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class EpisodeLimits:
-    timeout_s: float = 30.0
-    miss_distance: float = 40.0   # m from goal before "receding" can trigger
-    miss_receding_s: float = 2.0  # s of continuous receding outside the box
-
-
 class OutcomeTracker:
     """Per-episode terminal-state detector.
 
     Precedence within a step: collision, then success, then timeout, then
-    goal-missed. Goal-missed needs the ego far from the goal, outside the
-    junction box, and receding for a sustained window, so it carries state.
+    goal-missed. Goal-missed needs the ego more than an arm length from the
+    goal, outside the junction box, and receding for `miss_receding_s`, so it
+    carries state.
     """
 
-    def __init__(self, limits: EpisodeLimits) -> None:
-        self.limits = limits
+    def __init__(self, cfg: ScenarioConfig) -> None:
+        self.cfg = cfg
         self._receding = 0.0
         self._prev_dist: float | None = None
 
@@ -298,15 +292,15 @@ class OutcomeTracker:
         dist = math.hypot(ex - gx, ey - gy)
         if dist < goal.success_radius:
             return EpisodeOutcome(OutcomeTag.SUCCESS, world.time, steps)
-        if steps * world.dt >= self.limits.timeout_s:  # `time` sums dt and can run an ulp short
+        if steps * world.dt >= self.cfg.timeout_s:  # `time` sums dt and can run an ulp short
             return EpisodeOutcome(OutcomeTag.TIMEOUT, world.time, steps)
         outside = not world.layout.junction_contains(ex, ey)
-        if (outside and dist > self.limits.miss_distance
+        if (outside and dist > self.cfg.arm_length
                 and self._prev_dist is not None and dist > self._prev_dist):
             self._receding += world.dt
         else:
             self._receding = 0.0
         self._prev_dist = dist
-        if self._receding >= self.limits.miss_receding_s:
+        if self._receding >= self.cfg.miss_receding_s:
             return EpisodeOutcome(OutcomeTag.GOAL_MISSED, world.time, steps)
         return None

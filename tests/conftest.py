@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from graphnav import rollout
@@ -39,25 +37,6 @@ def make_world(vehicles, route, **fields) -> WorldState:
     return WorldState(dt=0.1, layout=build_layout(), route=[route] * n, length=[4.0] * n,
                       width=[2.0] * n, cruise=list(speed), x=x, y=y, heading=heading,
                       speed=speed, **fields)
-
-
-def schema_1_line(line: str) -> str:
-    """A JSONL record as dataset schema 1 wrote it: the same bytes plus a
-    copy of the ego block, S[0][:6], as the last key "x_ego"."""
-    body = line.rstrip("\n")
-    ego = json.dumps(json.loads(body)["S"][0][:6], separators=(",", ":"))
-    return f'{body[:-1]},"x_ego":{ego}}}{line[len(body):]}'
-
-
-def write_schema_1(src, dst) -> None:
-    """Copy the dataset in `src` to `dst` as schema 1 wrote it."""
-    dst.mkdir(parents=True)
-    for path in src.glob("*.jsonl"):
-        lines = path.read_text().splitlines(keepends=True)
-        (dst / path.name).write_text("".join(map(schema_1_line, lines)))
-    manifest = json.loads((src / "manifest.json").read_text())
-    manifest["schema_version"] = 1
-    (dst / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 @pytest.fixture

@@ -120,8 +120,9 @@ def _drop_param(doc):
     del doc["params"]["gcn.0.w"]
 
 
-# one case per CheckpointError message: (edit of the saved document, expected
-# kind passed to load_checkpoint, the words the message must hold)
+# one case per CheckpointError message, and per JSON type the graph section
+# refuses: (edit of the saved document, expected kind passed to
+# load_checkpoint, the words the message must hold)
 BAD_DOCUMENTS = {
     "version": (_put("format_version", 99), None, "format version 99 unsupported"),
     "kind": (_put("kind", "mlp"), None, "unknown network kind 'mlp'"),
@@ -133,6 +134,12 @@ BAD_DOCUMENTS = {
     "non-finite": (_set("params", "gcn.0.w", [[None] * 32] * 12), None,
                    "'gcn.0.w' holds a non-finite value"),
     "graph-section": (_set("graph", "strategy", "hexagonal"), None, "invalid graph section"),
+    "graph-float-k": (_set("graph", "k", 3.7), None,
+                      "invalid graph section: k must be an integer, got 3.7"),
+    "graph-string-bool": (_set("graph", "include_ego_candidate", "false"), None,
+                          "include_ego_candidate must be true or false, got 'false'"),
+    "graph-nan": (_set("graph", "v_pref", float("nan")), None,
+                  "v_pref must be a finite number, got nan"),
     "topology": (_set("topology", "gcn_widths", [32, 32, 16]), None,
                  "topology does not match the 'gcil' network: differing keys ['gcn_widths']"),
 }

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import shutil
 from types import SimpleNamespace
 
@@ -172,27 +171,39 @@ def test_bad_config_value_is_config_error_naming_the_key(tmp_path, capsys, secti
     assert not (tmp_path / "o").exists()
 
 
-def _train_on_edited_record(workdir, tmp_path, edit):
-    """Train on a copy of the workdir dataset whose second turn_left record
-    went through `edit`; returns the exit code and that buffer's path."""
+def _train_on_edited_copy(workdir, tmp_path, edit):
+    """Train on a copy of the workdir dataset that went through `edit(data)`;
+    returns the exit code and the copy's directory."""
     data = tmp_path / "data"
     shutil.copytree(workdir["data"], data)
-    path = data / "turn_left.jsonl"
-    lines = path.read_text().splitlines(keepends=True)
-    record = json.loads(lines[1])
-    edit(record)
-    lines[1] = json.dumps(record) + "\n"
-    path.write_text("".join(lines))
+    edit(data)
     code = main(["train", "--config", str(workdir["config"]), "--dataset", str(data),
                  "--out", str(tmp_path / "o")])
-    return code, path
+    return code, data
 
 
-@pytest.mark.parametrize("field", ["S", "A", "x_ego", "u_star"])
+def _record_edit(edit):
+    """A dataset edit that passes the second turn_left record through `edit`."""
+    def edit_data(data):
+        path = data / "turn_left.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+    return edit_data
+
+
+def _train_on_edited_record(workdir, tmp_path, edit):
+    """`_train_on_edited_copy` with `edit` applied to the second turn_left
+    record; returns the exit code and that buffer's path."""
+    code, data = _train_on_edited_copy(workdir, tmp_path, _record_edit(edit))
+    return code, data / "turn_left.jsonl"
+
+
+@pytest.mark.parametrize("field", ["S", "A", "u_star"])
 def test_non_finite_dataset_value_is_runtime_error(workdir, tmp_path, capsys, field):
     def edit(record):
-        if field == "x_ego":  # a schema-1 record, which also held the ego block
-            record["x_ego"] = record["S"][0][:6]
         values = record[field][0] if field in ("S", "A") else record[field]
         values[0] = float("nan")
 
@@ -202,24 +213,44 @@ def test_non_finite_dataset_value_is_runtime_error(workdir, tmp_path, capsys, fi
     assert f"{path}:2:" in err and f"{field} holds a non-finite value" in err
 
 
-def test_schema_1_ego_block_one_ulp_off_is_runtime_error(workdir, tmp_path, capsys):
-    def edit(record):
-        record["x_ego"] = record["S"][0][:6]
-        record["x_ego"][1] = math.nextafter(record["x_ego"][1], math.inf)
-
-    code, path = _train_on_edited_record(workdir, tmp_path, edit)
-    assert code == 3
-    err = capsys.readouterr().err
-    assert f"{path}:2:" in err and "x_ego differs from S[0,:6]" in err
-
-
-@pytest.mark.parametrize("field, value", [("step", None), ("episode_id", [1]), ("S", {"a": 1})],
-                         ids=["step-null", "episode_id-list", "S-object"])
+@pytest.mark.parametrize("field, value", [
+    ("step", None), ("episode_id", [1]), ("S", {"a": 1}), ("step", 1.5), ("step", True),
+    ("episode_id", "7"), ("u_star", [True, False]),
+], ids=["step-null", "episode_id-list", "S-object", "step-float", "step-bool", "episode_id-string",
+        "u_star-bools"])
 def test_wrong_json_type_in_dataset_record_is_runtime_error(workdir, tmp_path, capsys,
                                                              field, value):
     code, path = _train_on_edited_record(workdir, tmp_path, lambda r: r.update({field: value}))
     assert code == 3
     assert f"{path}:2:" in capsys.readouterr().err
+
+
+def _schema(version):
+    """Set the manifest's schema_version to `version`, or drop it for None."""
+    def edit(data):
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["schema_version"]
+        if version is not None:
+            manifest["schema_version"] = version
+        (data / "manifest.json").write_text(json.dumps(manifest))
+    return edit
+
+
+@pytest.mark.parametrize("edit, where, reason", [
+    (_schema(99), "manifest.json", "schema_version 99"),
+    (_schema(1), "manifest.json", "schema_version 1"),
+    (_schema(None), "manifest.json", "schema_version None"),
+    (lambda data: (data / "manifest.json").unlink(), "manifest.json", "missing"),
+    # schema 1 also stored each record's ego block as "x_ego"
+    (_record_edit(lambda r: r.update(x_ego=r["S"][0][:6])), "turn_left.jsonl:2",
+     "unexpected fields ['x_ego']"),
+], ids=["schema-99", "schema-1", "no-schema", "no-manifest", "x_ego-record"])
+def test_dataset_of_another_schema_is_runtime_error(workdir, tmp_path, capsys, edit, where,
+                                                    reason):
+    code, data = _train_on_edited_copy(workdir, tmp_path, edit)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{data / where}: " in err and reason in err and "re-collect" in err
 
 
 @pytest.mark.parametrize("text, reason", [("{oops\n", "invalid JSON"),

@@ -10,8 +10,6 @@ from graphnav.graph import GraphConfig
 from graphnav.layout import COMMANDS, Command
 from graphnav.world import ScenarioConfig
 
-from conftest import write_schema_1
-
 
 def _collect(seed=13, density=2):
     cfg = ScenarioConfig(density=density)
@@ -64,19 +62,6 @@ def test_records_hold_the_ego_block_once(tmp_path, tiny_dataset):
             assert set(json.loads(line)) == {"A", "S", "command", "episode_id", "step", "u_star"}
 
 
-def test_schema_1_records_read_as_schema_2(tmp_path, tiny_dataset):
-    write_dataset(tiny_dataset, tmp_path / "new")
-    write_schema_1(tmp_path / "new", tmp_path / "old")
-    new, old = read_dataset(tmp_path / "new"), read_dataset(tmp_path / "old")
-    assert old.manifest == {**new.manifest, "schema_version": 1}
-    for command in COMMANDS:
-        for a, b in zip(new.buffers[command], old.buffers[command], strict=True):
-            assert a.features.tobytes() == b.features.tobytes()
-            assert a.adjacency.tobytes() == b.adjacency.tobytes()
-            assert a.u_star.tobytes() == b.u_star.tobytes()
-            assert (a.episode_id, a.step, a.command) == (b.episode_id, b.step, b.command)
-
-
 def test_write_is_reproducible(tmp_path, tiny_dataset):
     write_dataset(tiny_dataset, tmp_path / "a")
     write_dataset(tiny_dataset, tmp_path / "b")
@@ -123,7 +108,9 @@ def test_missing_field_rejected(tmp_path):
     assert "missing" in str(err.value)
 
 
-def test_missing_buffer_file_raises(tmp_path):
+def test_missing_buffer_file_raises(tmp_path, tiny_dataset):
+    write_dataset(tiny_dataset, tmp_path)
+    (tmp_path / "turn_left.jsonl").unlink()
     with pytest.raises(FileNotFoundError):
         read_dataset(tmp_path)
 

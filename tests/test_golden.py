@@ -2,15 +2,16 @@
 
 `graphnav collect --episodes 1 --seed 0 --jobs 1` is expert-driven, so no
 BLAS call touches it, and its three JSONL buffers hold the features,
-adjacency and action label of every step of three episodes. The digests
-below were recorded from the scalar numpy-geometry simulator before the
-pure-Python polyline and the single per-step projection replaced it; any
-later engine (a vectorized one included) must reproduce them, or report the
-disagreement instead of re-recording them. They were recorded in dataset
-schema 1, whose records also held the ego block on its own as a last key,
-"x_ego"; the test hashes the collection rebuilt line by line as schema 1
-(`conftest.write_schema_1`), which reproduces every recorded line byte for
-byte.
+adjacency and action label of every step of three episodes, in dataset
+schema 2. The simulation they hash was first pinned from the scalar
+numpy-geometry simulator, before the pure-Python polyline and the single
+per-step projection replaced it, in schema 1, whose records also held the
+ego block on its own as a last key, "x_ego". When schema 1 was retired, one
+run rebuilt that collection line by line as schema 1 and matched the old
+pins (e5654cb5..., 911f488e..., f37188a4...), and the same run's schema-2
+bytes gave the digests below. Any later engine (a vectorized one included)
+must reproduce them, or report the disagreement instead of re-recording
+them.
 
 The policy digests hash the actions that seeded gcil, nncil and setcil
 networks return through `NetworkController.act` (encoding, canonical node
@@ -27,8 +28,7 @@ rather than its training bits. They were recorded before training changed
 the C allocator's settings, at the default two OpenBLAS threads of a 2 vCPU
 host. Unlike the policy digests they depend on the BLAS thread count: at
 OPENBLAS_NUM_THREADS=1 nncil's digest holds but gcil's and setcil's differ,
-so no single-thread check of them runs. The schema-1 copy of the collection
-trains to the same digests.
+so no single-thread check of them runs.
 """
 
 import dataclasses
@@ -51,12 +51,10 @@ from graphnav.policies import NETWORK_KINDS, NetworkController, build_network
 from graphnav.training import TrainConfig, train
 from graphnav.world import spawn_scenario
 
-from conftest import write_schema_1
-
 GOLDEN_SHA256 = {
-    "forward.jsonl": "e5654cb5cdb40b55f3355d52f8bf54844c9b303e555ca3e2e2a87b73512cbab5",
-    "turn_left.jsonl": "911f488e86e308918f7760b2611ef9949462d37ded7a542f7760ada108913a38",
-    "turn_right.jsonl": "f37188a48c5b9cd3b92f237c98c8669c1e5c59253e7bf37a6a70beb87a32c5a7",
+    "forward.jsonl": "df995c15149ff5a007f109645742b5a8787f1fde817d0b06c9701e9573a4b07c",
+    "turn_left.jsonl": "f75e5a08ca6c3fc8702a16294fe54a27870e3790b06bc2487e0544078f9e535f",
+    "turn_right.jsonl": "426a4b8ffd91b11e01e372e301d92f1d6e79500691134af00139448fa4300b0d",
 }
 
 POLICY_SHA256 = {
@@ -80,15 +78,8 @@ def collected(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def collected_schema_1(collected):
-    out = collected.parent / "schema1"
-    write_schema_1(collected, out)
-    return out
-
-
-def test_collect_digest_is_pinned(collected_schema_1):
-    got = {name: hashlib.sha256((collected_schema_1 / name).read_bytes()).hexdigest()
+def test_collect_digest_is_pinned(collected):
+    got = {name: hashlib.sha256((collected / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
 
@@ -107,10 +98,6 @@ def training_digests(data, out) -> dict:
 
 def test_training_bits_are_pinned(collected, tmp_path):
     assert training_digests(collected, tmp_path) == TRAINING_SHA256
-
-
-def test_schema_1_collection_trains_to_the_pinned_bits(collected_schema_1, tmp_path):
-    assert training_digests(collected_schema_1, tmp_path) == TRAINING_SHA256
 
 
 def policy_digests() -> dict:

@@ -6,7 +6,7 @@ import pytest
 from graphnav.geometry import Polyline
 from graphnav.tracking import (TrackingParams, pursuit_curvature, speed_control,
                                steering_for_curvature, surrounding_control, track_path)
-from graphnav.vehicle import VehicleParams
+from graphnav.vehicle import Action, VehicleParams
 
 VPARAMS = VehicleParams()
 TPARAMS = TrackingParams()
@@ -28,19 +28,18 @@ def track(state, target_speed):
 
 
 def test_on_path_at_cruise_gives_zero_action():
-    result = track(agent(0.0, 0.0, math.pi / 2, 5.0), 5.0)
-    assert result.on_path
-    assert abs(result.action.delta) < 1e-6
-    assert abs(result.action.tau) < 1e-6
+    action = track(agent(0.0, 0.0, math.pi / 2, 5.0), 5.0)
+    assert abs(action.delta) < 1e-6
+    assert abs(action.tau) < 1e-6
+    # on the path, a speed error is tracked
+    assert track(agent(0.0, 0.0, math.pi / 2, 5.0), 7.0).tau == speed_control(5.0, 7.0, TPARAMS.speed_kp)
 
 
 def test_offset_left_steers_right():
     # positive delta steers left, so a vehicle left of the path must get delta < 0
-    result = track(agent(-0.5, 0.0, math.pi / 2, 5.0), 5.0)
-    assert result.action.delta < 0.0
+    assert track(agent(-0.5, 0.0, math.pi / 2, 5.0), 5.0).delta < 0.0
     # and mirrored: offset right steers left
-    mirrored = track(agent(0.5, 0.0, math.pi / 2, 5.0), 5.0)
-    assert mirrored.action.delta > 0.0
+    assert track(agent(0.5, 0.0, math.pi / 2, 5.0), 5.0).delta > 0.0
 
 
 def test_curvature_matches_bearing_formula():
@@ -75,9 +74,9 @@ def test_speed_control_sign_and_clamp():
 
 
 def test_off_path_holds_zero_action():
-    result = track(agent(10.0, 0.0, 0.0, 5.0), 5.0)
-    assert not result.on_path
-    assert result.action == pytest.approx((0.0, 0.0)) or (result.action.delta, result.action.tau) == (0.0, 0.0)
+    assert track(agent(10.0, 0.0, 0.0, 5.0), 5.0) == Action(0.0, 0.0)
+    # beyond the capture distance even a speed error is not tracked
+    assert track(agent(10.0, 0.0, 0.0, 5.0), 7.0) == Action(0.0, 0.0)
 
 
 def test_following_gap_slows_to_leader():

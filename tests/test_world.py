@@ -7,9 +7,8 @@ import pytest
 from graphnav import world as world_module
 from graphnav.layout import Arm, Command, COMMANDS, build_layout
 from graphnav.vehicle import Action
-from graphnav.world import (EpisodeLimits, GoalSpec, OutcomeTag, OutcomeTracker,
-                            ScenarioConfig, ScenarioError, ego_collision, spawn_scenario,
-                            step_world)
+from graphnav.world import (GoalSpec, OutcomeTag, OutcomeTracker, ScenarioConfig,
+                            ScenarioError, ego_collision, spawn_scenario, step_world)
 
 from conftest import make_world
 
@@ -99,7 +98,7 @@ class TestOutcomeTracker:
     def test_success_inside_radius(self):
         goal = GoalSpec((2.0, 18.0), 2.0)
         world = self._world_with((2.0, 16.1))
-        tracker = OutcomeTracker(EpisodeLimits())
+        tracker = OutcomeTracker(ScenarioConfig())
         outcome = tracker.check(world, goal)
         assert outcome is not None and outcome.tag is OutcomeTag.SUCCESS
 
@@ -108,18 +107,18 @@ class TestOutcomeTracker:
         overlapping = (2.0, 17.0, 0.0, 0.0)
         world = self._world_with((2.0, 17.5), agents=[overlapping])
         assert ego_collision(world)
-        outcome = OutcomeTracker(EpisodeLimits()).check(world, goal)
+        outcome = OutcomeTracker(ScenarioConfig()).check(world, goal)
         assert outcome.tag is OutcomeTag.COLLISION
 
     def test_timeout_boundary_is_inclusive(self):
         goal = GoalSpec((2.0, 18.0), 2.0)
         world = self._world_with((2.0, -30.0), time=30.0)
-        outcome = OutcomeTracker(EpisodeLimits(timeout_s=30.0)).check(world, goal)
+        outcome = OutcomeTracker(ScenarioConfig(timeout_s=30.0)).check(world, goal)
         assert outcome.tag is OutcomeTag.TIMEOUT
 
     def test_goal_missed_needs_sustained_receding(self):
         goal = GoalSpec((2.0, 18.0), 2.0)
-        tracker = OutcomeTracker(EpisodeLimits(miss_distance=40.0, miss_receding_s=2.0))
+        tracker = OutcomeTracker(ScenarioConfig(arm_length=40.0, miss_receding_s=2.0))
         # ego driving south away from the goal, well outside the junction
         outcome = None
         for k in range(40):
@@ -131,7 +130,7 @@ class TestOutcomeTracker:
 
     def test_receding_resets_when_approaching(self):
         goal = GoalSpec((2.0, 18.0), 2.0)
-        tracker = OutcomeTracker(EpisodeLimits(miss_distance=40.0, miss_receding_s=2.0))
+        tracker = OutcomeTracker(ScenarioConfig(arm_length=40.0, miss_receding_s=2.0))
         ys = []
         for k in range(60):
             ys.append(-25.0 - k if k % 3 != 2 else -25.0 - k + 2)  # approaches every 3rd step
