@@ -11,7 +11,8 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import (ConfigError, config_hash, expert_params, graph_config, key_check,
                      load_config, noise_params, scenario_config, train_config, train_densities)
-from .dataset import DatasetFormatError, collect_dataset, read_dataset, write_dataset
+from .dataset import (BUFFER_FILES, DatasetFormatError, collect_dataset, read_dataset,
+                      write_dataset)
 from .evaluation import (AlwaysBrake, REFERENCE_TRIALS, format_report, run_ablation,
                          run_suite, write_ablation_csv, write_actions_csv, write_suite_csv,
                          write_trajectory_csv, write_trials_csv)
@@ -92,8 +93,7 @@ def cmd_collect(args) -> int:
     manifest_path = write_dataset(dataset, out)
     for command, rate in rates.items():
         print(f"expert success rate [{command}]: {rate:.1f}%")
-    files = [out / name for name in ("forward.jsonl", "turn_left.jsonl", "turn_right.jsonl")]
-    files.append(manifest_path)
+    files = [out / name for name in BUFFER_FILES.values()] + [manifest_path]
     write_manifest(out, "collect", cfg, {"base_seed": base_seed, "episodes_per_command": episodes},
                    files, started, extra={"expert_success_rate_pct": rates})
     print(f"wrote {dataset.total()} samples to {out}")

@@ -258,9 +258,15 @@ def read_dataset(directory) -> DemoDataset:
     version = dataset.manifest.get("schema_version")
     if not has_type_of(version, SCHEMA_VERSION) or version != SCHEMA_VERSION:
         raise DatasetFormatError(manifest_path, None, f"schema_version {version!r}: {_RECOLLECT}")
+    counts = dataset.manifest.get("counts")
     for command, filename in BUFFER_FILES.items():
         path = directory / filename
         if not path.exists():
             raise FileNotFoundError(f"missing buffer file {path}")
         dataset.buffers[command] = read_buffer(path, command)
+        expected = counts.get(command.value) if isinstance(counts, dict) else None
+        if expected != len(dataset.buffers[command]):
+            raise DatasetFormatError(path, None, f"{len(dataset.buffers[command])} records, but "
+                                     f"{manifest_path} counts {expected!r}: re-collect it with "
+                                     "`graphnav collect`")
     return dataset

@@ -1,12 +1,16 @@
-"""Finite-difference verification of the analytic gradients."""
+"""Finite-difference verification of the analytic gradients, through the
+training step's own forward, loss and backward."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .dataset import DemoDataset
+from .graph import GraphConfig
 from .layout import COMMANDS
-from .nn import batch_action_loss
-from .policies import FEATURE_SCALE, NETWORKS, build_network
+from .policies import FEATURE_SCALE, build_network
+from .rollout import DemoSample
+from .training import _losses, _PreparedData, _train_step
 
 
 def finite_diff_check(loss_fn, params: dict, analytic: dict, n_samples: int = 200,
@@ -45,66 +49,29 @@ def finite_diff_check(loss_fn, params: dict, analytic: dict, n_samples: int = 20
     return worst
 
 
-def synthetic_inputs(kind: str, rng, batch: int = 4, n_nodes: int = 4):
-    """Random physical-unit-scaled inputs for gradient verification."""
-    samples = []
-    for _ in range(batch):
-        feats = rng.normal(0.0, 2.0, size=(n_nodes, 12)) * FEATURE_SCALE
-        feats[0, 6:] = 0.0
-        feats[:, :6] = feats[0, :6]
-        raw = np.abs(rng.normal(1.0, 0.5, size=(n_nodes, n_nodes))) + 0.05
-        adj = raw / raw.sum(axis=1, keepdims=True)
-        samples.append(NETWORKS[kind].inputs(feats, adj))
-    commands = [COMMANDS[i % 3] for i in range(batch)]
-    return samples, commands
+def policy_gradient_check(network, prepared, n_samples: int = 200, eps: float = 1e-5,
+                          rng=None, margin: float = 1e-3) -> float:
+    """End-to-end check of training's own step on every sample of `prepared`.
 
-
-def policy_gradient_check(network, samples, commands, targets, n_samples: int = 200,
-                          eps: float = 1e-5, rng=None, margin: float = 1e-3) -> float:
-    """End-to-end check of a policy network's backward pass on a small batch.
-
-    The mean action loss over the batch is differentiated analytically and
-    compared against central differences. Raises if any ReLU pre-activation
-    sits within `margin` of its kink, in which case the caller should draw a
-    fresh batch.
+    The gradient `_train_step` returns is compared against central
+    differences of the mean loss it returns. Raises if any ReLU
+    pre-activation sits within `margin` of its kink, in which case the
+    caller should draw a fresh batch.
     """
-    params = network.parameters()
-    batch = len(samples)
-
-    def batch_outputs():
-        outs = []
-        caches = []
-        for inputs, command in zip(samples, commands):
-            u, cache = network.forward(*inputs, command)
-            outs.append(u)
-            caches.append(cache)
-        return np.array(outs), caches
-
-    u, caches = batch_outputs()
-    for cache in caches:
+    every = {c: np.arange(prepared.sizes[c]) for c in COMMANDS}
+    batch = sum(prepared.sizes.values())
+    for *_, cache in _losses(network, prepared, every, batch):
         m = network.kink_margin(cache)
         if m < margin:
             raise ValueError(f"relu pre-activation within {margin} of the kink (min {m:.2e})")
-    per_sample, du = batch_action_loss(u, targets)
-    analytic = None
-    for i, cache in enumerate(caches):
-        grads = network.backward(cache, du[i])
-        if analytic is None:
-            analytic = grads
-        else:
-            for k in analytic:
-                analytic[k] = analytic[k] + grads[k]
-
-    def loss_fn() -> float:
-        outs, _ = batch_outputs()
-        per, _ = batch_action_loss(outs, targets)
-        return float(per.mean())
-
-    return finite_diff_check(loss_fn, params, analytic, n_samples=n_samples, eps=eps, rng=rng)
+    _, _, analytic = _train_step(network, prepared, every, batch)
+    return finite_diff_check(lambda: _train_step(network, prepared, every, batch)[0],
+                             network.parameters(), analytic, n_samples=n_samples, eps=eps, rng=rng)
 
 
 def run_policy_check(kind: str, seed: int = 0, n_samples: int = 200, eps: float = 1e-5) -> float:
-    """Build a fresh seeded network and verify its gradients end to end.
+    """Build a fresh seeded network and verify its training gradient end to end
+    on a synthetic dataset of four physical-unit-scaled 4-node samples.
 
     Targets sit close to the initial outputs so the loss stays small, which
     keeps central-difference cancellation noise far below the tolerance.
@@ -113,13 +80,22 @@ def run_policy_check(kind: str, seed: int = 0, n_samples: int = 200, eps: float 
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt, 3])
         network = build_network(kind, rng=np.random.default_rng([seed, attempt, 1]))
-        samples, commands = synthetic_inputs(kind, rng)
-        outputs = np.array([network.forward(*inputs, command)[0]
-                            for inputs, command in zip(samples, commands)])
+        samples = []
+        for i in range(4):
+            feats = rng.normal(0.0, 2.0, size=(4, 12)) * FEATURE_SCALE
+            feats[0, 6:] = 0.0
+            feats[:, :6] = feats[0, :6]
+            raw = np.abs(rng.normal(1.0, 0.5, size=(4, 4))) + 0.05
+            samples.append((feats, raw / raw.sum(axis=1, keepdims=True), COMMANDS[i % 3]))
+        outputs = np.array([network.forward(*network.inputs(feats, adj), command)[0]
+                            for feats, adj, command in samples])
         targets = np.clip(outputs + rng.uniform(-0.25, 0.25, size=outputs.shape), -1.0, 1.0)
+        dataset = DemoDataset()
+        for i, ((feats, adj, command), u_star) in enumerate(zip(samples, targets)):
+            dataset.buffers[command].append(DemoSample(feats, adj, command, u_star, attempt, i))
+        prepared = _PreparedData(dataset, kind, GraphConfig(), reencode=False)
         try:
-            return policy_gradient_check(network, samples, commands, targets,
-                                         n_samples=n_samples, eps=eps,
+            return policy_gradient_check(network, prepared, n_samples=n_samples, eps=eps,
                                          rng=np.random.default_rng([seed, attempt, 7]))
         except ValueError:
             continue

@@ -49,6 +49,10 @@ class GraphConfig:
     v_pref: float = 6.0      # m/s, preferred ego speed used by the v_err feature
     ego_frame: bool = False  # rotate vector features into the ego frame
 
+    def __post_init__(self) -> None:
+        if not self.v_pref > 0:
+            raise ValueError(f"v_pref must be positive, got {self.v_pref}")
+
 
 def edge_weight(d: float, alpha: float) -> float:
     """Distance-decayed edge weight exp(-d^2 / alpha^2); 1.0 at d = 0."""

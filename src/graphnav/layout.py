@@ -98,9 +98,8 @@ class IntersectionLayout:
     def route(self, arm: Arm, command: Command) -> Route:
         return self.routes[(arm, command)]
 
-    def junction_contains(self, x: float, y: float, inflate: float = 0.0) -> bool:
-        h = self.junction_half + inflate
-        return abs(x) <= h and abs(y) <= h
+    def junction_contains(self, x: float, y: float) -> bool:
+        return abs(x) <= self.junction_half and abs(y) <= self.junction_half
 
     def conflicting(self, a: tuple, b: tuple) -> bool:
         return b in self.conflicts[a]

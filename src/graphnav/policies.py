@@ -139,9 +139,6 @@ class BranchedPolicy:
         u, cache = self.forward_batch(*batch, command)
         return u[0], cache
 
-    def backward(self, cache, du) -> dict:
-        return self.backward_batch(cache, np.asarray(du, dtype=float).reshape(1, 2))
-
     def act(self, *args) -> Action:
         u, _ = self.forward(*args)
         return Action(float(u[0]), float(u[1]))

@@ -100,17 +100,11 @@ def sample_minibatch(dataset_sizes: dict, batch_size: int, rng, step: int) -> di
     return indices
 
 
-@dataclass
-class _Group:
-    n_nodes: int
-    inputs: tuple          # the network's per-sample `inputs`, stacked column by column
-                           # and each sample in `canonical` order
-    targets: np.ndarray    # (B, 2)
-
-
 class _PreparedData:
     """Per-command sample arrays grouped by node count for batched forward
-    passes, each sample put in its network's canonical order once."""
+    passes, each sample put in its network's canonical order once. A group is
+    an (inputs, targets) pair: the network's per-sample `inputs` stacked
+    column by column, each sample in `canonical` order, and the (B, 2) labels."""
 
     def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig, reencode: bool) -> None:
         network_cls = NETWORKS[kind]
@@ -147,7 +141,7 @@ class _PreparedData:
                     for column, ordered in zip(inputs, canon):
                         column[part] = ordered
                 targets = np.stack([s.u_star for s in bucket])
-                groups.append(_Group(n_nodes=n, inputs=inputs, targets=targets))
+                groups.append((inputs, targets))
             self.groups[command] = groups
             self.group_of[command] = group_of
             self.local_of[command] = local_of
@@ -157,37 +151,41 @@ class _PreparedData:
         out = []
         group_of = self.group_of[command][idx]
         local_of = self.local_of[command][idx]
-        for g, group in enumerate(self.groups[command]):
+        for g, (inputs, targets) in enumerate(self.groups[command]):
             sel = local_of[group_of == g]
             if sel.size == 0:
                 continue
-            inputs = tuple(arr[sel] for arr in group.inputs)
-            out.append((inputs, group.targets[sel]))
+            out.append((tuple(arr[sel] for arr in inputs), targets[sel]))
         return out
+
+
+def _losses(network, prepared: _PreparedData, indices: dict, denom: int):
+    """The forward pass and action loss of sampled indices, one node-count
+    group at a time in COMMANDS order. Yields (command, per-sample losses,
+    gradient of their sum / `denom` with respect to the outputs, cache)."""
+    for command in COMMANDS:
+        for inputs, targets in prepared.gather(command, indices[command]):
+            u, cache = network.forward_batch(*inputs, command)
+            per_sample, du = batch_action_loss(u, targets, denom=denom)
+            yield command, per_sample, du, cache
 
 
 def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int):
     """Forward/backward over one minibatch; returns (mean loss, per-command means, grads)."""
     grads = None
-    loss_sum = 0.0
-    per_command = {}
-    for command in COMMANDS:
-        cmd_loss = 0.0
-        cmd_n = 0
-        for inputs, targets in prepared.gather(command, indices[command]):
-            u, cache = network.forward_batch(*inputs, command)
-            per_sample, du = batch_action_loss(u, targets, denom=batch_size)
-            part = network.backward_batch(cache, du)
-            if grads is None:
-                grads = part
-            else:
-                for k in grads:
-                    grads[k] = grads[k] + part[k]
-            cmd_loss += float(per_sample.sum())
-            cmd_n += len(per_sample)
-        loss_sum += cmd_loss
-        per_command[command] = cmd_loss / max(1, cmd_n)
-    return loss_sum / batch_size, per_command, grads
+    cmd_loss = dict.fromkeys(COMMANDS, 0.0)
+    cmd_n = dict.fromkeys(COMMANDS, 0)
+    for command, per_sample, du, cache in _losses(network, prepared, indices, batch_size):
+        part = network.backward_batch(cache, du)
+        if grads is None:
+            grads = part
+        else:
+            for k in grads:
+                grads[k] = grads[k] + part[k]
+        cmd_loss[command] += float(per_sample.sum())
+        cmd_n[command] += len(per_sample)
+    per_command = {c: cmd_loss[c] / max(1, cmd_n[c]) for c in COMMANDS}
+    return sum(cmd_loss.values()) / batch_size, per_command, grads
 
 
 def steps_for(config: TrainConfig, total_samples: int) -> int:
@@ -315,15 +313,6 @@ def write_loss_csv(path, history) -> None:
 def dataset_mean_loss(network, dataset: DemoDataset, config: TrainConfig) -> float:
     """Mean action loss over every sample in the dataset (no sampling)."""
     prepared = _PreparedData(dataset, config.network, config.graph, config.reencode)
-    total = 0.0
-    count = 0
-    for command in COMMANDS:
-        n = prepared.sizes[command]
-        if n == 0:
-            continue
-        for inputs, targets in prepared.gather(command, np.arange(n)):
-            u, _ = network.forward_batch(*inputs, command)
-            per_sample, _ = batch_action_loss(u, targets)
-            total += float(per_sample.sum())
-            count += len(per_sample)
-    return total / max(1, count)
+    every = {c: np.arange(prepared.sizes[c]) for c in COMMANDS}
+    losses = [per_sample for _, per_sample, _, _ in _losses(network, prepared, every, 1)]
+    return sum(float(x.sum()) for x in losses) / max(1, sum(len(x) for x in losses))

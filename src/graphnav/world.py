@@ -183,13 +183,11 @@ def spawn_scenario(cfg: ScenarioConfig, seed: int) -> tuple[WorldState, GoalSpec
         if ok:
             positions = offsets
             break
-    if positions is None and n > 0:
+    if positions is None:
         raise ScenarioError(
             f"could not satisfy min separation {cfg.min_separation} m for "
             f"density {n} after {cfg.max_spawn_attempts} attempts (seed {seed})"
         )
-    if n == 0:
-        positions = np.zeros(0)
 
     cruise = rng.uniform(*cfg.cruise_speed_range, size=n)
     small = rng.random(n) < cfg.small_agent_fraction

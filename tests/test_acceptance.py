@@ -128,7 +128,7 @@ def test_criterion_4_structural_checks():
             layer.w += 55.0
     assert net.act(feats, adj, Command.FORWARD) == before
     _, cache = net.forward(feats, adj, Command.FORWARD)
-    grads = net.backward(cache, np.array([0.4, -0.2]))
+    grads = net.backward_batch(cache, np.array([0.4, -0.2]).reshape(1, 2))
     for cmd in (Command.TURN_LEFT, Command.TURN_RIGHT):
         for i in range(2):
             assert np.all(grads[f"branch.{cmd.value}.{i}.w"] == 0.0)

@@ -140,6 +140,10 @@ BAD_DOCUMENTS = {
                           "include_ego_candidate must be true or false, got 'false'"),
     "graph-nan": (_set("graph", "v_pref", float("nan")), None,
                   "v_pref must be a finite number, got nan"),
+    "graph-negative-v-pref": (_set("graph", "v_pref", -1.0), None,
+                              "invalid graph section: v_pref must be positive, got -1.0"),
+    "graph-zero-v-pref": (_set("graph", "v_pref", 0.0), None,
+                          "invalid graph section: v_pref must be positive, got 0.0"),
     "topology": (_set("topology", "gcn_widths", [32, 32, 16]), None,
                  "topology does not match the 'gcil' network: differing keys ['gcn_widths']"),
 }

@@ -253,6 +253,30 @@ def test_dataset_of_another_schema_is_runtime_error(workdir, tmp_path, capsys, e
     assert f"{data / where}: " in err and reason in err and "re-collect" in err
 
 
+def _buffer_edit(edit_lines):
+    """A dataset edit that replaces forward.jsonl's lines with `edit_lines(lines)`."""
+    def edit(data):
+        path = data / "forward.jsonl"
+        path.write_text("".join(edit_lines(path.read_text().splitlines(keepends=True))))
+    return edit
+
+
+@pytest.mark.parametrize("edit_lines", [lambda lines: lines[:10],
+                                        lambda lines: lines + lines[-1:]],
+                         ids=["cut-after-line-10", "one-record-repeated"])
+def test_buffer_count_other_than_the_manifest_is_runtime_error(workdir, tmp_path, capsys,
+                                                               edit_lines):
+    manifest = json.loads((workdir["data"] / "manifest.json").read_text())
+    expected = manifest["counts"]["forward"]
+    code, data = _train_on_edited_copy(workdir, tmp_path, _buffer_edit(edit_lines))
+    assert code == 3
+    got = len((data / "forward.jsonl").read_text().splitlines())
+    assert got != expected
+    err = capsys.readouterr().err
+    assert f"{data / 'forward.jsonl'}: {got} records" in err
+    assert f"{data / 'manifest.json'} counts {expected}" in err and "re-collect" in err
+
+
 @pytest.mark.parametrize("text, reason", [("{oops\n", "invalid JSON"),
                                           ("[1, 2]\n", "not a JSON object")],
                          ids=["invalid-json", "not-an-object"])

@@ -108,6 +108,18 @@ def test_missing_field_rejected(tmp_path):
     assert "missing" in str(err.value)
 
 
+def test_buffer_count_must_match_the_manifest(tmp_path, tiny_dataset):
+    write_dataset(tiny_dataset, tmp_path)
+    path = tmp_path / "turn_right.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(DatasetFormatError) as err:
+        read_dataset(tmp_path)
+    assert err.value.path == str(path)
+    assert f"{len(lines) - 1} records, but {tmp_path / 'manifest.json'} counts {len(lines)}" \
+        in err.value.reason
+
+
 def test_missing_buffer_file_raises(tmp_path, tiny_dataset):
     write_dataset(tiny_dataset, tmp_path)
     (tmp_path / "turn_left.jsonl").unlink()

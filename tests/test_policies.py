@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from graphnav.gradcheck import policy_gradient_check, run_policy_check, synthetic_inputs
+import graphnav.training
+from graphnav.gradcheck import run_policy_check
 from graphnav.graph import GraphConfig, build_features, encode_world
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import batch_action_loss
@@ -54,7 +55,7 @@ class TestGcil:
         net = build_network("gcil", seed=0)
         feats, adj = _observation()
         _, cache = net.forward(feats, adj, Command.FORWARD)
-        grads = net.backward(cache, np.array([0.3, -0.7]))
+        grads = net.backward_batch(cache, np.array([0.3, -0.7]).reshape(1, 2))
         for cmd in (Command.TURN_LEFT, Command.TURN_RIGHT):
             for i in range(2):
                 assert np.all(grads[f"branch.{cmd.value}.{i}.w"] == 0.0)
@@ -65,7 +66,7 @@ class TestGcil:
         net = build_network("gcil", seed=0)
         feats, adj = _observation()
         _, cache = net.forward(feats, adj, Command.FORWARD)
-        grads = net.backward(cache, np.zeros(2))
+        grads = net.backward_batch(cache, np.zeros(2).reshape(1, 2))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_permutation_equivariance_bit_exact(self):
@@ -110,7 +111,7 @@ class TestGcil:
         summed = None
         for i, (f, a) in enumerate(obs):
             ui, ci = net.forward(f, a, Command.FORWARD)
-            gi = net.backward(ci, du[i])
+            gi = net.backward_batch(ci, du[i].reshape(1, 2))
             summed = gi if summed is None else {k: summed[k] + gi[k] for k in gi}
         for k in batched:
             assert np.allclose(batched[k], summed[k], atol=1e-12)
@@ -199,6 +200,16 @@ class TestGradientFidelity:
         err = run_policy_check(kind, seed=0, n_samples=120)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("kind", NETWORK_KINDS)
+    def test_a_wrong_training_gradient_fails_the_check(self, kind, monkeypatch):
+        # the check runs training's own step: doubling the output gradient
+        # that `_train_step` backpropagates must show, the loss staying right
+        def doubled(u, targets, denom=None):
+            per_sample, du = batch_action_loss(u, targets, denom=denom)
+            return per_sample, 2.0 * du
+        monkeypatch.setattr(graphnav.training, "batch_action_loss", doubled)
+        assert run_policy_check(kind, seed=0, n_samples=40) > 1e-4
+
     def test_perception_dimension(self):
         net = build_network("gcil", seed=0)
         assert net.head.n_in == 16  # 10 graph channels + 6 ego entries
@@ -214,7 +225,7 @@ def test_branch_isolation_holds_for_every_network(kind):
             layer.w -= 11.0
     assert net.act(*inputs, Command.TURN_RIGHT) == before
     _, cache = net.forward(*inputs, Command.TURN_RIGHT)
-    grads = net.backward(cache, np.array([0.1, 0.9]))
+    grads = net.backward_batch(cache, np.array([0.1, 0.9]).reshape(1, 2))
     for cmd in (Command.FORWARD, Command.TURN_LEFT):
         for i in range(2):
             assert np.all(grads[f"branch.{cmd.value}.{i}.w"] == 0.0)
@@ -253,7 +264,8 @@ def test_parameter_names_and_topology_are_pinned(kind, frontend_names, frontend_
     assert net.topology() == {**frontend_topology, **HEAD_TOPOLOGY}
     inputs = net.inputs(*_observation(density=3, seed=2))
     _, cache = net.forward(*inputs, Command.TURN_LEFT)
-    assert sorted(net.backward(cache, np.array([0.3, -0.2]))) == sorted(net.parameters())
+    grads = net.backward_batch(cache, np.array([0.3, -0.2]).reshape(1, 2))
+    assert sorted(grads) == sorted(net.parameters())
 
 
 def _reference_gcil_order(feats, adj):

@@ -101,10 +101,10 @@ def test_prepared_rows_are_canonical_and_act_ignores_node_order(tiny_dataset, ki
     cls = NETWORKS[kind]
     rng = np.random.default_rng(0)
     for command in COMMANDS:
-        for group in prepared.groups[command]:
+        for inputs, _ in prepared.groups[command]:
             # canonical rows are a fixed point: ordering them again moves no bit
-            again = cls.canonical(*group.inputs)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(group.inputs, again))
+            again = cls.canonical(*inputs)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, again))
         samples = tiny_dataset.buffers[command]
         for i in range(0, len(samples), 7):
             s = samples[i]
@@ -122,8 +122,8 @@ def test_canonical_order_does_not_depend_on_the_preparation_chunk(tiny_dataset, 
     monkeypatch.setattr("graphnav.training.CANONICAL_CHUNK", 3)
     chunked = _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=False)
     for command in COMMANDS:
-        for a, b in zip(whole.groups[command], chunked.groups[command], strict=True):
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(a.inputs, b.inputs, strict=True))
+        for (a, _), (b, _) in zip(whole.groups[command], chunked.groups[command], strict=True):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
