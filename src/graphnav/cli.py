@@ -11,17 +11,16 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import (ConfigError, config_hash, expert_params, graph_config, key_check,
                      load_config, noise_params, scenario_config, train_config, train_densities)
-from .dataset import (BUFFER_FILES, DatasetFormatError, collect_dataset, read_dataset,
-                      write_dataset)
-from .evaluation import (AlwaysBrake, REFERENCE_TRIALS, format_report, run_ablation,
-                         run_suite, write_ablation_csv, write_actions_csv, write_suite_csv,
-                         write_trajectory_csv, write_trials_csv)
+from .dataset import BUFFER_FILES, DatasetFormatError, read_dataset, write_dataset
+from .evaluation import (AlwaysBrake, REFERENCE_TRIALS, collect_dataset, format_report,
+                         run_ablation, run_episodes, run_suite, write_ablation_csv,
+                         write_actions_csv, write_suite_csv, write_trajectory_csv,
+                         write_trials_csv)
 from .graph import EdgeStrategyKind
 from .gradcheck import run_policy_check
 from .layout import Command
 from .manifest import now_utc, write_manifest
 from .policies import NETWORK_KINDS, NetworkController
-from .rollout import run_episode
 from .training import TrainingError, train
 from .world import ScenarioError
 
@@ -196,9 +195,9 @@ def cmd_replay(args) -> int:
     out = _ensure_out(args)
     loaded = load_checkpoint(args.checkpoint, expected_kind=args.network)
     policy = NetworkController(loaded.network)
-    scenario = scenario_config(cfg, mode="eval")
-    scenario = replace(scenario, command=Command(args.command), density=args.density)
-    record = run_episode(scenario, args.seed, policy, loaded.graph, record_trajectory=True)
+    (record,) = run_episodes(policy, scenario_config(cfg, mode="eval"), loaded.graph,
+                             [(Command(args.command), args.density, args.seed)],
+                             record_trajectory=True)
     actions_path = out / "actions.csv"
     write_actions_csv(actions_path, record.trajectory)
     trajectory_path = out / "trajectory.csv"

@@ -21,12 +21,13 @@ from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
-from .dataset import TRAIN_DENSITIES, NoiseParams
+from .evaluation import TRAIN_DENSITIES
 from .expert import ExpertParams
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
 from .jsontypes import has_type_of, type_name
 from .layout import Arm, Command
 from .policies import NETWORK_KINDS
+from .rollout import NoiseParams
 from .tracking import TrackingParams
 from .training import TrainConfig
 from .vehicle import VehicleParams

@@ -1,4 +1,4 @@
-"""Demonstration buffers: collection, JSON-Lines persistence, manifests.
+"""Demonstration buffers on disk: JSON-Lines records and the manifest.
 
 One file per command buffer (forward.jsonl, turn_left.jsonl,
 turn_right.jsonl) plus manifest.json. Records round-trip exactly: floats are
@@ -8,22 +8,15 @@ written with shortest-repr JSON encoding, which parses back bit-identical.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
-from .expert import ExpertController, ExpertParams
-from .graph import GraphConfig
 from .jsontypes import has_type_of, require_types
 from .layout import COMMANDS, Command
-from .rollout import (POOL_CHUNKSIZE, DemoSample, call_shared, init_worker, pool_size,
-                      run_episode)
-from .vehicle import Action
-from .world import EpisodeOutcome, OutcomeTag, ScenarioConfig
+from .rollout import DemoSample
 
 SCHEMA_VERSION = 2
 _RECOLLECT = f"not a schema-{SCHEMA_VERSION} dataset; re-collect it with `graphnav collect`"
@@ -32,8 +25,6 @@ BUFFER_FILES = {
     Command.TURN_LEFT: "turn_left.jsonl",
     Command.TURN_RIGHT: "turn_right.jsonl",
 }
-# surrounding-vehicle counts used when collecting each command's episodes
-TRAIN_DENSITIES = {Command.FORWARD: 5, Command.TURN_LEFT: 3, Command.TURN_RIGHT: 3}
 
 
 class DatasetFormatError(ValueError):
@@ -42,39 +33,6 @@ class DatasetFormatError(ValueError):
         self.path = str(path)
         self.line_no = line_no
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Short perturbation bursts applied to the executed (not recorded) action
-    during collection, so the buffers cover off-path states with the expert's
-    corrective labels."""
-
-    burst_prob: float = 0.03          # per-step chance to start a burst
-    duration_s: tuple = (0.4, 1.0)    # burst length range
-    delta_amp: float = 0.35           # steering offset bound
-    tau_amp: float = 0.2              # throttle offset bound
-
-
-class ActionNoise:
-    def __init__(self, params: NoiseParams, rng, dt: float) -> None:
-        self.params = params
-        self.rng = rng
-        self.dt = dt
-        self._remaining = 0
-        self._offset = (0.0, 0.0)
-
-    def __call__(self, step: int, action: Action) -> Action:
-        p = self.params
-        if self._remaining <= 0 and self.rng.random() < p.burst_prob:
-            self._remaining = max(1, int(self.rng.uniform(*p.duration_s) / self.dt))
-            self._offset = (self.rng.uniform(-p.delta_amp, p.delta_amp),
-                            self.rng.uniform(-p.tau_amp, p.tau_amp))
-        if self._remaining > 0:
-            self._remaining -= 1
-            return Action(min(1.0, max(-1.0, action.delta + self._offset[0])),
-                          min(1.0, max(-1.0, action.tau + self._offset[1])))
-        return action
 
 
 @dataclass
@@ -87,79 +45,6 @@ class DemoDataset:
 
     def total(self) -> int:
         return sum(len(b) for b in self.buffers.values())
-
-
-def collect_episode(cfg: ScenarioConfig, seed: int, expert: ExpertController,
-                    graph_cfg: GraphConfig,
-                    noise: NoiseParams | None = None) -> tuple[list[DemoSample], EpisodeOutcome]:
-    """Record one expert episode; kept whether it succeeds or fails."""
-    action_noise = None
-    if noise is not None:
-        action_noise = ActionNoise(noise, np.random.default_rng([seed, 5]), cfg.dt)
-    record = run_episode(cfg, seed, expert, graph_cfg, record_samples=True,
-                         action_noise=action_noise)
-    return record.samples, record.outcome
-
-
-def _collect_one(base_cfg: ScenarioConfig, expert_params: ExpertParams, graph_cfg: GraphConfig,
-                 noise: NoiseParams | None, task) -> tuple[str, int, list[DemoSample], EpisodeOutcome]:
-    command, density, seed = task
-    cfg = replace(base_cfg, command=command, density=density)
-    expert = ExpertController(expert_params, cfg.vehicle, cfg.tracking)
-    samples, outcome = collect_episode(cfg, seed, expert, graph_cfg, noise=noise)
-    return command.value, seed, samples, outcome
-
-
-def collect_dataset(
-    base_cfg: ScenarioConfig,
-    graph_cfg: GraphConfig,
-    expert_params: ExpertParams,
-    episodes_per_command: int,
-    base_seed: int,
-    densities: dict | None = None,
-    jobs: int = 1,
-    noise: NoiseParams | None = NoiseParams(),
-) -> tuple[DemoDataset, dict]:
-    """Collect per-command buffers; returns the dataset and expert success rates."""
-    densities = densities or TRAIN_DENSITIES
-    tasks = []
-    for ci, command in enumerate(COMMANDS):
-        for i in range(episodes_per_command):
-            tasks.append((command, densities[command], base_seed + ci * episodes_per_command + i))
-
-    shared = (base_cfg, expert_params, graph_cfg, noise)
-    workers = pool_size(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=init_worker,
-                                 initargs=shared) as pool:
-            results = list(pool.map(partial(call_shared, _collect_one), tasks,
-                                    chunksize=POOL_CHUNKSIZE))
-    else:
-        results = [_collect_one(*shared, t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
-
-    dataset = DemoDataset()
-    successes = {c: 0 for c in COMMANDS}
-    for command_value, _seed, samples, outcome in results:
-        command = Command(command_value)
-        dataset.buffers[command].extend(samples)
-        if outcome.tag is OutcomeTag.SUCCESS:
-            successes[command] += 1
-    rates = {c.value: 100.0 * successes[c] / max(1, episodes_per_command) for c in COMMANDS}
-    dataset.manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "base_seed": base_seed,
-        "episodes_per_command": episodes_per_command,
-        "densities": {c.value: densities[c] for c in COMMANDS},
-        "counts": dataset.counts(),
-        "expert_success_rate_pct": rates,
-        "strategy": graph_cfg.strategy.kind.value,
-        # stored features are raw physical units; policy networks divide by
-        # fixed characteristic scales (see policies.BLOCK_SCALE) at their input
-        "inputs_normalized": False,
-        "network_feature_scale": {"distance_m": 20.0, "speed_mps": 5.0},
-    }
-    return dataset, rates
 
 
 def _sample_to_record(sample: DemoSample) -> dict:

@@ -1,23 +1,26 @@
-"""Closed-loop evaluation: seeded trial suites, rates, report tables, ablations."""
+"""Seeded episode grids and their one process-pool fan-out: expert collection,
+closed-loop trial suites, rates, report tables, ablations."""
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 from .atomic import atomic_write
-from .dataset import DemoDataset
+from .dataset import SCHEMA_VERSION, DemoDataset
+from .expert import ExpertController, ExpertParams
 from .graph import GraphConfig
 from .layout import COMMANDS, Command
 from .policies import NetworkController
-from .rollout import POOL_CHUNKSIZE, call_shared, init_worker, pool_size, run_episode
+from .rollout import EpisodeRecord, NoiseParams, run_episode
 from .training import TrainConfig, train
 from .vehicle import Action
 from .world import EpisodeOutcome, OutcomeTag, ScenarioConfig
 
 SETUPS = (("easy", 3), ("middle", 5), ("hard", 7))
+# surrounding-vehicle counts used when collecting each command's episodes
+TRAIN_DENSITIES = {Command.FORWARD: 5, Command.TURN_LEFT: 3, Command.TURN_RIGHT: 3}
 
 # Reported full-scale reference results for the edge-strategy ablation, out of
 # 35 trials (57.14% = 20/35); printed next to desk-scale numbers, never asserted.
@@ -98,12 +101,96 @@ def _cell_stats(results) -> dict:
     }
 
 
-def _run_trial(policy, base_cfg: ScenarioConfig, graph_cfg: GraphConfig,
-               record_trajectory: bool, task) -> tuple:
-    setup, density, command, seed = task
+POOL_CHUNKSIZE = 4  # episodes per task chunk sent to a pool worker
+
+
+def pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker processes for `n_tasks` episodes mapped in POOL_CHUNKSIZE chunks:
+    `jobs`, capped at the chunk count; 1 or less means run serially."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, -(-n_tasks // POOL_CHUNKSIZE))
+
+
+# Arguments every episode of one pool shares (controller, configs, flags), set
+# once per worker by the pool initializer so the per-chunk tasks stay small.
+_worker_shared: tuple = ()
+
+
+def _init_worker(*shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _run_task(controller, base_cfg: ScenarioConfig, graph_cfg: GraphConfig,
+              noise: NoiseParams | None, record_samples: bool, record_trajectory: bool,
+              task) -> EpisodeRecord:
+    command, density, seed = task
     cfg = replace(base_cfg, command=command, density=density)
-    record = run_episode(cfg, seed, policy, graph_cfg, record_trajectory=record_trajectory)
-    return (setup, command.value, seed, record.outcome, record.trajectory)
+    return run_episode(cfg, seed, controller, graph_cfg, record_samples=record_samples,
+                       record_trajectory=record_trajectory, noise=noise)
+
+
+def _run_shared(task) -> EpisodeRecord:
+    """_run_task with the arguments _init_worker stored in this worker."""
+    return _run_task(*_worker_shared, task)
+
+
+def run_episodes(controller, base_cfg: ScenarioConfig, graph_cfg: GraphConfig, tasks,
+                 jobs: int = 1, noise: NoiseParams | None = None, record_samples: bool = False,
+                 record_trajectory: bool = False) -> list[EpisodeRecord]:
+    """One episode of `base_cfg` per (command, density, seed) task, with that
+    command and density; the records come back in task order. With `jobs` > 1
+    the tasks are mapped over worker processes in POOL_CHUNKSIZE chunks."""
+    shared = (controller, base_cfg, graph_cfg, noise, record_samples, record_trajectory)
+    workers = pool_size(jobs, len(tasks))
+    if workers <= 1:
+        return [_run_task(*shared, task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=shared) as pool:
+        return list(pool.map(_run_shared, tasks, chunksize=POOL_CHUNKSIZE))
+
+
+def collect_dataset(
+    base_cfg: ScenarioConfig,
+    graph_cfg: GraphConfig,
+    expert_params: ExpertParams,
+    episodes_per_command: int,
+    base_seed: int,
+    densities: dict | None = None,
+    jobs: int = 1,
+    noise: NoiseParams | None = NoiseParams(),
+) -> tuple[DemoDataset, dict]:
+    """Per-command buffers of expert episodes, failed ones kept, and the expert's
+    success rates. The expert keeps no state, so one instance drives every episode."""
+    densities = densities or TRAIN_DENSITIES
+    tasks = [(command, densities[command], base_seed + ci * episodes_per_command + i)
+             for ci, command in enumerate(COMMANDS) for i in range(episodes_per_command)]
+    expert = ExpertController(expert_params, base_cfg.vehicle, base_cfg.tracking)
+    records = run_episodes(expert, base_cfg, graph_cfg, tasks, jobs=jobs, noise=noise,
+                           record_samples=True)
+
+    dataset = DemoDataset()
+    successes = {c: 0 for c in COMMANDS}
+    for record in records:
+        dataset.buffers[record.command].extend(record.samples)
+        if record.outcome.tag is OutcomeTag.SUCCESS:
+            successes[record.command] += 1
+    rates = {c.value: 100.0 * successes[c] / max(1, episodes_per_command) for c in COMMANDS}
+    dataset.manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "base_seed": base_seed,
+        "episodes_per_command": episodes_per_command,
+        "densities": {c.value: densities[c] for c in COMMANDS},
+        "counts": dataset.counts(),
+        "expert_success_rate_pct": rates,
+        "strategy": graph_cfg.strategy.kind.value,
+        # stored features are raw physical units; policy networks divide by
+        # fixed characteristic scales (see policies.BLOCK_SCALE) at their input
+        "inputs_normalized": False,
+        "network_feature_scale": {"distance_m": 20.0, "speed_mps": 5.0},
+    }
+    return dataset, rates
 
 
 def run_suite(
@@ -122,31 +209,22 @@ def run_suite(
     base_seed + global trial index."""
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be >= 1")
-    tasks = []
-    index = 0
+    labels, tasks = [], []
     for setup, density in setups:
         for command in commands:
             for _ in range(trials_per_cell):
-                tasks.append((setup, density, command, base_seed + index))
-                index += 1
-    shared = (policy, base_cfg, graph_cfg, trajectory_dir is not None)
-    workers = pool_size(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=init_worker,
-                                 initargs=shared) as pool:
-            raw = list(pool.map(partial(call_shared, _run_trial), tasks,
-                                chunksize=POOL_CHUNKSIZE))
-    else:
-        raw = [_run_trial(*shared, t) for t in tasks]
-    raw.sort(key=lambda r: r[2])  # aggregation is order-independent; sort by seed
+                labels.append(setup)
+                tasks.append((command, density, base_seed + len(tasks)))
+    records = run_episodes(policy, base_cfg, graph_cfg, tasks, jobs=jobs,
+                           record_trajectory=trajectory_dir is not None)
 
     results = []
-    for setup, command_value, seed, outcome, trajectory in raw:
-        results.append(TrialResult(setup=setup, command=Command(command_value),
-                                   seed=seed, outcome=outcome))
-        if trajectory_dir is not None and trajectory is not None:
-            path = Path(trajectory_dir) / f"trajectory_{setup}_{command_value}_{seed}.csv"
-            write_trajectory_csv(path, trajectory)
+    for setup, record in zip(labels, records):
+        results.append(TrialResult(setup=setup, command=record.command, seed=record.seed,
+                                   outcome=record.outcome))
+        if trajectory_dir is not None:
+            name = f"trajectory_{setup}_{record.command.value}_{record.seed}.csv"
+            write_trajectory_csv(Path(trajectory_dir) / name, record.trajectory)
 
     cells = {}
     for setup, _density in setups:

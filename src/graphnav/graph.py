@@ -54,13 +54,6 @@ class GraphConfig:
             raise ValueError(f"v_pref must be positive, got {self.v_pref}")
 
 
-def edge_weight(d: float, alpha: float) -> float:
-    """Distance-decayed edge weight exp(-d^2 / alpha^2); 1.0 at d = 0."""
-    if d < 0 or alpha <= 0:
-        raise ValueError(f"need d >= 0 and alpha > 0, got d={d}, alpha={alpha}")
-    return math.exp(-(d * d) / (alpha * alpha))
-
-
 def _rotate(pairs: np.ndarray, angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])

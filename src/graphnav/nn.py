@@ -218,17 +218,13 @@ class Adam:
         return opt
 
 
-def batch_action_loss(u: np.ndarray, targets: np.ndarray, denom: int | None = None):
-    """Per-sample losses and the gradient of their mean.
-
-    `denom` overrides the batch size when this slice is part of a larger
-    minibatch whose mean is taken over the full batch.
-    """
+def batch_action_loss(u: np.ndarray, targets: np.ndarray, denom: int):
+    """Per-sample losses and the gradient of their sum divided by `denom`:
+    the size of the whole minibatch this slice of it belongs to."""
     u = np.asarray(u, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if not (u.shape == targets.shape and u.ndim == 2 and u.shape[1] == 2):
         raise ValueError(f"batch actions must be (B, 2), got {u.shape} and {targets.shape}")
     diff = u - targets
     per_sample = (diff * diff).sum(axis=1)
-    n = denom if denom is not None else u.shape[0]
-    return per_sample, (2.0 / n) * diff
+    return per_sample, (2.0 / denom) * diff

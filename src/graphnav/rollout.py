@@ -13,30 +13,37 @@ from .vehicle import Action
 from .world import EpisodeOutcome, OutcomeTracker, ScenarioConfig, WorldState, spawn_scenario, step_world
 
 
-POOL_CHUNKSIZE = 4  # episodes per task chunk sent to a pool worker
+@dataclass(frozen=True)
+class NoiseParams:
+    """Short perturbation bursts applied to the executed (not recorded) action
+    during collection, so the buffers cover off-path states with the expert's
+    corrective labels."""
+
+    burst_prob: float = 0.03          # per-step chance to start a burst
+    duration_s: tuple = (0.4, 1.0)    # burst length range
+    delta_amp: float = 0.35           # steering offset bound
+    tau_amp: float = 0.2              # throttle offset bound
 
 
-def pool_size(jobs: int, n_tasks: int) -> int:
-    """Worker processes for `n_tasks` episodes mapped in POOL_CHUNKSIZE chunks:
-    `jobs`, capped at the chunk count; 1 or less means run serially."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, -(-n_tasks // POOL_CHUNKSIZE))
+class ActionNoise:
+    def __init__(self, params: NoiseParams, rng, dt: float) -> None:
+        self.params = params
+        self.rng = rng
+        self.dt = dt
+        self._remaining = 0
+        self._offset = (0.0, 0.0)
 
-
-# Arguments every episode of one pool shares (policy, configs), set once per
-# worker by the pool initializer so the per-chunk tasks stay small.
-_worker_shared: tuple = ()
-
-
-def init_worker(*shared) -> None:
-    global _worker_shared
-    _worker_shared = shared
-
-
-def call_shared(fn, task):
-    """fn(*shared, task) with the arguments init_worker stored in this worker."""
-    return fn(*_worker_shared, task)
+    def __call__(self, action: Action) -> Action:
+        p = self.params
+        if self._remaining <= 0 and self.rng.random() < p.burst_prob:
+            self._remaining = max(1, int(self.rng.uniform(*p.duration_s) / self.dt))
+            self._offset = (self.rng.uniform(-p.delta_amp, p.delta_amp),
+                            self.rng.uniform(-p.tau_amp, p.tau_amp))
+        if self._remaining > 0:
+            self._remaining -= 1
+            return Action(min(1.0, max(-1.0, action.delta + self._offset[0])),
+                          min(1.0, max(-1.0, action.tau + self._offset[1])))
+        return action
 
 
 @dataclass
@@ -73,7 +80,7 @@ def run_episode(
     graph_cfg: GraphConfig,
     record_samples: bool = False,
     record_trajectory: bool = False,
-    action_noise=None,
+    noise: NoiseParams | None = None,
 ) -> EpisodeRecord:
     """Run one seeded episode to its terminal outcome.
 
@@ -81,12 +88,14 @@ def run_episode(
     returns an Action for the ego; surrounding agents are scripted inside
     step_world. Exactly one terminal outcome is produced.
 
-    `action_noise`, when given, maps (step, action) to the action actually
-    executed; the recorded sample keeps the controller's clean action. This
+    `noise`, when given, perturbs the executed action in bursts seeded from
+    [seed, 5]; the recorded sample keeps the controller's clean action. This
     lets demonstration collection visit off-path states whose labels are the
     expert's corrections.
     """
     world, goal, command = spawn_scenario(cfg, seed)
+    action_noise = None if noise is None else ActionNoise(noise, np.random.default_rng([seed, 5]),
+                                                          cfg.dt)
     tracker = OutcomeTracker(cfg)
     samples: list | None = [] if record_samples else None
     trajectory: list | None = [] if record_trajectory else None
@@ -100,7 +109,7 @@ def run_episode(
         if record_samples:
             samples.append(DemoSample(*obs, command, np.array([action.delta, action.tau]),
                                       seed, step))
-        executed = action if action_noise is None else action_noise(step, action)
+        executed = action if action_noise is None else action_noise(action)
         actions = step_world(world, executed, cfg)
         if record_trajectory:
             trajectory.extend(_trajectory_rows(step, world, actions))

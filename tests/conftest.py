@@ -1,8 +1,7 @@
 import pytest
 
-from graphnav import rollout
-
-from graphnav.dataset import collect_dataset
+from graphnav import evaluation
+from graphnav.evaluation import collect_dataset
 from graphnav.expert import ExpertParams
 from graphnav.geometry import Polyline
 from graphnav.graph import GraphConfig
@@ -76,7 +75,7 @@ class RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     """install(module) swaps module.ProcessPoolExecutor for a fresh RecordingPool."""
-    monkeypatch.setattr(rollout, "_worker_shared", ())
+    monkeypatch.setattr(evaluation, "_worker_shared", ())
 
     def install(module):
         class Recorder(RecordingPool):

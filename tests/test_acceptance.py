@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from graphnav.checkpoint import load_checkpoint
-from graphnav.dataset import collect_dataset, write_dataset
+from graphnav.dataset import write_dataset
 from graphnav.evaluation import (AlwaysBrake, REFERENCE_ABLATION, TrialResult,
-                                 collision_rate, mean_navigation_time, run_ablation,
-                                 run_suite, success_rate, write_ablation_csv,
+                                 collect_dataset, collision_rate, mean_navigation_time,
+                                 run_ablation, run_suite, success_rate, write_ablation_csv,
                                  write_suite_csv, write_trials_csv)
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.gradcheck import run_policy_check
 from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, build_adjacency,
-                            edge_weight, encode_world)
+                            encode_world)
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import Adam
 from graphnav.policies import NetworkController, build_network, set_elements
@@ -100,9 +100,16 @@ def test_criterion_2_adjacency_invariants():
 
 
 def test_criterion_3_edge_weight_points():
-    assert edge_weight(0.0, 10.0) == 1.0
-    assert abs(edge_weight(10.0, 10.0) - math.exp(-1.0)) < 1e-12
-    _passed(3, "weight(0)=1 and weight(10, alpha=10)=e^-1 within 1e-12")
+    """The ego row of a two-node graph holds the weights exp(-d^2 / alpha^2)
+    of its self loop and its edge, so their ratio is the edge's weight."""
+    for kind in (EdgeStrategyKind.N_CLOSE_WEIGHTED, EdgeStrategyKind.STAR_CONNECTED):
+        strategy = EdgeStrategy(kind=kind, alpha_m=10.0)
+        adj = build_adjacency(np.array([[0.0, 0.0], [10.0, 0.0]]), strategy)
+        assert abs(adj[0, 1] / adj[0, 0] - math.exp(-1.0)) < 1e-12
+        adj = build_adjacency(np.array([[3.0, -4.0], [3.0, -4.0]]), strategy)
+        assert adj[0, 1] / adj[0, 0] == 1.0
+    _passed(3, "build_adjacency weights: ratio 1 at d=0 and e^-1 at d=10 m, alpha=10 m "
+               "(within 1e-12), n-close and star")
 
 
 def test_criterion_4_structural_checks():

@@ -105,6 +105,24 @@ def test_eval_and_replay_agree(workdir, tmp_path):
     assert len(action_rows) == int(first["steps"])
 
 
+def test_replay_trajectory_matches_eval_dump(workdir, tmp_path):
+    """Replaying an eval trial writes the bytes of its dumped trajectory."""
+    ckpt = workdir["run"] / "checkpoint_final.json"
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                 "--out", str(out), "--trials", "1", "--seed", "4242",
+                 "--dump-trajectories"]) == 0
+    with open(out / "trials.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert (last["setup"], last["command"]) == ("hard", "turn_right")
+    replay_out = tmp_path / "replay"
+    assert main(["replay", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                 "--out", str(replay_out), "--command", "turn_right", "--density", "7",
+                 "--seed", last["seed"]]) == 0
+    dumped = out / "trajectories" / f"trajectory_hard_turn_right_{last['seed']}.csv"
+    assert (replay_out / "trajectory.csv").read_bytes() == dumped.read_bytes()
+
+
 def test_eval_always_brake_baseline(workdir, tmp_path):
     out = tmp_path / "brake"
     assert main(["eval", "--config", str(workdir["config"]), "--checkpoint", "always-brake",

@@ -6,7 +6,7 @@ import pytest
 from graphnav.config import (ConfigError, DEFAULTS, _VALID_KEYS, config_hash,
                              expert_params, graph_config, load_config, noise_params,
                              scenario_config, tracking_params, train_config, vehicle_params)
-from graphnav.dataset import NoiseParams
+from graphnav.rollout import NoiseParams
 from graphnav.expert import ExpertParams
 from graphnav.graph import EdgeStrategyKind, GraphConfig
 from graphnav.layout import Arm

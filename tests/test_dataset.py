@@ -3,18 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from graphnav.dataset import (BUFFER_FILES, DatasetFormatError, DemoDataset,
-                              collect_episode, read_buffer, read_dataset, write_dataset)
+from graphnav import evaluation
+from graphnav.dataset import (BUFFER_FILES, DatasetFormatError, DemoDataset, read_buffer,
+                              read_dataset, write_dataset)
+from graphnav.evaluation import collect_dataset
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import GraphConfig
 from graphnav.layout import COMMANDS, Command
+from graphnav.rollout import run_episode
 from graphnav.world import ScenarioConfig
 
 
 def _collect(seed=13, density=2):
     cfg = ScenarioConfig(density=density)
     expert = ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking)
-    return collect_episode(cfg, seed, expert, GraphConfig())
+    record = run_episode(cfg, seed, expert, GraphConfig(), record_samples=True)
+    return record.samples, record.outcome
 
 
 def test_episode_sample_structure():
@@ -127,28 +131,23 @@ def test_missing_buffer_file_raises(tmp_path, tiny_dataset):
         read_dataset(tmp_path)
 
 
-def test_parallel_collection_matches_serial():
-    from graphnav.dataset import collect_dataset
-
+def test_parallel_collection_matches_serial(tmp_path):
+    """jobs=2 writes the same buffer and manifest bytes as jobs=1."""
     cfg = ScenarioConfig(density=2, timeout_s=20.0)
     kwargs = dict(episodes_per_command=2, base_seed=61, densities={c: 2 for c in COMMANDS})
-    serial, rates_s = collect_dataset(cfg, GraphConfig(), ExpertParams(), jobs=1, **kwargs)
-    parallel, rates_p = collect_dataset(cfg, GraphConfig(), ExpertParams(), jobs=2, **kwargs)
-    assert rates_s == rates_p
-    for command in COMMANDS:
-        assert len(serial.buffers[command]) == len(parallel.buffers[command])
-        for a, b in zip(serial.buffers[command], parallel.buffers[command]):
-            assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.u_star, b.u_star)
+    written = []
+    for jobs in (1, 2):
+        dataset, _ = collect_dataset(cfg, GraphConfig(), ExpertParams(), jobs=jobs, **kwargs)
+        write_dataset(dataset, tmp_path / str(jobs))
+        written.append({name: (tmp_path / str(jobs) / name).read_bytes()
+                        for name in [*BUFFER_FILES.values(), "manifest.json"]})
+    assert written[0] == written[1]
 
 
 def test_parallel_collection_sends_shared_state_once(recording_pool):
     import pickle
 
-    from graphnav import dataset
-    from graphnav.dataset import collect_dataset
-
-    pool = recording_pool(dataset)
+    pool = recording_pool(evaluation)
     cfg = ScenarioConfig(density=1, timeout_s=3.0)
     params = ExpertParams()
     kwargs = dict(base_seed=61, densities={c: 1 for c in COMMANDS})
@@ -157,7 +156,7 @@ def test_parallel_collection_sends_shared_state_once(recording_pool):
     pooled, _ = collect_dataset(cfg, GraphConfig(), params, episodes_per_command=3,
                                 jobs=8, **kwargs)
     assert pool.built == [3]  # 9 episodes in chunks of 4
-    assert pool.shared[0][1] is params
+    assert pool.shared[0][0].params is params  # one expert, sent once per worker
     assert len(pool.tasks) == 9 and all(params not in t for t in pool.tasks)
     assert len(pickle.dumps(pool.tasks)) < 1000
     serial, _ = collect_dataset(cfg, GraphConfig(), params, episodes_per_command=3,

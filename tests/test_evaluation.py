@@ -94,20 +94,21 @@ def test_trial_order_does_not_change_trials_csv(tmp_path):
     cfg = ScenarioConfig(react_to_ego=True, allow_ego_arm=True, nonconflicting_fraction=0.5,
                          small_agent_fraction=0.3)
     expert = ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking)
-    tasks = [(setup, density, command, 40 + i)
-             for i, (setup, density, command) in enumerate(
-                 [("easy", 3, Command.FORWARD), ("middle", 5, Command.TURN_LEFT),
-                  ("hard", 7, Command.TURN_RIGHT), ("hard", 7, Command.FORWARD),
-                  ("middle", 5, Command.TURN_RIGHT), ("easy", 3, Command.TURN_LEFT)])]
+    labelled = [(setup, (command, density, 40 + i))
+                for i, (setup, density, command) in enumerate(
+                    [("easy", 3, Command.FORWARD), ("middle", 5, Command.TURN_LEFT),
+                     ("hard", 7, Command.TURN_RIGHT), ("hard", 7, Command.FORWARD),
+                     ("middle", 5, Command.TURN_RIGHT), ("easy", 3, Command.TURN_LEFT)])]
     written = []
-    for order in (tasks, tasks[::-1]):
+    for order in (labelled, labelled[::-1]):
         build_layout.cache_clear()  # so that state kept on the shared routes starts afresh
-        raw = sorted((evaluation._run_trial(expert, cfg, GraphConfig(), True, t) for t in order),
-                     key=lambda r: r[2])
+        runs = sorted(((setup, evaluation._run_task(expert, cfg, GraphConfig(), None, False,
+                                                     True, task))
+                       for setup, task in order), key=lambda run: run[1].seed)
         path = tmp_path / f"trials_{len(written)}.csv"
-        write_trials_csv([TrialResult(setup, Command(command), seed, outcome)
-                          for setup, command, seed, outcome, _ in raw], path)
-        written.append((path.read_bytes(), [r[4] for r in raw]))
+        write_trials_csv([TrialResult(setup, record.command, record.seed, record.outcome)
+                          for setup, record in runs], path)
+        written.append((path.read_bytes(), [record.trajectory for _, record in runs]))
     assert written[0] == written[1]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, _rotate,
                             adjacency_from_features, build_adjacency, build_features,
-                            edge_weight, encode_world, world_positions)
+                            encode_world, world_positions)
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 NCLOSE = EdgeStrategy(kind=EdgeStrategyKind.N_CLOSE_WEIGHTED)
@@ -15,23 +15,6 @@ FULLY = EdgeStrategy(kind=EdgeStrategyKind.FULLY_CONNECTED)
 STAR = EdgeStrategy(kind=EdgeStrategyKind.STAR_CONNECTED)
 UNWEIGHTED = EdgeStrategy(kind=EdgeStrategyKind.NON_WEIGHTED)
 ALL_STRATEGIES = (NCLOSE, FULLY, STAR, UNWEIGHTED)
-
-
-class TestEdgeWeight:
-    def test_self_connection_weight_is_one(self):
-        assert edge_weight(0.0, 10.0) == 1.0
-
-    def test_at_distance_alpha(self):
-        assert edge_weight(10.0, 10.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_far_weight(self):
-        assert edge_weight(30.0, 10.0) == pytest.approx(math.exp(-9.0), rel=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            edge_weight(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            edge_weight(1.0, 0.0)
 
 
 class TestFeatures:

@@ -70,9 +70,9 @@ def test_shape_errors_name_the_shapes():
         GcnLayer(np.ones(4))
 
     with pytest.raises(ValueError, match=r"^batch actions must be \(B, 2\), got \(3, 2\) and \(2, 2\)$"):
-        batch_action_loss(np.zeros((3, 2)), np.zeros((2, 2)))
+        batch_action_loss(np.zeros((3, 2)), np.zeros((2, 2)), denom=3)
     with pytest.raises(ValueError, match=r"^batch actions must be \(B, 2\), got \(3,\) and \(3,\)$"):
-        batch_action_loss(np.zeros(3), np.zeros(3))
+        batch_action_loss(np.zeros(3), np.zeros(3), denom=3)
 
 
 def test_gcn_worked_example():
@@ -171,7 +171,7 @@ def test_linear_network_finite_differences_are_tight():
     x = rng.normal(size=(2, 4))
     target = rng.uniform(-0.5, 0.5, size=(2, 2))
     out, caches = mlp.forward(x)
-    per, du = batch_action_loss(out, target)
+    per, du = batch_action_loss(out, target, denom=len(out))
     _, grads = mlp.backward(caches, du)
     params = {"0.w": mlp.layers[0].w, "0.b": mlp.layers[0].b,
               "1.w": mlp.layers[1].w, "1.b": mlp.layers[1].b}
@@ -180,7 +180,7 @@ def test_linear_network_finite_differences_are_tight():
 
     def loss():
         y, _ = mlp.forward(x)
-        p, _ = batch_action_loss(y, target)
+        p, _ = batch_action_loss(y, target, denom=len(y))
         return float(p.mean())
 
     err = finite_diff_check(loss, params, analytic, n_samples=40, eps=1e-5,
@@ -190,24 +190,24 @@ def test_linear_network_finite_differences_are_tight():
 
 class TestActionLoss:
     def test_zero_at_match(self):
-        per, du = batch_action_loss(np.array([[0.3, -0.4]]), np.array([[0.3, -0.4]]))
+        per, du = batch_action_loss(np.array([[0.3, -0.4]]), np.array([[0.3, -0.4]]), denom=1)
         assert per.tolist() == [0.0]
         assert np.array_equal(du, [[0.0, 0.0]])
 
     def test_forced_arithmetic(self):
-        per, du = batch_action_loss(np.array([[0.5, 0.2]]), np.array([[0.0, 0.2]]))
+        per, du = batch_action_loss(np.array([[0.5, 0.2]]), np.array([[0.0, 0.2]]), denom=1)
         assert per[0] == pytest.approx(0.25)
         assert du[0, 0] == pytest.approx(1.0) and du[0, 1] == 0.0
 
     def test_non_negative(self):
         u, t = np.random.default_rng(9).uniform(-1, 1, size=(2, 100, 2))
-        per, _ = batch_action_loss(u, t)
+        per, _ = batch_action_loss(u, t, denom=len(u))
         assert np.all(per >= 0.0)
 
     def test_batch_mean_matches_scalar_recompute(self):
         u = np.array([[0.5, 0.0], [-0.2, 0.3]])
         t = np.array([[0.0, 0.0], [0.0, 0.0]])
-        per, du = batch_action_loss(u, t)
+        per, du = batch_action_loss(u, t, denom=len(u))
         singles = ((u - t) ** 2).sum(axis=1)
         assert per.tolist() == pytest.approx(singles.tolist())
         assert float(per.mean()) == pytest.approx(float(singles.sum()) / 2)

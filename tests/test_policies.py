@@ -106,7 +106,7 @@ class TestGcil:
         adj = np.stack([o[1] for o in obs])
         targets = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 2))
         u, cache = net.forward_batch(*net.canonical(feats, adj), Command.FORWARD)
-        _, du = batch_action_loss(u, targets)
+        _, du = batch_action_loss(u, targets, denom=len(u))
         batched = net.backward_batch(cache, du)
         summed = None
         for i, (f, a) in enumerate(obs):
@@ -204,7 +204,7 @@ class TestGradientFidelity:
     def test_a_wrong_training_gradient_fails_the_check(self, kind, monkeypatch):
         # the check runs training's own step: doubling the output gradient
         # that `_train_step` backpropagates must show, the loss staying right
-        def doubled(u, targets, denom=None):
+        def doubled(u, targets, denom):
             per_sample, du = batch_action_loss(u, targets, denom=denom)
             return per_sample, 2.0 * du
         monkeypatch.setattr(graphnav.training, "batch_action_loss", doubled)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from graphnav.dataset import ActionNoise, NoiseParams
-from graphnav.evaluation import AlwaysBrake
+from graphnav.evaluation import AlwaysBrake, pool_size
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import GraphConfig
 from graphnav.policies import NetworkController, build_network
-from graphnav.rollout import pool_size, run_episode
+from graphnav.rollout import ActionNoise, NoiseParams, run_episode
 from graphnav.vehicle import Action
 from graphnav.world import OutcomeTag, ScenarioConfig
 
@@ -70,12 +69,12 @@ def test_action_noise_perturbs_execution_not_labels():
                                     delta_amp=0.3, tau_amp=0.2),
                         np.random.default_rng(0), dt=0.1)
     clean = Action(0.0, 0.0)
-    out = noise(0, clean)
+    out = noise(clean)
     assert (out.delta, out.tau) != (0.0, 0.0)
     assert -1.0 <= out.delta <= 1.0 and -1.0 <= out.tau <= 1.0
 
     with_noise = run_episode(CFG, 31, _expert(), GraphConfig(), record_samples=True,
-                             action_noise=ActionNoise(NoiseParams(), np.random.default_rng([31, 5]), CFG.dt))
+                             noise=NoiseParams())
     without = run_episode(CFG, 31, _expert(), GraphConfig(), record_samples=True)
     # first recorded label identical (same spawn state); later states diverge
     assert np.array_equal(with_noise.samples[0].u_star, without.samples[0].u_star)
@@ -84,8 +83,8 @@ def test_action_noise_perturbs_execution_not_labels():
 def test_noise_bursts_are_deterministic():
     def run():
         noise = ActionNoise(NoiseParams(), np.random.default_rng([7, 5]), 0.1)
-        return [(noise(i, Action(0.0, 0.0)).delta, noise(i, Action(0.0, 0.0)).tau)
-                for i in range(200)]
+        return [(noise(Action(0.0, 0.0)).delta, noise(Action(0.0, 0.0)).tau)
+                for _ in range(200)]
 
     assert run() == run()
 
