@@ -24,11 +24,13 @@ The training digests hash `checkpoint_final.json` of gcil, nncil and setcil
 trained for four epochs (B=512, seed 3) on that collection: the weights, the
 Adam moments, the graph settings and the topology, every byte of the file up
 to its closing `train_state` block, which records the run's provenance
-rather than its training bits. They were recorded before training changed
-the C allocator's settings, at the default two OpenBLAS threads of a 2 vCPU
-host. Unlike the policy digests they depend on the BLAS thread count: at
-OPENBLAS_NUM_THREADS=1 nncil's digest holds but gcil's and setcil's differ,
-so no single-thread check of them runs.
+rather than its training bits. `train` pins OpenBLAS to one thread for its
+step loop, in the parent and in the step worker alike, so these digests are
+those of a serial single-thread run. They were recorded under
+OPENBLAS_NUM_THREADS=1 before that pin existed, and they hold under the
+default thread count too, with or without the worker. (Unpinned, two
+OpenBLAS threads sum the weight gradients of the GCN layers and of setcil's
+encoder in another order, and gcil's and setcil's digests differed.)
 """
 
 import dataclasses
@@ -64,9 +66,9 @@ POLICY_SHA256 = {
 }
 
 TRAINING_SHA256 = {
-    "gcil": "9a4a17e4c687a86f28f067d4f9e814129e37938a6c053bcd5c4e3438a4f1e0d1",
+    "gcil": "9821f368e250963b05f4fc69142d407544433bf6ff2448db63b92762d8f6f228",
     "nncil": "b15cb01c47c4933daf80a39947e8c3a4832fdacd4aae65c4abffac195e025c69",
-    "setcil": "ffc4acd0062c51785a9caa87553070d83c91884a21e92de64d63ebc38e17ea61",
+    "setcil": "481495eb34d625776ef7c19ac39ca4fb6e3dc46f27ef35e05dc5927a310381a5",
 }
 
 
@@ -124,14 +126,23 @@ def test_policy_actions_are_pinned():
     assert policy_digests() == POLICY_SHA256
 
 
-def test_policy_actions_are_pinned_at_one_blas_thread():
-    """OpenBLAS reads its thread count once, at load, so the single-thread
-    check runs in a fresh interpreter."""
+def at_one_blas_thread(expression: str):
+    """Evaluate `expression`, with `test_golden` imported, in a fresh
+    interpreter started at OPENBLAS_NUM_THREADS=1: OpenBLAS reads its thread
+    count once, at load."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    code = "import json, test_golden; print(json.dumps(test_golden.policy_digests()))"
+    code = f"import json, test_golden; print(json.dumps({expression}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, text=True,
                          capture_output=True).stdout
-    assert json.loads(out) == POLICY_SHA256
+    return json.loads(out.splitlines()[-1])
 
+
+def test_policy_actions_are_pinned_at_one_blas_thread():
+    assert at_one_blas_thread("test_golden.policy_digests()") == POLICY_SHA256
+
+
+def test_training_bits_are_pinned_at_one_blas_thread(collected, tmp_path):
+    expression = f"test_golden.training_digests({str(collected)!r}, {str(tmp_path)!r})"
+    assert at_one_blas_thread(expression) == TRAINING_SHA256
