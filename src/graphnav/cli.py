@@ -61,11 +61,14 @@ def _flag_for(key: str):
 _worker_count = _int_flag((lambda v: v >= 1, "at least 1"))
 
 
-def _add_common(parser, out_required: bool = True) -> None:
+def _add_common(parser, jobs: bool = False) -> None:
+    """--config and --out; --jobs only for the subcommands that fan episodes out."""
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
-    parser.add_argument("--out", type=Path, required=out_required, help="output directory")
-    parser.add_argument("--jobs", type=_worker_count, default=1,
-                        help="worker processes (1 = serial), capped at the number of 4-episode chunks")
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
+    if jobs:
+        parser.add_argument("--jobs", type=_worker_count, default=1,
+                            help="episode worker processes (1 = serial), capped at the number "
+                                 "of 4-episode chunks")
 
 
 def _ensure_out(args) -> Path:
@@ -116,7 +119,7 @@ def cmd_train(args) -> int:
     run = train(dataset, tcfg, out_dir=out, resume=args.resume)
     files = list(out.glob("checkpoint_*.json")) + [out / "loss.csv"]
     write_manifest(out, "train", cfg, {"seed": tcfg.seed}, files, started,
-                   extra={"steps": run.steps, "counters": run.counters,
+                   extra={"steps": run.steps, "counters": run.counters, "step_loop": run.step_loop,
                           "final_loss": run.history[-1]["mean_loss"] if run.history else None})
     final = run.history[-1]["mean_loss"] if run.history else float("nan")
     print(f"trained {run.steps} steps, final minibatch loss {final:.6f}")
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("collect", help="record expert demonstrations")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--episodes", type=_flag_for("train.episodes_per_command"), default=None,
                    help="episodes per command")
     p.add_argument("--seed", type=_flag_for("train.seed"), default=None, help="base seed")
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="run the seeded evaluation suite")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--checkpoint", required=True,
                    help="checkpoint path, or 'always-brake' for the degenerate baseline")
     p.add_argument("--network", choices=NETWORK_KINDS, default=None,
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="retrain and evaluate per edge strategy")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--strategies", default=None, help="comma-separated strategy names")
     p.add_argument("--trials", type=_flag_for("eval.trials"), default=None)

@@ -7,12 +7,21 @@ weights and all touched branches. Sampling at step t is a pure function of
 (seed, t), so an interrupted run resumed from a checkpoint reproduces the
 uninterrupted trajectory bit for bit, and refuses a dataset or a training
 setting other than the checkpoint's.
+
+The step loop pins numpy's OpenBLAS to one thread. Where at least two CPUs
+are usable, a forked step worker runs the first command's passes of each
+step while this process runs the other two, adds their gradients onto the
+worker's sum in COMMANDS order and takes the Adam step, so the parameters
+equal those of a serial single-thread run bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import signal
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -74,7 +83,8 @@ class TrainRun:
     network: object
     optimizer: Adam
     checkpoint_paths: list
-    counters: dict          # run telemetry: minor_page_faults over the step loop
+    counters: dict          # run telemetry: minor page faults over the step loop, and the worker's
+    step_loop: dict         # conditions: blas_threads (None: not pinned) and step_processes
 
 
 def minibatch_counts(batch_size: int, step: int) -> dict:
@@ -159,33 +169,175 @@ class _PreparedData:
         return out
 
 
-def _losses(network, prepared: _PreparedData, indices: dict, denom: int):
+def _losses(network, prepared: _PreparedData, indices: dict, denom: int, commands=COMMANDS):
     """The forward pass and action loss of sampled indices, one node-count
-    group at a time in COMMANDS order. Yields (command, per-sample losses,
+    group at a time in `commands` order. Yields (command, per-sample losses,
     gradient of their sum / `denom` with respect to the outputs, cache)."""
-    for command in COMMANDS:
+    for command in commands:
         for inputs, targets in prepared.gather(command, indices[command]):
             u, cache = network.forward_batch(*inputs, command)
             per_sample, du = batch_action_loss(u, targets, denom=denom)
             yield command, per_sample, du, cache
 
 
-def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int):
-    """Forward/backward over one minibatch; returns (mean loss, per-command means, grads)."""
-    grads = None
-    cmd_loss = dict.fromkeys(COMMANDS, 0.0)
-    cmd_n = dict.fromkeys(COMMANDS, 0)
-    for command, per_sample, du, cache in _losses(network, prepared, indices, batch_size):
-        part = network.backward_batch(cache, du)
+def _passes(network, prepared: _PreparedData, indices: dict, batch_size: int, commands,
+            cmd_loss: dict, cmd_n: dict):
+    """Forward/backward over the groups of `commands`, in order: adds each
+    group's loss sum and sample count to cmd_loss and cmd_n and yields its
+    gradient."""
+    for command, per_sample, du, cache in _losses(network, prepared, indices, batch_size, commands):
+        cmd_loss[command] += float(per_sample.sum())
+        cmd_n[command] += len(per_sample)
+        yield network.backward_batch(cache, du)
+
+
+def _add(grads, parts: list):
+    """`grads` (None: no gradient yet) plus `parts` added in order; empties `parts`."""
+    for part in parts:
         if grads is None:
             grads = part
         else:
             for k in grads:
                 grads[k] = grads[k] + part[k]
-        cmd_loss[command] += float(per_sample.sum())
-        cmd_n[command] += len(per_sample)
+    parts.clear()
+    return grads
+
+
+def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int, worker=None):
+    """Forward/backward over one minibatch; returns (mean loss, per-command
+    means, grads). The gradient is the groups' gradients added in COMMANDS
+    order. With a `_StepWorker`, the worker runs the first command's groups
+    meanwhile and its sum of them is the prefix the other parts are added
+    to; parts computed before it arrives wait in order."""
+    cmd_loss = dict.fromkeys(COMMANDS, 0.0)
+    cmd_n = dict.fromkeys(COMMANDS, 0)
+    commands = COMMANDS
+    if worker is not None:
+        worker.start(indices[COMMANDS[0]])
+        commands = COMMANDS[1:]
+    waiting = worker is not None
+    grads, pending = None, []
+    for part in _passes(network, prepared, indices, batch_size, commands, cmd_loss, cmd_n):
+        pending.append(part)
+        if waiting and worker.ready():
+            grads, waiting = worker.prefix(cmd_loss, cmd_n), False
+        if not waiting:
+            grads = _add(grads, pending)
+    if waiting:
+        grads = worker.prefix(cmd_loss, cmd_n)
+    grads = _add(grads, pending)
     per_command = {c: cmd_loss[c] / max(1, cmd_n[c]) for c in COMMANDS}
     return sum(cmd_loss.values()) / batch_size, per_command, grads
+
+
+def _views(flat: np.ndarray, like: dict) -> dict:
+    """Consecutive views of `flat` shaped like the arrays of `like`."""
+    out, start = {}, 0
+    for name, array in like.items():
+        out[name] = flat[start:start + array.size].reshape(array.shape)
+        start += array.size
+    return out
+
+
+class _StepWorker:
+    """A forked process that runs the first command's passes of every step.
+
+    It holds the parent's `_PreparedData` and network through fork. For each
+    step the parent copies its parameters into a shared anonymous mapping
+    and sends the first command's sampled indices; the worker loads the
+    parameters, runs `_passes` over that command's groups, leaves their
+    gradient sum in the mapping and answers with their loss sum and sample
+    count. As a context manager it stops the worker on a normal exit, and
+    kills it after an exception; it reaps it either way."""
+
+    def __init__(self, network, prepared: _PreparedData, batch_size: int) -> None:
+        import mmap
+        from multiprocessing.connection import Pipe
+
+        self.params = network.parameters()
+        size = sum(p.size for p in self.params.values())
+        flat = np.frombuffer(mmap.mmap(-1, 2 * size * 8), dtype=np.float64)  # MAP_SHARED
+        self.shared_params = _views(flat[:size], self.params)
+        self.shared_grads = _views(flat[size:], self.params)
+        self.counters = None
+        self.conn, child = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            self.conn.close()
+            self._serve(child, network, prepared, batch_size)
+        child.close()
+
+    def _serve(self, conn, network, prepared: _PreparedData, batch_size: int):
+        """The worker's loop; never returns. On None it sends its minor page
+        faults and peak RSS and exits; on an exception it sends the
+        traceback and exits."""
+        import gc
+        import resource
+        import traceback
+
+        gc.disable()  # finalize nothing inherited from the parent
+        code = 1
+        try:
+            own = network.parameters()
+            first = COMMANDS[0]
+            while (idx := conn.recv()) is not None:
+                for name, p in own.items():
+                    p[...] = self.shared_params[name]
+                loss, n, total = {first: 0.0}, {first: 0}, None
+                for part in _passes(network, prepared, {first: idx}, batch_size, (first,), loss, n):
+                    total = _add(total, [part])
+                for name, g in total.items():
+                    self.shared_grads[name][...] = g
+                conn.send(("step", loss[first], n[first]))
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            conn.send(("exit", {"minor_page_faults": usage.ru_minflt,
+                                "peak_rss_mb": usage.ru_maxrss / 1024.0}))
+            code = 0
+        except BaseException:
+            with contextlib.suppress(BaseException):
+                conn.send(("error", traceback.format_exc()))
+        finally:
+            os._exit(code)
+
+    def start(self, idx: np.ndarray) -> None:
+        """Hand the worker this step's parameters and first-command indices."""
+        for name, p in self.params.items():
+            self.shared_params[name][...] = p
+        self.conn.send(idx)
+
+    def ready(self) -> bool:
+        return self.conn.poll()
+
+    def _receive(self):
+        try:
+            message = self.conn.recv()
+        except EOFError:
+            raise TrainingError("the training step worker exited unexpectedly") from None
+        if message[0] == "error":
+            raise TrainingError(f"the training step worker failed:\n{message[1]}")
+        return message
+
+    def prefix(self, cmd_loss: dict, cmd_n: dict) -> dict:
+        """Wait for the worker's part of this step. Its loss sum and sample
+        count go into cmd_loss and cmd_n; its gradient sum is returned as
+        views of the shared mapping, valid until the next start()."""
+        _, loss, n = self._receive()
+        cmd_loss[COMMANDS[0]], cmd_n[COMMANDS[0]] = loss, n
+        return dict(self.shared_grads)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self.conn.send(None)
+                self.counters = self._receive()[1]
+        finally:
+            if self.counters is None:
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.conn.close()
 
 
 def steps_for(config: TrainConfig, total_samples: int) -> int:
@@ -226,6 +378,55 @@ def _minor_faults() -> int:
     import resource  # Unix only; kept out of `import graphnav.cli`
 
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
+    under whichever symbol prefix the build exports; None where numpy ships
+    no OpenBLAS of its own."""
+    import ctypes  # loaded by numpy already
+    import glob
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    try:
+        lib = ctypes.CDLL(libs[0]) if libs else None
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread inside the block and restore the count
+    after it. Yields whether it pinned: without the pin the bits of a step
+    depend on the thread count, so no worker may run."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where that is unknown or fork is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) -> TrainRun:
@@ -275,31 +476,43 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
         checkpoint_paths.append(path)
 
     keep_freed_heap()
-    faults_before = _minor_faults()
-    for step in range(start_step, steps_total):
-        rng = np.random.default_rng([config.seed, 2, step])
-        indices = sample_minibatch(prepared.sizes, config.batch_size, rng, step)
-        mean_loss, per_command, grads = _train_step(network, prepared, indices, config.batch_size)
-        if not math.isfinite(mean_loss):
-            save(step, "checkpoint_diagnostic.json")
-            raise TrainingError(f"non-finite loss {mean_loss} at step {step}")
-        optimizer.step(params, grads)
-        history.append({
-            "step": step,
-            "mean_loss": mean_loss,
-            "loss_forward": per_command[Command.FORWARD],
-            "loss_left": per_command[Command.TURN_LEFT],
-            "loss_right": per_command[Command.TURN_RIGHT],
-            "wall_clock_s": time.perf_counter() - t0,
-        })
-        if config.eval_every > 0 and (step + 1) % config.eval_every == 0 and step + 1 < steps_total:
-            save(step + 1, f"checkpoint_step{step + 1}.json")
-    counters = {"minor_page_faults": _minor_faults() - faults_before}
+    with _one_blas_thread() as pinned:
+        faults_before = _minor_faults()
+        worker = None
+        if pinned and _usable_cpus() > 1:
+            worker = _StepWorker(network, prepared, config.batch_size)
+        with worker or contextlib.nullcontext():
+            for step in range(start_step, steps_total):
+                rng = np.random.default_rng([config.seed, 2, step])
+                indices = sample_minibatch(prepared.sizes, config.batch_size, rng, step)
+                mean_loss, per_command, grads = _train_step(network, prepared, indices,
+                                                            config.batch_size, worker)
+                if not math.isfinite(mean_loss):
+                    save(step, "checkpoint_diagnostic.json")
+                    raise TrainingError(f"non-finite loss {mean_loss} at step {step}")
+                optimizer.step(params, grads)
+                history.append({
+                    "step": step,
+                    "mean_loss": mean_loss,
+                    "loss_forward": per_command[Command.FORWARD],
+                    "loss_left": per_command[Command.TURN_LEFT],
+                    "loss_right": per_command[Command.TURN_RIGHT],
+                    "wall_clock_s": time.perf_counter() - t0,
+                })
+                if (config.eval_every > 0 and (step + 1) % config.eval_every == 0
+                        and step + 1 < steps_total):
+                    save(step + 1, f"checkpoint_step{step + 1}.json")
+        counters = {"minor_page_faults": _minor_faults() - faults_before}
+    step_loop = {"blas_threads": 1 if pinned else None, "step_processes": 1}
+    if worker is not None:
+        step_loop["step_processes"] = 2
+        counters.update({f"worker_{key}": value for key, value in worker.counters.items()})
     save(steps_total, "checkpoint_final.json")
     if out_path is not None:
         write_loss_csv(out_path / "loss.csv", history)
     return TrainRun(steps=steps_total - start_step, history=history, network=network,
-                    optimizer=optimizer, checkpoint_paths=checkpoint_paths, counters=counters)
+                    optimizer=optimizer, checkpoint_paths=checkpoint_paths, counters=counters,
+                    step_loop=step_loop)
 
 
 def write_loss_csv(path, history) -> None:

@@ -393,6 +393,16 @@ def test_train_manifest_counts_page_faults(workdir):
     assert isinstance(faults, int) and faults >= 0
 
 
+def test_train_manifest_records_the_step_loop(workdir):
+    manifest = json.loads((workdir["run"] / "run_manifest.json").read_text())
+    loop, counters = manifest["step_loop"], manifest["counters"]
+    assert loop["blas_threads"] in (1, None)
+    assert loop["step_processes"] == (2 if "worker_peak_rss_mb" in counters else 1)
+    if loop["step_processes"] == 2:
+        assert isinstance(counters["worker_minor_page_faults"], int)
+        assert counters["worker_peak_rss_mb"] > 0
+
+
 GRAPH_CONFIG = {"graph": {"alpha_m": 7.5, "k": 2, "include_ego_candidate": False}}
 
 
@@ -410,7 +420,7 @@ def test_train_strategy_keeps_the_configured_graph(workdir, tmp_path, monkeypatc
     def fake_train(dataset, tcfg, out_dir, resume=None):
         seen.append(tcfg)
         (out_dir / "loss.csv").write_text("")
-        return SimpleNamespace(steps=0, history=[], counters={})
+        return SimpleNamespace(steps=0, history=[], counters={}, step_loop={})
     monkeypatch.setattr(cli_mod, "train", fake_train)
     assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
                  "--strategy", "star_connected", "--out", str(tmp_path / "o")]) == 0
@@ -468,6 +478,18 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
         main(["collect", "--out", str(tmp_path / "o"), "--episodes", "1", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "d", "--jobs", "7"],
+    ["replay", "--checkpoint", "c", "--seed", "1", "--jobs", "9"],
+])
+def test_jobs_on_a_subcommand_without_episode_workers_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -18,6 +18,7 @@ from graphnav.graph import GraphConfig, adjacency_from_features
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import Adam
 from graphnav.policies import NETWORK_KINDS, NETWORKS, NetworkController, build_network
+from graphnav import training
 from graphnav.training import (TrainConfig, TrainingError, _PreparedData, dataset_mean_loss,
                                minibatch_counts, sample_minibatch, train)
 
@@ -271,6 +272,121 @@ class TestCheckpointing:
         a = run.network.act(sample.features, sample.adjacency, Command.FORWARD)
         b = loaded.network.act(sample.features, sample.adjacency, Command.FORWARD)
         assert a == b
+
+
+needs_worker = pytest.mark.skipif(not hasattr(os, "fork") or training._openblas() is None,
+                                  reason="the step worker needs fork and numpy's OpenBLAS")
+
+
+@needs_worker
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+def test_worker_steps_equal_serial_steps(tiny_dataset, kind):
+    """Over several minibatches and Adam updates, a step whose first
+    command runs in the worker returns the serial step's bits."""
+    ds = _subset_dataset(tiny_dataset, 12)
+    prepared = _PreparedData(ds, kind, GraphConfig(), reencode=False)
+    network = build_network(kind, seed=4)
+    params = network.parameters()
+    optimizer = Adam(params)
+    with training._one_blas_thread(), training._StepWorker(network, prepared, 15) as worker:
+        for step in range(5):
+            indices = sample_minibatch(prepared.sizes, 15, np.random.default_rng(step), step)
+            serial = training._train_step(network, prepared, indices, 15)
+            split = training._train_step(network, prepared, indices, 15, worker)
+            assert split[:2] == serial[:2]
+            assert serial[2].keys() == split[2].keys()
+            assert all(np.array_equal(serial[2][k], split[2][k]) for k in serial[2])
+            optimizer.step(params, serial[2])
+
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """The pid of every step worker train() starts; the worker path is taken
+    even on a one-CPU host."""
+    pids = []
+    init = training._StepWorker.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        pids.append(self.pid)
+    monkeypatch.setattr(training._StepWorker, "__init__", recording)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    return pids
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # a zombie still takes the signal
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _fail_in_worker(monkeypatch, fail):
+    """Run `fail` in place of the passes of the first command, which only the worker runs."""
+    passes = training._passes
+
+    def planted(network, prepared, indices, batch_size, commands, *rest):
+        if tuple(commands) == COMMANDS[:1]:
+            fail()
+        return passes(network, prepared, indices, batch_size, commands, *rest)
+    monkeypatch.setattr(training, "_passes", planted)
+
+
+@needs_worker
+class TestStepWorker:
+    def test_reaped_after_a_normal_return(self, tiny_dataset, worker_pids):
+        run = train(_subset_dataset(tiny_dataset, 6), _tiny_config(epochs=2))
+        assert run.step_loop == {"blas_threads": 1, "step_processes": 2}
+        assert run.counters["worker_peak_rss_mb"] > 0
+        assert len(worker_pids) == 1 and _reaped(worker_pids[0])
+
+    def test_reaped_after_a_non_finite_loss(self, tiny_dataset, worker_pids, tmp_path):
+        ds = _subset_dataset(tiny_dataset, 4)
+        ds.buffers[Command.FORWARD] = [  # the worker's command
+            DemoSample(s.features, s.adjacency, s.command, np.array([np.nan, 0.0]),
+                       s.episode_id, s.step) for s in ds.buffers[Command.FORWARD]]
+        with pytest.raises(TrainingError, match="non-finite loss nan at step 0"):
+            train(ds, _tiny_config(batch_size=12), out_dir=tmp_path)
+        assert len(worker_pids) == 1 and _reaped(worker_pids[0])
+
+    def test_exception_in_the_worker_is_raised_and_the_worker_reaped(
+            self, tiny_dataset, worker_pids, monkeypatch):
+        def fail():
+            raise RuntimeError("planted worker failure")
+        _fail_in_worker(monkeypatch, fail)
+        with pytest.raises(TrainingError, match="planted worker failure"):
+            train(_subset_dataset(tiny_dataset, 6), _tiny_config())
+        assert len(worker_pids) == 1 and _reaped(worker_pids[0])
+
+    def test_worker_that_dies_is_reported(self, tiny_dataset, worker_pids, monkeypatch):
+        _fail_in_worker(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(TrainingError, match="exited unexpectedly"):
+            train(_subset_dataset(tiny_dataset, 6), _tiny_config())
+        assert len(worker_pids) == 1 and _reaped(worker_pids[0])
+
+    def test_blas_thread_count_is_restored(self, tiny_dataset, worker_pids, tmp_path):
+        get, put = training._openblas()
+        before = get()
+        put(2)
+        try:
+            train(_subset_dataset(tiny_dataset, 6), _tiny_config(epochs=1))
+            assert get() == 2
+            bad = _subset_dataset(tiny_dataset, 4)
+            bad.buffers[Command.TURN_LEFT] = [  # a parent command
+                DemoSample(s.features, s.adjacency, s.command, np.array([np.nan, 0.0]),
+                           s.episode_id, s.step) for s in bad.buffers[Command.TURN_LEFT]]
+            with pytest.raises(TrainingError):
+                train(bad, _tiny_config(batch_size=12), out_dir=tmp_path)
+            assert get() == 2
+        finally:
+            put(before)
+
+
+def test_one_usable_cpu_runs_the_steps_serially(tiny_dataset, monkeypatch):
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+    run = train(_subset_dataset(tiny_dataset, 6), _tiny_config(epochs=1))
+    assert run.step_loop["step_processes"] == 1 and "worker_peak_rss_mb" not in run.counters
 
 
 # Trains setcil at B=512 on 900 six-node samples and prints the minor page
