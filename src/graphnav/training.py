@@ -261,6 +261,8 @@ class _StepWorker:
         self.shared_grads = _views(flat[size:], self.params)
         self.counters = None
         self.conn, child = Pipe()
+        # train() starts no threads, and OpenBLAS stops its own pool across
+        # fork (pthread_atfork), so the child starts in a consistent state.
         self.pid = os.fork()
         if self.pid == 0:
             self.conn.close()
@@ -269,8 +271,8 @@ class _StepWorker:
 
     def _serve(self, conn, network, prepared: _PreparedData, batch_size: int):
         """The worker's loop; never returns. On None it sends its minor page
-        faults and peak RSS and exits; on an exception it sends the
-        traceback and exits."""
+        faults and peak RSS and exits; on an error it sends the traceback
+        and exits, and on an interrupt it just exits."""
         import gc
         import resource
         import traceback
@@ -293,8 +295,8 @@ class _StepWorker:
             conn.send(("exit", {"minor_page_faults": usage.ru_minflt,
                                 "peak_rss_mb": usage.ru_maxrss / 1024.0}))
             code = 0
-        except BaseException:
-            with contextlib.suppress(BaseException):
+        except Exception:
+            with contextlib.suppress(OSError):
                 conn.send(("error", traceback.format_exc()))
         finally:
             os._exit(code)
