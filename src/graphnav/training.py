@@ -505,9 +505,9 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
                         and step + 1 < steps_total):
                     save(step + 1, f"checkpoint_step{step + 1}.json")
         counters = {"minor_page_faults": _minor_faults() - faults_before}
-    step_loop = {"blas_threads": 1 if pinned else None, "step_processes": 1}
+    step_loop = {"blas_threads": 1 if pinned else None,
+                 "step_processes": 1 if worker is None else 2}
     if worker is not None:
-        step_loop["step_processes"] = 2
         counters.update({f"worker_{key}": value for key, value in worker.counters.items()})
     save(steps_total, "checkpoint_final.json")
     if out_path is not None:

@@ -12,13 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphnav import training
 from graphnav.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from graphnav.dataset import DemoDataset, DemoSample
 from graphnav.graph import GraphConfig, adjacency_from_features
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import Adam
 from graphnav.policies import NETWORK_KINDS, NETWORKS, NetworkController, build_network
-from graphnav import training
 from graphnav.training import (TrainConfig, TrainingError, _PreparedData, dataset_mean_loss,
                                minibatch_counts, sample_minibatch, train)
 
@@ -280,15 +280,19 @@ needs_worker = pytest.mark.skipif(not hasattr(os, "fork") or training._openblas(
 
 @needs_worker
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
-def test_worker_steps_equal_serial_steps(tiny_dataset, kind):
+@pytest.mark.parametrize("polled", [True, False])
+def test_worker_steps_equal_serial_steps(tiny_dataset, kind, polled):
     """Over several minibatches and Adam updates, a step whose first
-    command runs in the worker returns the serial step's bits."""
+    command runs in the worker returns the serial step's bits, whether the
+    parent adds its parts as they come or (unpolled) all after the prefix."""
     ds = _subset_dataset(tiny_dataset, 12)
     prepared = _PreparedData(ds, kind, GraphConfig(), reencode=False)
     network = build_network(kind, seed=4)
     params = network.parameters()
     optimizer = Adam(params)
     with training._one_blas_thread(), training._StepWorker(network, prepared, 15) as worker:
+        if not polled:
+            worker.ready = lambda: False
         for step in range(5):
             indices = sample_minibatch(prepared.sizes, 15, np.random.default_rng(step), step)
             serial = training._train_step(network, prepared, indices, 15)
