@@ -155,36 +155,74 @@ class Mlp:
         return min(layer.kink_margin(cache) for layer, cache in zip(self.layers, caches))
 
 
+def _views(flat: np.ndarray, like: dict) -> dict:
+    """Consecutive views of the 1-d `flat`, shaped like the arrays of `like`."""
+    ends = np.cumsum([array.size for array in like.values()])
+    return {name: part.reshape(array.shape)
+            for (name, array), part in zip(like.items(), np.split(flat, ends[:-1]))}
+
+
 class Adam:
-    """Bias-corrected Adam over a named parameter dict, updated in place."""
+    """Bias-corrected Adam over a named parameter dict, updated in place.
+
+    It works on one (4, size) float64 buffer `flat`, an anonymous shared
+    mapping that a process forked later works on too: the parameters (a
+    copy of `params`), their gradient and the two moments, each row in the
+    order of `params`, with `params`, `grads`, `m` and `v` its rows' views
+    by name. The update is elementwise, so updating [0, mid) and
+    [mid, size) apart gives the bits of one update. While `split` is set
+    (`mid`, `begin(t)`, `end()`), another process updates [mid, size).
+    step() copies in parameters and gradients other than the buffer's own
+    views, and the parameters back out.
+    """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
+        import mmap  # kept out of `import graphnav.cli`
+
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.split = None
+        size = sum(p.size for p in params.values())
+        self.flat = np.frombuffer(mmap.mmap(-1, 4 * 8 * size), dtype=np.float64).reshape(4, size)
+        self.params, self.grads, self.m, self.v = (_views(row, params) for row in self.flat)
+        for name, p in params.items():
+            self.params[name][...] = p
 
     def step(self, params: dict, grads: dict) -> None:
         if set(grads) != set(self.m):
             raise ValueError("gradient keys do not match optimizer state")
+        copy = params is not self.params or grads is not self.grads
+        if copy:
+            for name, p in params.items():
+                if grads[name].shape != p.shape:
+                    raise ValueError(f"gradient shape mismatch for {name}")
+                self.params[name][...] = p
+                self.grads[name][...] = grads[name]
         self.t += 1
+        if self.split is None:
+            self.update(0, self.flat.shape[1])
+        else:
+            self.split.begin(self.t)
+            self.update(0, self.split.mid)
+            self.split.end()
+        if copy:
+            for name, p in params.items():
+                p[...] = self.params[name]
+
+    def update(self, lo: int, hi: int) -> None:
+        """Step `t`'s update of the flat elements [lo, hi)."""
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape mismatch for {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        p, g, m, v = self.flat[:, lo:hi]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def state_dict(self) -> dict:
         """Hyperparameters, step count and the moment arrays themselves (not

@@ -56,8 +56,8 @@ def _canonical_order(x: np.ndarray, fixed: int) -> np.ndarray:
 
 
 def _named(prefix: str, pairs) -> dict:
-    """Name a stack of (weight, bias) pairs `{prefix}.{i}.w` / `{prefix}.{i}.b`:
-    an Mlp's layers for parameters(), or the gradients its backward returns."""
+    """Name a stack of (weight, bias) pairs `{prefix}.{i}.w` / `{prefix}.{i}.b`,
+    such as the gradients an Mlp's backward returns."""
     named = {}
     for i, (w, b) in enumerate(pairs):
         named[f"{prefix}.{i}.w"] = w
@@ -67,6 +67,13 @@ def _named(prefix: str, pairs) -> dict:
 
 def _weights(mlp: Mlp) -> list:
     return [(layer.w, layer.b) for layer in mlp.layers]
+
+
+def _slots(prefix: str, layers) -> dict:
+    """Where each parameter of a stack of layers lives, (layer, attribute),
+    named `{prefix}.{i}.w` / `{prefix}.{i}.b` as `_named` names them."""
+    return {f"{prefix}.{i}.{attr}": (layer, attr)
+            for i, layer in enumerate(layers) for attr in ("w", "b") if hasattr(layer, attr)}
 
 
 class _BranchedHead:
@@ -101,11 +108,11 @@ class _BranchedHead:
             grads.update(_named(f"branch.{c.value}", pairs))
         return dp, grads
 
-    def parameters(self) -> dict:
-        params = _named("trunk", _weights(self.trunk))
+    def slots(self) -> dict:
+        slots = _slots("trunk", self.trunk.layers)
         for c in COMMANDS:
-            params.update(_named(f"branch.{c.value}", _weights(self.branches[c])))
-        return params
+            slots.update(_slots(f"branch.{c.value}", self.branches[c].layers))
+        return slots
 
 
 class BranchedPolicy:
@@ -115,8 +122,8 @@ class BranchedPolicy:
     defines the per-sample `inputs(feats, adj)` tuple, the static
     `canonical` that puts stacked inputs in canonical order, the
     `forward_batch` that takes them so ordered, its `backward_batch`, and
-    the frontend's topology keys, parameters and ReLU kink margin. Batch
-    caches start with (frontend cache, head cache).
+    the frontend's topology keys, parameter slots and ReLU kink margin.
+    Batch caches start with (frontend cache, head cache).
     """
 
     kind: str
@@ -126,8 +133,12 @@ class BranchedPolicy:
         return {**self.frontend_topology(), "trunk_widths": list(TRUNK_WIDTHS),
                 "branch_hidden": BRANCH_HIDDEN}
 
+    def slots(self) -> dict:
+        """(layer, attribute) of every parameter, by name."""
+        return {**self.frontend_slots(), **self.head.slots()}
+
     def parameters(self) -> dict:
-        return {**self.frontend_parameters(), **self.head.parameters()}
+        return {name: getattr(layer, attr) for name, (layer, attr) in self.slots().items()}
 
     def kink_margin(self, cache) -> float:
         return min(self.frontend_margin(cache[0]), self.head.kink_margin(cache[1]))
@@ -170,8 +181,8 @@ class GcilNetwork(BranchedPolicy):
     def frontend_topology(self) -> dict:
         return {"feature_dim": FEATURE_DIM, "gcn_widths": list(GCN_WIDTHS)}
 
-    def frontend_parameters(self) -> dict:
-        return {f"gcn.{i}.w": layer.w for i, layer in enumerate(self.gcn)}
+    def frontend_slots(self) -> dict:
+        return _slots("gcn", self.gcn)
 
     def frontend_margin(self, gcn_caches) -> float:
         return min(layer.kink_margin(c) for layer, c in zip(self.gcn, gcn_caches))
@@ -236,8 +247,8 @@ class NnCilNetwork(BranchedPolicy):
     def frontend_topology(self) -> dict:
         return {"input_dim": NNCIL_INPUT_DIM, "perception_widths": list(PERCEPTION_WIDTHS)}
 
-    def frontend_parameters(self) -> dict:
-        return _named("perception", _weights(self.perception))
+    def frontend_slots(self) -> dict:
+        return _slots("perception", self.perception.layers)
 
     def frontend_margin(self, pcache) -> float:
         return self.perception.kink_margin(pcache)
@@ -286,8 +297,8 @@ class SetCilNetwork(BranchedPolicy):
     def frontend_topology(self) -> dict:
         return {"element_dim": EGO_DIM, "encoder_widths": list(PERCEPTION_WIDTHS)}
 
-    def frontend_parameters(self) -> dict:
-        return _named("encoder", _weights(self.encoder))
+    def frontend_slots(self) -> dict:
+        return _slots("encoder", self.encoder.layers)
 
     def frontend_margin(self, ecache) -> float:
         return self.encoder.kink_margin(ecache)

@@ -8,11 +8,13 @@ weights and all touched branches. Sampling at step t is a pure function of
 uninterrupted trajectory bit for bit, and refuses a dataset or a training
 setting other than the checkpoint's.
 
-The step loop pins numpy's OpenBLAS to one thread. Where at least two CPUs
-are usable, a forked step worker runs the first command's passes of each
-step while this process runs the other two, adds their gradients onto the
-worker's sum in COMMANDS order and takes the Adam step, so the parameters
-equal those of a serial single-thread run bit for bit.
+The step loop pins numpy's OpenBLAS to one thread, and keeps the
+parameters, their gradient and both Adam moments in one flat buffer in a
+shared anonymous mapping. Where at least two CPUs are usable, a forked step
+worker runs the first command's passes of each step while this process runs
+the other two and adds their gradients onto the worker's sum in COMMANDS
+order; then each process takes half of the elementwise Adam update. The
+parameters equal those of a serial single-thread run bit for bit.
 """
 
 from __future__ import annotations
@@ -191,24 +193,33 @@ def _passes(network, prepared: _PreparedData, indices: dict, batch_size: int, co
         yield network.backward_batch(cache, du)
 
 
-def _add(grads, parts: list):
-    """`grads` (None: no gradient yet) plus `parts` added in order; empties `parts`."""
+def _add(total, parts: list, out):
+    """`total` (None: no gradient yet) plus `parts` added in order and in
+    place; empties `parts`. A first part is copied into the views `out`, or
+    kept where `out` is None."""
     for part in parts:
-        if grads is None:
-            grads = part
+        if total is not None:
+            for k, g in total.items():
+                g += part[k]
+        elif out is None:
+            total = part
         else:
-            for k in grads:
-                grads[k] = grads[k] + part[k]
+            for k, g in out.items():
+                g[...] = part[k]
+            total = out
     parts.clear()
-    return grads
+    return total
 
 
-def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int, worker=None):
+def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int, worker=None,
+                grads=None):
     """Forward/backward over one minibatch; returns (mean loss, per-command
-    means, grads). The gradient is the groups' gradients added in COMMANDS
-    order. With a `_StepWorker`, the worker runs the first command's groups
-    meanwhile and its sum of them is the prefix the other parts are added
-    to; parts computed before it arrives wait in order."""
+    means, gradient). The gradient is the groups' gradients added in
+    COMMANDS order, into new arrays or into the views `grads`, which only
+    the step loop passes: it overwrites them at its next step. With a
+    `_StepWorker`, the worker runs the first command's groups meanwhile and
+    leaves their sum in its views of the gradient, the prefix the other
+    parts are added to; parts computed before it arrives wait in order."""
     cmd_loss = dict.fromkeys(COMMANDS, 0.0)
     cmd_n = dict.fromkeys(COMMANDS, 0)
     commands = COMMANDS
@@ -216,63 +227,69 @@ def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int
         worker.start(indices[COMMANDS[0]])
         commands = COMMANDS[1:]
     waiting = worker is not None
-    grads, pending = None, []
+    total, pending = None, []
     for part in _passes(network, prepared, indices, batch_size, commands, cmd_loss, cmd_n):
         pending.append(part)
         if waiting and worker.ready():
-            grads, waiting = worker.prefix(cmd_loss, cmd_n), False
+            total, waiting = worker.prefix(cmd_loss, cmd_n), False
         if not waiting:
-            grads = _add(grads, pending)
+            total = _add(total, pending, grads)
     if waiting:
-        grads = worker.prefix(cmd_loss, cmd_n)
-    grads = _add(grads, pending)
+        total = worker.prefix(cmd_loss, cmd_n)
+    total = _add(total, pending, grads)
     per_command = {c: cmd_loss[c] / max(1, cmd_n[c]) for c in COMMANDS}
-    return sum(cmd_loss.values()) / batch_size, per_command, grads
+    return sum(cmd_loss.values()) / batch_size, per_command, total
 
 
-def _views(flat: np.ndarray, like: dict) -> dict:
-    """Consecutive views of `flat` shaped like the arrays of `like`."""
-    out, start = {}, 0
-    for name, array in like.items():
-        out[name] = flat[start:start + array.size].reshape(array.shape)
-        start += array.size
-    return out
+def _bind(network, optimizer: Adam) -> None:
+    """Make the network's layers hold the optimizer's views of its parameters,
+    so that the network and a forked step worker see every update in place."""
+    for (layer, attr), view in zip(network.slots().values(), optimizer.params.values()):
+        setattr(layer, attr, view)
 
 
 class _StepWorker:
-    """A forked process that runs the first command's passes of every step.
+    """A forked process that runs the first command's passes of every step
+    and the upper half of every Adam update.
 
-    It holds the parent's `_PreparedData` and network through fork. For each
-    step the parent copies its parameters into a shared anonymous mapping
-    and sends the first command's sampled indices; the worker loads the
-    parameters, runs `_passes` over that command's groups, leaves their
-    gradient sum in the mapping and answers with their loss sum and sample
-    count. As a context manager it stops the worker on a normal exit, and
-    kills it after an exception; it reaps it either way."""
+    It holds the parent's `_PreparedData`, network and optimizer through
+    fork, and with them the optimizer's shared buffer (`_bind`). For each
+    step the parent sends the first command's sampled indices; the worker
+    runs `_passes` over that command's groups, leaves their gradient sum in
+    the optimizer's gradient views and answers with their loss sum and
+    sample count. As the optimizer's `split`, it updates the elements
+    [mid, size) while the parent's Adam.step updates [0, mid). As a context
+    manager it stops the worker on a normal exit, and kills it after an
+    exception; it reaps it either way."""
 
-    def __init__(self, network, prepared: _PreparedData, batch_size: int) -> None:
-        import mmap
+    def __init__(self, network, prepared: _PreparedData, batch_size: int, optimizer: Adam) -> None:
         from multiprocessing.connection import Pipe
 
-        self.params = network.parameters()
-        size = sum(p.size for p in self.params.values())
-        flat = np.frombuffer(mmap.mmap(-1, 2 * size * 8), dtype=np.float64)  # MAP_SHARED
-        self.shared_params = _views(flat[:size], self.params)
-        self.shared_grads = _views(flat[size:], self.params)
+        self.grads = optimizer.grads
+        self.mid = optimizer.flat.shape[1] // 2
         self.counters = None
         self.conn, child = Pipe()
+        # Linux may wake a pipe's reader on the writer's CPU, where the two
+        # processes then share one CPU for the rest of the step (for most
+        # gcil and nncil steps once Adam was split), so each takes its own.
+        self.affinity = os.sched_getaffinity(0)
+        cpus = sorted(self.affinity)
         # train() starts no threads, and OpenBLAS stops its own pool across
         # fork (pthread_atfork), so the child starts in a consistent state.
         self.pid = os.fork()
         if self.pid == 0:
             self.conn.close()
-            self._serve(child, network, prepared, batch_size)
+            self._serve(child, network, prepared, batch_size, optimizer, cpus[-1:])
         child.close()
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus[:1])
 
-    def _serve(self, conn, network, prepared: _PreparedData, batch_size: int):
-        """The worker's loop; never returns. On None it sends its minor page
-        faults and peak RSS and exits; on an error it sends the traceback
-        and exits, and on an interrupt it just exits."""
+    def _serve(self, conn, network, prepared: _PreparedData, batch_size: int, optimizer: Adam,
+               cpus: list):
+        """The worker's loop; never returns. It takes ("step", indices) and
+        ("adam", t) messages. On None it sends its minor page faults and
+        peak RSS and exits; on an error it sends the traceback and exits,
+        and on an interrupt it just exits."""
         import gc
         import resource
         import traceback
@@ -280,16 +297,19 @@ class _StepWorker:
         gc.disable()  # finalize nothing inherited from the parent
         code = 1
         try:
-            own = network.parameters()
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
             first = COMMANDS[0]
-            while (idx := conn.recv()) is not None:
-                for name, p in own.items():
-                    p[...] = self.shared_params[name]
+            while (message := conn.recv()) is not None:
+                kind, arg = message
+                if kind == "adam":
+                    optimizer.t = arg
+                    optimizer.update(self.mid, optimizer.flat.shape[1])
+                    conn.send(("adam",))
+                    continue
                 loss, n, total = {first: 0.0}, {first: 0}, None
-                for part in _passes(network, prepared, {first: idx}, batch_size, (first,), loss, n):
-                    total = _add(total, [part])
-                for name, g in total.items():
-                    self.shared_grads[name][...] = g
+                for part in _passes(network, prepared, {first: arg}, batch_size, (first,), loss, n):
+                    total = _add(total, [part], self.grads)
                 conn.send(("step", loss[first], n[first]))
             usage = resource.getrusage(resource.RUSAGE_SELF)
             conn.send(("exit", {"minor_page_faults": usage.ru_minflt,
@@ -302,10 +322,8 @@ class _StepWorker:
             os._exit(code)
 
     def start(self, idx: np.ndarray) -> None:
-        """Hand the worker this step's parameters and first-command indices."""
-        for name, p in self.params.items():
-            self.shared_params[name][...] = p
-        self.conn.send(idx)
+        """Hand the worker this step's first-command indices."""
+        self.conn.send(("step", idx))
 
     def ready(self) -> bool:
         return self.conn.poll()
@@ -321,11 +339,19 @@ class _StepWorker:
 
     def prefix(self, cmd_loss: dict, cmd_n: dict) -> dict:
         """Wait for the worker's part of this step. Its loss sum and sample
-        count go into cmd_loss and cmd_n; its gradient sum is returned as
-        views of the shared mapping, valid until the next start()."""
+        count go into cmd_loss and cmd_n; the gradient views holding its
+        gradient sum are returned."""
         _, loss, n = self._receive()
         cmd_loss[COMMANDS[0]], cmd_n[COMMANDS[0]] = loss, n
-        return dict(self.shared_grads)
+        return self.grads
+
+    def begin(self, t: int) -> None:
+        """Have the worker take Adam step `t` of the elements [mid, size)."""
+        self.conn.send(("adam", t))
+
+    def end(self) -> None:
+        """Wait for the worker's part of the Adam step."""
+        self._receive()
 
     def __enter__(self):
         return self
@@ -340,6 +366,8 @@ class _StepWorker:
                 os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.conn.close()
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, self.affinity)
 
 
 def steps_for(config: TrainConfig, total_samples: int) -> int:
@@ -466,7 +494,8 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
         out_path.mkdir(parents=True, exist_ok=True)
     checkpoint_paths = []
     history = []
-    params = network.parameters()
+    _bind(network, optimizer)
+    params = optimizer.params
     t0 = time.perf_counter()
 
     def save(step: int, name: str) -> None:
@@ -482,13 +511,15 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
         faults_before = _minor_faults()
         worker = None
         if pinned and _usable_cpus() > 1:
-            worker = _StepWorker(network, prepared, config.batch_size)
+            worker = _StepWorker(network, prepared, config.batch_size, optimizer)
+        optimizer.split = worker
         with worker or contextlib.nullcontext():
             for step in range(start_step, steps_total):
                 rng = np.random.default_rng([config.seed, 2, step])
                 indices = sample_minibatch(prepared.sizes, config.batch_size, rng, step)
                 mean_loss, per_command, grads = _train_step(network, prepared, indices,
-                                                            config.batch_size, worker)
+                                                            config.batch_size, worker,
+                                                            optimizer.grads)
                 if not math.isfinite(mean_loss):
                     save(step, "checkpoint_diagnostic.json")
                     raise TrainingError(f"non-finite loss {mean_loss} at step {step}")
@@ -505,6 +536,7 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
                         and step + 1 < steps_total):
                     save(step + 1, f"checkpoint_step{step + 1}.json")
         counters = {"minor_page_faults": _minor_faults() - faults_before}
+    optimizer.split = None
     step_loop = {"blas_threads": 1 if pinned else None,
                  "step_processes": 1 if worker is None else 2}
     if worker is not None:

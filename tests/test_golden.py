@@ -50,6 +50,7 @@ from graphnav.dataset import read_dataset
 from graphnav.graph import GraphConfig, encode_world
 from graphnav.layout import COMMANDS
 from graphnav.policies import NETWORK_KINDS, NetworkController, build_network
+from graphnav import training
 from graphnav.training import TrainConfig, train
 from graphnav.world import spawn_scenario
 
@@ -99,6 +100,14 @@ def training_digests(data, out) -> dict:
 
 
 def test_training_bits_are_pinned(collected, tmp_path):
+    assert training_digests(collected, tmp_path) == TRAINING_SHA256
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_training_bits_are_pinned_on_both_step_paths(collected, tmp_path, monkeypatch, cpus):
+    """One usable CPU takes the serial step loop, two take the step worker
+    with its split Adam step, whichever path this host's CPU count picks."""
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
     assert training_digests(collected, tmp_path) == TRAINING_SHA256
 
 

@@ -259,3 +259,79 @@ class TestAdam:
         opt = Adam(params)
         with pytest.raises(ValueError):
             opt.step(params, {"b": np.zeros(2)})
+
+
+def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one parameter array at a time, as nn.Adam did before its update
+    became one elementwise pass over a flat buffer."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+class SplitHere:
+    """The step worker's part of a split Adam step, [mid, size), run in this
+    process when the parent's part is done."""
+
+    def __init__(self, opt, mid):
+        self.opt, self.mid = opt, mid
+
+    def begin(self, t):
+        assert t == self.opt.t
+
+    def end(self):
+        self.opt.update(self.mid, self.opt.flat.shape[1])
+
+
+SHAPES = {"gcn.0.w": (3, 4), "trunk.0.w": (4, 5), "trunk.0.b": (5,), "branch.0.b": (2,)}
+SIZE = 39  # elements over all SHAPES
+
+
+@pytest.mark.parametrize("mid", [None, 0, 1, 5, 12, 31, 32, 38, SIZE])
+@pytest.mark.parametrize("own_views", [True, False])
+def test_flat_adam_equals_the_per_parameter_reference(mid, own_views):
+    """The flat update over the whole range (mid None) and split at any
+    index, parameter boundaries (12, 32) and array interiors alike, gives
+    the reference bits over 8 steps, through a from_state_dict resume after
+    the fourth; with its own views or with dicts it copies in and out."""
+    rng = np.random.default_rng(5)
+    ref = {k: rng.normal(size=shape) for k, shape in SHAPES.items()}
+    m_ref = {k: np.zeros(shape) for k, shape in SHAPES.items()}
+    v_ref = {k: np.zeros(shape) for k, shape in SHAPES.items()}
+    params = {k: p.copy() for k, p in ref.items()}
+    opt = Adam(params, lr=0.01)
+    assert opt.flat.shape == (4, SIZE)
+    for t in range(1, 9):
+        if t == 5:
+            opt = Adam.from_state_dict(opt.state_dict(), params)
+        opt.split = None if mid is None else SplitHere(opt, mid)
+        grads = {k: rng.normal(size=shape) for k, shape in SHAPES.items()}
+        reference_adam_step(ref, grads, m_ref, v_ref, t, lr=0.01)
+        if own_views:
+            for k, g in grads.items():
+                opt.grads[k][...] = g
+            opt.step(opt.params, opt.grads)
+            params = {k: p.copy() for k, p in opt.params.items()}
+        else:
+            opt.step(params, grads)
+        for k in SHAPES:
+            assert params[k].tobytes() == ref[k].tobytes()
+            assert opt.m[k].tobytes() == m_ref[k].tobytes()
+            assert opt.v[k].tobytes() == v_ref[k].tobytes()
+
+
+def test_adam_steps_its_own_views_in_place():
+    params = {k: np.full(shape, 2.0) for k, shape in SHAPES.items()}
+    opt = Adam(params)
+    assert np.array_equal(opt.flat[0], np.full(SIZE, 2.0)) and not opt.flat[1:].any()
+    opt.grads["trunk.0.b"][...] = 1.0
+    opt.step(opt.params, opt.grads)
+    assert np.shares_memory(opt.m["trunk.0.b"], opt.flat) and np.count_nonzero(opt.flat[2]) == 5
+    assert np.count_nonzero(opt.flat[0] != 2.0) == 5
+    assert np.array_equal(params["trunk.0.b"], [2.0] * 5)  # a copy: the caller's arrays stay

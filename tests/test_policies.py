@@ -210,6 +210,23 @@ class TestGradientFidelity:
         monkeypatch.setattr(graphnav.training, "batch_action_loss", doubled)
         assert run_policy_check(kind, seed=0, n_samples=40) > 1e-4
 
+    @pytest.mark.parametrize("kind", NETWORK_KINDS)
+    def test_the_analytic_gradient_outlives_later_steps(self, kind, monkeypatch):
+        # the check calls `_train_step` again for every central difference
+        # while it holds the first call's gradient, so that gradient must not
+        # share memory with a buffer a later step writes
+        check = graphnav.gradcheck.finite_diff_check
+        held = []
+
+        def holding(loss_fn, params, analytic, **kwargs):
+            before = {k: g.copy() for k, g in analytic.items()}
+            worst = check(loss_fn, params, analytic, **kwargs)
+            held.append(all(np.array_equal(before[k], analytic[k]) for k in before))
+            return worst
+        monkeypatch.setattr(graphnav.gradcheck, "finite_diff_check", holding)
+        run_policy_check(kind, seed=0, n_samples=10)
+        assert held == [True]
+
     def test_perception_dimension(self):
         net = build_network("gcil", seed=0)
         assert net.head.n_in == 16  # 10 graph channels + 6 ego entries
