@@ -165,15 +165,12 @@ def _views(flat: np.ndarray, like: dict) -> dict:
 class Adam:
     """Bias-corrected Adam over a named parameter dict, updated in place.
 
-    It works on one (4, size) float64 buffer `flat`, an anonymous shared
-    mapping that a process forked later works on too: the parameters (a
-    copy of `params`), their gradient and the two moments, each row in the
-    order of `params`, with `params`, `grads`, `m` and `v` its rows' views
-    by name. The update is elementwise, so updating [0, mid) and
-    [mid, size) apart gives the bits of one update. While `split` is set
-    (`mid`, `begin(t)`, `end()`), another process updates [mid, size).
-    step() copies in parameters and gradients other than the buffer's own
-    views, and the parameters back out.
+    Its (4, size) float64 buffer `flat`, an anonymous shared mapping that a
+    later fork sees too, holds the parameters (a copy of `params`), their
+    gradient and the two moments; `params`, `grads`, `m` and `v` are its
+    rows' views by name, and the update is one elementwise pass over it.
+    step() copies in dicts other than these views, and the parameters back
+    out; train() passes the views, so only tests take that path.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
@@ -185,7 +182,6 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.split = None
         size = sum(p.size for p in params.values())
         self.flat = np.frombuffer(mmap.mmap(-1, 4 * 8 * size), dtype=np.float64).reshape(4, size)
         self.params, self.grads, self.m, self.v = (_views(row, params) for row in self.flat)
@@ -203,26 +199,17 @@ class Adam:
                 self.params[name][...] = p
                 self.grads[name][...] = grads[name]
         self.t += 1
-        if self.split is None:
-            self.update(0, self.flat.shape[1])
-        else:
-            self.split.begin(self.t)
-            self.update(0, self.split.mid)
-            self.split.end()
-        if copy:
-            for name, p in params.items():
-                p[...] = self.params[name]
-
-    def update(self, lo: int, hi: int) -> None:
-        """Step `t`'s update of the flat elements [lo, hi)."""
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        p, g, m, v = self.flat[:, lo:hi]
+        p, g, m, v = self.flat
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * (g * g)
         p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        if copy:
+            for name, p in params.items():
+                p[...] = self.params[name]
 
     def state_dict(self) -> dict:
         """Hyperparameters, step count and the moment arrays themselves (not

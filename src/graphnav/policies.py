@@ -58,15 +58,8 @@ def _canonical_order(x: np.ndarray, fixed: int) -> np.ndarray:
 def _named(prefix: str, pairs) -> dict:
     """Name a stack of (weight, bias) pairs `{prefix}.{i}.w` / `{prefix}.{i}.b`,
     such as the gradients an Mlp's backward returns."""
-    named = {}
-    for i, (w, b) in enumerate(pairs):
-        named[f"{prefix}.{i}.w"] = w
-        named[f"{prefix}.{i}.b"] = b
-    return named
-
-
-def _weights(mlp: Mlp) -> list:
-    return [(layer.w, layer.b) for layer in mlp.layers]
+    return {f"{prefix}.{i}.{attr}": array
+            for i, pair in enumerate(pairs) for attr, array in zip("wb", pair)}
 
 
 def _slots(prefix: str, layers) -> dict:
@@ -104,7 +97,7 @@ class _BranchedHead:
         grads = _named("trunk", trunk_grads)
         for c in COMMANDS:
             pairs = branch_grads if c is command else [
-                (np.zeros_like(w), np.zeros_like(b)) for w, b in _weights(self.branches[c])]
+                (np.zeros_like(layer.w), np.zeros_like(layer.b)) for layer in self.branches[c].layers]
             grads.update(_named(f"branch.{c.value}", pairs))
         return dp, grads
 

@@ -12,9 +12,9 @@ The step loop pins numpy's OpenBLAS to one thread, and keeps the
 parameters, their gradient and both Adam moments in one flat buffer in a
 shared anonymous mapping. Where at least two CPUs are usable, a forked step
 worker runs the first command's passes of each step while this process runs
-the other two and adds their gradients onto the worker's sum in COMMANDS
-order; then each process takes half of the elementwise Adam update. The
-parameters equal those of a serial single-thread run bit for bit.
+the other two, adds their gradients onto the worker's sum in COMMANDS
+order and takes the Adam step, so the parameters equal those of a serial
+single-thread run bit for bit.
 """
 
 from __future__ import annotations
@@ -214,12 +214,12 @@ def _add(total, parts: list, out):
 def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int, worker=None,
                 grads=None):
     """Forward/backward over one minibatch; returns (mean loss, per-command
-    means, gradient). The gradient is the groups' gradients added in
-    COMMANDS order, into new arrays or into the views `grads`, which only
-    the step loop passes: it overwrites them at its next step. With a
-    `_StepWorker`, the worker runs the first command's groups meanwhile and
-    leaves their sum in its views of the gradient, the prefix the other
-    parts are added to; parts computed before it arrives wait in order."""
+    means, gradient): the groups' gradients added in COMMANDS order, into
+    new arrays or into the views `grads`, which only the step loop passes
+    (its next step overwrites them). With a `_StepWorker`, the worker runs
+    the first command's groups meanwhile and leaves their sum in its views
+    of the gradient, the prefix the other parts are added to; parts
+    computed before it arrives wait in order."""
     cmd_loss = dict.fromkeys(COMMANDS, 0.0)
     cmd_n = dict.fromkeys(COMMANDS, 0)
     commands = COMMANDS
@@ -249,47 +249,35 @@ def _bind(network, optimizer: Adam) -> None:
 
 
 class _StepWorker:
-    """A forked process that runs the first command's passes of every step
-    and the upper half of every Adam update.
+    """A forked process that runs the first command's passes of every step.
 
-    It holds the parent's `_PreparedData`, network and optimizer through
-    fork, and with them the optimizer's shared buffer (`_bind`). For each
-    step the parent sends the first command's sampled indices; the worker
-    runs `_passes` over that command's groups, leaves their gradient sum in
-    the optimizer's gradient views and answers with their loss sum and
-    sample count. As the optimizer's `split`, it updates the elements
-    [mid, size) while the parent's Adam.step updates [0, mid). As a context
-    manager it stops the worker on a normal exit, and kills it after an
-    exception; it reaps it either way."""
+    It holds the parent's `_PreparedData` and network through fork, and with
+    them the optimizer's shared buffer, which the network's layers view
+    (`_bind`) and `grads` is part of. For each step the parent sends the
+    first command's sampled indices; the worker runs `_passes` over that
+    command's groups, leaves their gradient sum in `grads` and answers with
+    their loss sum and sample count. As a context manager it stops the
+    worker on a normal exit, and kills it after an exception; it reaps it
+    either way."""
 
-    def __init__(self, network, prepared: _PreparedData, batch_size: int, optimizer: Adam) -> None:
+    def __init__(self, network, prepared: _PreparedData, batch_size: int, grads: dict) -> None:
         from multiprocessing.connection import Pipe
 
-        self.grads = optimizer.grads
-        self.mid = optimizer.flat.shape[1] // 2
+        self.grads = grads
         self.counters = None
         self.conn, child = Pipe()
-        # Linux may wake a pipe's reader on the writer's CPU, where the two
-        # processes then share one CPU for the rest of the step (for most
-        # gcil and nncil steps once Adam was split), so each takes its own.
-        self.affinity = os.sched_getaffinity(0)
-        cpus = sorted(self.affinity)
         # train() starts no threads, and OpenBLAS stops its own pool across
         # fork (pthread_atfork), so the child starts in a consistent state.
         self.pid = os.fork()
         if self.pid == 0:
             self.conn.close()
-            self._serve(child, network, prepared, batch_size, optimizer, cpus[-1:])
+            self._serve(child, network, prepared, batch_size)
         child.close()
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, cpus[:1])
 
-    def _serve(self, conn, network, prepared: _PreparedData, batch_size: int, optimizer: Adam,
-               cpus: list):
-        """The worker's loop; never returns. It takes ("step", indices) and
-        ("adam", t) messages. On None it sends its minor page faults and
-        peak RSS and exits; on an error it sends the traceback and exits,
-        and on an interrupt it just exits."""
+    def _serve(self, conn, network, prepared: _PreparedData, batch_size: int):
+        """The worker's loop; never returns. On None it sends its minor page
+        faults and peak RSS and exits; on an error it sends the traceback
+        and exits, and on an interrupt it just exits."""
         import gc
         import resource
         import traceback
@@ -297,18 +285,10 @@ class _StepWorker:
         gc.disable()  # finalize nothing inherited from the parent
         code = 1
         try:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, cpus)
             first = COMMANDS[0]
-            while (message := conn.recv()) is not None:
-                kind, arg = message
-                if kind == "adam":
-                    optimizer.t = arg
-                    optimizer.update(self.mid, optimizer.flat.shape[1])
-                    conn.send(("adam",))
-                    continue
+            while (idx := conn.recv()) is not None:
                 loss, n, total = {first: 0.0}, {first: 0}, None
-                for part in _passes(network, prepared, {first: arg}, batch_size, (first,), loss, n):
+                for part in _passes(network, prepared, {first: idx}, batch_size, (first,), loss, n):
                     total = _add(total, [part], self.grads)
                 conn.send(("step", loss[first], n[first]))
             usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -323,7 +303,7 @@ class _StepWorker:
 
     def start(self, idx: np.ndarray) -> None:
         """Hand the worker this step's first-command indices."""
-        self.conn.send(("step", idx))
+        self.conn.send(idx)
 
     def ready(self) -> bool:
         return self.conn.poll()
@@ -345,14 +325,6 @@ class _StepWorker:
         cmd_loss[COMMANDS[0]], cmd_n[COMMANDS[0]] = loss, n
         return self.grads
 
-    def begin(self, t: int) -> None:
-        """Have the worker take Adam step `t` of the elements [mid, size)."""
-        self.conn.send(("adam", t))
-
-    def end(self) -> None:
-        """Wait for the worker's part of the Adam step."""
-        self._receive()
-
     def __enter__(self):
         return self
 
@@ -366,8 +338,6 @@ class _StepWorker:
                 os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.conn.close()
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, self.affinity)
 
 
 def steps_for(config: TrainConfig, total_samples: int) -> int:
@@ -511,8 +481,7 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
         faults_before = _minor_faults()
         worker = None
         if pinned and _usable_cpus() > 1:
-            worker = _StepWorker(network, prepared, config.batch_size, optimizer)
-        optimizer.split = worker
+            worker = _StepWorker(network, prepared, config.batch_size, optimizer.grads)
         with worker or contextlib.nullcontext():
             for step in range(start_step, steps_total):
                 rng = np.random.default_rng([config.seed, 2, step])
@@ -536,7 +505,6 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
                         and step + 1 < steps_total):
                     save(step + 1, f"checkpoint_step{step + 1}.json")
         counters = {"minor_page_faults": _minor_faults() - faults_before}
-    optimizer.split = None
     step_loop = {"blas_threads": 1 if pinned else None,
                  "step_processes": 1 if worker is None else 2}
     if worker is not None:

@@ -291,7 +291,7 @@ def test_worker_steps_equal_serial_steps(tiny_dataset, kind, polled):
     optimizer = Adam(network.parameters())
     training._bind(network, optimizer)
     with (training._one_blas_thread(),
-          training._StepWorker(network, prepared, 15, optimizer) as worker):
+          training._StepWorker(network, prepared, 15, optimizer.grads) as worker):
         if not polled:
             worker.ready = lambda: False
         for step in range(5):
@@ -301,27 +301,9 @@ def test_worker_steps_equal_serial_steps(tiny_dataset, kind, polled):
             assert split[:2] == serial[:2]
             assert serial[2].keys() == split[2].keys()
             assert all(np.array_equal(serial[2][k], split[2][k]) for k in serial[2])
-            optimizer.step(optimizer.params, serial[2])
-
-
-@needs_worker
-def test_a_split_adam_step_equals_a_whole_one(tiny_dataset):
-    """Adam steps that the worker shares give the bits of whole steps in this
-    process, on random gradients that leave no element unchanged."""
-    network = build_network("gcil", seed=4)
-    whole = Adam(network.parameters())
-    optimizer = Adam(network.parameters())
-    training._bind(network, optimizer)
-    prepared = _PreparedData(_subset_dataset(tiny_dataset, 3), "gcil", GraphConfig(), False)
-    rng = np.random.default_rng(0)
-    with (training._one_blas_thread(),
-          training._StepWorker(network, prepared, 9, optimizer) as worker):
-        optimizer.split = worker
-        for _ in range(5):
-            whole.flat[1] = optimizer.flat[1] = rng.normal(size=optimizer.flat.shape[1])
-            whole.step(whole.params, whole.grads)
+            for k, g in serial[2].items():
+                optimizer.grads[k][...] = g
             optimizer.step(optimizer.params, optimizer.grads)
-            assert optimizer.flat.tobytes() == whole.flat.tobytes()
 
 
 @pytest.fixture
@@ -390,32 +372,6 @@ class TestStepWorker:
             train(_subset_dataset(tiny_dataset, 6), _tiny_config())
         assert len(worker_pids) == 1 and _reaped(worker_pids[0])
 
-    def test_each_process_keeps_to_its_own_cpu(self, tiny_dataset, worker_pids, monkeypatch,
-                                               tmp_path):
-        """From the second step on (the worker pins itself as it starts),
-        the parent and the worker each run on one CPU, two different ones
-        where two are usable; the parent gets its CPUs back after a normal
-        and after a failed run."""
-        before = os.sched_getaffinity(0)
-        seen = []
-        step = training._train_step
-
-        def recording(*args, **kwargs):
-            seen.append((os.sched_getaffinity(0), os.sched_getaffinity(worker_pids[-1])))
-            return step(*args, **kwargs)
-        monkeypatch.setattr(training, "_train_step", recording)
-        train(_subset_dataset(tiny_dataset, 6), _tiny_config(epochs=2))
-        assert os.sched_getaffinity(0) == before and len(seen) == 2
-        parent, worker = seen[1]
-        assert len(parent) == len(worker) == 1 and (parent != worker or len(before) == 1)
-        bad = _subset_dataset(tiny_dataset, 4)
-        bad.buffers[Command.TURN_LEFT] = [  # a parent command
-            DemoSample(s.features, s.adjacency, s.command, np.array([np.nan, 0.0]),
-                       s.episode_id, s.step) for s in bad.buffers[Command.TURN_LEFT]]
-        with pytest.raises(TrainingError):
-            train(bad, _tiny_config(batch_size=12), out_dir=tmp_path)
-        assert os.sched_getaffinity(0) == before
-
     def test_blas_thread_count_is_restored(self, tiny_dataset, worker_pids, tmp_path):
         get, put = training._openblas()
         before = get()
@@ -442,9 +398,9 @@ def _loss_rows(path: Path) -> list:
 @needs_worker
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 def test_the_worker_trains_the_serial_bits(tiny_dataset, tmp_path, monkeypatch, kind):
-    """train() with the step worker, split Adam included, writes the bytes
-    of a serial run: the final checkpoint, loss.csv up to its wall-clock
-    column, and a resume from a mid-run checkpoint under the worker."""
+    """train() with the step worker writes the bytes of a serial run: the
+    final checkpoint, loss.csv up to its wall-clock column, and a resume
+    from a mid-run checkpoint under the worker."""
     ds = _subset_dataset(tiny_dataset, 10)
     cfg = _tiny_config(epochs=4, eval_every=2, network=kind)
     for cpus in (1, 2):
