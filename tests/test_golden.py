@@ -105,8 +105,8 @@ def test_training_bits_are_pinned(collected, tmp_path):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_training_bits_are_pinned_on_both_step_paths(collected, tmp_path, monkeypatch, cpus):
-    """One usable CPU takes the serial step loop, two take the step worker
-    with its split Adam step, whichever path this host's CPU count picks."""
+    """One usable CPU takes the serial step loop, two take the step worker,
+    whichever path this host's CPU count picks."""
     monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
     assert training_digests(collected, tmp_path) == TRAINING_SHA256
 
