@@ -4,10 +4,15 @@ Plain JSON with sorted keys so that save -> load -> save is byte-identical.
 Every checkpoint embeds the network kind and the graph-encoder configuration
 needed to reproduce the policy's inputs.
 
-The model is never held as one document: `save_checkpoint` streams the
-weights and Adam moments one array row at a time into a temporary file that
-replaces the checkpoint only once complete, and `load_checkpoint` turns each
-parsed weight table into float arrays as soon as it is read.
+The model is never held as one document. `save_checkpoint` walks it once
+into ordered pieces, strings and the weight and Adam-moment arrays as blocks
+of rows, and cuts them at about half their floats. Where two CPUs are usable
+a forked helper writes the back half while this process writes the front
+half, one array row at a time, into a temporary file that replaces the
+checkpoint only once complete (`atomic.atomic_write_halves`); elsewhere this
+process writes both halves. The bytes are the same either way.
+`load_checkpoint` turns each parsed weight table into float arrays as soon
+as it is read.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write_halves
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
-from .jsontypes import require_types
+from .jsontypes import COMPACT, require_types
 from .nn import Adam
 from .policies import NETWORK_KINDS, build_network
 
@@ -60,35 +65,54 @@ class LoadedCheckpoint:
     train_state: dict | None
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _write_json(fh, value) -> None:
-    """Write `_dumps(value)` to `fh` without building it: dicts key by key in
-    sorted order, an ndarray row by row, anything else through `_dumps`."""
+def _pieces(value, out: list) -> list:
+    """Append `COMPACT.encode(value)`'s text to `out` as ordered pieces:
+    strings, and (rows, columns) float blocks whose rows are written as JSON
+    lists with commas between. Dicts go key by key in sorted order, a 2-D
+    array is one block and a 1-D array a one-row block."""
     if isinstance(value, dict):
-        fh.write("{")
+        out.append("{")
         for i, key in enumerate(sorted(value)):
-            fh.write("," if i else "")
-            fh.write(_dumps(key) + ":")
-            _write_json(fh, value[key])
-        fh.write("}")
-    elif isinstance(value, np.ndarray) and value.ndim > 1:
-        fh.write("[")
-        for i, row in enumerate(value):
-            fh.write("," if i else "")
-            _write_json(fh, row)
-        fh.write("]")
+            out.append(("," if i else "") + COMPACT.encode(key) + ":")
+            _pieces(value[key], out)
+        out.append("}")
+    elif isinstance(value, np.ndarray) and value.ndim in (1, 2):
+        out += ["[", value, "]"] if value.ndim == 2 else [value[np.newaxis]]
     else:
-        fh.write(_dumps(value.tolist() if isinstance(value, np.ndarray) else value))
+        out.append(COMPACT.encode(value))
+    return out
+
+
+def _emit(fh, pieces: list) -> None:
+    """Write the pieces, converting one array row to Python floats at a time."""
+    for piece in pieces:
+        if isinstance(piece, str):
+            fh.write(piece)
+            continue
+        for i, row in enumerate(piece):
+            fh.write(("," if i else "") + COMPACT.encode(row.tolist()))
+
+
+def _halves(pieces: list) -> tuple[list, list]:
+    """The pieces cut at about half their floats; the block the middle falls
+    in is cut between two rows."""
+    half = sum(piece.size for piece in pieces if not isinstance(piece, str)) / 2
+    for i, piece in enumerate(pieces):
+        if isinstance(piece, str):
+            continue
+        if piece.size >= half:
+            rows = min(max(1, round(half / max(1, piece.shape[1]))), len(piece))
+            if rows == len(piece):
+                return pieces[:i + 1], pieces[i + 1:]
+            return pieces[:i] + [piece[:rows]], [",", piece[rows:]] + pieces[i + 1:]
+        half -= piece.size
+    return pieces, []
 
 
 def save_checkpoint(path, network, graph_cfg: GraphConfig,
                     optimizer: Adam | None = None, train_state: dict | None = None) -> Path:
-    """Write the checkpoint atomically; its bytes are those of `_dumps(doc)`
-    plus a newline, streamed so that at most one array row is converted to
-    Python floats at a time."""
+    """Write the checkpoint atomically; its bytes are those of
+    `json.dumps(doc, sort_keys=True, separators=(",", ":"))` plus a newline."""
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": network.kind,
@@ -99,9 +123,7 @@ def save_checkpoint(path, network, graph_cfg: GraphConfig,
         "train_state": train_state,
     }
     path = Path(path)
-    with atomic_write(path) as fh:
-        _write_json(fh, doc)
-        fh.write("\n")
+    atomic_write_halves(path, _emit, *_halves(_pieces(doc, []) + ["\n"]))
     return path
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from .evaluation import TRAIN_DENSITIES
 from .expert import ExpertParams
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
-from .jsontypes import has_type_of, type_name
+from .jsontypes import COMPACT, has_type_of, type_name
 from .layout import Arm, Command
 from .policies import NETWORK_KINDS
 from .rollout import NoiseParams
@@ -221,8 +221,7 @@ def key_check(key: str) -> tuple:
 
 
 def config_hash(cfg: dict) -> str:
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(COMPACT.encode(cfg).encode()).hexdigest()
 
 
 def _fields(target, cfg: dict) -> dict:

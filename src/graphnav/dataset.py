@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .jsontypes import has_type_of, require_types
+from .jsontypes import COMPACT, has_type_of, require_types
 from .layout import COMMANDS, Command
 from .rollout import DemoSample
 
@@ -92,8 +92,7 @@ def write_dataset(dataset: DemoDataset, out_dir) -> Path:
     for command, filename in BUFFER_FILES.items():
         with atomic_write(out_dir / filename) as fh:
             for sample in dataset.buffers[command]:
-                fh.write(json.dumps(_sample_to_record(sample), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+                fh.write(COMPACT.encode(_sample_to_record(sample)) + "\n")
     manifest = {**dataset.manifest, "schema_version": SCHEMA_VERSION}
     manifest["counts"] = dataset.counts()
     manifest_path = out_dir / "manifest.json"

@@ -1,7 +1,13 @@
 """The JSON type rule for every file graphnav reads back: a value has the JSON
-type of a template value, such as a config default or a dataset record's."""
+type of a template value, such as a config default or a dataset record's. And
+the one compact encoder that dataset records and checkpoints are written with."""
 
+import json
 import sys
+
+# the text of json.dumps(value, sort_keys=True, separators=(",", ":")), without
+# building an encoder per call
+COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def has_type_of(value, template) -> bool:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .jsontypes import require_types
+
 RELU = "relu"
 TANH = "tanh"
 IDENTITY = "identity"
@@ -162,6 +164,14 @@ def _views(flat: np.ndarray, like: dict) -> dict:
             for (name, array), part in zip(like.items(), np.split(flat, ends[:-1]))}
 
 
+# Adam's scalar state as a checkpoint holds it: (JSON type, range rule) per key
+_STATE_RULES = {"t": (0, lambda v: v >= 0, "non-negative"),
+                "lr": (0.0, lambda v: v > 0, "positive"),
+                "beta1": (0.0, lambda v: 0 <= v < 1, "in [0, 1)"),
+                "beta2": (0.0, lambda v: 0 <= v < 1, "in [0, 1)"),
+                "eps": (0.0, lambda v: v > 0, "positive")}
+
+
 class Adam:
     """Bias-corrected Adam over a named parameter dict, updated in place.
 
@@ -169,8 +179,7 @@ class Adam:
     later fork sees too, holds the parameters (a copy of `params`), their
     gradient and the two moments; `params`, `grads`, `m` and `v` are its
     rows' views by name, and the update is one elementwise pass over it.
-    step() copies in dicts other than these views, and the parameters back
-    out; train() passes the views, so only tests take that path.
+    step() takes only these views: write the gradient into `grads` first.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
@@ -189,15 +198,8 @@ class Adam:
             self.params[name][...] = p
 
     def step(self, params: dict, grads: dict) -> None:
-        if set(grads) != set(self.m):
-            raise ValueError("gradient keys do not match optimizer state")
-        copy = params is not self.params or grads is not self.grads
-        if copy:
-            for name, p in params.items():
-                if grads[name].shape != p.shape:
-                    raise ValueError(f"gradient shape mismatch for {name}")
-                self.params[name][...] = p
-                self.grads[name][...] = grads[name]
+        if params is not self.params or grads is not self.grads:
+            raise ValueError("Adam.step takes the optimizer's own params and grads views")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
@@ -207,9 +209,6 @@ class Adam:
         v *= self.beta2
         v += (1.0 - self.beta2) * (g * g)
         p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        if copy:
-            for name, p in params.items():
-                p[...] = self.params[name]
 
     def state_dict(self) -> dict:
         """Hyperparameters, step count and the moment arrays themselves (not
@@ -226,10 +225,16 @@ class Adam:
 
     @classmethod
     def from_state_dict(cls, state: dict, params: dict) -> "Adam":
-        """A new optimizer whose moments are copies of `state`'s arrays."""
+        """A new optimizer whose moments are copies of `state`'s arrays. A
+        scalar of the wrong JSON type or out of range, or a moment of the
+        wrong shape or not finite, raises a ValueError naming its key."""
+        require_types(state, {key: rule[0] for key, rule in _STATE_RULES.items()})
+        for key, (_, in_range, words) in _STATE_RULES.items():
+            if not in_range(state[key]):
+                raise ValueError(f"{key} must be {words}, got {state[key]!r}")
         opt = cls(params, lr=state["lr"], beta1=state["beta1"],
                   beta2=state["beta2"], eps=state["eps"])
-        opt.t = int(state["t"])
+        opt.t = state["t"]
         for field_name, target in (("m", opt.m), ("v", opt.v)):
             saved = state[field_name]
             if set(saved) != set(target):
@@ -239,6 +244,8 @@ class Adam:
                 if arr.shape != target[k].shape:
                     raise ValueError(f"optimizer {field_name}[{k}] shape {arr.shape} "
                                      f"does not match {target[k].shape}")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"optimizer {field_name}[{k}] holds a non-finite value")
                 target[k][...] = arr
         return opt
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, usable_cpus as _usable_cpus  # tests force the step path here
 from .checkpoint import CheckpointError, graph_config_to_dict, load_checkpoint, save_checkpoint
 from .dataset import DemoDataset
 from .graph import GraphConfig, adjacency_from_features
@@ -85,7 +85,7 @@ class TrainRun:
     network: object
     optimizer: Adam
     checkpoint_paths: list
-    counters: dict          # run telemetry: minor page faults over the step loop, and the worker's
+    counters: dict          # run telemetry: page faults, the worker's, and checkpoint saves
     step_loop: dict         # conditions: blas_threads (None: not pinned) and step_processes
 
 
@@ -422,13 +422,6 @@ def _one_blas_thread():
         put(before)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where that is unknown or fork is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) -> TrainRun:
     """Run the full training budget; optionally resume from a checkpoint."""
     prepared = _PreparedData(dataset, config.network, config.graph, config.reencode)
@@ -468,13 +461,18 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
     params = optimizer.params
     t0 = time.perf_counter()
 
+    save_s = 0.0
+
     def save(step: int, name: str) -> None:
+        nonlocal save_s
         if out_path is None:
             return
+        started = time.perf_counter()
         path = save_checkpoint(out_path / name, network, config.graph, optimizer,
                                train_state={"seed": config.seed, "step": step,
                                             "steps_total": steps_total, **hashes})
         checkpoint_paths.append(path)
+        save_s += time.perf_counter() - started
 
     keep_freed_heap()
     with _one_blas_thread() as pinned:
@@ -510,6 +508,7 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
     if worker is not None:
         counters.update({f"worker_{key}": value for key, value in worker.counters.items()})
     save(steps_total, "checkpoint_final.json")
+    counters.update(checkpoint_saves=len(checkpoint_paths), checkpoint_save_s=save_s)
     if out_path is not None:
         write_loss_csv(out_path / "loss.csv", history)
     return TrainRun(steps=steps_total - start_step, history=history, network=network,

@@ -1,9 +1,12 @@
 import json
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from graphnav import atomic, checkpoint, training
 from graphnav.checkpoint import (FORMAT_VERSION, CheckpointError, graph_config_to_dict,
                                  load_checkpoint, save_checkpoint)
 from graphnav.graph import GraphConfig
@@ -16,11 +19,13 @@ TRAIN_STATE = {"seed": 3, "step": 7, "steps_total": 9}
 def _stepped(kind, seed=0, steps=2):
     """A network and an Adam whose moments are non-zero."""
     net = build_network(kind, seed=seed)
-    params = net.parameters()
-    opt = Adam(params)
+    opt = Adam(net.parameters())
+    training._bind(net, opt)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        opt.step(params, {k: rng.normal(size=v.shape) for k, v in params.items()})
+        for g in opt.grads.values():
+            g[...] = rng.normal(size=g.shape)
+        opt.step(opt.params, opt.grads)
     return net, opt
 
 
@@ -61,6 +66,112 @@ def test_streamed_bytes_keep_nan_as_json_does(tmp_path):
     raw = path.read_bytes()
     assert b"NaN" in raw and b"-Infinity" in raw
     assert raw == _reference_bytes(net, GraphConfig(), opt, TRAIN_STATE)
+
+
+@pytest.fixture
+def helper_pids(monkeypatch):
+    """The pid of every helper a save forks; saves fork one even on a
+    one-CPU host."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording)
+    monkeypatch.setattr(atomic, "usable_cpus", lambda: 2)
+    return pids
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # a zombie still takes the signal
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+@pytest.mark.parametrize("with_optimizer", [False, True])
+def test_helper_and_one_cpu_saves_write_the_same_bytes(tmp_path, monkeypatch, helper_pids, kind,
+                                                       with_optimizer):
+    """A save whose back half a forked helper writes and a one-CPU save both
+    write the whole document's bytes, NaN and -Infinity included."""
+    net, opt = _stepped(kind)
+    net.parameters()["trunk.0.w"][3, 5] = np.nan
+    opt.v["trunk.1.w"][0, 0] = -np.inf
+    opt, state = (opt, TRAIN_STATE) if with_optimizer else (None, None)
+    expected = _reference_bytes(net, GraphConfig(), opt, state)
+    assert b"NaN" in expected and (b"-Infinity" in expected) == with_optimizer
+    for cpus in (2, 1):
+        monkeypatch.setattr(atomic, "usable_cpus", lambda: cpus)
+        path = save_checkpoint(tmp_path / f"cpus{cpus}.json", net, GraphConfig(), opt, state)
+        assert path.read_bytes() == expected
+    assert len(helper_pids) == 1 and _reaped(helper_pids[0])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.json", "cpus2.json"]
+
+
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+def test_the_halves_hold_about_half_the_floats_each(kind):
+    net, opt = _stepped(kind)
+    doc = {"params": net.parameters(), "optimizer": opt.state_dict()}
+    front, back = checkpoint._halves(checkpoint._pieces(doc, []))
+    floats = [sum(p.size for p in half if not isinstance(p, str)) for half in (front, back)]
+    assert sum(floats) == 3 * sum(p.size for p in net.parameters().values())
+    assert abs(floats[0] - floats[1]) <= 256  # the widest row
+
+
+def _in_the_helper(parent: int, emit, parent_emit):
+    """An emit that runs `emit` in the helper and `parent_emit` here."""
+    def split(fh, pieces):
+        (parent_emit if os.getpid() == parent else emit)(fh, pieces)
+    return split
+
+
+def test_a_failing_helper_keeps_the_previous_file(tmp_path, monkeypatch, helper_pids):
+    def failing(fh, pieces):
+        raise OSError("No space left on device")
+    monkeypatch.setattr(checkpoint, "_emit", _in_the_helper(os.getpid(), failing,
+                                                            checkpoint._emit))
+    path = tmp_path / "ck.json"
+    path.write_text("previous\n")
+    net, opt = _stepped("gcil")
+    with pytest.raises(OSError, match="the helper writing its second half"):
+        save_checkpoint(path, net, GraphConfig(), opt, TRAIN_STATE)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+    assert len(helper_pids) == 1 and _reaped(helper_pids[0])
+
+
+def test_an_interrupted_parent_kills_the_helper(tmp_path, monkeypatch, helper_pids):
+    """The parent is interrupted once the helper's part file exists; the
+    helper, which would write for a minute, is killed and both temporary
+    files go."""
+    def slow(fh, pieces):
+        fh.write("[")
+        fh.flush()
+        time.sleep(60)
+
+    def interrupted(fh, pieces):
+        deadline = time.monotonic() + 30
+        while not any(tmp_path.glob(".ck.json.*.part")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        seen.append(any(tmp_path.glob(".ck.json.*.part")))
+        raise KeyboardInterrupt
+    seen = []
+    monkeypatch.setattr(checkpoint, "_emit", _in_the_helper(os.getpid(), slow, interrupted))
+    path = tmp_path / "ck.json"
+    path.write_text("previous\n")
+    net, opt = _stepped("gcil")
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(path, net, GraphConfig(), opt, TRAIN_STATE)
+    assert seen == [True] and time.monotonic() - started < 30
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+    assert len(helper_pids) == 1 and _reaped(helper_pids[0])
 
 
 def _traced_peak(fn) -> int:

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -342,6 +346,41 @@ def test_resume_without_optimizer_state_is_runtime_error(workdir, tmp_path, caps
     assert str(ckpt) in err and "invalid optimizer state" in err
 
 
+def _nan_moment(doc):
+    doc["optimizer"]["m"]["gcn.0.w"][0][0] = float("nan")
+
+
+# an edit of the saved optimizer section, and the words the refusal must hold
+BAD_OPTIMIZER_STATES = {
+    "string-lr": ({"lr": "0.001"}, "lr must be a finite number, got '0.001'"),
+    "float-t": ({"t": 2.7}, "t must be an integer, got 2.7"),
+    "negative-eps": ({"eps": -1.0}, "eps must be positive, got -1.0"),
+    "bool-beta1": ({"beta1": True}, "beta1 must be a finite number, got True"),
+    "beta2-of-one": ({"beta2": 1.0}, "beta2 must be in [0, 1), got 1.0"),
+    "negative-t": ({"t": -1}, "t must be non-negative, got -1"),
+    "zero-lr": ({"lr": 0}, "lr must be positive, got 0"),
+    "nan-moment": (_nan_moment, "optimizer m[gcn.0.w] holds a non-finite value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIMIZER_STATES))
+def test_resume_refuses_a_malformed_optimizer_section(workdir, tmp_path, capsys, case):
+    edit, words = BAD_OPTIMIZER_STATES[case]
+    doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
+    if callable(edit):
+        edit(doc)
+    else:
+        doc["optimizer"].update(edit)
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    config = tmp_path / "config.json"  # one more epoch than the checkpoint's run
+    config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "epochs": 2}}))
+    assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "o"), "--resume", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: invalid optimizer state: {words}" in err
+
+
 def _refused_resume(workdir, tmp_path, capsys, config, data):
     """Resume the workdir run under `config` on `data`: exit 3, and the
     message names the checkpoint's hashes and this run's."""
@@ -513,3 +552,20 @@ def test_missing_dataset_is_runtime_error(workdir, tmp_path):
     code = main(["train", "--config", str(workdir["config"]),
                  "--dataset", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_train_manifest_counts_checkpoint_saves(workdir):
+    counters = json.loads((workdir["run"] / "run_manifest.json").read_text())["counters"]
+    assert counters["checkpoint_saves"] == 1  # eval_every 0: the final checkpoint only
+    assert isinstance(counters["checkpoint_save_s"], float) and counters["checkpoint_save_s"] > 0
+
+
+def test_importing_the_cli_loads_no_module_it_does_not_need():
+    """A fresh interpreter: every module `import graphnav.cli` loads adds to
+    a run's setup time, compiled afresh where bytecode is not written."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, graphnav.cli; "
+            "print(sorted({'mmap', 'resource', 'secrets', 'tracemalloc'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         check=True, text=True, capture_output=True).stdout
+    assert out.strip() == "[]"

@@ -216,49 +216,59 @@ class TestActionLoss:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        params = {"w": np.array([1.0, 2.0])}
-        opt = Adam(params)
-        opt.step(params, {"w": np.zeros(2)})
-        assert np.array_equal(params["w"], [1.0, 2.0])
+        opt = Adam({"w": np.array([1.0, 2.0])})
+        opt.step(opt.params, opt.grads)
+        assert np.array_equal(opt.params["w"], [1.0, 2.0])
 
     def test_first_step_magnitude(self):
-        params = {"w": np.array([0.0])}
-        opt = Adam(params, lr=1e-3)
-        opt.step(params, {"w": np.array([1.0])})
+        opt = Adam({"w": np.array([0.0])}, lr=1e-3)
+        opt.grads["w"][...] = 1.0
+        opt.step(opt.params, opt.grads)
+        w = opt.params["w"][0]
         expected = -1e-3 / (1.0 + 1e-8)  # bias-corrected m_hat = v_hat = 1 at t = 1
-        assert params["w"][0] == pytest.approx(expected, abs=1e-15)
-        assert abs(params["w"][0] + 1e-3) < 1e-6
+        assert w == pytest.approx(expected, abs=1e-15)
+        assert abs(w + 1e-3) < 1e-6
 
     def test_identical_runs_identical_trajectories(self):
         def run():
             rng = np.random.default_rng(12)
-            params = {"w": rng.normal(size=(3, 2))}
-            opt = Adam(params, lr=0.01)
+            opt = Adam({"w": rng.normal(size=(3, 2))}, lr=0.01)
+            w = opt.params["w"]
             for _ in range(25):
-                opt.step(params, {"w": params["w"] * 0.5 - 0.1})
-            return params["w"].copy()
+                opt.grads["w"][...] = w * 0.5 - 0.1
+                opt.step(opt.params, opt.grads)
+            return w.copy()
 
         assert np.array_equal(run(), run())
 
     def test_state_dict_roundtrip(self):
-        params = {"w": np.array([1.0, -1.0])}
-        opt = Adam(params, lr=0.01)
-        opt.step(params, {"w": np.array([0.5, 0.5])})
+        opt = Adam({"w": np.array([1.0, -1.0])}, lr=0.01)
+        opt.grads["w"][...] = 0.5
+        opt.step(opt.params, opt.grads)
         state = opt.state_dict()
         assert state["m"]["w"] is opt.m["w"]  # the live arrays: saving copies nothing
-        opt2 = Adam.from_state_dict(state, params)
+        opt2 = Adam.from_state_dict(state, opt.params)
         assert opt2.t == opt.t
         assert np.array_equal(opt2.m["w"], opt.m["w"])
         assert np.array_equal(opt2.v["w"], opt.v["w"])
         # the restored moments are copies: stepping one optimizer leaves the other
-        opt2.step(params, {"w": np.array([0.5, 0.5])})
+        opt2.grads["w"][...] = 0.5
+        opt2.step(opt2.params, opt2.grads)
         assert not np.array_equal(opt2.m["w"], opt.m["w"])
 
     def test_mismatched_keys_rejected(self):
-        params = {"w": np.zeros(2)}
-        opt = Adam(params)
+        opt = Adam({"w": np.zeros(2)})
         with pytest.raises(ValueError):
-            opt.step(params, {"b": np.zeros(2)})
+            opt.step(opt.params, {"b": np.zeros(2)})
+
+    def test_dicts_other_than_its_views_are_rejected(self):
+        params = {"w": np.array([1.0, 2.0])}
+        opt = Adam(params)
+        for args in ((params, opt.grads), (opt.params, {"w": np.ones(2)}),
+                     (dict(opt.params), dict(opt.grads))):
+            with pytest.raises(ValueError, match="own params and grads views"):
+                opt.step(*args)
+        assert opt.t == 0 and not opt.flat[1:].any()
 
 
 def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -279,32 +289,25 @@ SHAPES = {"gcn.0.w": (3, 4), "trunk.0.w": (4, 5), "trunk.0.b": (5,), "branch.0.b
 SIZE = 39  # elements over all SHAPES
 
 
-@pytest.mark.parametrize("own_views", [True, False])
-def test_flat_adam_equals_the_per_parameter_reference(own_views):
+def test_flat_adam_equals_the_per_parameter_reference():
     """The flat update gives the reference bits over 8 steps, through a
-    from_state_dict resume after the fourth; with its own views or with
-    dicts it copies in and out."""
+    from_state_dict resume after the fourth."""
     rng = np.random.default_rng(5)
     ref = {k: rng.normal(size=shape) for k, shape in SHAPES.items()}
     m_ref = {k: np.zeros(shape) for k, shape in SHAPES.items()}
     v_ref = {k: np.zeros(shape) for k, shape in SHAPES.items()}
-    params = {k: p.copy() for k, p in ref.items()}
-    opt = Adam(params, lr=0.01)
+    opt = Adam({k: p.copy() for k, p in ref.items()}, lr=0.01)
     assert opt.flat.shape == (4, SIZE)
     for t in range(1, 9):
         if t == 5:
-            opt = Adam.from_state_dict(opt.state_dict(), params)
+            opt = Adam.from_state_dict(opt.state_dict(), opt.params)
         grads = {k: rng.normal(size=shape) for k, shape in SHAPES.items()}
         reference_adam_step(ref, grads, m_ref, v_ref, t, lr=0.01)
-        if own_views:
-            for k, g in grads.items():
-                opt.grads[k][...] = g
-            opt.step(opt.params, opt.grads)
-            params = {k: p.copy() for k, p in opt.params.items()}
-        else:
-            opt.step(params, grads)
+        for k, g in grads.items():
+            opt.grads[k][...] = g
+        opt.step(opt.params, opt.grads)
         for k in SHAPES:
-            assert params[k].tobytes() == ref[k].tobytes()
+            assert opt.params[k].tobytes() == ref[k].tobytes()
             assert opt.m[k].tobytes() == m_ref[k].tobytes()
             assert opt.v[k].tobytes() == v_ref[k].tobytes()
 
