@@ -1,5 +1,5 @@
 """Atomic file replacement for every artifact graphnav writes, and the CPU
-rule of every process graphnav forks for speed.
+rule of the helper processes graphnav forks on its own (not `--jobs`').
 
 `atomic_write(path)` hands out a text file that is a hidden sibling of
 `path`; only when the `with` block ends without an exception is it moved

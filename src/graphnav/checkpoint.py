@@ -88,9 +88,9 @@ def _emit(fh, pieces: list) -> None:
     for piece in pieces:
         if isinstance(piece, str):
             fh.write(piece)
-            continue
-        for i, row in enumerate(piece):
-            fh.write(("," if i else "") + COMPACT.encode(row.tolist()))
+        else:
+            for i, row in enumerate(piece):
+                fh.write(("," if i else "") + COMPACT.encode(row.tolist()))
 
 
 def _halves(pieces: list) -> tuple[list, list]:
@@ -101,7 +101,7 @@ def _halves(pieces: list) -> tuple[list, list]:
         if isinstance(piece, str):
             continue
         if piece.size >= half:
-            rows = min(max(1, round(half / max(1, piece.shape[1]))), len(piece))
+            rows = min(max(1, round(half / piece.shape[1])), len(piece))
             if rows == len(piece):
                 return pieces[:i + 1], pieces[i + 1:]
             return pieces[:i] + [piece[:rows]], [",", piece[rows:]] + pieces[i + 1:]
