@@ -10,7 +10,10 @@ fsynced, so this guards against a process dying, not against power loss.
 
 `atomic_write_halves` writes a file in two halves at once: a forked helper
 writes the back half into a hidden sibling part file while this process
-writes the front half.
+writes the front half. Checkpoints and the demonstration buffers share it.
+Where the affinity set holds two CPUs or more, this process and the helper
+run on separate ones, since Linux often starts a forked child on its
+parent's CPU.
 """
 
 from __future__ import annotations
@@ -44,21 +47,26 @@ def atomic_write(path):
         raise
 
 
-def atomic_write_halves(path, emit, front: list, back: list) -> None:
-    """Atomically write `emit(fh, front)` then `emit(fh, back)` to `path`.
-    Where two CPUs are usable, a helper forked before the file holds any
-    buffered data emits `back` into a part file meanwhile, which is then
-    appended. On any failure, an interrupt included, the helper is killed
-    and reaped, and no temporary file is left."""
+def atomic_write_halves(path, emit, front: list, back: list) -> int:
+    """Atomically write `emit(fh, front)` then `emit(fh, back)` to `path`,
+    and return how many processes wrote it. Where two CPUs are usable, a
+    helper forked before the file holds any buffered data emits `back` into
+    a part file meanwhile, which is then appended; this process runs on one
+    CPU of its affinity set and the helper on the rest until the write ends.
+    On any failure, an interrupt included, the helper is killed and reaped,
+    and no temporary file is left."""
     with atomic_write(path) as fh:
-        part, pid = Path(f"{fh.name}.part"), 0
+        part, pid, cpus = Path(f"{fh.name}.part"), 0, []
         try:
             if back and usable_cpus() > 1:
+                cpus = sorted(os.sched_getaffinity(0))
                 pid = os.fork()
                 if pid == 0:  # the helper: it flushes and finalizes nothing of the parent's
                     code = 1
                     try:
                         gc.disable()
+                        if len(cpus) > 1:
+                            os.sched_setaffinity(0, cpus[1:])
                         with open(part, "x") as out:
                             emit(out, back)
                         code = 0
@@ -66,19 +74,24 @@ def atomic_write_halves(path, emit, front: list, back: list) -> None:
                         traceback.print_exc()
                     finally:
                         os._exit(code)
+                if len(cpus) > 1:
+                    os.sched_setaffinity(0, cpus[:1])
             emit(fh, front)
-            if pid:
-                status = os.waitpid(pid, 0)[1]
-                pid = 0
-                if status:
-                    raise OSError(f"cannot write {path}: the helper writing its second half "
-                                  f"ended with wait status {status}")
-                with open(part) as src:
-                    shutil.copyfileobj(src, fh)
-            else:
+            if not pid:
                 emit(fh, back)
+                return 1
+            status = os.waitpid(pid, 0)[1]
+            pid = 0
+            if status:
+                raise OSError(f"cannot write {path}: the helper writing its second half "
+                              f"ended with wait status {status}")
+            with open(part) as src:
+                shutil.copyfileobj(src, fh)
+            return 2
         finally:
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+            if len(cpus) > 1:
+                os.sched_setaffinity(0, cpus)
             part.unlink(missing_ok=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,18 +87,23 @@ def cmd_collect(args) -> int:
     base_seed = cfg["train"]["seed"]
     episodes = args.episodes if args.episodes is not None else cfg["train"]["episodes_per_command"]
     scenario = scenario_config(cfg, mode="train")
-    dataset, rates = collect_dataset(
+    dataset, outcomes = collect_dataset(
         scenario, graph_config(cfg), expert_params(cfg),
         episodes_per_command=episodes, base_seed=base_seed,
         densities=train_densities(cfg), jobs=args.jobs, noise=noise_params(cfg),
     )
     dataset.manifest["config_hash"] = config_hash(cfg)
-    manifest_path = write_dataset(dataset, out)
+    write_started = time.perf_counter()
+    processes = write_dataset(dataset, out)
+    write_s = time.perf_counter() - write_started
+    rates = dataset.manifest["expert_success_rate_pct"]
     for command, rate in rates.items():
         print(f"expert success rate [{command}]: {rate:.1f}%")
-    files = [out / name for name in BUFFER_FILES.values()] + [manifest_path]
+    files = [out / name for name in [*BUFFER_FILES.values(), "manifest.json"]]
+    counters = {"outcomes": outcomes, "dataset_write_s": write_s,
+                "dataset_write_processes": processes}
     write_manifest(out, "collect", cfg, {"base_seed": base_seed, "episodes_per_command": episodes},
-                   files, started, extra={"expert_success_rate_pct": rates})
+                   files, started, extra={"expert_success_rate_pct": rates, "counters": counters})
     print(f"wrote {dataset.total()} samples to {out}")
     return EXIT_OK
 
@@ -117,7 +123,7 @@ def cmd_train(args) -> int:
         strategy = replace(graph_config(cfg).strategy, kind=EdgeStrategyKind(args.strategy))
         tcfg = replace(tcfg, graph=replace(tcfg.graph, strategy=strategy), reencode=True)
     run = train(dataset, tcfg, out_dir=out, resume=args.resume)
-    files = list(out.glob("checkpoint_*.json")) + [out / "loss.csv"]
+    files = [*run.checkpoint_paths, out / "loss.csv"]
     write_manifest(out, "train", cfg, {"seed": tcfg.seed}, files, started,
                    extra={"steps": run.steps, "counters": run.counters, "step_loop": run.step_loop,
                           "final_loss": run.history[-1]["mean_loss"] if run.history else None})
@@ -154,7 +160,7 @@ def cmd_eval(args) -> int:
     print(format_report(report))
     files = [out / "suite_report.csv", out / "trials.csv"]
     if trajectory_dir is not None:
-        files.extend(sorted(trajectory_dir.glob("*.csv")))
+        files.extend(trajectory_dir / r.trajectory_name for r in results)
     write_manifest(out, "eval", cfg, {"base_seed": base_seed, "trials_per_cell": trials},
                    files, started)
     return EXIT_OK

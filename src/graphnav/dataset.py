@@ -3,6 +3,9 @@
 One file per command buffer (forward.jsonl, turn_left.jsonl,
 turn_right.jsonl) plus manifest.json. Records round-trip exactly: floats are
 written with shortest-repr JSON encoding, which parses back bit-identical.
+Each buffer goes through checkpoints' two-process writer
+(`atomic.atomic_write_halves`): a forked helper on another CPU writes the
+back half of the records, with the same bytes as one process writes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, atomic_write_halves
 from .jsontypes import COMPACT, has_type_of, require_types
 from .layout import COMMANDS, Command
 from .rollout import DemoSample
@@ -86,19 +89,28 @@ def _record_to_sample(record: dict) -> DemoSample:
     )
 
 
-def write_dataset(dataset: DemoDataset, out_dir) -> Path:
+def _emit_records(fh, samples: list) -> None:
+    for sample in samples:
+        fh.write(COMPACT.encode(_sample_to_record(sample)) + "\n")
+
+
+def write_dataset(dataset: DemoDataset, out_dir) -> int:
+    """Write the buffers, then the manifest; returns the most processes that
+    wrote one buffer (1 or 2). Each buffer is cut at half its records: a
+    buffer's records all have one node count, as density is fixed per command."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    processes = 1
     for command, filename in BUFFER_FILES.items():
-        with atomic_write(out_dir / filename) as fh:
-            for sample in dataset.buffers[command]:
-                fh.write(COMPACT.encode(_sample_to_record(sample)) + "\n")
+        samples = dataset.buffers[command]
+        half = (len(samples) + 1) // 2
+        processes = max(processes, atomic_write_halves(out_dir / filename, _emit_records,
+                                                       samples[:half], samples[half:]))
     manifest = {**dataset.manifest, "schema_version": SCHEMA_VERSION}
     manifest["counts"] = dataset.counts()
-    manifest_path = out_dir / "manifest.json"
-    with atomic_write(manifest_path) as fh:
+    with atomic_write(out_dir / "manifest.json") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return manifest_path
+    return processes
 
 
 def read_buffer(path, expected_command: Command) -> list[DemoSample]:

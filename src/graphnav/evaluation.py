@@ -44,6 +44,11 @@ class TrialResult:
     def nav_time(self) -> float | None:
         return self.outcome.elapsed if self.outcome.tag is OutcomeTag.SUCCESS else None
 
+    @property
+    def trajectory_name(self) -> str:
+        """The file `run_suite` dumps this trial's trajectory to."""
+        return f"trajectory_{self.setup}_{self.command.value}_{self.seed}.csv"
+
 
 def success_rate(results) -> float:
     results = list(results)
@@ -162,7 +167,8 @@ def collect_dataset(
     noise: NoiseParams | None = NoiseParams(),
 ) -> tuple[DemoDataset, dict]:
     """Per-command buffers of expert episodes, failed ones kept, and the expert's
-    success rates. The expert keeps no state, so one instance drives every episode."""
+    outcome counts per command; the success rates go into the dataset's manifest.
+    The expert keeps no state, so one instance drives every episode."""
     densities = densities or TRAIN_DENSITIES
     tasks = [(command, densities[command], base_seed + ci * episodes_per_command + i)
              for ci, command in enumerate(COMMANDS) for i in range(episodes_per_command)]
@@ -171,12 +177,12 @@ def collect_dataset(
                            record_samples=True)
 
     dataset = DemoDataset()
-    successes = {c: 0 for c in COMMANDS}
+    outcomes = {c.value: {tag.value: 0 for tag in OutcomeTag} for c in COMMANDS}
     for record in records:
         dataset.buffers[record.command].extend(record.samples)
-        if record.outcome.tag is OutcomeTag.SUCCESS:
-            successes[record.command] += 1
-    rates = {c.value: 100.0 * successes[c] / max(1, episodes_per_command) for c in COMMANDS}
+        outcomes[record.command.value][record.outcome.tag.value] += 1
+    rates = {c: 100.0 * counts[OutcomeTag.SUCCESS.value] / max(1, episodes_per_command)
+             for c, counts in outcomes.items()}
     dataset.manifest = {
         "schema_version": SCHEMA_VERSION,
         "base_seed": base_seed,
@@ -190,7 +196,7 @@ def collect_dataset(
         "inputs_normalized": False,
         "network_feature_scale": {"distance_m": 20.0, "speed_mps": 5.0},
     }
-    return dataset, rates
+    return dataset, outcomes
 
 
 def run_suite(
@@ -223,8 +229,8 @@ def run_suite(
         results.append(TrialResult(setup=setup, command=record.command, seed=record.seed,
                                    outcome=record.outcome))
         if trajectory_dir is not None:
-            name = f"trajectory_{setup}_{record.command.value}_{record.seed}.csv"
-            write_trajectory_csv(Path(trajectory_dir) / name, record.trajectory)
+            write_trajectory_csv(Path(trajectory_dir) / results[-1].trajectory_name,
+                                 record.trajectory)
 
     cells = {}
     for setup, _density in setups:

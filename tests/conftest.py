@@ -1,12 +1,39 @@
+import os
+
 import pytest
 
-from graphnav import evaluation
+from graphnav import atomic, evaluation
 from graphnav.evaluation import collect_dataset
 from graphnav.expert import ExpertParams
 from graphnav.geometry import Polyline
 from graphnav.graph import GraphConfig
 from graphnav.layout import COMMANDS, build_layout
 from graphnav.world import ScenarioConfig, WorldState
+
+
+@pytest.fixture
+def helper_pids(monkeypatch):
+    """The pid of every helper `atomic.atomic_write_halves` forks; one is
+    forked even on a one-CPU host."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording)
+    monkeypatch.setattr(atomic, "usable_cpus", lambda: 2)
+    return pids
+
+
+def reaped(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # a zombie still takes the signal
+    except ProcessLookupError:
+        return True
+    return False
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,12 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
-from graphnav.atomic import atomic_write
+from conftest import reaped
+from graphnav import atomic
+from graphnav.atomic import atomic_write, atomic_write_halves
 from graphnav.checkpoint import save_checkpoint
 from graphnav.dataset import BUFFER_FILES, DemoDataset, DemoSample, write_dataset
 from graphnav.evaluation import (SuiteReport, TrialResult, write_ablation_csv, write_actions_csv,
@@ -76,7 +81,9 @@ def _unserializable(tmp_path, name):
                                   "run_manifest.json", "loss.csv", "trials.csv",
                                   "suite_report.csv", "ablation.csv", "trajectory.csv",
                                   "actions.csv"])
-def test_a_failed_artifact_write_keeps_the_previous_file(tmp_path, name):
+def test_a_failed_artifact_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    """One CPU: the failure is raised where it happens, in this process."""
+    monkeypatch.setattr(atomic, "usable_cpus", lambda: 1)
     path = tmp_path / name
     path.write_text(PREVIOUS)
     with pytest.raises((TypeError, AttributeError, KeyError)):
@@ -85,3 +92,76 @@ def test_a_failed_artifact_write_keeps_the_previous_file(tmp_path, name):
     # no temporary file is left behind; the buffers write_dataset finished
     # before its manifest failed are whole files
     assert {p.name for p in tmp_path.iterdir()} <= {name, *BUFFER_FILES.values()}
+
+
+def test_a_failed_back_half_keeps_the_previous_buffer(tmp_path, helper_pids):
+    """The bad record falls in the helper's half: the helper fails, and this
+    process raises an OSError naming the file."""
+    path = tmp_path / "forward.jsonl"
+    path.write_text(PREVIOUS)
+    with pytest.raises(OSError, match=re.escape(f"cannot write {path}")):
+        _unserializable(tmp_path, "forward.jsonl")
+    assert path.read_text() == PREVIOUS
+    assert [p.name for p in tmp_path.iterdir()] == ["forward.jsonl"]
+    assert len(helper_pids) == 1 and reaped(helper_pids[0])
+
+
+def _affinity(fh, items):
+    """Writes each item with the CPUs of the process that writes it."""
+    for item in items:
+        fh.write(f"{item} {sorted(os.sched_getaffinity(0))}\n")
+
+
+def _helper_fails(fh, items):
+    if "back" in items:
+        raise OSError("No space left on device")
+    _affinity(fh, items)
+
+
+def _parent_interrupted(fh, items):
+    if "front" in items:
+        _affinity(fh, items)
+        fh.flush()
+        raise KeyboardInterrupt
+    _affinity(fh, items)
+
+
+@pytest.mark.parametrize("emit, error", [(_affinity, None), (_helper_fails, OSError),
+                                         (_parent_interrupted, KeyboardInterrupt)])
+def test_the_writer_and_its_helper_run_on_separate_cpus(tmp_path, monkeypatch, helper_pids,
+                                                        emit, error):
+    """This process writes on the first CPU of its affinity set and the helper
+    on the rest; the set is restored after a write, a failed helper and an
+    interrupt alike."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("the affinity set holds one CPU")
+    front_cpus = []
+    path = tmp_path / "out.txt"
+
+    def recording(fh, items):
+        if "front" in items:
+            front_cpus.append(sorted(os.sched_getaffinity(0)))
+        emit(fh, items)
+    if error is None:
+        assert atomic_write_halves(path, recording, ["front"], ["back"]) == 2
+        assert path.read_text() == f"front {cpus[:1]}\nback {cpus[1:]}\n"
+    else:
+        with pytest.raises(error):
+            atomic_write_halves(path, recording, ["front"], ["back"])
+        assert list(tmp_path.iterdir()) == []
+    assert front_cpus == [cpus[:1]]
+    assert sorted(os.sched_getaffinity(0)) == cpus
+    assert len(helper_pids) == 1 and reaped(helper_pids[0])
+
+
+def test_a_one_cpu_affinity_set_still_forks_the_helper_unpinned(tmp_path, monkeypatch,
+                                                                 helper_pids):
+    def refused(pid, cpus):
+        raise AssertionError("pinned on a one-CPU affinity set")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    path = tmp_path / "out.txt"
+    assert atomic_write_halves(path, _affinity, ["front"], ["back"]) == 2
+    assert path.read_text() == "front [0]\nback [0]\n"
+    assert len(helper_pids) == 1 and reaped(helper_pids[0])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import reaped
 from graphnav import atomic, checkpoint, training
 from graphnav.checkpoint import (FORMAT_VERSION, CheckpointError, graph_config_to_dict,
                                  load_checkpoint, save_checkpoint)
@@ -68,31 +69,6 @@ def test_streamed_bytes_keep_nan_as_json_does(tmp_path):
     assert raw == _reference_bytes(net, GraphConfig(), opt, TRAIN_STATE)
 
 
-@pytest.fixture
-def helper_pids(monkeypatch):
-    """The pid of every helper a save forks; saves fork one even on a
-    one-CPU host."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", recording)
-    monkeypatch.setattr(atomic, "usable_cpus", lambda: 2)
-    return pids
-
-
-def _reaped(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)  # a zombie still takes the signal
-    except ProcessLookupError:
-        return True
-    return False
-
-
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 @pytest.mark.parametrize("with_optimizer", [False, True])
 def test_helper_and_one_cpu_saves_write_the_same_bytes(tmp_path, monkeypatch, helper_pids, kind,
@@ -109,7 +85,7 @@ def test_helper_and_one_cpu_saves_write_the_same_bytes(tmp_path, monkeypatch, he
         monkeypatch.setattr(atomic, "usable_cpus", lambda: cpus)
         path = save_checkpoint(tmp_path / f"cpus{cpus}.json", net, GraphConfig(), opt, state)
         assert path.read_bytes() == expected
-    assert len(helper_pids) == 1 and _reaped(helper_pids[0])
+    assert len(helper_pids) == 1 and reaped(helper_pids[0])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.json", "cpus2.json"]
 
 
@@ -142,7 +118,7 @@ def test_a_failing_helper_keeps_the_previous_file(tmp_path, monkeypatch, helper_
         save_checkpoint(path, net, GraphConfig(), opt, TRAIN_STATE)
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
-    assert len(helper_pids) == 1 and _reaped(helper_pids[0])
+    assert len(helper_pids) == 1 and reaped(helper_pids[0])
 
 
 def test_an_interrupted_parent_kills_the_helper(tmp_path, monkeypatch, helper_pids):
@@ -171,7 +147,7 @@ def test_an_interrupted_parent_kills_the_helper(tmp_path, monkeypatch, helper_pi
     assert seen == [True] and time.monotonic() - started < 30
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
-    assert len(helper_pids) == 1 and _reaped(helper_pids[0])
+    assert len(helper_pids) == 1 and reaped(helper_pids[0])
 
 
 def _traced_peak(fn) -> int:

@@ -459,7 +459,8 @@ def test_train_strategy_keeps_the_configured_graph(workdir, tmp_path, monkeypatc
     def fake_train(dataset, tcfg, out_dir, resume=None):
         seen.append(tcfg)
         (out_dir / "loss.csv").write_text("")
-        return SimpleNamespace(steps=0, history=[], counters={}, step_loop={})
+        return SimpleNamespace(steps=0, history=[], counters={}, step_loop={},
+                               checkpoint_paths=[])
     monkeypatch.setattr(cli_mod, "train", fake_train)
     assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
                  "--strategy", "star_connected", "--out", str(tmp_path / "o")]) == 0
@@ -569,3 +570,44 @@ def test_importing_the_cli_loads_no_module_it_does_not_need():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          check=True, text=True, capture_output=True).stdout
     assert out.strip() == "[]"
+
+
+def test_collect_manifest_counts_outcomes_and_the_write(workdir):
+    from graphnav import atomic
+    counters = json.loads((workdir["data"] / "run_manifest.json").read_text())["counters"]
+    outcomes = counters["outcomes"]
+    assert sorted(outcomes) == ["forward", "turn_left", "turn_right"]
+    assert all(sum(tags.values()) == 2 for tags in outcomes.values())  # episodes_per_command
+    assert {"success", "collision", "timeout", "goal_missed"} == set(outcomes["forward"])
+    assert isinstance(counters["dataset_write_s"], float) and counters["dataset_write_s"] > 0
+    assert counters["dataset_write_processes"] == (2 if atomic.usable_cpus() > 1 else 1)
+    assert "counters" not in json.loads((workdir["data"] / "manifest.json").read_text())
+
+
+def test_train_manifest_lists_only_this_runs_checkpoints(workdir, tmp_path):
+    out = tmp_path / "run"
+    for eval_every in (1, 0):
+        config = tmp_path / f"every{eval_every}.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"],
+                                                               "eval_every": eval_every}}))
+        assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (out / "checkpoint_step1.json").exists()  # left by the first run
+    assert sorted(manifest["files"]) == ["checkpoint_final.json", "loss.csv"]
+    assert manifest["counters"]["checkpoint_saves"] == 1
+
+
+def test_eval_manifest_lists_only_this_runs_trajectories(workdir, tmp_path):
+    out = tmp_path / "eval"
+    ckpt = workdir["run"] / "checkpoint_final.json"
+    for seed in ("11", "500"):
+        assert main(["eval", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                     "--out", str(out), "--trials", "1", "--seed", seed,
+                     "--dump-trajectories"]) == 0
+    listed = json.loads((out / "run_manifest.json").read_text())["files"]
+    with open(out / "trials.csv") as fh:
+        seeds = {row["seed"] for row in csv.DictReader(fh)}
+    dumped = [name for name in listed if name.startswith("trajectories/")]
+    assert len(list((out / "trajectories").glob("*.csv"))) == 18
+    assert len(dumped) == 9 and all(name.rsplit("_", 1)[1][:-4] in seeds for name in dumped)

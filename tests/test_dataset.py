@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from graphnav import evaluation
+from conftest import reaped
+from graphnav import atomic, evaluation
 from graphnav.dataset import (BUFFER_FILES, DatasetFormatError, DemoDataset, read_buffer,
                               read_dataset, write_dataset)
 from graphnav.evaluation import collect_dataset
@@ -165,3 +166,24 @@ def test_parallel_collection_sends_shared_state_once(recording_pool):
         for a, b in zip(serial.buffers[command], pooled.buffers[command], strict=True):
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.u_star, b.u_star)
+
+
+@pytest.mark.parametrize("sizes", [None, (0, 1, 5)], ids=["tiny", "0-1-5"])
+def test_helper_and_one_cpu_writes_give_the_same_bytes(tmp_path, monkeypatch, helper_pids,
+                                                       tiny_dataset, sizes):
+    """Buffers whose back half a forked helper writes equal one process's
+    bytes; one helper is forked and reaped per buffer of two records or more."""
+    dataset = tiny_dataset
+    if sizes is not None:
+        dataset = DemoDataset({c: tiny_dataset.buffers[c][:n] for c, n in zip(COMMANDS, sizes)},
+                              tiny_dataset.manifest)
+    written, processes = {}, {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(atomic, "usable_cpus", lambda cpus=cpus: cpus)
+        processes[cpus] = write_dataset(dataset, tmp_path / str(cpus))
+        written[cpus] = {p.name: p.read_bytes() for p in (tmp_path / str(cpus)).iterdir()}
+    assert written[2] == written[1]
+    assert sorted(written[1]) == sorted([*BUFFER_FILES.values(), "manifest.json"])
+    forked = sum(len(b) >= 2 for b in dataset.buffers.values())
+    assert processes == {2: 2, 1: 1} and forked == (3 if sizes is None else 1)
+    assert len(helper_pids) == forked and all(map(reaped, helper_pids))

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import reaped
 from graphnav import training
 from graphnav.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from graphnav.dataset import DemoDataset, DemoSample
@@ -321,14 +322,6 @@ def worker_pids(monkeypatch):
     return pids
 
 
-def _reaped(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)  # a zombie still takes the signal
-    except ProcessLookupError:
-        return True
-    return False
-
-
 def _fail_in_worker(monkeypatch, fail):
     """Run `fail` in place of the passes of the first command, which only the worker runs."""
     passes = training._passes
@@ -346,7 +339,7 @@ class TestStepWorker:
         run = train(_subset_dataset(tiny_dataset, 6), _tiny_config(epochs=2))
         assert run.step_loop == {"blas_threads": 1, "step_processes": 2}
         assert run.counters["worker_peak_rss_mb"] > 0
-        assert len(worker_pids) == 1 and _reaped(worker_pids[0])
+        assert len(worker_pids) == 1 and reaped(worker_pids[0])
 
     def test_reaped_after_a_non_finite_loss(self, tiny_dataset, worker_pids, tmp_path):
         ds = _subset_dataset(tiny_dataset, 4)
@@ -355,22 +348,22 @@ class TestStepWorker:
                        s.episode_id, s.step) for s in ds.buffers[Command.FORWARD]]
         with pytest.raises(TrainingError, match="non-finite loss nan at step 0"):
             train(ds, _tiny_config(batch_size=12), out_dir=tmp_path)
-        assert len(worker_pids) == 1 and _reaped(worker_pids[0])
+        assert len(worker_pids) == 1 and reaped(worker_pids[0])
 
-    def test_exception_in_the_worker_is_raised_and_the_worker_reaped(
+    def test_exception_in_the_worker_is_raised_and_the_workerreaped(
             self, tiny_dataset, worker_pids, monkeypatch):
         def fail():
             raise RuntimeError("planted worker failure")
         _fail_in_worker(monkeypatch, fail)
         with pytest.raises(TrainingError, match="planted worker failure"):
             train(_subset_dataset(tiny_dataset, 6), _tiny_config())
-        assert len(worker_pids) == 1 and _reaped(worker_pids[0])
+        assert len(worker_pids) == 1 and reaped(worker_pids[0])
 
     def test_worker_that_dies_is_reported(self, tiny_dataset, worker_pids, monkeypatch):
         _fail_in_worker(monkeypatch, lambda: os._exit(3))
         with pytest.raises(TrainingError, match="exited unexpectedly"):
             train(_subset_dataset(tiny_dataset, 6), _tiny_config())
-        assert len(worker_pids) == 1 and _reaped(worker_pids[0])
+        assert len(worker_pids) == 1 and reaped(worker_pids[0])
 
     def test_blas_thread_count_is_restored(self, tiny_dataset, worker_pids, tmp_path):
         get, put = training._openblas()
