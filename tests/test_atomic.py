@@ -120,16 +120,13 @@ def _helper_fails(fh, items):
 
 def _parent_interrupted(fh, items):
     if "front" in items:
-        _affinity(fh, items)
-        fh.flush()
         raise KeyboardInterrupt
     _affinity(fh, items)
 
 
 @pytest.mark.parametrize("emit, error", [(_affinity, None), (_helper_fails, OSError),
                                          (_parent_interrupted, KeyboardInterrupt)])
-def test_the_writer_and_its_helper_run_on_separate_cpus(tmp_path, monkeypatch, helper_pids,
-                                                        emit, error):
+def test_the_writer_and_its_helper_run_on_separate_cpus(tmp_path, helper_pids, emit, error):
     """This process writes on the first CPU of its affinity set and the helper
     on the rest; the set is restored after a write, a failed helper and an
     interrupt alike."""

@@ -350,7 +350,7 @@ class TestStepWorker:
             train(ds, _tiny_config(batch_size=12), out_dir=tmp_path)
         assert len(worker_pids) == 1 and reaped(worker_pids[0])
 
-    def test_exception_in_the_worker_is_raised_and_the_workerreaped(
+    def test_exception_in_the_worker_is_raised_and_the_worker_reaped(
             self, tiny_dataset, worker_pids, monkeypatch):
         def fail():
             raise RuntimeError("planted worker failure")
