@@ -121,7 +121,7 @@ def cmd_train(args) -> int:
     tcfg = train_config(cfg)
     if args.strategy is not None:
         strategy = replace(graph_config(cfg).strategy, kind=EdgeStrategyKind(args.strategy))
-        tcfg = replace(tcfg, graph=replace(tcfg.graph, strategy=strategy), reencode=True)
+        tcfg = replace(tcfg, graph=replace(tcfg.graph, strategy=strategy))
     run = train(dataset, tcfg, out_dir=out, resume=args.resume)
     files = [*run.checkpoint_paths, out / "loss.csv"]
     write_manifest(out, "train", cfg, {"seed": tcfg.seed}, files, started,
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=Path, required=True, help="dataset directory")
     p.add_argument("--network", choices=NETWORK_KINDS, default=None)
     p.add_argument("--strategy", choices=[k.value for k in EdgeStrategyKind], default=None,
-                   help="re-encode adjacencies under this edge strategy")
+                   help="train under this edge strategy")
     p.add_argument("--resume", type=Path, default=None, help="checkpoint to resume from")
     p.add_argument("--seed", type=_flag_for("train.seed"), default=None)
     p.set_defaults(func=cmd_train)

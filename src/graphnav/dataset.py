@@ -1,8 +1,10 @@
 """Demonstration buffers on disk: JSON-Lines records and the manifest.
 
 One file per command buffer (forward.jsonl, turn_left.jsonl,
-turn_right.jsonl) plus manifest.json. Records round-trip exactly: floats are
-written with shortest-repr JSON encoding, which parses back bit-identical.
+turn_right.jsonl) plus manifest.json. A record holds a step's features `S`
+and its label, not its adjacency, which training builds from `S`. Records
+round-trip exactly: floats are written with shortest-repr JSON encoding,
+which parses back bit-identical.
 Each buffer goes through checkpoints' two-process writer
 (`atomic.atomic_write_halves`): a forked helper on another CPU writes the
 back half of the records, with the same bytes as one process writes.
@@ -17,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write, atomic_write_halves
+from .graph import GraphConfig
 from .jsontypes import COMPACT, has_type_of, require_types
 from .layout import COMMANDS, Command
 from .rollout import DemoSample
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _RECOLLECT = f"not a schema-{SCHEMA_VERSION} dataset; re-collect it with `graphnav collect`"
 BUFFER_FILES = {
     Command.FORWARD: "forward.jsonl",
@@ -56,37 +59,26 @@ def _sample_to_record(sample: DemoSample) -> dict:
         "step": sample.step,
         "command": sample.command.value,
         "S": sample.features.tolist(),
-        "A": sample.adjacency.tolist(),
         "u_star": sample.u_star.tolist(),
     }
 
 
-_RECORD_TYPES = {"episode_id": 0, "step": 0, "command": "forward", "u_star": [0.0, 0.0]}  # S, A: arrays
-_RECORD_KEYS = {*_RECORD_TYPES, "S", "A"}
+_RECORD_TYPES = {"episode_id": 0, "step": 0, "command": "forward", "u_star": [0.0, 0.0]}  # S: an array
+_RECORD_KEYS = {*_RECORD_TYPES, "S"}
 
 
 def _record_to_sample(record: dict) -> DemoSample:
     feats = np.asarray(record["S"], dtype=float)
-    adj = np.asarray(record["A"], dtype=float)
     u_star = np.asarray(record["u_star"], dtype=float)
     if feats.ndim != 2 or feats.shape[1] != 12:
         raise ValueError(f"S must be (N, 12), got {feats.shape}")
-    if adj.shape != (feats.shape[0], feats.shape[0]):
-        raise ValueError(f"A must be (N, N) matching S, got {adj.shape}")
     if u_star.shape != (2,):
         raise ValueError("u_star must have 2 entries")
-    for name, arr in (("S", feats), ("A", adj), ("u_star", u_star)):
+    for name, arr in (("S", feats), ("u_star", u_star)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} holds a non-finite value")
     require_types(record, _RECORD_TYPES)
-    return DemoSample(
-        features=feats,
-        adjacency=adj,
-        command=Command(record["command"]),
-        u_star=u_star,
-        episode_id=record["episode_id"],
-        step=record["step"],
-    )
+    return DemoSample(feats, Command(record["command"]), u_star, record["episode_id"], record["step"])
 
 
 def _emit_records(fh, samples: list) -> None:
@@ -154,6 +146,10 @@ def read_dataset(directory) -> DemoDataset:
     version = dataset.manifest.get("schema_version")
     if not has_type_of(version, SCHEMA_VERSION) or version != SCHEMA_VERSION:
         raise DatasetFormatError(manifest_path, None, f"schema_version {version!r}: {_RECOLLECT}")
+    try:
+        require_types(dataset.manifest, GraphConfig().feature_settings())
+    except ValueError as exc:
+        raise DatasetFormatError(manifest_path, None, f"{exc}: {_RECOLLECT}") from exc
     counts = dataset.manifest.get("counts")
     for command, filename in BUFFER_FILES.items():
         path = directory / filename

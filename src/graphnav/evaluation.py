@@ -190,7 +190,7 @@ def collect_dataset(
         "densities": {c.value: densities[c] for c in COMMANDS},
         "counts": dataset.counts(),
         "expert_success_rate_pct": rates,
-        "strategy": graph_cfg.strategy.kind.value,
+        **graph_cfg.feature_settings(),
         # stored features are raw physical units; policy networks divide by
         # fixed characteristic scales (see policies.BLOCK_SCALE) at their input
         "inputs_normalized": False,
@@ -327,8 +327,7 @@ def run_ablation(
     networks = {}
     for strategy in strategies:
         strat_graph = replace(graph_cfg, strategy=strategy)
-        cfg = replace(train_config, graph=strat_graph, reencode=True)
-        run = train(dataset, cfg)
+        run = train(dataset, replace(train_config, graph=strat_graph))
         policy = NetworkController(run.network)
         report, _ = run_suite(
             policy, eval_cfg, strat_graph, trials, base_seed,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import DemoDataset
-from .graph import GraphConfig
+from .graph import GraphConfig, adjacency_from_features
 from .layout import COMMANDS
 from .policies import FEATURE_SCALE, build_network
 from .rollout import DemoSample
@@ -71,7 +71,8 @@ def policy_gradient_check(network, prepared, n_samples: int = 200, eps: float = 
 
 def run_policy_check(kind: str, seed: int = 0, n_samples: int = 200, eps: float = 1e-5) -> float:
     """Build a fresh seeded network and verify its training gradient end to end
-    on a synthetic dataset of four physical-unit-scaled 4-node samples.
+    on a synthetic dataset of four physical-unit-scaled 4-node samples, whose
+    adjacencies their features give under the default edge strategy.
 
     Targets sit close to the initial outputs so the loss stays small, which
     keeps central-difference cancellation noise far below the tolerance.
@@ -85,15 +86,15 @@ def run_policy_check(kind: str, seed: int = 0, n_samples: int = 200, eps: float 
             feats = rng.normal(0.0, 2.0, size=(4, 12)) * FEATURE_SCALE
             feats[0, 6:] = 0.0
             feats[:, :6] = feats[0, :6]
-            raw = np.abs(rng.normal(1.0, 0.5, size=(4, 4))) + 0.05
-            samples.append((feats, raw / raw.sum(axis=1, keepdims=True), COMMANDS[i % 3]))
+            samples.append((feats, adjacency_from_features(feats, GraphConfig().strategy),
+                            COMMANDS[i % 3]))
         outputs = np.array([network.forward(*network.inputs(feats, adj), command)[0]
                             for feats, adj, command in samples])
         targets = np.clip(outputs + rng.uniform(-0.25, 0.25, size=outputs.shape), -1.0, 1.0)
         dataset = DemoDataset()
-        for i, ((feats, adj, command), u_star) in enumerate(zip(samples, targets)):
-            dataset.buffers[command].append(DemoSample(feats, adj, command, u_star, attempt, i))
-        prepared = _PreparedData(dataset, kind, GraphConfig(), reencode=False)
+        for i, ((feats, _, command), u_star) in enumerate(zip(samples, targets)):
+            dataset.buffers[command].append(DemoSample(feats, command, u_star, attempt, i))
+        prepared = _PreparedData(dataset, kind, GraphConfig())
         try:
             return policy_gradient_check(network, prepared, n_samples=n_samples, eps=eps,
                                          rng=np.random.default_rng([seed, attempt, 7]))

@@ -2,9 +2,10 @@
 
 Node 0 is always the ego. Every row of the feature matrix starts with the
 shared ego/goal block (6 values) followed by that node's relative block
-(6 values, zeros for the ego's own row). The adjacency is built under a
-selectable edge strategy and row-normalized to sum 1 with exact summation,
-so consistent relabelings of the inputs permute it bitwise.
+(6 values, zeros for the ego's own row). The adjacency is built from the
+features' relative offsets under a selectable edge strategy and
+row-normalized to sum 1 with exact summation, so consistent relabelings of
+the inputs permute it bitwise.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class GraphConfig:
     def __post_init__(self) -> None:
         if not self.v_pref > 0:
             raise ValueError(f"v_pref must be positive, got {self.v_pref}")
+
+    def feature_settings(self) -> dict:
+        """The settings `build_features` reads, as a dataset manifest records them."""
+        return {"v_pref": self.v_pref, "ego_frame": self.ego_frame}
 
 
 def _rotate(pairs: np.ndarray, angle: float) -> np.ndarray:
@@ -138,24 +143,16 @@ def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), float, n * n).reshape(n, n) / totals[:, None]
 
 
-def world_positions(world: WorldState) -> np.ndarray:
-    return np.column_stack((world.x, world.y))
-
-
 def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray]:
     """The observation of one world state: (features, adjacency). The ego
     block is `features[0, :EGO_DIM]`."""
     feats = build_features(world, goal, cfg.v_pref, cfg.ego_frame)
-    adj = build_adjacency(world_positions(world), cfg.strategy)
-    return feats, adj
+    return feats, adjacency_from_features(feats, cfg.strategy)
 
 
 def adjacency_from_features(features: np.ndarray, strategy: EdgeStrategy) -> np.ndarray:
-    """Rebuild the adjacency from the relative positions stored in the features.
-
-    Lets one recorded dataset be re-encoded under any edge strategy: pairwise
-    distances are recoverable from the per-node relative offsets.
-    """
+    """The adjacency over the features' relative positions, the ego at the
+    origin: the one construction, so training sees the bits inference sees."""
     feats = np.asarray(features, dtype=float)
     rel = np.zeros((feats.shape[0], 2))
     rel[1:] = feats[1:, 7:9]

@@ -6,8 +6,9 @@ by the high-level command. The graph policy's frontend is a 3-layer GCN
 whose ego-node output is joined by the shared ego block; the two baselines
 use a fixed nearest-3 vector MLP or a summed set encoding. `NETWORKS` is the
 one place that maps a kind to its class; each class's `inputs` turns an
-observation (features, adjacency) into what its forward takes. The ego
-block is row 0's first six features; no network takes it separately.
+observation (features, and the adjacency `graph.adjacency_from_features`
+builds from them, which only gcil reads) into what its forward takes. The
+ego block is row 0's first six features; no network takes it separately.
 
 Each class's static `canonical` puts a sample's nodes (or set elements) in
 a canonical sort order, which makes permutation equivariance/invariance hold

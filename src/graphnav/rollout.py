@@ -48,11 +48,11 @@ class ActionNoise:
 
 @dataclass
 class DemoSample:
-    """One recorded step: the observation (its ego block is `features[0, :6]`)
-    and the controller's action label."""
+    """One recorded step: the observation's features (its ego block is
+    `features[0, :6]`; its adjacency is rebuilt from them under the edge
+    strategy it is trained with) and the controller's action label."""
 
     features: np.ndarray   # (N, 12)
-    adjacency: np.ndarray  # (N, N)
     command: Command
     u_star: np.ndarray     # (2,) the (delta, tau) label
     episode_id: int        # the episode's seed
@@ -107,7 +107,7 @@ def run_episode(
         obs = encode_world(world, goal, graph_cfg)
         action = controller.act(world, goal, command, obs)
         if record_samples:
-            samples.append(DemoSample(*obs, command, np.array([action.delta, action.tau]),
+            samples.append(DemoSample(obs[0], command, np.array([action.delta, action.tau]),
                                       seed, step))
         executed = action if action_noise is None else action_noise(action)
         actions = step_world(world, executed, cfg)

@@ -3,10 +3,12 @@
 Each step samples a fixed-size minibatch spread as evenly as possible over
 the three command buffers (with replacement), runs every sample through its
 command's branch, and applies one Adam step to the shared trunk, perception
-weights and all touched branches. Sampling at step t is a pure function of
-(seed, t), so an interrupted run resumed from a checkpoint reproduces the
-uninterrupted trajectory bit for bit, and refuses a dataset or a training
-setting other than the checkpoint's.
+weights and all touched branches. A graph network's adjacencies are built
+from the features under the config's edge strategy, as inference builds
+them, and features built under other graph settings are refused. Sampling at
+step t is a pure function of (seed, t), so an interrupted run resumed from a
+checkpoint reproduces the uninterrupted trajectory bit for bit, and refuses
+a dataset or a training setting other than the checkpoint's.
 
 The step loop pins numpy's OpenBLAS to one thread, and keeps the
 parameters, their gradient and both Adam moments in one flat buffer in a
@@ -71,7 +73,6 @@ class TrainConfig:
     seed: int = 0
     network: str = "gcil"
     graph: GraphConfig = field(default_factory=GraphConfig)
-    reencode: bool = False  # rebuild adjacencies from features under graph.strategy
 
     def __post_init__(self) -> None:
         if self.batch_size < 3:
@@ -116,9 +117,10 @@ class _PreparedData:
     """Per-command sample arrays grouped by node count for batched forward
     passes, each sample put in its network's canonical order once. A group is
     an (inputs, targets) pair: the network's per-sample `inputs` stacked
-    column by column, each sample in `canonical` order, and the (B, 2) labels."""
+    column by column, each sample in `canonical` order, and the (B, 2) labels.
+    Only a network that reads the adjacency gets one, under `graph_cfg`."""
 
-    def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig, reencode: bool) -> None:
+    def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig) -> None:
         network_cls = NETWORKS[kind]
         self.groups: dict = {}
         self.group_of: dict = {}
@@ -141,10 +143,8 @@ class _PreparedData:
             groups = []
             for n in order:
                 bucket = buckets[n]
-                if reencode and network_cls.reads_adjacency:
-                    adjs = [adjacency_from_features(s.features, graph_cfg.strategy) for s in bucket]
-                else:
-                    adjs = [s.adjacency for s in bucket]
+                adjs = [adjacency_from_features(s.features, graph_cfg.strategy)
+                        if network_cls.reads_adjacency else None for s in bucket]
                 rows = [network_cls.inputs(s.features, a) for s, a in zip(bucket, adjs)]
                 inputs = tuple(np.stack(column) for column in zip(*rows))
                 for start in range(0, len(bucket), CANONICAL_CHUNK):
@@ -424,7 +424,12 @@ def _one_blas_thread():
 
 def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) -> TrainRun:
     """Run the full training budget; optionally resume from a checkpoint."""
-    prepared = _PreparedData(dataset, config.network, config.graph, config.reencode)
+    wanted = config.graph.feature_settings()
+    recorded = {key: dataset.manifest[key] for key in wanted if key in dataset.manifest}
+    if recorded != {key: wanted[key] for key in recorded}:
+        raise TrainingError(f"the dataset's manifest.json records the graph settings {recorded}, "
+                            f"but the train config's graph has {wanted}")
+    prepared = _PreparedData(dataset, config.network, config.graph)
     for command in COMMANDS:
         if prepared.sizes[command] == 0:
             raise ValueError(f"empty demonstration buffer for command {command.value!r}")
@@ -526,7 +531,7 @@ def write_loss_csv(path, history) -> None:
 
 def dataset_mean_loss(network, dataset: DemoDataset, config: TrainConfig) -> float:
     """Mean action loss over every sample in the dataset (no sampling)."""
-    prepared = _PreparedData(dataset, config.network, config.graph, config.reencode)
+    prepared = _PreparedData(dataset, config.network, config.graph)
     every = {c: np.arange(prepared.sizes[c]) for c in COMMANDS}
     losses = [per_sample for _, per_sample, _, _ in _losses(network, prepared, every, 1)]
     return sum(float(x.sum()) for x in losses) / max(1, sum(len(x) for x in losses))

@@ -42,7 +42,7 @@ def test_atomic_write_replaces_the_file_only_when_complete(tmp_path):
 
 
 def _sample(command) -> DemoSample:
-    return DemoSample(np.zeros((1, 12)), np.ones((1, 1)), command, np.zeros(2), 0, 0)
+    return DemoSample(np.zeros((1, 12)), command, np.zeros(2), 0, 0)
 
 
 def _unserializable(tmp_path, name):

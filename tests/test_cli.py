@@ -223,10 +223,10 @@ def _train_on_edited_record(workdir, tmp_path, edit):
     return code, data / "turn_left.jsonl"
 
 
-@pytest.mark.parametrize("field", ["S", "A", "u_star"])
+@pytest.mark.parametrize("field", ["S", "u_star"])
 def test_non_finite_dataset_value_is_runtime_error(workdir, tmp_path, capsys, field):
     def edit(record):
-        values = record[field][0] if field in ("S", "A") else record[field]
+        values = record[field][0] if field == "S" else record[field]
         values[0] = float("nan")
 
     code, path = _train_on_edited_record(workdir, tmp_path, edit)
@@ -247,32 +247,57 @@ def test_wrong_json_type_in_dataset_record_is_runtime_error(workdir, tmp_path, c
     assert f"{path}:2:" in capsys.readouterr().err
 
 
-def _schema(version):
-    """Set the manifest's schema_version to `version`, or drop it for None."""
+def _manifest_edit(edit_manifest):
+    """A dataset edit that passes the manifest through `edit_manifest`."""
     def edit(data):
         manifest = json.loads((data / "manifest.json").read_text())
-        del manifest["schema_version"]
-        if version is not None:
-            manifest["schema_version"] = version
+        edit_manifest(manifest)
         (data / "manifest.json").write_text(json.dumps(manifest))
     return edit
 
 
+def _schema(version):
+    """Set the manifest's schema_version to `version`, or drop it for None."""
+    def edit_manifest(manifest):
+        del manifest["schema_version"]
+        if version is not None:
+            manifest["schema_version"] = version
+    return _manifest_edit(edit_manifest)
+
+
 @pytest.mark.parametrize("edit, where, reason", [
     (_schema(99), "manifest.json", "schema_version 99"),
+    (_schema(2), "manifest.json", "schema_version 2"),
     (_schema(1), "manifest.json", "schema_version 1"),
     (_schema(None), "manifest.json", "schema_version None"),
+    (_manifest_edit(lambda m: m.pop("v_pref")), "manifest.json",
+     "v_pref must be a finite number, got None"),
     (lambda data: (data / "manifest.json").unlink(), "manifest.json", "missing"),
     # schema 1 also stored each record's ego block as "x_ego"
     (_record_edit(lambda r: r.update(x_ego=r["S"][0][:6])), "turn_left.jsonl:2",
      "unexpected fields ['x_ego']"),
-], ids=["schema-99", "schema-1", "no-schema", "no-manifest", "x_ego-record"])
+], ids=["schema-99", "schema-2", "schema-1", "no-schema", "no-v_pref", "no-manifest",
+         "x_ego-record"])
 def test_dataset_of_another_schema_is_runtime_error(workdir, tmp_path, capsys, edit, where,
                                                     reason):
     code, data = _train_on_edited_copy(workdir, tmp_path, edit)
     assert code == 3
     err = capsys.readouterr().err
     assert f"{data / where}: " in err and reason in err and "re-collect" in err
+
+
+def test_train_refuses_features_built_under_other_graph_settings(workdir, tmp_path, capsys):
+    config = tmp_path / "ego_frame.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "graph": {"ego_frame": True}}))
+    data = tmp_path / "data"
+    assert main(["collect", "--config", str(config), "--out", str(data), "--seed", "3",
+                 "--episodes", "1"]) == 0
+    code = main(["train", "--config", str(workdir["config"]), "--dataset", str(data),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "'ego_frame': True" in err and "'ego_frame': False" in err
+    assert not (tmp_path / "o" / "checkpoint_final.json").exists()
 
 
 def _buffer_edit(edit_lines):
@@ -465,7 +490,7 @@ def test_train_strategy_keeps_the_configured_graph(workdir, tmp_path, monkeypatc
     assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
                  "--strategy", "star_connected", "--out", str(tmp_path / "o")]) == 0
     [tcfg] = seen
-    assert tcfg.reencode and tcfg.graph.strategy.kind.value == "star_connected"
+    assert tcfg.graph.strategy.kind.value == "star_connected"
     assert _strategy_fields(tcfg.graph.strategy) == (7.5, 2, False)
 
 

@@ -28,7 +28,6 @@ def test_episode_sample_structure():
     assert [s.step for s in samples] == list(range(len(samples)))
     for s in samples:
         assert s.features.shape[1] == 12
-        assert s.adjacency.shape == (s.features.shape[0],) * 2
         assert s.command is Command.FORWARD
         assert np.all(np.abs(s.u_star) <= 1.0)
         assert s.episode_id == 13
@@ -41,7 +40,6 @@ def test_collection_is_deterministic():
     assert len(a) == len(b)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.features, sb.features)
-        assert np.array_equal(sa.adjacency, sb.adjacency)
         assert np.array_equal(sa.u_star, sb.u_star)
 
 
@@ -54,17 +52,16 @@ def test_roundtrip_is_exact(tmp_path, tiny_dataset):
         assert len(originals) == len(restored)
         for a, b in zip(originals, restored):
             assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.adjacency, b.adjacency)
             assert np.array_equal(a.u_star, b.u_star)
             assert (a.episode_id, a.step, a.command) == (b.episode_id, b.step, b.command)
 
 
 def test_records_hold_the_ego_block_once(tmp_path, tiny_dataset):
     write_dataset(tiny_dataset, tmp_path)
-    assert json.loads((tmp_path / "manifest.json").read_text())["schema_version"] == 2
+    assert json.loads((tmp_path / "manifest.json").read_text())["schema_version"] == 3
     for filename in BUFFER_FILES.values():
         for line in (tmp_path / filename).read_text().splitlines():
-            assert set(json.loads(line)) == {"A", "S", "command", "episode_id", "step", "u_star"}
+            assert set(json.loads(line)) == {"S", "command", "episode_id", "step", "u_star"}
 
 
 def test_write_is_reproducible(tmp_path, tiny_dataset):

@@ -1,24 +1,30 @@
 """Bit-for-bit pins of the simulator and of the policy path.
 
 `graphnav collect --episodes 1 --seed 0 --jobs 1` is expert-driven, so no
-BLAS call touches it, and its three JSONL buffers hold the features,
-adjacency and action label of every step of three episodes, in dataset
-schema 2. The simulation they hash was first pinned from the scalar
-numpy-geometry simulator, before the pure-Python polyline and the single
-per-step projection replaced it, in schema 1, whose records also held the
-ego block on its own as a last key, "x_ego". When schema 1 was retired, one
-run rebuilt that collection line by line as schema 1 and matched the old
-pins (e5654cb5..., 911f488e..., f37188a4...), and the same run's schema-2
-bytes gave the digests below. Any later engine (a vectorized one included)
-must reproduce them, or report the disagreement instead of re-recording
-them.
+BLAS call touches it, and its three JSONL buffers hold the features and
+action label of every step of three episodes, in dataset schema 3. The
+simulation they hash was first pinned from the scalar numpy-geometry
+simulator, before the pure-Python polyline and the single per-step
+projection replaced it, in schema 1, whose records also held the ego block
+on its own as a last key, "x_ego". When schema 1 was retired, one run
+rebuilt that collection line by line as schema 1 and matched the old pins
+(e5654cb5..., 911f488e..., f37188a4...). Schema 2 records also held the
+adjacency, "A" (pins df995c15..., f75e5a08..., 426a4b8f...); when schema 3
+dropped it, one run showed every S, u_star, episode_id and step of this
+collection and of `--episodes 5 --seed 211` equal to schema 2's bit for
+bit, and its schema-3 bytes gave the digests below. Any later engine (a
+vectorized one included) must reproduce them, or report the disagreement
+instead of re-recording them.
 
 The policy digests hash the actions that seeded gcil, nncil and setcil
 networks return through `NetworkController.act` (encoding, canonical node
 order and B=1 forward) on 200 spawned evaluation worlds with 1 to 8 nodes.
 They were recorded before the list-based adjacency and canonical order
 replaced the numpy ones, and they hold under the default BLAS thread count
-and under OPENBLAS_NUM_THREADS=1 alike.
+and under OPENBLAS_NUM_THREADS=1 alike. They also held when the adjacency
+came to be built from the features' offsets rather than the world
+positions, though that moves the last bit of some entries between two
+non-ego nodes in 67 of the 200 observations.
 
 The training digests hash `checkpoint_final.json` of gcil, nncil and setcil
 trained for four epochs (B=512, seed 3) on that collection: the weights, the
@@ -30,7 +36,10 @@ those of a serial single-thread run. They were recorded under
 OPENBLAS_NUM_THREADS=1 before that pin existed, and they hold under the
 default thread count too, with or without the worker. (Unpinned, two
 OpenBLAS threads sum the weight gradients of the GCN layers and of setcil's
-encoder in another order, and gcil's and setcil's digests differed.)
+encoder in another order, and gcil's and setcil's digests differed.) gcil's
+digest was re-recorded once when training came to build every adjacency
+from the features under the training strategy instead of reading the
+stored one; nncil's and setcil's, which read no adjacency, held.
 """
 
 import dataclasses
@@ -55,9 +64,9 @@ from graphnav.training import TrainConfig, train
 from graphnav.world import spawn_scenario
 
 GOLDEN_SHA256 = {
-    "forward.jsonl": "df995c15149ff5a007f109645742b5a8787f1fde817d0b06c9701e9573a4b07c",
-    "turn_left.jsonl": "f75e5a08ca6c3fc8702a16294fe54a27870e3790b06bc2487e0544078f9e535f",
-    "turn_right.jsonl": "426a4b8ffd91b11e01e372e301d92f1d6e79500691134af00139448fa4300b0d",
+    "forward.jsonl": "4d3356b2391997406e90546de55d284d1227eaa3b3ba13ff39b04bd68f3ce1cb",
+    "turn_left.jsonl": "1df05d29d3e16604fd39b4f54ffa92721a8323baa7bac6bdeed079b99b9d2521",
+    "turn_right.jsonl": "0beebd0c12a1627a63972d5b9283e0344b8a3e7586174a713e7b7c1425bbf514",
 }
 
 POLICY_SHA256 = {
@@ -67,7 +76,7 @@ POLICY_SHA256 = {
 }
 
 TRAINING_SHA256 = {
-    "gcil": "9821f368e250963b05f4fc69142d407544433bf6ff2448db63b92762d8f6f228",
+    "gcil": "1b3e920741ff5cf73df8ded711d7e5ccaf8e36ec0517a71045c320ea7462b9ca",
     "nncil": "b15cb01c47c4933daf80a39947e8c3a4832fdacd4aae65c4abffac195e025c69",
     "setcil": "481495eb34d625776ef7c19ac39ca4fb6e3dc46f27ef35e05dc5927a310381a5",
 }

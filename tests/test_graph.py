@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, _rotate,
                             adjacency_from_features, build_adjacency, build_features,
-                            encode_world, world_positions)
+                            encode_world)
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 NCLOSE = EdgeStrategy(kind=EdgeStrategyKind.N_CLOSE_WEIGHTED)
@@ -167,14 +167,34 @@ def test_row_sums_property(n, seed):
         assert np.all(adj >= 0.0)
 
 
+def _spawned_worlds():
+    """Worlds at the evaluation's spawn windows, whose offsets between two
+    agents round differently from their world-position differences."""
+    for seed in range(8):
+        cfg = ScenarioConfig(density=seed, spawn_window=(19.0, 35.0), ego_spawn_window=(17.0, 22.0))
+        world, goal, _ = spawn_scenario(cfg, seed=17 + seed)
+        yield world, goal
+
+
+@pytest.mark.parametrize("ego_frame", [False, True])
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.kind.value)
+def test_encode_world_builds_the_adjacency_from_its_features(strategy, ego_frame):
+    cfg = GraphConfig(strategy=strategy, ego_frame=ego_frame)
+    for world, goal in _spawned_worlds():
+        feats, adj = encode_world(world, goal, cfg)
+        assert np.array_equal(adj, adjacency_from_features(feats, strategy))
+
+
 def test_adjacency_from_features_matches_direct_build():
-    world, goal, _ = spawn_scenario(ScenarioConfig(density=5), seed=17)
-    feats, adj = encode_world(world, goal, GraphConfig())
-    rebuilt = adjacency_from_features(feats, NCLOSE)
-    assert np.allclose(rebuilt, adj, atol=1e-12)
-    star = adjacency_from_features(feats, STAR)
-    direct = build_adjacency(world_positions(world), STAR)
-    assert np.allclose(star, direct, atol=1e-12)
+    """Fully connected and star adjacencies read only the ego's distances to
+    the others, which the offsets keep bit for bit (`0 - (x_k - x_ego)` is
+    exact), so they equal the adjacency of the world positions."""
+    for world, goal in _spawned_worlds():
+        feats, _ = encode_world(world, goal, GraphConfig())
+        positions = np.column_stack((world.x, world.y))
+        for strategy in (FULLY, STAR):
+            assert np.array_equal(adjacency_from_features(feats, strategy),
+                                  build_adjacency(positions, strategy))
 
 
 def _reference_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:

@@ -16,12 +16,15 @@ from conftest import reaped
 from graphnav import training
 from graphnav.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from graphnav.dataset import DemoDataset, DemoSample
-from graphnav.graph import GraphConfig, adjacency_from_features
+from graphnav.evaluation import collect_dataset
+from graphnav.expert import ExpertParams
+from graphnav.graph import EdgeStrategy, EdgeStrategyKind, GraphConfig, adjacency_from_features
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import Adam
 from graphnav.policies import NETWORK_KINDS, NETWORKS, NetworkController, build_network
 from graphnav.training import (TrainConfig, TrainingError, _PreparedData, dataset_mean_loss,
                                minibatch_counts, sample_minibatch, train)
+from graphnav.world import ScenarioConfig
 
 SIZES = {c: 50 for c in COMMANDS}
 
@@ -70,13 +73,14 @@ def _subset_dataset(dataset, per_command):
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
-@pytest.mark.parametrize("reencode", [False, True])
-def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, reencode):
-    # a recorded sample's training row is the network's own `inputs` of that
-    # sample in `canonical` order, and the episode controller acts on it with
-    # the same bits
-    graph_cfg = GraphConfig()
-    prepared = _PreparedData(tiny_dataset, kind, graph_cfg, reencode)
+@pytest.mark.parametrize("strategy", list(EdgeStrategyKind), ids=lambda k: k.value)
+def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, strategy):
+    # a recorded sample's training row is the network's own `inputs` of its
+    # features and the adjacency they give under the training strategy, in
+    # `canonical` order, and the episode controller acts on that observation
+    # with the same bits
+    graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=strategy))
+    prepared = _PreparedData(tiny_dataset, kind, graph_cfg)
     net = build_network(kind, seed=2)
     controller = NetworkController(net)
     cls = NETWORKS[kind]
@@ -84,7 +88,7 @@ def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, reencode
         samples = tiny_dataset.buffers[command]
         for i in (0, len(samples) // 2, len(samples) - 1):
             s = samples[i]
-            adj = adjacency_from_features(s.features, graph_cfg.strategy) if reencode else s.adjacency
+            adj = adjacency_from_features(s.features, graph_cfg.strategy)
             [(row, _)] = prepared.gather(command, np.array([i]))
             inputs = cls.inputs(s.features, adj)
             expected = cls.canonical(*[a[None] for a in inputs])
@@ -98,7 +102,7 @@ def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, reencode
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 def test_prepared_rows_are_canonical_and_act_ignores_node_order(tiny_dataset, kind):
-    prepared = _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=False)
+    prepared = _PreparedData(tiny_dataset, kind, GraphConfig())
     net = build_network(kind, seed=4)
     cls = NETWORKS[kind]
     rng = np.random.default_rng(0)
@@ -111,7 +115,8 @@ def test_prepared_rows_are_canonical_and_act_ignores_node_order(tiny_dataset, ki
         for i in range(0, len(samples), 7):
             s = samples[i]
             order = np.concatenate([[0], 1 + rng.permutation(len(s.features) - 1)])
-            feats, adj = s.features[order], s.adjacency[np.ix_(order, order)]
+            adj = adjacency_from_features(s.features, GraphConfig().strategy)
+            feats, adj = s.features[order], adj[np.ix_(order, order)]
             action = net.act(*cls.inputs(feats, adj), command)
             [(row, _)] = prepared.gather(command, np.array([i]))
             u, _ = net.forward_batch(*row, command)
@@ -120,9 +125,9 @@ def test_prepared_rows_are_canonical_and_act_ignores_node_order(tiny_dataset, ki
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 def test_canonical_order_does_not_depend_on_the_preparation_chunk(tiny_dataset, monkeypatch, kind):
-    whole = _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=False)
+    whole = _PreparedData(tiny_dataset, kind, GraphConfig())
     monkeypatch.setattr("graphnav.training.CANONICAL_CHUNK", 3)
-    chunked = _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=False)
+    chunked = _PreparedData(tiny_dataset, kind, GraphConfig())
     for command in COMMANDS:
         for (a, _), (b, _) in zip(whole.groups[command], chunked.groups[command], strict=True):
             assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
@@ -136,8 +141,25 @@ def test_reencode_only_for_networks_that_read_the_adjacency(tiny_dataset, monkey
         calls.append(1)
         return adjacency_from_features(feats, strategy)
     monkeypatch.setattr("graphnav.training.adjacency_from_features", counting)
-    _PreparedData(tiny_dataset, kind, GraphConfig(), reencode=True)
+    _PreparedData(tiny_dataset, kind, GraphConfig())
     assert len(calls) == (tiny_dataset.total() if kind == "gcil" else 0)
+
+
+def test_gcil_trains_on_the_adjacency_of_its_own_strategy(tiny_dataset):
+    """The adjacency gcil trains on follows the train config, not the edge
+    strategy the data was collected under: fully connected training on data
+    collected under the default strategy equals training on the same
+    features collected fully connected, and differs from default training."""
+    fully = GraphConfig(strategy=EdgeStrategy(kind=EdgeStrategyKind.FULLY_CONNECTED))
+    collected_fully, _ = collect_dataset(ScenarioConfig(density=2, timeout_s=25.0), fully,
+                                         ExpertParams(), episodes_per_command=2, base_seed=7,
+                                         densities={c: 2 for c in COMMANDS})
+    ds, ds_fully = _subset_dataset(tiny_dataset, 10), _subset_dataset(collected_fully, 10)
+    cfg = _tiny_config(epochs=2, graph=fully)
+    runs = [train(ds, cfg), train(ds_fully, cfg), train(ds, replace(cfg, graph=GraphConfig()))]
+    params = [run.network.parameters() for run in runs]
+    assert all(np.array_equal(params[0][k], params[1][k]) for k in params[0])
+    assert not all(np.array_equal(params[0][k], params[2][k]) for k in params[0])
 
 
 def _tiny_config(**kw):
@@ -175,9 +197,10 @@ class TestTraining:
         relabeled = DemoDataset()
         for c in COMMANDS:
             s = tiny_dataset.buffers[c][0]
-            u, _ = net.forward(s.features, s.adjacency, c)
-            relabeled.buffers[c] = [DemoSample(s.features, s.adjacency, s.command,
-                                               np.array(u), s.episode_id, s.step)]
+            adj = adjacency_from_features(s.features, cfg.graph.strategy)
+            u, _ = net.forward(s.features, adj, c)
+            relabeled.buffers[c] = [DemoSample(s.features, s.command, np.array(u), s.episode_id,
+                                               s.step)]
         before = {k: v.copy() for k, v in net.parameters().items()}
         run = train(relabeled, cfg)
         after = run.network.parameters()
@@ -187,7 +210,7 @@ class TestTraining:
     def test_non_finite_loss_stops_with_a_diagnostic_checkpoint(self, tiny_dataset, tmp_path):
         ds = _subset_dataset(tiny_dataset, 4)
         ds.buffers[Command.FORWARD] = [
-            DemoSample(s.features, s.adjacency, s.command, np.array([np.nan, 0.0]),
+            DemoSample(s.features, s.command, np.array([np.nan, 0.0]),
                        s.episode_id, s.step) for s in ds.buffers[Command.FORWARD]]
         with pytest.raises(TrainingError, match="non-finite loss nan at step 0"):
             train(ds, _tiny_config(batch_size=12), out_dir=tmp_path)
@@ -270,8 +293,9 @@ class TestCheckpointing:
         run = train(ds, _tiny_config(epochs=1), out_dir=tmp_path)
         loaded = load_checkpoint(tmp_path / "checkpoint_final.json")
         sample = ds.buffers[Command.FORWARD][0]
-        a = run.network.act(sample.features, sample.adjacency, Command.FORWARD)
-        b = loaded.network.act(sample.features, sample.adjacency, Command.FORWARD)
+        adj = adjacency_from_features(sample.features, loaded.graph.strategy)
+        a = run.network.act(sample.features, adj, Command.FORWARD)
+        b = loaded.network.act(sample.features, adj, Command.FORWARD)
         assert a == b
 
 
@@ -287,7 +311,7 @@ def test_worker_steps_equal_serial_steps(tiny_dataset, kind, polled):
     command runs in the worker returns the serial step's bits, whether the
     parent adds its parts as they come or (unpolled) all after the prefix."""
     ds = _subset_dataset(tiny_dataset, 12)
-    prepared = _PreparedData(ds, kind, GraphConfig(), reencode=False)
+    prepared = _PreparedData(ds, kind, GraphConfig())
     network = build_network(kind, seed=4)
     optimizer = Adam(network.parameters())
     training._bind(network, optimizer)
@@ -344,7 +368,7 @@ class TestStepWorker:
     def test_reaped_after_a_non_finite_loss(self, tiny_dataset, worker_pids, tmp_path):
         ds = _subset_dataset(tiny_dataset, 4)
         ds.buffers[Command.FORWARD] = [  # the worker's command
-            DemoSample(s.features, s.adjacency, s.command, np.array([np.nan, 0.0]),
+            DemoSample(s.features, s.command, np.array([np.nan, 0.0]),
                        s.episode_id, s.step) for s in ds.buffers[Command.FORWARD]]
         with pytest.raises(TrainingError, match="non-finite loss nan at step 0"):
             train(ds, _tiny_config(batch_size=12), out_dir=tmp_path)
@@ -374,7 +398,7 @@ class TestStepWorker:
             assert get() == 2
             bad = _subset_dataset(tiny_dataset, 4)
             bad.buffers[Command.TURN_LEFT] = [  # a parent command
-                DemoSample(s.features, s.adjacency, s.command, np.array([np.nan, 0.0]),
+                DemoSample(s.features, s.command, np.array([np.nan, 0.0]),
                            s.episode_id, s.step) for s in bad.buffers[Command.TURN_LEFT]]
             with pytest.raises(TrainingError):
                 train(bad, _tiny_config(batch_size=12), out_dir=tmp_path)
@@ -431,7 +455,7 @@ rng = np.random.default_rng(0)
 dataset = DemoDataset()
 for command in COMMANDS:
     dataset.buffers[command] = [
-        DemoSample(features=rng.normal(size=(6, 12)), adjacency=np.eye(6), command=command,
+        DemoSample(features=rng.normal(size=(6, 12)), command=command,
                    u_star=rng.uniform(-1.0, 1.0, size=2), episode_id=0, step=i)
         for i in range(300)]
 marks = []
