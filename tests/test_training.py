@@ -15,7 +15,7 @@ import pytest
 from conftest import reaped
 from graphnav import training
 from graphnav.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from graphnav.dataset import DemoDataset, DemoSample
+from graphnav.dataset import DemoDataset, DemoSample, read_dataset, write_dataset
 from graphnav.evaluation import collect_dataset
 from graphnav.expert import ExpertParams
 from graphnav.graph import EdgeStrategy, EdgeStrategyKind, GraphConfig, adjacency_from_features
@@ -73,31 +73,39 @@ def _subset_dataset(dataset, per_command):
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
-@pytest.mark.parametrize("strategy", list(EdgeStrategyKind), ids=lambda k: k.value)
-def test_training_and_inference_see_the_same_inputs(tiny_dataset, kind, strategy):
-    # a recorded sample's training row is the network's own `inputs` of its
-    # features and the adjacency they give under the training strategy, in
-    # `canonical` order, and the episode controller acts on that observation
-    # with the same bits
-    graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=strategy))
-    prepared = _PreparedData(tiny_dataset, kind, graph_cfg)
+@pytest.mark.parametrize("reloaded", [False, True])
+def test_training_and_inference_see_the_same_inputs(tiny_dataset, tmp_path, kind, reloaded):
+    # under every edge strategy, a recorded sample's training row is the
+    # network's own `inputs` of its features and the adjacency they give under
+    # the training strategy, in `canonical` order, and the episode controller
+    # acts on that observation with the same bits; `reloaded` runs the dataset
+    # through write_dataset and read_dataset first, since the records keep
+    # only `S` and every adjacency is rebuilt from it
+    dataset = tiny_dataset
+    if reloaded:
+        write_dataset(tiny_dataset, tmp_path)
+        dataset = read_dataset(tmp_path)
     net = build_network(kind, seed=2)
     controller = NetworkController(net)
     cls = NETWORKS[kind]
-    for command in COMMANDS:
-        samples = tiny_dataset.buffers[command]
-        for i in (0, len(samples) // 2, len(samples) - 1):
-            s = samples[i]
-            adj = adjacency_from_features(s.features, graph_cfg.strategy)
-            [(row, _)] = prepared.gather(command, np.array([i]))
-            inputs = cls.inputs(s.features, adj)
-            expected = cls.canonical(*[a[None] for a in inputs])
-            assert len(row) == len(expected)
-            for got, want in zip(row, expected):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            action = controller.act(None, None, command, (s.features, adj))
-            u, _ = net.forward_batch(*row, command)
-            assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
+    for strategy in EdgeStrategyKind:
+        graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=strategy))
+        prepared = _PreparedData(dataset, kind, graph_cfg)
+        for command in COMMANDS:
+            samples = dataset.buffers[command]
+            for i in (0, len(samples) // 2, len(samples) - 1):
+                s = samples[i]
+                assert s.features.tobytes() == tiny_dataset.buffers[command][i].features.tobytes()
+                adj = adjacency_from_features(s.features, graph_cfg.strategy)
+                [(row, _)] = prepared.gather(command, np.array([i]))
+                inputs = cls.inputs(s.features, adj)
+                expected = cls.canonical(*[a[None] for a in inputs])
+                assert len(row) == len(expected)
+                for got, want in zip(row, expected):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                action = controller.act(None, None, command, (s.features, adj))
+                u, _ = net.forward_batch(*row, command)
+                assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
