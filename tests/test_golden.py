@@ -26,6 +26,12 @@ came to be built from the features' offsets rather than the world
 positions, though that moves the last bit of some entries between two
 non-ego nodes in 67 of the 200 observations.
 
+The policy digests cannot see such a last-bit change, so the adjacency
+digests pin the adjacency itself: the bytes of the adjacency gcil's
+`inputs` gives for each of those 200 observations, under each of the four
+edge strategies with default parameters. They were recorded while the
+rollout still built an adjacency at every env-step.
+
 The training digests hash `checkpoint_final.json` of gcil, nncil and setcil
 trained for four epochs (B=512, seed 3) on that collection: the weights, the
 Adam moments, the graph settings and the topology, every byte of the file up
@@ -56,9 +62,10 @@ import pytest
 from graphnav.cli import main
 from graphnav.config import load_config, scenario_config
 from graphnav.dataset import read_dataset
-from graphnav.graph import GraphConfig, encode_world
+from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, adjacency_from_features,
+                            encode_world)
 from graphnav.layout import COMMANDS
-from graphnav.policies import NETWORK_KINDS, NetworkController, build_network
+from graphnav.policies import NETWORK_KINDS, GcilNetwork, NetworkController, build_network
 from graphnav import training
 from graphnav.training import TrainConfig, train
 from graphnav.world import spawn_scenario
@@ -73,6 +80,13 @@ POLICY_SHA256 = {
     "gcil": "c546ac54a5de956b0ff7a73127643ba964b9c6d382a9a518dc1ff51b8a0c51ac",
     "nncil": "116f53413fd5baa5e0b94aa2ac79b1766ea5bca7986e5b10781e8ab45f521299",
     "setcil": "ed1215702f373b1f3be83af8eb1eec7566661b33c61756b13853b8a9032a3515",
+}
+
+ADJACENCY_SHA256 = {
+    "n_close_weighted": "3b469ecefd7c90392661459700dbe1923bc5bd98b65e1dc16c4b5478cbd7036b",
+    "fully_connected": "b76fd0fced70a04c9df992c19142044ba8d0773b991aeb60f496c876714dff7d",
+    "star_connected": "906f157f0b739216d6736dc0a301fb9c58ab8403a757ffed99ade0d02c69fc18",
+    "non_weighted": "faa5906c932acb041ded63824904b2173c207f44add12fbe593a947281cc1f29",
 }
 
 TRAINING_SHA256 = {
@@ -120,8 +134,9 @@ def test_training_bits_are_pinned_on_both_step_paths(collected, tmp_path, monkey
     assert training_digests(collected, tmp_path) == TRAINING_SHA256
 
 
-def policy_digests() -> dict:
-    """sha256 of the packed (steer, throttle) doubles of every act call."""
+def golden_observations() -> list:
+    """(world, goal, command, observation) of 200 spawned evaluation worlds
+    with 1 to 8 nodes."""
     template = scenario_config(load_config(), "eval")
     observations = []
     for i in range(200):
@@ -129,6 +144,12 @@ def policy_digests() -> dict:
         scenario = dataclasses.replace(template, command=command, density=i % 8)
         world, goal, _ = spawn_scenario(scenario, seed=i)
         observations.append((world, goal, command, encode_world(world, goal, GraphConfig())))
+    return observations
+
+
+def policy_digests() -> dict:
+    """sha256 of the packed (steer, throttle) doubles of every act call."""
+    observations = golden_observations()
     digests = {}
     for kind in NETWORK_KINDS:
         controller = NetworkController(build_network(kind, seed=5))
@@ -142,6 +163,25 @@ def policy_digests() -> dict:
 
 def test_policy_actions_are_pinned():
     assert policy_digests() == POLICY_SHA256
+
+
+def adjacency_digests() -> dict:
+    """sha256 of the adjacency bytes gcil's `inputs` gives for every golden
+    observation, under each edge strategy."""
+    observations = golden_observations()
+    digests = {}
+    for kind in EdgeStrategyKind:
+        strategy = EdgeStrategy(kind=kind)
+        h = hashlib.sha256()
+        for _world, _goal, _command, (feats, _) in observations:
+            _, adj = GcilNetwork.inputs(feats, adjacency_from_features(feats, strategy))
+            h.update(adj.tobytes())
+        digests[kind.value] = h.hexdigest()
+    return digests
+
+
+def test_adjacency_bits_are_pinned():
+    assert adjacency_digests() == ADJACENCY_SHA256
 
 
 def at_one_blas_thread(expression: str):
