@@ -76,7 +76,7 @@ def mean_navigation_time(results) -> float | None:
 class AlwaysBrake:
     """Degenerate policy: full brake, straight wheels."""
 
-    def act(self, world, goal, command, obs) -> Action:
+    def act(self, world, goal, command, feats) -> Action:
         return Action(0.0, -1.0)
 
 
@@ -328,7 +328,7 @@ def run_ablation(
     for strategy in strategies:
         strat_graph = replace(graph_cfg, strategy=strategy)
         run = train(dataset, replace(train_config, graph=strat_graph))
-        policy = NetworkController(run.network)
+        policy = NetworkController(run.network, strategy)
         report, _ = run_suite(
             policy, eval_cfg, strat_graph, trials, base_seed,
             setups=(("hard", 7),), commands=(Command.FORWARD,), jobs=jobs,

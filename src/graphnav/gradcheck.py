@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import DemoDataset
-from .graph import GraphConfig, adjacency_from_features
+from .graph import GraphConfig
 from .layout import COMMANDS
 from .policies import FEATURE_SCALE, build_network
 from .rollout import DemoSample
@@ -86,13 +86,12 @@ def run_policy_check(kind: str, seed: int = 0, n_samples: int = 200, eps: float 
             feats = rng.normal(0.0, 2.0, size=(4, 12)) * FEATURE_SCALE
             feats[0, 6:] = 0.0
             feats[:, :6] = feats[0, :6]
-            samples.append((feats, adjacency_from_features(feats, GraphConfig().strategy),
-                            COMMANDS[i % 3]))
-        outputs = np.array([network.forward(*network.inputs(feats, adj), command)[0]
-                            for feats, adj, command in samples])
+            samples.append((feats, COMMANDS[i % 3]))
+        outputs = np.array([network.forward(*network.inputs(f, GraphConfig().strategy), c)[0]
+                            for f, c in samples])
         targets = np.clip(outputs + rng.uniform(-0.25, 0.25, size=outputs.shape), -1.0, 1.0)
         dataset = DemoDataset()
-        for i, ((feats, _, command), u_star) in enumerate(zip(samples, targets)):
+        for i, ((feats, command), u_star) in enumerate(zip(samples, targets)):
             dataset.buffers[command].append(DemoSample(feats, command, u_star, attempt, i))
         prepared = _PreparedData(dataset, kind, GraphConfig())
         try:

@@ -1,9 +1,9 @@
-"""World-to-graph encoding: node feature matrix and row-stochastic adjacency.
+"""World-to-graph encoding: node features (the observation) and adjacency.
 
 Node 0 is always the ego. Every row of the feature matrix starts with the
 shared ego/goal block (6 values) followed by that node's relative block
-(6 values, zeros for the ego's own row). The adjacency is built from the
-features' relative offsets under a selectable edge strategy and
+(6 values, zeros for the ego's own row). Only gcil builds an adjacency: from
+the features' relative offsets under a selectable edge strategy,
 row-normalized to sum 1 with exact summation, so consistent relabelings of
 the inputs permute it bitwise.
 """
@@ -143,11 +143,11 @@ def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), float, n * n).reshape(n, n) / totals[:, None]
 
 
-def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The observation of one world state: (features, adjacency). The ego
-    block is `features[0, :EGO_DIM]`."""
-    feats = build_features(world, goal, cfg.v_pref, cfg.ego_frame)
-    return feats, adjacency_from_features(feats, cfg.strategy)
+def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> np.ndarray:
+    """The observation of one world state: its (N, 12) features under `cfg`'s
+    feature settings. The ego block is `features[0, :EGO_DIM]`; the edge
+    strategy is not read here."""
+    return build_features(world, goal, cfg.v_pref, cfg.ego_frame)
 
 
 def adjacency_from_features(features: np.ndarray, strategy: EdgeStrategy) -> np.ndarray:

@@ -5,10 +5,10 @@ output feeds a shared trunk MLP, mapped to an action by the branch selected
 by the high-level command. The graph policy's frontend is a 3-layer GCN
 whose ego-node output is joined by the shared ego block; the two baselines
 use a fixed nearest-3 vector MLP or a summed set encoding. `NETWORKS` is the
-one place that maps a kind to its class; each class's `inputs` turns an
-observation (features, and the adjacency `graph.adjacency_from_features`
-builds from them, which only gcil reads) into what its forward takes. The
-ego block is row 0's first six features; no network takes it separately.
+one place that maps a kind to its class; each class's static `inputs` turns
+the observation's features and an edge strategy into what its forward takes
+(only gcil's reads the strategy, to build the adjacency). The ego block is
+row 0's first six features; no network takes it separately.
 
 Each class's static `canonical` puts a sample's nodes (or set elements) in
 a canonical sort order, which makes permutation equivariance/invariance hold
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import EGO_DIM, FEATURE_DIM
+from .graph import EGO_DIM, FEATURE_DIM, EdgeStrategy, adjacency_from_features
 from .layout import COMMANDS, Command
 from .nn import RELU, TANH, GcnLayer, Mlp
 from .vehicle import Action
@@ -113,7 +113,7 @@ class BranchedPolicy:
     """A perception frontend feeding the shared branched head.
 
     Each subclass builds its frontend from `rng` before the head, and
-    defines the per-sample `inputs(feats, adj)` tuple, the static
+    defines the per-sample `inputs(feats, strategy)` tuple, the static
     `canonical` that puts stacked inputs in canonical order, the
     `forward_batch` that takes them so ordered, its `backward_batch`, and
     the frontend's topology keys, parameter slots and ReLU kink margin.
@@ -121,7 +121,6 @@ class BranchedPolicy:
     """
 
     kind: str
-    reads_adjacency = False  # whether `inputs` uses its `adj` argument
 
     def topology(self) -> dict:
         return {**self.frontend_topology(), "trunk_widths": list(TRUNK_WIDTHS),
@@ -153,7 +152,6 @@ class GcilNetwork(BranchedPolicy):
     """GCN perception into the branched control head."""
 
     kind = "gcil"
-    reads_adjacency = True
 
     def __init__(self, rng) -> None:
         widths = (FEATURE_DIM, *GCN_WIDTHS)
@@ -161,8 +159,8 @@ class GcilNetwork(BranchedPolicy):
         self.head = _BranchedHead(rng, GCN_WIDTHS[-1] + EGO_DIM)
 
     @staticmethod
-    def inputs(feats, adj) -> tuple:
-        return feats, adj
+    def inputs(feats, strategy) -> tuple:
+        return feats, adjacency_from_features(feats, strategy)
 
     @staticmethod
     def canonical(feats, adj) -> tuple:
@@ -230,7 +228,7 @@ class NnCilNetwork(BranchedPolicy):
         self.head = _BranchedHead(rng, PERCEPTION_WIDTHS[-1])
 
     @staticmethod
-    def inputs(feats, adj) -> tuple:
+    def inputs(feats, strategy) -> tuple:
         return (nncil_vector(feats),)
 
     @staticmethod
@@ -279,7 +277,7 @@ class SetCilNetwork(BranchedPolicy):
         self.head = _BranchedHead(rng, PERCEPTION_WIDTHS[-1])
 
     @staticmethod
-    def inputs(feats, adj) -> tuple:
+    def inputs(feats, strategy) -> tuple:
         return (set_elements(feats),)
 
     @staticmethod
@@ -330,10 +328,12 @@ def build_network(kind: str, seed: int = 0, rng=None) -> BranchedPolicy:
 
 
 class NetworkController:
-    """Adapts a policy network to the episode-loop controller interface."""
+    """Adapts a policy network to the episode-loop controller interface,
+    building its inputs under the edge strategy it was trained with."""
 
-    def __init__(self, network) -> None:
+    def __init__(self, network, strategy: EdgeStrategy = EdgeStrategy()) -> None:
         self.network = network
+        self.strategy = strategy
 
-    def act(self, world, goal, command: Command, obs) -> Action:
-        return self.network.act(*self.network.inputs(*obs), command)
+    def act(self, world, goal, command: Command, feats) -> Action:
+        return self.network.act(*self.network.inputs(feats, self.strategy), command)

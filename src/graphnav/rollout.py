@@ -84,8 +84,8 @@ def run_episode(
 ) -> EpisodeRecord:
     """Run one seeded episode to its terminal outcome.
 
-    The controller sees the pre-step world plus the encoded observation and
-    returns an Action for the ego; surrounding agents are scripted inside
+    The controller sees the pre-step world plus its features, the observation,
+    and returns an Action for the ego; surrounding agents are scripted inside
     step_world. Exactly one terminal outcome is produced.
 
     `noise`, when given, perturbs the executed action in bursts seeded from
@@ -104,10 +104,10 @@ def run_episode(
     step = 0
     max_steps = int(math.ceil(cfg.timeout_s / cfg.dt)) + 2
     while outcome is None and step < max_steps:
-        obs = encode_world(world, goal, graph_cfg)
-        action = controller.act(world, goal, command, obs)
+        feats = encode_world(world, goal, graph_cfg)
+        action = controller.act(world, goal, command, feats)
         if record_samples:
-            samples.append(DemoSample(obs[0], command, np.array([action.delta, action.tau]),
+            samples.append(DemoSample(feats, command, np.array([action.delta, action.tau]),
                                       seed, step))
         executed = action if action_noise is None else action_noise(action)
         actions = step_world(world, executed, cfg)

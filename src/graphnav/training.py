@@ -35,7 +35,7 @@ import numpy as np
 from .atomic import atomic_write, usable_cpus as _usable_cpus  # tests force the step path here
 from .checkpoint import CheckpointError, graph_config_to_dict, load_checkpoint, save_checkpoint
 from .dataset import DemoDataset
-from .graph import GraphConfig, adjacency_from_features
+from .graph import GraphConfig
 from .layout import COMMANDS, Command
 from .nn import Adam, batch_action_loss
 from .policies import NETWORKS, build_network
@@ -118,7 +118,7 @@ class _PreparedData:
     passes, each sample put in its network's canonical order once. A group is
     an (inputs, targets) pair: the network's per-sample `inputs` stacked
     column by column, each sample in `canonical` order, and the (B, 2) labels.
-    Only a network that reads the adjacency gets one, under `graph_cfg`."""
+    `inputs` reads `graph_cfg`'s edge strategy, as the rollout's does."""
 
     def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig) -> None:
         network_cls = NETWORKS[kind]
@@ -143,9 +143,7 @@ class _PreparedData:
             groups = []
             for n in order:
                 bucket = buckets[n]
-                adjs = [adjacency_from_features(s.features, graph_cfg.strategy)
-                        if network_cls.reads_adjacency else None for s in bucket]
-                rows = [network_cls.inputs(s.features, a) for s, a in zip(bucket, adjs)]
+                rows = [network_cls.inputs(s.features, graph_cfg.strategy) for s in bucket]
                 inputs = tuple(np.stack(column) for column in zip(*rows))
                 for start in range(0, len(bucket), CANONICAL_CHUNK):
                     part = slice(start, start + CANONICAL_CHUNK)

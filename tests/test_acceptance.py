@@ -25,7 +25,7 @@ from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, build_a
                             encode_world)
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import Adam
-from graphnav.policies import NetworkController, build_network, set_elements
+from graphnav.policies import GcilNetwork, NetworkController, build_network, set_elements
 from graphnav.rollout import run_episode
 from graphnav.training import TrainConfig, dataset_mean_loss, train
 from graphnav.world import (EpisodeOutcome, OutcomeTag, ScenarioConfig, spawn_scenario)
@@ -114,7 +114,8 @@ def test_criterion_3_edge_weight_points():
 
 def test_criterion_4_structural_checks():
     world, goal, _ = spawn_scenario(ScenarioConfig(density=5), seed=33)
-    feats, adj = encode_world(world, goal, GraphConfig())
+    feats = encode_world(world, goal, GraphConfig())
+    _, adj = GcilNetwork.inputs(feats, GraphConfig().strategy)
     assert feats.shape == (6, 12)
     for i in range(6):
         assert np.array_equal(feats[i, :6], feats[0, :6])
@@ -124,8 +125,8 @@ def test_criterion_4_structural_checks():
     assert net.head.n_in == 16  # 10 graph channels + 6 shared ego entries
 
     for kind in ("gcil", "nncil", "setcil"):
-        policy = NetworkController(build_network(kind, seed=11))
-        action = policy.act(world, goal, Command.TURN_LEFT, (feats, adj))
+        policy = NetworkController(build_network(kind, seed=11), GraphConfig().strategy)
+        action = policy.act(world, goal, Command.TURN_LEFT, feats)
         assert -1.0 <= action.delta <= 1.0 and -1.0 <= action.tau <= 1.0
 
     # branch isolation: bit-exact output, exactly-zero gradients elsewhere
@@ -190,7 +191,7 @@ def test_criterion_5_determinism(tmp_path):
     assert (tmp_path / "resumed" / "checkpoint_final.json").read_bytes() == \
            (tmp_path / "ta" / "checkpoint_final.json").read_bytes()
 
-    policy = NetworkController(run_a.network)
+    policy = NetworkController(run_a.network, config.graph.strategy)
     for label in ("ea", "eb"):
         report, results = run_suite(policy, EVAL_WORLD, config.graph, 2, 600, method="gcil")
         write_suite_csv(report, tmp_path / f"{label}.csv")
@@ -229,8 +230,8 @@ def test_criterion_7_learning_gate(full_dataset, trained_gcil):
     reduction = 100.0 * (1.0 - last_epoch / first_epoch)
     assert reduction >= 80.0, f"loss fell only {reduction:.1f}%"
 
-    trained_policy = NetworkController(run.network)
-    untrained_policy = NetworkController(build_network("gcil", seed=999))
+    trained_policy = NetworkController(run.network, config.graph.strategy)
+    untrained_policy = NetworkController(build_network("gcil", seed=999), config.graph.strategy)
     report_t, _ = run_suite(trained_policy, EVAL_WORLD, config.graph, 50, 20000,
                             setups=(("easy", 3),))
     report_u, _ = run_suite(untrained_policy, EVAL_WORLD, config.graph, 50, 20000,
@@ -323,8 +324,8 @@ def test_criterion_10_ablation_harness(full_dataset, tmp_path):
     # collision rate <= non-weighted over >= 200 seeded hard-forward trials
     soft = {}
     for name in ("n_close_weighted", "non_weighted"):
-        policy = NetworkController(networks[name])
         graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=EdgeStrategyKind(name)))
+        policy = NetworkController(networks[name], graph_cfg.strategy)
         report, _ = run_suite(policy, EVAL_WORLD, graph_cfg, 200, 90000,
                               setups=(("hard", 7),), commands=(Command.FORWARD,))
         soft[name] = report.cells[("hard", Command.FORWARD)]["collision_rate_pct"]

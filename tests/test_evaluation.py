@@ -5,13 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graphnav import evaluation
-from graphnav.evaluation import (AlwaysBrake, SuiteReport, TrialResult, collision_rate,
-                                 format_report, mean_navigation_time, run_suite,
-                                 success_rate, write_suite_csv, write_trials_csv)
+from graphnav import evaluation, graph
+from graphnav.config import load_config, scenario_config
+from graphnav.evaluation import (AlwaysBrake, SuiteReport, TrialResult, collect_dataset,
+                                 collision_rate, format_report, mean_navigation_time,
+                                 run_suite, success_rate, write_suite_csv,
+                                 write_trials_csv)
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import GraphConfig
 from graphnav.layout import COMMANDS, Command, build_layout
+from graphnav.policies import NetworkController, build_network
 from graphnav.world import EpisodeOutcome, OutcomeTag, ScenarioConfig
 
 
@@ -210,3 +213,32 @@ class TestReports:
         # rates recomputed from the raw rows match the aggregate exactly
         n_success = sum(1 for r in rows if r["outcome"] == "success")
         assert 100.0 * n_success / len(rows) == success_rate(results)
+
+
+@pytest.fixture
+def adjacency_calls(monkeypatch):
+    """Every `graph.build_adjacency` call, counted."""
+    calls = []
+    build = graph.build_adjacency
+
+    def counting(positions, strategy):
+        calls.append(1)
+        return build(positions, strategy)
+    monkeypatch.setattr(graph, "build_adjacency", counting)
+    return calls
+
+
+def test_collect_builds_no_adjacency(adjacency_calls):
+    dataset, _ = collect_dataset(scenario_config(load_config(), mode="train"), GraphConfig(),
+                                 ExpertParams(), episodes_per_command=1, base_seed=0)
+    assert dataset.total() > 0
+    assert len(adjacency_calls) == 0
+
+
+@pytest.mark.parametrize("kind", ["gcil", "nncil", "setcil"])
+def test_only_gcil_builds_an_adjacency_per_env_step(adjacency_calls, kind):
+    policy = NetworkController(build_network(kind, seed=1), GraphConfig().strategy)
+    _, (result,) = run_suite(policy, scenario_config(load_config(), mode="eval"), GraphConfig(),
+                             1, 40, setups=(("easy", 3),), commands=(Command.FORWARD,))
+    assert result.outcome.steps > 0
+    assert len(adjacency_calls) == (result.outcome.steps if kind == "gcil" else 0)

@@ -62,8 +62,7 @@ import pytest
 from graphnav.cli import main
 from graphnav.config import load_config, scenario_config
 from graphnav.dataset import read_dataset
-from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, adjacency_from_features,
-                            encode_world)
+from graphnav.graph import EdgeStrategy, EdgeStrategyKind, GraphConfig, encode_world
 from graphnav.layout import COMMANDS
 from graphnav.policies import NETWORK_KINDS, GcilNetwork, NetworkController, build_network
 from graphnav import training
@@ -152,7 +151,7 @@ def policy_digests() -> dict:
     observations = golden_observations()
     digests = {}
     for kind in NETWORK_KINDS:
-        controller = NetworkController(build_network(kind, seed=5))
+        controller = NetworkController(build_network(kind, seed=5), GraphConfig().strategy)
         h = hashlib.sha256()
         for world, goal, command, obs in observations:
             action = controller.act(world, goal, command, obs)
@@ -173,8 +172,8 @@ def adjacency_digests() -> dict:
     for kind in EdgeStrategyKind:
         strategy = EdgeStrategy(kind=kind)
         h = hashlib.sha256()
-        for _world, _goal, _command, (feats, _) in observations:
-            _, adj = GcilNetwork.inputs(feats, adjacency_from_features(feats, strategy))
+        for _world, _goal, _command, feats in observations:
+            _, adj = GcilNetwork.inputs(feats, strategy)
             h.update(adj.tobytes())
         digests[kind.value] = h.hexdigest()
     return digests

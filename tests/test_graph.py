@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, _rotate,
                             adjacency_from_features, build_adjacency, build_features,
                             encode_world)
+from graphnav.policies import GcilNetwork
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 NCLOSE = EdgeStrategy(kind=EdgeStrategyKind.N_CLOSE_WEIGHTED)
@@ -179,9 +180,13 @@ def _spawned_worlds():
 @pytest.mark.parametrize("ego_frame", [False, True])
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.kind.value)
 def test_encode_world_builds_the_adjacency_from_its_features(strategy, ego_frame):
+    """The observation is the features alone, whatever the strategy; gcil's
+    inputs build the adjacency from them."""
     cfg = GraphConfig(strategy=strategy, ego_frame=ego_frame)
     for world, goal in _spawned_worlds():
-        feats, adj = encode_world(world, goal, cfg)
+        feats = encode_world(world, goal, cfg)
+        assert np.array_equal(feats, build_features(world, goal, cfg.v_pref, ego_frame))
+        _, adj = GcilNetwork.inputs(feats, strategy)
         assert np.array_equal(adj, adjacency_from_features(feats, strategy))
 
 
@@ -190,7 +195,7 @@ def test_adjacency_from_features_matches_direct_build():
     the others, which the offsets keep bit for bit (`0 - (x_k - x_ego)` is
     exact), so they equal the adjacency of the world positions."""
     for world, goal in _spawned_worlds():
-        feats, _ = encode_world(world, goal, GraphConfig())
+        feats = encode_world(world, goal, GraphConfig())
         positions = np.column_stack((world.x, world.y))
         for strategy in (FULLY, STAR):
             assert np.array_equal(adjacency_from_features(feats, strategy),

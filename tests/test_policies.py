@@ -3,18 +3,23 @@ import pytest
 
 import graphnav.training
 from graphnav.gradcheck import run_policy_check
-from graphnav.graph import GraphConfig, build_features, encode_world
+from graphnav.graph import EdgeStrategy, EdgeStrategyKind, GraphConfig, build_features, encode_world
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import batch_action_loss
 from graphnav.policies import (BLOCK_SCALE, FEATURE_SCALE, NETWORK_KINDS, NETWORKS,
-                               GcilNetwork, NnCilNetwork, SetCilNetwork, build_network,
-                               nncil_vector, set_elements)
+                               GcilNetwork, NetworkController, NnCilNetwork, SetCilNetwork,
+                               build_network, nncil_vector, set_elements)
 from graphnav.world import ScenarioConfig, spawn_scenario
 
 
-def _observation(density=4, seed=3):
+def _features(density=4, seed=3):
     world, goal, _ = spawn_scenario(ScenarioConfig(density=density), seed=seed)
     return encode_world(world, goal, GraphConfig())
+
+
+def _observation(density=4, seed=3):
+    """gcil's (features, adjacency) inputs of one spawned world."""
+    return GcilNetwork.inputs(_features(density, seed), GraphConfig().strategy)
 
 
 def _permute(feats, adj, perm):
@@ -235,7 +240,7 @@ class TestGradientFidelity:
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 def test_branch_isolation_holds_for_every_network(kind):
     net = build_network(kind, seed=4)
-    inputs = net.inputs(*_observation(density=4, seed=8))
+    inputs = net.inputs(_features(density=4, seed=8), GraphConfig().strategy)
     before = net.act(*inputs, Command.TURN_RIGHT)
     for cmd in (Command.FORWARD, Command.TURN_LEFT):
         for layer in net.head.branches[cmd].layers:
@@ -247,6 +252,31 @@ def test_branch_isolation_holds_for_every_network(kind):
         for i in range(2):
             assert np.all(grads[f"branch.{cmd.value}.{i}.w"] == 0.0)
             assert np.all(grads[f"branch.{cmd.value}.{i}.b"] == 0.0)
+
+
+def _bits(action) -> bytes:
+    return np.array([action.delta, action.tau]).tobytes()
+
+
+@pytest.mark.parametrize("strategy_kind", [k for k in EdgeStrategyKind
+                                           if k is not EdgeStrategy().kind], ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+def test_controller_acts_under_its_edge_strategy(kind, strategy_kind):
+    """The controller's action is the network's on its `inputs` under the
+    controller's strategy, bit for bit; only gcil's action can move with it."""
+    net = build_network(kind, seed=6)
+    strategy = EdgeStrategy(kind=strategy_kind)
+    controller = NetworkController(net, strategy)
+    default = NetworkController(net, EdgeStrategy())
+    moved = 0
+    for seed in range(6):
+        world, goal, _ = spawn_scenario(ScenarioConfig(density=4), seed=seed)
+        feats = encode_world(world, goal, GraphConfig())
+        for command in COMMANDS:
+            action = controller.act(world, goal, command, feats)
+            assert _bits(action) == _bits(net.act(*net.inputs(feats, strategy), command))
+            moved += _bits(action) != _bits(default.act(world, goal, command, feats))
+    assert (moved > 0) == (kind == "gcil")
 
 
 def test_build_network_rejects_unknown_kind():
@@ -279,7 +309,7 @@ def test_parameter_names_and_topology_are_pinned(kind, frontend_names, frontend_
     net = build_network(kind, seed=0)
     assert list(net.parameters()) == frontend_names + HEAD_NAMES
     assert net.topology() == {**frontend_topology, **HEAD_TOPOLOGY}
-    inputs = net.inputs(*_observation(density=3, seed=2))
+    inputs = net.inputs(_features(density=3, seed=2), GraphConfig().strategy)
     _, cache = net.forward(*inputs, Command.TURN_LEFT)
     grads = net.backward_batch(cache, np.array([0.3, -0.2]).reshape(1, 2))
     assert sorted(grads) == sorted(net.parameters())

@@ -86,24 +86,23 @@ def test_training_and_inference_see_the_same_inputs(tiny_dataset, tmp_path, kind
         write_dataset(tiny_dataset, tmp_path)
         dataset = read_dataset(tmp_path)
     net = build_network(kind, seed=2)
-    controller = NetworkController(net)
     cls = NETWORKS[kind]
     for strategy in EdgeStrategyKind:
         graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=strategy))
+        controller = NetworkController(net, graph_cfg.strategy)
         prepared = _PreparedData(dataset, kind, graph_cfg)
         for command in COMMANDS:
             samples = dataset.buffers[command]
             for i in (0, len(samples) // 2, len(samples) - 1):
                 s = samples[i]
                 assert s.features.tobytes() == tiny_dataset.buffers[command][i].features.tobytes()
-                adj = adjacency_from_features(s.features, graph_cfg.strategy)
                 [(row, _)] = prepared.gather(command, np.array([i]))
-                inputs = cls.inputs(s.features, adj)
+                inputs = cls.inputs(s.features, graph_cfg.strategy)
                 expected = cls.canonical(*[a[None] for a in inputs])
                 assert len(row) == len(expected)
                 for got, want in zip(row, expected):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                action = controller.act(None, None, command, (s.features, adj))
+                action = controller.act(None, None, command, s.features)
                 u, _ = net.forward_batch(*row, command)
                 assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
 
@@ -123,9 +122,7 @@ def test_prepared_rows_are_canonical_and_act_ignores_node_order(tiny_dataset, ki
         for i in range(0, len(samples), 7):
             s = samples[i]
             order = np.concatenate([[0], 1 + rng.permutation(len(s.features) - 1)])
-            adj = adjacency_from_features(s.features, GraphConfig().strategy)
-            feats, adj = s.features[order], adj[np.ix_(order, order)]
-            action = net.act(*cls.inputs(feats, adj), command)
+            action = net.act(*cls.inputs(s.features[order], GraphConfig().strategy), command)
             [(row, _)] = prepared.gather(command, np.array([i]))
             u, _ = net.forward_batch(*row, command)
             assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
@@ -148,7 +145,7 @@ def test_reencode_only_for_networks_that_read_the_adjacency(tiny_dataset, monkey
     def counting(feats, strategy):
         calls.append(1)
         return adjacency_from_features(feats, strategy)
-    monkeypatch.setattr("graphnav.training.adjacency_from_features", counting)
+    monkeypatch.setattr("graphnav.policies.adjacency_from_features", counting)
     _PreparedData(tiny_dataset, kind, GraphConfig())
     assert len(calls) == (tiny_dataset.total() if kind == "gcil" else 0)
 
