@@ -14,7 +14,7 @@ from .config import (ConfigError, config_hash, expert_params, graph_config, key_
                      load_config, noise_params, scenario_config, train_config, train_densities)
 from .dataset import BUFFER_FILES, DatasetFormatError, read_dataset, write_dataset
 from .evaluation import (AlwaysBrake, REFERENCE_TRIALS, collect_dataset, format_report,
-                         run_ablation, run_episodes, run_suite, write_ablation_csv,
+                         outcome_counts, run_ablation, run_episodes, run_suite, write_ablation_csv,
                          write_actions_csv, write_suite_csv, write_trajectory_csv,
                          write_trials_csv)
 from .graph import EdgeStrategyKind
@@ -162,7 +162,7 @@ def cmd_eval(args) -> int:
     if trajectory_dir is not None:
         files.extend(trajectory_dir / r.trajectory_name for r in results)
     write_manifest(out, "eval", cfg, {"base_seed": base_seed, "trials_per_cell": trials},
-                   files, started)
+                   files, started, extra={"counters": {"outcomes": outcome_counts(results)}})
     return EXIT_OK
 
 

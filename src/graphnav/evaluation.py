@@ -73,6 +73,17 @@ def mean_navigation_time(results) -> float | None:
     return sum(times) / len(times)
 
 
+def outcome_counts(results) -> dict:
+    """{setup: {command: {tag: count}}} of trial results, every tag listed:
+    per setup, the shape of collect's expert outcome counts."""
+    counts: dict = {}
+    for r in results:
+        tags = counts.setdefault(r.setup, {}).setdefault(
+            r.command.value, dict.fromkeys((tag.value for tag in OutcomeTag), 0))
+        tags[r.outcome.tag.value] += 1
+    return counts
+
+
 class AlwaysBrake:
     """Degenerate policy: full brake, straight wheels."""
 

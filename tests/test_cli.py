@@ -636,3 +636,22 @@ def test_eval_manifest_lists_only_this_runs_trajectories(workdir, tmp_path):
     dumped = [name for name in listed if name.startswith("trajectories/")]
     assert len(list((out / "trajectories").glob("*.csv"))) == 18
     assert len(dumped) == 9 and all(name.rsplit("_", 1)[1][:-4] in seeds for name in dumped)
+
+
+def test_eval_manifest_counts_outcomes_per_setup_and_command(workdir, tmp_path):
+    out = tmp_path / "eval"
+    ckpt = workdir["run"] / "checkpoint_final.json"
+    assert main(["eval", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                 "--out", str(out), "--trials", "2", "--seed", "31"]) == 0
+    outcomes = json.loads((out / "run_manifest.json").read_text())["counters"]["outcomes"]
+    with open(out / "trials.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(outcomes) == ["easy", "hard", "middle"]
+    for setup, cells in outcomes.items():
+        assert sorted(cells) == ["forward", "turn_left", "turn_right"]
+        for command, tags in cells.items():
+            assert set(tags) == {"success", "collision", "timeout", "goal_missed"}
+            cell = [r["outcome"] for r in rows if (r["setup"], r["command"]) == (setup, command)]
+            assert tags == {tag: cell.count(tag) for tag in tags} and sum(tags.values()) == 2
+    for name in ("trials.csv", "suite_report.csv"):
+        assert "outcomes" not in (out / name).read_text()

@@ -9,7 +9,7 @@ from graphnav import evaluation, graph
 from graphnav.config import load_config, scenario_config
 from graphnav.evaluation import (AlwaysBrake, SuiteReport, TrialResult, collect_dataset,
                                  collision_rate, format_report, mean_navigation_time,
-                                 run_suite, success_rate, write_suite_csv,
+                                 outcome_counts, run_suite, success_rate, write_suite_csv,
                                  write_trials_csv)
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import GraphConfig
@@ -213,6 +213,16 @@ class TestReports:
         # rates recomputed from the raw rows match the aggregate exactly
         n_success = sum(1 for r in rows if r["outcome"] == "success")
         assert 100.0 * n_success / len(rows) == success_rate(results)
+
+
+def test_outcome_counts_list_every_tag_per_setup_and_command():
+    results = [_trial(OutcomeTag.SUCCESS), _trial(OutcomeTag.SUCCESS),
+               _trial(OutcomeTag.COLLISION, setup="hard", command=Command.TURN_LEFT)]
+    zero = {tag.value: 0 for tag in OutcomeTag}
+    assert outcome_counts(results) == {
+        "easy": {"forward": {**zero, "success": 2}},
+        "hard": {"turn_left": {**zero, "collision": 1}},
+    }
 
 
 @pytest.fixture
