@@ -494,6 +494,31 @@ def test_train_strategy_keeps_the_configured_graph(workdir, tmp_path, monkeypatc
     assert _strategy_fields(tcfg.graph.strategy) == (7.5, 2, False)
 
 
+def test_eval_and_replay_act_under_the_checkpoints_strategy(workdir, tmp_path, monkeypatch):
+    import graphnav.cli as cli_mod
+    from graphnav.checkpoint import load_checkpoint
+
+    config = tmp_path / "graph.json"
+    config.write_text(json.dumps({**TINY_CONFIG, **GRAPH_CONFIG}))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
+                 "--strategy", "star_connected", "--out", str(run)]) == 0
+    ckpt = run / "checkpoint_final.json"
+    trained = load_checkpoint(ckpt).graph.strategy
+    assert trained.kind.value == "star_connected"
+    seen, real = [], cli_mod.NetworkController
+
+    def spy(network, strategy):
+        seen.append(strategy)
+        return real(network, strategy)
+    monkeypatch.setattr(cli_mod, "NetworkController", spy)
+    assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e"),
+                 "--trials", "1"]) == 0
+    assert main(["replay", "--checkpoint", str(ckpt), "--out", str(tmp_path / "r"),
+                 "--seed", "3"]) == 0
+    assert seen == [trained, trained]
+
+
 def test_ablate_strategies_keep_the_configured_graph(workdir, tmp_path, monkeypatch, capsys):
     import graphnav.cli as cli_mod
 

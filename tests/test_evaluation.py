@@ -1,6 +1,7 @@
 import csv
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,3 +253,22 @@ def test_only_gcil_builds_an_adjacency_per_env_step(adjacency_calls, kind):
                              1, 40, setups=(("easy", 3),), commands=(Command.FORWARD,))
     assert result.outcome.steps > 0
     assert len(adjacency_calls) == (result.outcome.steps if kind == "gcil" else 0)
+
+
+def test_ablation_acts_under_each_networks_training_strategy(monkeypatch):
+    trained, acted = [], []
+
+    def fake_train(dataset, cfg):
+        trained.append(cfg.graph.strategy)
+        return SimpleNamespace(network=build_network("gcil", seed=len(trained)))
+
+    def spy(network, strategy):
+        acted.append(strategy)
+        return NetworkController(network, strategy)
+    monkeypatch.setattr(evaluation, "train", fake_train)
+    monkeypatch.setattr(evaluation, "NetworkController", spy)
+    strategies = [graph.EdgeStrategy(kind=k) for k in graph.EdgeStrategyKind]
+    rows, _ = evaluation.run_ablation(None, strategies, evaluation.TrainConfig(),
+                                      scenario_config(load_config(), mode="eval"), GraphConfig(),
+                                      trials=1, base_seed=3)
+    assert trained == acted == strategies and len(rows) == 4
