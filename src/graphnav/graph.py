@@ -145,8 +145,8 @@ def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
 
 def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> np.ndarray:
     """The observation of one world state: its (N, 12) features under `cfg`'s
-    feature settings. The ego block is `features[0, :EGO_DIM]`; the edge
-    strategy is not read here."""
+    feature settings; the ego block is `features[0, :EGO_DIM]`. gcil's
+    `inputs` builds the adjacency from them."""
     return build_features(world, goal, cfg.v_pref, cfg.ego_frame)
 
 

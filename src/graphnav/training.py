@@ -118,7 +118,7 @@ class _PreparedData:
     passes, each sample put in its network's canonical order once. A group is
     an (inputs, targets) pair: the network's per-sample `inputs` stacked
     column by column, each sample in `canonical` order, and the (B, 2) labels.
-    `inputs` reads `graph_cfg`'s edge strategy, as the rollout's does."""
+    `inputs` runs under `graph_cfg`'s edge strategy, as `NetworkController`'s."""
 
     def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig) -> None:
         network_cls = NETWORKS[kind]
