@@ -149,9 +149,9 @@ def _plain(value):
 def load_checkpoint(path, expected_kind: str | None = None) -> LoadedCheckpoint:
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_arrays)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path}: expected a JSON object")

@@ -175,21 +175,27 @@ def _overlay(cfg: dict, user: dict) -> None:
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Defaults, overlaid with the config file, overlaid with flag overrides."""
+    """Defaults, overlaid with the config file, overlaid with flag overrides.
+    Every refusal names the file, when one is given."""
     cfg = copy.deepcopy(DEFAULTS)
+    user = {}
     if path is not None:
         try:
-            user = json.loads(Path(path).read_text())
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+    try:
         _overlay(cfg, user)
-    if overrides:
-        _overlay(cfg, overrides)
-    _validate(cfg)
+        _overlay(cfg, overrides or {})
+        _validate(cfg)
+    except ConfigError as exc:
+        if path is None:
+            raise
+        raise ConfigError(f"config file {path}: {exc}") from exc
     return cfg
 
 

@@ -107,8 +107,12 @@ def write_dataset(dataset: DemoDataset, out_dir) -> int:
 
 def read_buffer(path, expected_command: Command) -> list[DemoSample]:
     samples = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(path, line_no, f"not UTF-8 text ({exc.reason})") from exc
             if not line.strip():
                 continue
             try:
@@ -136,9 +140,12 @@ def read_dataset(directory) -> DemoDataset:
     dataset = DemoDataset()
     manifest_path = directory / "manifest.json"
     try:
-        dataset.manifest = json.loads(manifest_path.read_text())
+        dataset.manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise DatasetFormatError(manifest_path, None, f"missing: {_RECOLLECT}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(manifest_path, exc.object.count(b"\n", 0, exc.start) + 1,
+                                 f"not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(manifest_path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
     if not isinstance(dataset.manifest, dict):

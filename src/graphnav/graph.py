@@ -5,7 +5,9 @@ shared ego/goal block (6 values) followed by that node's relative block
 (6 values, zeros for the ego's own row). Only gcil builds an adjacency: from
 the features' relative offsets under a selectable edge strategy,
 row-normalized to sum 1 with exact summation, so consistent relabelings of
-the inputs permute it bitwise.
+the inputs permute it bitwise. The adjacency is built for a (..., N) stack
+of samples of one node count at once, with no per-sample path: training
+passes whole node-count groups, the controller one (N, 12) sample.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -100,47 +101,39 @@ def build_features(world: WorldState, goal: GoalSpec, v_pref: float, ego_frame: 
 
 
 def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
-    """N x N row-stochastic adjacency over node positions (node 0 = ego)."""
+    """(..., N, N) row-stochastic adjacencies over (..., N, 2) node positions
+    (node 0 = ego); one sample is the (N, 2) case."""
     pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-        raise ValueError(f"positions must be (N, 2) with N >= 1, got {pos.shape}")
-    n = pos.shape[0]
+    if pos.ndim < 2 or pos.shape[-1] != 2 or pos.shape[-2] < 1:
+        raise ValueError(f"positions must be (..., N, 2) with N >= 1, got {pos.shape}")
+    n = pos.shape[-2]
     kind = strategy.kind
     if kind is EdgeStrategyKind.FULLY_CONNECTED:
-        return np.full((n, n), 1.0 / n)  # each row sums n ones, exactly n
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    if kind in (EdgeStrategyKind.N_CLOSE_WEIGHTED, EdgeStrategyKind.STAR_CONNECTED):
+        return np.full(pos.shape[:-1] + (n,), 1.0 / n)  # each row sums n ones, exactly n
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    if kind is EdgeStrategyKind.NON_WEIGHTED:
+        weights = np.ones_like(dist)
+    else:
         weights = np.square(dist)
         weights /= -(strategy.alpha_m**2)  # the same bits as -(d**2) / alpha**2
-        rows = np.exp(weights, out=weights).tolist()
-    else:
-        rows = [[1.0] * n for _ in range(n)]
-    if kind is EdgeStrategyKind.STAR_CONNECTED:
-        for i in range(1, n):  # the ego row keeps every node
-            raw = [0.0] * n
-            raw[0] = rows[i][0]
-            raw[i] = rows[i][i]
-            rows[i] = raw
-    else:  # n-close sparsity: the k nearest, ties to the lower index
-        k, skip_ego = strategy.k, not strategy.include_ego_candidate
-        orders = np.argsort(dist, axis=1, kind="stable").tolist()
-        for i in range(1, n):
-            entries = rows[i]
-            raw = [0.0] * n
-            raw[i] = entries[i]
-            picked = 0
-            for j in orders[i]:
-                if j == i or (j == 0 and skip_ego):
-                    continue
-                raw[j] = entries[j]
-                picked += 1
-                if picked >= k:
-                    break
-            rows[i] = raw
+        np.exp(weights, out=weights)
+    if kind is EdgeStrategyKind.STAR_CONNECTED:  # each node keeps itself and the ego
+        keep = np.eye(n, dtype=bool)
+        keep[:, 0] = True
+    else:  # itself and its k nearest, ties to the lower index
+        skip_ego = not strategy.include_ego_candidate
+        flat = dist.reshape(-1, n * n)  # a view: hypot's output is contiguous
+        if skip_ego:
+            flat[:, ::n] = np.nan  # column 0; nan ranks after every distance
+        flat[:, ::n + 1] = -np.inf  # the diagonal ranks first
+        keep = dist.argsort(kind="stable").argsort() <= min(strategy.k, n - 1 - skip_ego)
+    keep[..., 0, :] = True  # the ego row keeps every node
+    weights *= keep
     # exact per-row sums keep normalization invariant under node relabeling
-    totals = np.array(list(map(math.fsum, rows)))
-    return np.fromiter(chain.from_iterable(rows), float, n * n).reshape(n, n) / totals[:, None]
+    totals = np.fromiter(map(math.fsum, weights.reshape(-1, n).tolist()), float, weights.size // n)
+    weights /= totals.reshape(weights.shape[:-1] + (1,))
+    return weights
 
 
 def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> np.ndarray:
@@ -151,9 +144,10 @@ def encode_world(world: WorldState, goal: GoalSpec, cfg: GraphConfig) -> np.ndar
 
 
 def adjacency_from_features(features: np.ndarray, strategy: EdgeStrategy) -> np.ndarray:
-    """The adjacency over the features' relative positions, the ego at the
-    origin: the one construction, so training sees the bits inference sees."""
+    """The adjacency over the (..., N, 12) features' relative positions, the
+    ego at the origin: the one construction, so training sees the bits
+    inference sees."""
     feats = np.asarray(features, dtype=float)
-    rel = np.zeros((feats.shape[0], 2))
-    rel[1:] = feats[1:, 7:9]
+    rel = np.zeros(feats.shape[:-1] + (2,))
+    rel[..., 1:, :] = feats[..., 1:, 7:9]
     return build_adjacency(rel, strategy)

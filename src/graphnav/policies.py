@@ -7,14 +7,16 @@ whose ego-node output is joined by the shared ego block; the two baselines
 use a fixed nearest-3 vector MLP or a summed set encoding. `NETWORKS` is the
 one place that maps a kind to its class; each class's static `inputs` turns
 the observation's features and an edge strategy into what its forward takes
-(only gcil's reads the strategy, to build the adjacency). The ego block is
-row 0's first six features; no network takes it separately.
+(only gcil's reads the strategy, to build the adjacency). `inputs` takes a
+(..., N, 12) stack of one node count, so training builds a whole group's
+inputs in one call and `act` the one sample's. The ego block is row 0's
+first six features; no network takes it separately.
 
 Each class's static `canonical` puts a sample's nodes (or set elements) in
 a canonical sort order, which makes permutation equivariance/invariance hold
 bitwise despite floating-point summation order. The order is set once per
 sample: `forward` (the `act` path) applies it to its one sample, training
-applies it once when it stacks its samples, and `forward_batch` takes
+applies it once to each group's stacked inputs, and `forward_batch` takes
 inputs already in canonical order.
 """
 
@@ -113,11 +115,13 @@ class BranchedPolicy:
     """A perception frontend feeding the shared branched head.
 
     Each subclass builds its frontend from `rng` before the head, and
-    defines the per-sample `inputs(feats, strategy)` tuple, the static
-    `canonical` that puts stacked inputs in canonical order, the
-    `forward_batch` that takes them so ordered, its `backward_batch`, and
-    the frontend's topology keys, parameter slots and ReLU kink margin.
-    Batch caches start with (frontend cache, head cache).
+    defines the static `inputs(feats, strategy)` tuple of (..., N, 12)
+    features, the static `canonical` that puts (B, ...) inputs in canonical
+    order, the `forward_batch` that takes them so ordered, its
+    `backward_batch`, and the frontend's topology keys, parameter slots and
+    ReLU kink margin. `forward` is the one-sample case: the same `inputs`,
+    `canonical` and `forward_batch` at B=1. Batch caches start with
+    (frontend cache, head cache).
     """
 
     kind: str
@@ -204,17 +208,17 @@ class GcilNetwork(BranchedPolicy):
 
 
 def nncil_vector(feats: np.ndarray) -> np.ndarray:
-    """Fixed 24-vector: ego block plus the three nearest relative blocks,
-    sorted by relative distance (stable, so equal distances keep id order),
-    zero-padded when fewer than three agents exist."""
+    """Fixed 24-vectors of (..., N, 12) features: the ego block plus the three
+    nearest relative blocks, sorted by relative distance (stable, so equal
+    distances keep id order), zero-padded when fewer than three agents exist."""
     feats = np.asarray(feats, dtype=float)
-    out = np.zeros(NNCIL_INPUT_DIM)
-    out[:EGO_DIM] = feats[0, :EGO_DIM]
-    if feats.shape[0] > 1:
-        order = np.argsort(feats[1:, EGO_DIM], kind="stable")[:3]
-        for slot, idx in enumerate(order):
-            out[EGO_DIM + 6 * slot: EGO_DIM + 6 * (slot + 1)] = feats[1 + idx, EGO_DIM:]
-    return out
+    lead = feats.shape[:-2]
+    others = feats[..., 1:, EGO_DIM:]
+    order = others[..., 0].argsort(kind="stable")[..., :3]
+    width = EGO_DIM * order.shape[-1]
+    nearest = np.take_along_axis(others, order[..., None], axis=-2).reshape(lead + (width,))
+    pad = np.zeros(lead + (NNCIL_INPUT_DIM - EGO_DIM - width,))
+    return np.concatenate([feats[..., 0, :EGO_DIM], nearest, pad], axis=-1)
 
 
 class NnCilNetwork(BranchedPolicy):
@@ -260,10 +264,10 @@ class NnCilNetwork(BranchedPolicy):
 
 
 def set_elements(feats: np.ndarray) -> np.ndarray:
-    """Per-node 6-vectors for the set encoder: the ego block plus every
-    relative block."""
+    """(..., N, 6) elements of (..., N, 12) features for the set encoder: the
+    ego block plus every relative block."""
     feats = np.asarray(feats, dtype=float)
-    return np.vstack([feats[0, :EGO_DIM], feats[1:, EGO_DIM:]])
+    return np.concatenate([feats[..., :1, :EGO_DIM], feats[..., 1:, EGO_DIM:]], axis=-2)
 
 
 class SetCilNetwork(BranchedPolicy):

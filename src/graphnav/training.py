@@ -41,7 +41,7 @@ from .nn import Adam, batch_action_loss
 from .policies import NETWORKS, build_network
 
 LOSS_COLUMNS = ("step", "mean_loss", "loss_forward", "loss_left", "loss_right", "wall_clock_s")
-CANONICAL_CHUNK = 1024  # samples put in canonical order per pass while preparing
+CANONICAL_CHUNK = 1024  # samples whose inputs are built and ordered per pass while preparing
 RESUMABLE_FIELDS = ("epochs", "eval_every")  # TrainConfig fields a resume may change
 
 # glibc's mallopt parameters (malloc.h) and the values train() sets. At B=512
@@ -115,9 +115,9 @@ def sample_minibatch(dataset_sizes: dict, batch_size: int, rng, step: int) -> di
 
 class _PreparedData:
     """Per-command sample arrays grouped by node count for batched forward
-    passes, each sample put in its network's canonical order once. A group is
-    an (inputs, targets) pair: the network's per-sample `inputs` stacked
-    column by column, each sample in `canonical` order, and the (B, 2) labels.
+    passes. A group is an (inputs, targets) pair: the network's `inputs` of
+    the group's stacked (B, N, 12) features, built and put in `canonical`
+    order one `CANONICAL_CHUNK` slice at a time, and the (B, 2) labels.
     `inputs` runs under `graph_cfg`'s edge strategy, as `NetworkController`'s."""
 
     def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig) -> None:
@@ -129,29 +129,20 @@ class _PreparedData:
         for command in COMMANDS:
             samples = dataset.buffers[command]
             self.sizes[command] = len(samples)
-            by_n: dict = {}
-            group_of = np.zeros(len(samples), dtype=int)
+            node_counts, group_of = np.unique([s.features.shape[0] for s in samples],
+                                              return_inverse=True)
             local_of = np.zeros(len(samples), dtype=int)
-            order = sorted(set(s.features.shape[0] for s in samples))
-            n_to_gid = {n: g for g, n in enumerate(order)}
-            buckets = {n: [] for n in order}
-            for i, s in enumerate(samples):
-                n = s.features.shape[0]
-                group_of[i] = n_to_gid[n]
-                local_of[i] = len(buckets[n])
-                buckets[n].append(s)
             groups = []
-            for n in order:
-                bucket = buckets[n]
-                rows = [network_cls.inputs(s.features, graph_cfg.strategy) for s in bucket]
-                inputs = tuple(np.stack(column) for column in zip(*rows))
-                for start in range(0, len(bucket), CANONICAL_CHUNK):
-                    part = slice(start, start + CANONICAL_CHUNK)
-                    canon = network_cls.canonical(*(column[part] for column in inputs))
-                    for column, ordered in zip(inputs, canon):
-                        column[part] = ordered
-                targets = np.stack([s.u_star for s in bucket])
-                groups.append((inputs, targets))
+            for g in range(len(node_counts)):
+                members = np.flatnonzero(group_of == g)
+                local_of[members] = np.arange(len(members))
+                feats = np.stack([samples[i].features for i in members])
+                parts = []
+                for start in range(0, len(members), CANONICAL_CHUNK):
+                    part = network_cls.inputs(feats[start:start + CANONICAL_CHUNK], graph_cfg.strategy)
+                    parts.append(network_cls.canonical(*part))
+                inputs = tuple(np.concatenate(column) for column in zip(*parts))
+                groups.append((inputs, np.stack([samples[i].u_star for i in members])))
             self.groups[command] = groups
             self.group_of[command] = group_of
             self.local_of[command] = local_of

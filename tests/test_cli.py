@@ -337,6 +337,48 @@ def test_unreadable_manifest_is_runtime_error(workdir, tmp_path, capsys, text, r
     assert f"{data / 'manifest.json'}:1:" in err and reason in err
 
 
+NOT_UTF8 = b"\x93"  # a cp1252 curly quote: no UTF-8 sequence starts with it
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "quoted.json"
+    config.write_bytes(b'{"traffic": {"density": ' + NOT_UTF8 + b"3" + NOT_UTF8 + b"}}")
+    assert main(["collect", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config file {config} is not valid JSON" in err and "0x93" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_manifest_that_is_not_utf8_is_runtime_error(workdir, tmp_path, capsys):
+    def edit(data):
+        path = data / "manifest.json"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2] + [NOT_UTF8 + lines[2]] + lines[3:]))
+    code, data = _train_on_edited_copy(workdir, tmp_path, edit)
+    assert code == 3
+    assert f"{data / 'manifest.json'}:3: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_buffer_line_that_is_not_utf8_is_runtime_error(workdir, tmp_path, capsys):
+    def edit(data):
+        path = data / "turn_right.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:4] + [lines[4].replace(b",", NOT_UTF8 + b",", 1)] + lines[5:]))
+    code, data = _train_on_edited_copy(workdir, tmp_path, edit)
+    assert code == 3
+    assert f"{data / 'turn_right.jsonl'}:5: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_checkpoint_that_is_not_utf8_is_runtime_error(workdir, tmp_path, capsys):
+    raw = (workdir["run"] / "checkpoint_final.json").read_bytes()
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_bytes(raw[:100] + NOT_UTF8 + raw[100:])
+    assert main(["eval", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "o"), "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot read checkpoint {ckpt}" in err and "0x93" in err
+
+
 def test_non_finite_checkpoint_parameter_is_runtime_error(workdir, tmp_path, capsys):
     doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
     name = next(n for n in sorted(doc["params"]) if n.endswith(".b"))

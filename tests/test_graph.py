@@ -250,20 +250,25 @@ def _position_sets(n, rng):
 
 
 def test_adjacency_bit_identical_to_numpy_reference():
+    # each layout alone, and every node count's layouts stacked into one call
     rng = np.random.default_rng(11)
     for kind in EdgeStrategyKind:
         for include_ego in (True, False):
             for k in (1, 3, 7):
                 strategy = EdgeStrategy(kind=kind, k=k, include_ego_candidate=include_ego)
                 for n in range(1, 10):
-                    for pos in _position_sets(n, rng):
+                    layouts = list(_position_sets(n, rng))
+                    stacked = build_adjacency(np.stack(layouts), strategy)
+                    for pos, batched in zip(layouts, stacked, strict=True):
                         got = build_adjacency(pos, strategy)
                         want = _reference_adjacency(pos, strategy)
                         assert got.shape == want.shape and got.dtype == want.dtype
                         assert np.array_equal(got, want), (kind, include_ego, k, n, pos)
+                        assert batched.tobytes() == want.tobytes(), (kind, include_ego, k, n, pos)
 
 
 def test_adjacency_from_features_bit_identical_to_numpy_reference():
+    # each sample alone, and every node count's samples stacked into one call
     rng = np.random.default_rng(12)
     features = []
     for seed in range(12):
@@ -273,15 +278,44 @@ def test_adjacency_from_features_bit_identical_to_numpy_reference():
         feats = np.zeros((n, 12))
         feats[1:, 7:9] = np.round(rng.uniform(-5, 5, size=(n - 1, 2)))
         features.append(feats)
+    by_n = {}
+    for feats in features:
+        by_n.setdefault(feats.shape[0], []).append(feats)
     for kind in EdgeStrategyKind:
         for include_ego in (True, False):
             for k in (1, 3, 7):
                 strategy = EdgeStrategy(kind=kind, k=k, include_ego_candidate=include_ego)
-                for feats in features:
-                    rel = np.zeros((feats.shape[0], 2))
-                    rel[1:] = feats[1:, 7:9]
-                    assert np.array_equal(adjacency_from_features(feats, strategy),
-                                          _reference_adjacency(rel, strategy))
+                for group in by_n.values():
+                    stacked = adjacency_from_features(np.stack(group), strategy)
+                    for feats, batched in zip(group, stacked, strict=True):
+                        rel = np.zeros((feats.shape[0], 2))
+                        rel[1:] = feats[1:, 7:9]
+                        want = _reference_adjacency(rel, strategy)
+                        assert np.array_equal(adjacency_from_features(feats, strategy), want)
+                        assert batched.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ufunc", [np.exp, np.hypot, np.square, np.sqrt],
+                         ids=lambda f: f.__name__)
+def test_elementwise_ufuncs_give_the_same_bits_alone_and_in_a_stack(ufunc):
+    """The stacked adjacency equals the per-sample one bit for bit because, on
+    this numpy build, these elementwise functions give an element the same
+    bits whether it is evaluated alone or at any offset of a larger stack,
+    whatever SIMD lanes or remainder loop it falls in. That is a property of
+    the build, not a guarantee of numpy; this test is what guards it."""
+    rng = np.random.default_rng(21)
+    shape = (257, 5, 5)  # 25 elements a sample, so samples start at every lane offset
+    if ufunc is np.hypot:
+        args = [rng.uniform(-60.0, 60.0, size=shape) for _ in range(2)]
+    elif ufunc is np.sqrt:
+        args = [rng.uniform(0.0, 3600.0, size=shape)]
+    else:  # exp's arguments in the adjacency are -(d / alpha)**2
+        args = [rng.uniform(-120.0, 2.0, size=shape)]
+    stacked = ufunc(*args)
+    for b in range(shape[0]):
+        assert ufunc(*(a[b] for a in args)).tobytes() == stacked[b].tobytes()
+    for idx in np.ndindex(shape):
+        assert ufunc(*(a[idx] for a in args)).tobytes() == stacked[idx].tobytes()
 
 
 def _reference_features(world, goal, v_pref, ego_frame):

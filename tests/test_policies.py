@@ -122,6 +122,41 @@ class TestGcil:
             assert np.allclose(batched[k], summed[k], atol=1e-12)
 
 
+def _reference_nncil_vector(feats):
+    """The per-sample construction nncil_vector replaced: slots filled one
+    nearest agent at a time."""
+    out = np.zeros(24)
+    out[:6] = feats[0, :6]
+    if feats.shape[0] > 1:
+        order = np.argsort(feats[1:, 6], kind="stable")[:3]
+        for slot, idx in enumerate(order):
+            out[6 + 6 * slot: 6 + 6 * (slot + 1)] = feats[1 + idx, 6:]
+    return out
+
+
+def _reference_set_elements(feats):
+    """The per-sample construction set_elements replaced."""
+    return np.vstack([feats[0, :6], feats[1:, 6:]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_inputs_bit_identical_to_per_sample_reference(n):
+    # a stack of samples with tied distances among random ones gives each
+    # sample's reference vector and elements; n < 4 exercises nncil's padding
+    rng = np.random.default_rng(n)
+    feats = rng.uniform(-30.0, 30.0, size=(40, n, 12))
+    feats[:, :, :6] = feats[:, :1, :6]
+    feats[::2, 1:, 6] = np.round(feats[::2, 1:, 6] / 20.0)  # equal distances
+    feats[:, 0, 6:] = 0.0
+    vectors, elements = nncil_vector(feats), set_elements(feats)
+    assert vectors.shape == (40, 24) and elements.shape == (40, n, 6)
+    for sample, vec, elems in zip(feats, vectors, elements, strict=True):
+        assert vec.tobytes() == _reference_nncil_vector(sample).tobytes()
+        assert nncil_vector(sample).tobytes() == vec.tobytes()
+        assert elems.tobytes() == _reference_set_elements(sample).tobytes()
+        assert set_elements(sample).tobytes() == elems.tobytes()
+
+
 class TestNnCilInput:
     def test_empty_road_pads_with_zeros(self):
         world, goal, _ = spawn_scenario(ScenarioConfig(density=0), seed=1)

@@ -139,15 +139,24 @@ def test_canonical_order_does_not_depend_on_the_preparation_chunk(tiny_dataset, 
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
-def test_reencode_only_for_networks_that_read_the_adjacency(tiny_dataset, monkeypatch, kind):
+def test_one_adjacency_build_per_group_and_chunk(tiny_dataset, monkeypatch, kind):
+    # gcil builds its adjacencies once per (command, node-count group, chunk)
+    # slice of stacked features; nncil and setcil build none
     calls = []
 
     def counting(feats, strategy):
         calls.append(1)
         return adjacency_from_features(feats, strategy)
     monkeypatch.setattr("graphnav.policies.adjacency_from_features", counting)
-    _PreparedData(tiny_dataset, kind, GraphConfig())
-    assert len(calls) == (tiny_dataset.total() if kind == "gcil" else 0)
+    for chunk in (training.CANONICAL_CHUNK, 100):
+        monkeypatch.setattr("graphnav.training.CANONICAL_CHUNK", chunk)
+        calls.clear()
+        _PreparedData(tiny_dataset, kind, GraphConfig())
+        slices = 0
+        for c in COMMANDS:
+            sizes = [s.features.shape[0] for s in tiny_dataset.buffers[c]]
+            slices += sum(math.ceil(sizes.count(n) / chunk) for n in set(sizes))
+        assert len(calls) == (slices if kind == "gcil" else 0)
 
 
 def test_gcil_trains_on_the_adjacency_of_its_own_strategy(tiny_dataset):
