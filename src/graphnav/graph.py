@@ -127,7 +127,9 @@ def build_adjacency(positions, strategy: EdgeStrategy) -> np.ndarray:
         if skip_ego:
             flat[:, ::n] = np.nan  # column 0; nan ranks after every distance
         flat[:, ::n + 1] = -np.inf  # the diagonal ranks first
-        keep = dist.argsort(kind="stable").argsort() <= min(strategy.k, n - 1 - skip_ego)
+        # stable twice: numpy's default int sort pages in ~256 KB of SIMD sort code
+        ranks = dist.argsort(kind="stable").argsort(kind="stable")
+        keep = ranks <= min(strategy.k, n - 1 - skip_ego)
     keep[..., 0, :] = True  # the ego row keeps every node
     weights *= keep
     # exact per-row sums keep normalization invariant under node relabeling
