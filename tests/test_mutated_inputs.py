@@ -1,8 +1,8 @@
 """Every reader refuses bad bytes with exit 2 or 3 and names the file.
 
-A seeded hypothesis search mutates one byte span of a small valid config,
-checkpoint, dataset manifest or buffer, then runs the subcommand that reads
-it through `cli.main`. Whatever the mutation, the run exits 0 (the file
+A seeded hypothesis search replaces, inserts or deletes one byte of a small
+valid config, checkpoint, dataset manifest or buffer, or truncates it, then
+runs the subcommand that reads it through `cli.main`. Whatever the mutation, the run exits 0 (the file
 still holds valid input), 2 (a config refused) or 3 (a runtime file
 refused) and raises nothing, and a refusal names the file. The dataset runs
 resume from a checkpoint that does not exist, so a dataset that reads and
@@ -31,7 +31,8 @@ from graphnav.policies import build_network
 from graphnav.world import ScenarioConfig
 
 ABSENT = "absent_checkpoint.json"  # named by the refusal that follows an accepted dataset
-TARGETS = ("config.json", "checkpoint.json", "manifest.json", *BUFFER_FILES.values())
+DATA_FILES = ("manifest.json", *BUFFER_FILES.values())
+TARGETS = ("config.json", "checkpoint.json", *DATA_FILES)
 # bytes that start no UTF-8 sequence or cannot follow one, and JSON's own syntax
 BYTES = [*range(0x80, 0x100, 7), *b'0123456789.-eE,:{}[]" nx\n']
 
@@ -80,9 +81,10 @@ def _argv(target: Path, originals: Path, work: Path) -> tuple:
 def test_a_mutated_input_exits_2_or_3_naming_the_file(originals, name, op, at, byte):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        shutil.copytree(originals / "data", work / "data")
-        target = work / "data" / name if name in ("manifest.json", *BUFFER_FILES.values()) else work / name
-        source = originals / "data" / name if target.parent.name == "data" else originals / name
+        source, target = originals / name, work / name
+        if name in DATA_FILES:
+            shutil.copytree(originals / "data", work / "data")
+            source, target = originals / "data" / name, work / "data" / name
         target.write_bytes(_mutate(source.read_bytes(), op, at, byte))
         argv, refusal = _argv(target, originals, work)
         err = io.StringIO()

@@ -154,8 +154,8 @@ def test_one_adjacency_build_per_group_and_chunk(tiny_dataset, monkeypatch, kind
         _PreparedData(tiny_dataset, kind, GraphConfig())
         slices = 0
         for c in COMMANDS:
-            sizes = [s.features.shape[0] for s in tiny_dataset.buffers[c]]
-            slices += sum(math.ceil(sizes.count(n) / chunk) for n in set(sizes))
+            node_counts = [s.features.shape[0] for s in tiny_dataset.buffers[c]]
+            slices += sum(math.ceil(node_counts.count(n) / chunk) for n in set(node_counts))
         assert len(calls) == (slices if kind == "gcil" else 0)
 
 
