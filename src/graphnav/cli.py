@@ -145,7 +145,7 @@ def cmd_eval(args) -> int:
         method = "always-brake"
     else:
         loaded = load_checkpoint(args.checkpoint, expected_kind=args.network)
-        policy = NetworkController(loaded.network, loaded.graph.strategy)
+        policy = NetworkController(loaded.network)
         graph_cfg = loaded.graph
         method = loaded.network.kind
     scenario = scenario_config(cfg, mode="eval")
@@ -203,7 +203,7 @@ def cmd_replay(args) -> int:
     started = now_utc()
     out = _ensure_out(args)
     loaded = load_checkpoint(args.checkpoint, expected_kind=args.network)
-    policy = NetworkController(loaded.network, loaded.graph.strategy)
+    policy = NetworkController(loaded.network)
     (record,) = run_episodes(policy, scenario_config(cfg, mode="eval"), loaded.graph,
                              [(Command(args.command), args.density, args.seed)],
                              record_trajectory=True)

@@ -87,7 +87,7 @@ def outcome_counts(results) -> dict:
 class AlwaysBrake:
     """Degenerate policy: full brake, straight wheels."""
 
-    def act(self, world, goal, command, feats) -> Action:
+    def act(self, world, goal, command, graph_cfg) -> Action:
         return Action(0.0, -1.0)
 
 
@@ -339,7 +339,7 @@ def run_ablation(
     for strategy in strategies:
         strat_graph = replace(graph_cfg, strategy=strategy)
         run = train(dataset, replace(train_config, graph=strat_graph))
-        policy = NetworkController(run.network, strategy)
+        policy = NetworkController(run.network)
         report, _ = run_suite(
             policy, eval_cfg, strat_graph, trials, base_seed,
             setups=(("hard", 7),), commands=(Command.FORWARD,), jobs=jobs,

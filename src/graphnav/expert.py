@@ -74,7 +74,7 @@ class ExpertController:
             return 0.0 if dist_to_entry <= self.params.stop_distance else self.params.creep_speed
         return self.params.v_pref
 
-    def act(self, world: WorldState, goal: GoalSpec, command, feats=None) -> Action:
+    def act(self, world: WorldState, goal: GoalSpec, command, graph_cfg=None) -> Action:
         path = world.route[0].path
         x, y = world.x[0], world.y[0]
         projection = path.project(x, y)

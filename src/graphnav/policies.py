@@ -10,7 +10,9 @@ the observation's features and an edge strategy into what its forward takes
 (only gcil's reads the strategy, to build the adjacency). `inputs` takes a
 (..., N, 12) stack of one node count, so training builds a whole group's
 inputs in one call and `act` the one sample's. The ego block is row 0's
-first six features; no network takes it separately.
+first six features; no network takes it separately. A `GraphConfig` holds
+both the feature settings and the edge strategy: `NetworkController` holds
+only the network and acts under the `GraphConfig` its rollout passes.
 
 Each class's static `canonical` puts a sample's nodes (or set elements) in
 a canonical sort order, which makes permutation equivariance/invariance hold
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import EGO_DIM, FEATURE_DIM, EdgeStrategy, adjacency_from_features
+from .graph import EGO_DIM, FEATURE_DIM, GraphConfig, adjacency_from_features, encode_world
 from .layout import COMMANDS, Command
 from .nn import RELU, TANH, GcnLayer, Mlp
 from .vehicle import Action
@@ -332,12 +334,13 @@ def build_network(kind: str, seed: int = 0, rng=None) -> BranchedPolicy:
 
 
 class NetworkController:
-    """Adapts a policy network to the episode-loop controller interface,
-    building its inputs under the edge strategy it was trained with."""
+    """Adapts a policy network to the episode-loop controller interface: it
+    encodes the world under the rollout's `GraphConfig` and acts on the
+    network's inputs under that config's edge strategy."""
 
-    def __init__(self, network, strategy: EdgeStrategy = EdgeStrategy()) -> None:
+    def __init__(self, network) -> None:
         self.network = network
-        self.strategy = strategy
 
-    def act(self, world, goal, command: Command, feats) -> Action:
-        return self.network.act(*self.network.inputs(feats, self.strategy), command)
+    def act(self, world, goal, command: Command, graph_cfg: GraphConfig) -> Action:
+        feats = encode_world(world, goal, graph_cfg)
+        return self.network.act(*self.network.inputs(feats, graph_cfg.strategy), command)

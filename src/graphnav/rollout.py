@@ -48,9 +48,10 @@ class ActionNoise:
 
 @dataclass
 class DemoSample:
-    """One recorded step: the observation's features (its ego block is
-    `features[0, :6]`; its adjacency is rebuilt from them under the edge
-    strategy it is trained with) and the controller's action label."""
+    """One recorded step: the observation's features, encoded under the
+    rollout's `GraphConfig` (its ego block is `features[0, :6]`; its
+    adjacency is rebuilt from them under the edge strategy it is trained
+    with), and the controller's action label."""
 
     features: np.ndarray   # (N, 12)
     command: Command
@@ -84,9 +85,11 @@ def run_episode(
 ) -> EpisodeRecord:
     """Run one seeded episode to its terminal outcome.
 
-    The controller sees the pre-step world plus its features, the observation,
-    and returns an Action for the ego; surrounding agents are scripted inside
-    step_world. Exactly one terminal outcome is produced.
+    The controller sees the pre-step world and `graph_cfg`, under which a
+    network controller encodes its observation, and returns an Action for
+    the ego; surrounding agents are scripted inside step_world. Exactly one
+    terminal outcome is produced. The features are encoded here only to
+    record them in each `DemoSample`.
 
     `noise`, when given, perturbs the executed action in bursts seeded from
     [seed, 5]; the recorded sample keeps the controller's clean action. This
@@ -104,11 +107,10 @@ def run_episode(
     step = 0
     max_steps = int(math.ceil(cfg.timeout_s / cfg.dt)) + 2
     while outcome is None and step < max_steps:
-        feats = encode_world(world, goal, graph_cfg)
-        action = controller.act(world, goal, command, feats)
+        action = controller.act(world, goal, command, graph_cfg)
         if record_samples:
-            samples.append(DemoSample(feats, command, np.array([action.delta, action.tau]),
-                                      seed, step))
+            samples.append(DemoSample(encode_world(world, goal, graph_cfg), command,
+                                      np.array([action.delta, action.tau]), seed, step))
         executed = action if action_noise is None else action_noise(action)
         actions = step_world(world, executed, cfg)
         if record_trajectory:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .atomic import atomic_write, usable_cpus as _usable_cpus  # tests force the step path here
 from .checkpoint import CheckpointError, graph_config_to_dict, load_checkpoint, save_checkpoint
-from .dataset import DemoDataset
+from .dataset import BUFFER_FILES, DemoDataset
 from .graph import GraphConfig
 from .layout import COMMANDS, Command
 from .nn import Adam, batch_action_loss
@@ -104,13 +104,7 @@ def minibatch_counts(batch_size: int, step: int) -> dict:
 def sample_minibatch(dataset_sizes: dict, batch_size: int, rng, step: int) -> dict:
     """Sampled indices per command (with replacement), deterministic in (rng, step)."""
     counts = minibatch_counts(batch_size, step)
-    indices = {}
-    for command in COMMANDS:
-        n = dataset_sizes[command]
-        if n == 0:
-            raise ValueError(f"empty demonstration buffer for command {command.value!r}")
-        indices[command] = rng.integers(0, n, size=counts[command])
-    return indices
+    return {c: rng.integers(0, dataset_sizes[c], size=counts[c]) for c in COMMANDS}
 
 
 class _PreparedData:
@@ -207,23 +201,20 @@ def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int
     new arrays or into the views `grads`, which only the step loop passes
     (its next step overwrites them). With a `_StepWorker`, the worker runs
     the first command's groups meanwhile and leaves their sum in its views
-    of the gradient, the prefix the other parts are added to; parts
-    computed before it arrives wait in order."""
+    of the gradient, the prefix the other parts are added to once they are
+    all computed."""
     cmd_loss = dict.fromkeys(COMMANDS, 0.0)
     cmd_n = dict.fromkeys(COMMANDS, 0)
     commands = COMMANDS
     if worker is not None:
         worker.start(indices[COMMANDS[0]])
         commands = COMMANDS[1:]
-    waiting = worker is not None
     total, pending = None, []
     for part in _passes(network, prepared, indices, batch_size, commands, cmd_loss, cmd_n):
         pending.append(part)
-        if waiting and worker.ready():
-            total, waiting = worker.prefix(cmd_loss, cmd_n), False
-        if not waiting:
+        if worker is None:
             total = _add(total, pending, grads)
-    if waiting:
+    if worker is not None:
         total = worker.prefix(cmd_loss, cmd_n)
     total = _add(total, pending, grads)
     per_command = {c: cmd_loss[c] / max(1, cmd_n[c]) for c in COMMANDS}
@@ -293,9 +284,6 @@ class _StepWorker:
     def start(self, idx: np.ndarray) -> None:
         """Hand the worker this step's first-command indices."""
         self.conn.send(idx)
-
-    def ready(self) -> bool:
-        return self.conn.poll()
 
     def _receive(self):
         try:
@@ -418,10 +406,11 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
     if recorded != {key: wanted[key] for key in recorded}:
         raise TrainingError(f"the dataset's manifest.json records the graph settings {recorded}, "
                             f"but the train config's graph has {wanted}")
-    prepared = _PreparedData(dataset, config.network, config.graph)
     for command in COMMANDS:
-        if prepared.sizes[command] == 0:
-            raise ValueError(f"empty demonstration buffer for command {command.value!r}")
+        if not dataset.buffers[command]:
+            raise TrainingError(f"empty demonstration buffer for command {command.value!r} "
+                                f"({BUFFER_FILES[command]})")
+    prepared = _PreparedData(dataset, config.network, config.graph)
 
     steps_total = steps_for(config, dataset.total())
     hashes = provenance(dataset, config)

@@ -125,8 +125,8 @@ def test_criterion_4_structural_checks():
     assert net.head.n_in == 16  # 10 graph channels + 6 shared ego entries
 
     for kind in ("gcil", "nncil", "setcil"):
-        policy = NetworkController(build_network(kind, seed=11), GraphConfig().strategy)
-        action = policy.act(world, goal, Command.TURN_LEFT, feats)
+        policy = NetworkController(build_network(kind, seed=11))
+        action = policy.act(world, goal, Command.TURN_LEFT, GraphConfig())
         assert -1.0 <= action.delta <= 1.0 and -1.0 <= action.tau <= 1.0
 
     # branch isolation: bit-exact output, exactly-zero gradients elsewhere
@@ -191,7 +191,7 @@ def test_criterion_5_determinism(tmp_path):
     assert (tmp_path / "resumed" / "checkpoint_final.json").read_bytes() == \
            (tmp_path / "ta" / "checkpoint_final.json").read_bytes()
 
-    policy = NetworkController(run_a.network, config.graph.strategy)
+    policy = NetworkController(run_a.network)
     for label in ("ea", "eb"):
         report, results = run_suite(policy, EVAL_WORLD, config.graph, 2, 600, method="gcil")
         write_suite_csv(report, tmp_path / f"{label}.csv")
@@ -230,8 +230,8 @@ def test_criterion_7_learning_gate(full_dataset, trained_gcil):
     reduction = 100.0 * (1.0 - last_epoch / first_epoch)
     assert reduction >= 80.0, f"loss fell only {reduction:.1f}%"
 
-    trained_policy = NetworkController(run.network, config.graph.strategy)
-    untrained_policy = NetworkController(build_network("gcil", seed=999), config.graph.strategy)
+    trained_policy = NetworkController(run.network)
+    untrained_policy = NetworkController(build_network("gcil", seed=999))
     report_t, _ = run_suite(trained_policy, EVAL_WORLD, config.graph, 50, 20000,
                             setups=(("easy", 3),))
     report_u, _ = run_suite(untrained_policy, EVAL_WORLD, config.graph, 50, 20000,
@@ -325,7 +325,7 @@ def test_criterion_10_ablation_harness(full_dataset, tmp_path):
     soft = {}
     for name in ("n_close_weighted", "non_weighted"):
         graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=EdgeStrategyKind(name)))
-        policy = NetworkController(networks[name], graph_cfg.strategy)
+        policy = NetworkController(networks[name])
         report, _ = run_suite(policy, EVAL_WORLD, graph_cfg, 200, 90000,
                               setups=(("hard", 7),), commands=(Command.FORWARD,))
         soft[name] = report.cells[("hard", Command.FORWARD)]["collision_rate_pct"]

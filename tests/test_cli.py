@@ -286,6 +286,26 @@ def test_dataset_of_another_schema_is_runtime_error(workdir, tmp_path, capsys, e
     assert f"{data / where}: " in err and reason in err and "re-collect" in err
 
 
+def _empty_turn_left(data):
+    (data / "turn_left.jsonl").write_text("")
+    _manifest_edit(lambda m: m["counts"].update(turn_left=0))(data)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_empty_buffer_is_runtime_error_naming_its_file(workdir, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(workdir["data"], data)
+    _empty_turn_left(data)
+    argv = [command, "--config", str(workdir["config"]), "--dataset", str(data),
+            "--out", str(tmp_path / "o")]
+    if command == "ablate":
+        argv += ["--strategies", "star_connected", "--trials", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "empty demonstration buffer for command 'turn_left' (turn_left.jsonl)" in err
+    assert "Traceback" not in err
+
+
 def test_train_refuses_features_built_under_other_graph_settings(workdir, tmp_path, capsys):
     config = tmp_path / "ego_frame.json"
     config.write_text(json.dumps({**TINY_CONFIG, "graph": {"ego_frame": True}}))
@@ -548,17 +568,17 @@ def test_eval_and_replay_act_under_the_checkpoints_strategy(workdir, tmp_path, m
     ckpt = run / "checkpoint_final.json"
     trained = load_checkpoint(ckpt).graph.strategy
     assert trained.kind.value == "star_connected"
-    seen, real = [], cli_mod.NetworkController
+    seen, act = [], cli_mod.NetworkController.act
 
-    def spy(network, strategy):
-        seen.append(strategy)
-        return real(network, strategy)
-    monkeypatch.setattr(cli_mod, "NetworkController", spy)
-    assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e"),
-                 "--trials", "1"]) == 0
-    assert main(["replay", "--checkpoint", str(ckpt), "--out", str(tmp_path / "r"),
-                 "--seed", "3"]) == 0
-    assert seen == [trained, trained]
+    def spy(self, world, goal, command, graph_cfg):
+        seen.append(graph_cfg.strategy)
+        return act(self, world, goal, command, graph_cfg)
+    monkeypatch.setattr(cli_mod.NetworkController, "act", spy)
+    for argv in (["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e"), "--trials", "1"],
+                 ["replay", "--checkpoint", str(ckpt), "--out", str(tmp_path / "r"), "--seed", "3"]):
+        seen.clear()
+        assert main(argv) == 0
+        assert seen and all(strategy == trained for strategy in seen)
 
 
 def test_ablate_strategies_keep_the_configured_graph(workdir, tmp_path, monkeypatch, capsys):

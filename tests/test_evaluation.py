@@ -248,7 +248,7 @@ def test_collect_builds_no_adjacency(adjacency_calls):
 
 @pytest.mark.parametrize("kind", ["gcil", "nncil", "setcil"])
 def test_only_gcil_builds_an_adjacency_per_env_step(adjacency_calls, kind):
-    policy = NetworkController(build_network(kind, seed=1), GraphConfig().strategy)
+    policy = NetworkController(build_network(kind, seed=1))
     _, (result,) = run_suite(policy, scenario_config(load_config(), mode="eval"), GraphConfig(),
                              1, 40, setups=(("easy", 3),), commands=(Command.FORWARD,))
     assert result.outcome.steps > 0
@@ -257,18 +257,21 @@ def test_only_gcil_builds_an_adjacency_per_env_step(adjacency_calls, kind):
 
 def test_ablation_acts_under_each_networks_training_strategy(monkeypatch):
     trained, acted = [], []
+    real = evaluation.run_suite
 
     def fake_train(dataset, cfg):
-        trained.append(cfg.graph.strategy)
-        return SimpleNamespace(network=build_network("gcil", seed=len(trained)))
+        trained.append((build_network("gcil", seed=len(trained)), cfg.graph))
+        return SimpleNamespace(network=trained[-1][0])
 
-    def spy(network, strategy):
-        acted.append(strategy)
-        return NetworkController(network, strategy)
+    def spy(policy, base_cfg, graph_cfg, *args, **kwargs):
+        acted.append((policy.network, graph_cfg))
+        return real(policy, base_cfg, graph_cfg, *args, **kwargs)
     monkeypatch.setattr(evaluation, "train", fake_train)
-    monkeypatch.setattr(evaluation, "NetworkController", spy)
+    monkeypatch.setattr(evaluation, "run_suite", spy)
     strategies = [graph.EdgeStrategy(kind=k) for k in graph.EdgeStrategyKind]
-    rows, _ = evaluation.run_ablation(None, strategies, evaluation.TrainConfig(),
-                                      scenario_config(load_config(), mode="eval"), GraphConfig(),
-                                      trials=1, base_seed=3)
-    assert trained == acted == strategies and len(rows) == 4
+    rows, networks = evaluation.run_ablation(None, strategies, evaluation.TrainConfig(),
+                                             scenario_config(load_config(), mode="eval"),
+                                             GraphConfig(), trials=1, base_seed=3)
+    assert acted == trained and len(rows) == 4
+    assert [g.strategy for _, g in acted] == strategies
+    assert list(networks.values()) == [network for network, _ in trained]

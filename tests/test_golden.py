@@ -151,10 +151,10 @@ def policy_digests() -> dict:
     observations = golden_observations()
     digests = {}
     for kind in NETWORK_KINDS:
-        controller = NetworkController(build_network(kind, seed=5), GraphConfig().strategy)
+        controller = NetworkController(build_network(kind, seed=5))
         h = hashlib.sha256()
-        for world, goal, command, obs in observations:
-            action = controller.act(world, goal, command, obs)
+        for world, goal, command, _ in observations:
+            action = controller.act(world, goal, command, GraphConfig())
             h.update(struct.pack("<2d", action.delta, action.tau))
         digests[kind] = h.hexdigest()
     return digests

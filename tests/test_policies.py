@@ -297,20 +297,20 @@ def _bits(action) -> bytes:
                                            if k is not EdgeStrategy().kind], ids=lambda k: k.value)
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 def test_controller_acts_under_its_edge_strategy(kind, strategy_kind):
-    """The controller's action is the network's on its `inputs` under the
-    controller's strategy, bit for bit; only gcil's action can move with it."""
+    """The controller's action is the network's on its `inputs` of the
+    world's features under the rollout's graph config and its strategy, bit
+    for bit; only gcil's action can move with the strategy."""
     net = build_network(kind, seed=6)
-    strategy = EdgeStrategy(kind=strategy_kind)
-    controller = NetworkController(net, strategy)
-    default = NetworkController(net, EdgeStrategy())
+    controller = NetworkController(net)
+    graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=strategy_kind))
     moved = 0
     for seed in range(6):
         world, goal, _ = spawn_scenario(ScenarioConfig(density=4), seed=seed)
-        feats = encode_world(world, goal, GraphConfig())
+        feats = encode_world(world, goal, graph_cfg)
         for command in COMMANDS:
-            action = controller.act(world, goal, command, feats)
-            assert _bits(action) == _bits(net.act(*net.inputs(feats, strategy), command))
-            moved += _bits(action) != _bits(default.act(world, goal, command, feats))
+            action = controller.act(world, goal, command, graph_cfg)
+            assert _bits(action) == _bits(net.act(*net.inputs(feats, graph_cfg.strategy), command))
+            moved += _bits(action) != _bits(controller.act(world, goal, command, GraphConfig()))
     assert (moved > 0) == (kind == "gcil")
 
 

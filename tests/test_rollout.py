@@ -48,7 +48,7 @@ def test_replay_is_bit_identical():
 
 
 def test_network_policy_episode_runs():
-    policy = NetworkController(build_network("gcil", seed=1), GraphConfig().strategy)
+    policy = NetworkController(build_network("gcil", seed=1))
     record = run_episode(CFG, 23, policy, GraphConfig(), record_trajectory=True)
     assert record.outcome.tag in OutcomeTag
     # every vehicle logged every step: (1 ego + 3 agents) rows per step
@@ -102,6 +102,6 @@ def test_pool_size_caps_at_chunk_count():
 
 def test_trajectory_values_are_plain_floats():
     # numpy scalars would be written as "np.float64(...)" in trajectory CSVs
-    policy = NetworkController(build_network("gcil", seed=1), GraphConfig().strategy)
+    policy = NetworkController(build_network("gcil", seed=1))
     record = run_episode(CFG, 23, policy, GraphConfig(), record_trajectory=True)
     assert all(type(v) is float for row in record.trajectory[:40] for v in row[2:])

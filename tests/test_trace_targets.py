@@ -5,7 +5,8 @@ base class) makes `perfbench/run.py --trace 1` fail while patching; this test
 catches that in the regular suite, for the span targets and for the tracer's
 other patches, along with the argument positions its hooks read. It reads
 `perfbench/tracer.py` without importing it. The benchmark's other assumptions
-about graphnav are checked here too, and in `test_world.py` (one
+about graphnav are checked here too (among them that `perfbench/make_frozen.py`
+builds its golden trials on eval's path), and in `test_world.py` (one
 `step_vehicle` call per vehicle step).
 """
 
@@ -14,9 +15,13 @@ import importlib
 import inspect
 from pathlib import Path
 
-from graphnav.evaluation import AlwaysBrake
-from graphnav.graph import GraphConfig
+from graphnav.checkpoint import load_checkpoint, save_checkpoint
+from graphnav.cli import main
+from graphnav.config import load_config, scenario_config
+from graphnav.evaluation import AlwaysBrake, run_suite
+from graphnav.graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
 from graphnav.manifest import write_manifest
+from graphnav.policies import NetworkController, build_network
 from graphnav.rollout import run_episode
 from graphnav.training import sample_minibatch
 from graphnav.world import ScenarioConfig
@@ -81,3 +86,23 @@ def test_run_episode_keeps_what_the_unit_timer_reads():
     assert list(inspect.signature(run_episode).parameters)[:2] == ["cfg", "seed"]
     record = run_episode(ScenarioConfig(density=1, timeout_s=1.0), 0, AlwaysBrake(), GraphConfig())
     assert isinstance(record.outcome.steps, int) and record.outcome.steps > 0
+
+
+def test_frozen_golden_path_acts_as_eval_does(tmp_path):
+    """`make_frozen.py golden` runs `run_suite` on a bare `NetworkController`
+    of the loaded network with the checkpoint's graph; its trajectories must
+    be those `graphnav eval` gives for the same seeds, under a checkpoint
+    whose edge strategy is not the default."""
+    graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=EdgeStrategyKind.STAR_CONNECTED))
+    ckpt = save_checkpoint(tmp_path / "star.json", build_network("gcil", seed=3), graph_cfg)
+    assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"),
+                 "--trials", "1", "--seed", "11", "--dump-trajectories"]) == 0
+    loaded = load_checkpoint(ckpt)
+    _, results = run_suite(NetworkController(loaded.network),
+                           scenario_config(load_config(None), mode="eval"), loaded.graph, 1, 11,
+                           trajectory_dir=tmp_path)
+    assert len(results) == 9
+    for r in results:
+        name = r.trajectory_name
+        assert (tmp_path / name).read_bytes() == \
+            (tmp_path / "eval" / "trajectories" / name).read_bytes()

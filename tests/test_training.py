@@ -21,7 +21,7 @@ from graphnav.expert import ExpertParams
 from graphnav.graph import EdgeStrategy, EdgeStrategyKind, GraphConfig, adjacency_from_features
 from graphnav.layout import COMMANDS, Command
 from graphnav.nn import Adam
-from graphnav.policies import NETWORK_KINDS, NETWORKS, NetworkController, build_network
+from graphnav.policies import NETWORK_KINDS, NETWORKS, build_network
 from graphnav.training import (TrainConfig, TrainingError, _PreparedData, dataset_mean_loss,
                                minibatch_counts, sample_minibatch, train)
 from graphnav.world import ScenarioConfig
@@ -57,11 +57,12 @@ class TestMinibatchComposition:
         for c in COMMANDS:
             assert np.array_equal(a[c], b[c])
 
-    def test_empty_buffer_is_a_configuration_error(self):
-        sizes = dict(SIZES)
-        sizes[Command.TURN_LEFT] = 0
-        with pytest.raises(ValueError, match="empty demonstration buffer"):
-            sample_minibatch(sizes, 512, np.random.default_rng(0), 0)
+    def test_empty_buffer_is_a_configuration_error(self, tiny_dataset):
+        dataset = _subset_dataset(tiny_dataset, 3)
+        dataset.buffers[Command.TURN_LEFT] = []
+        with pytest.raises(TrainingError, match=r"empty demonstration buffer for command "
+                                                r"'turn_left' \(turn_left\.jsonl\)"):
+            train(dataset, TrainConfig(batch_size=6, epochs=1))
 
 
 def _subset_dataset(dataset, per_command):
@@ -77,8 +78,9 @@ def _subset_dataset(dataset, per_command):
 def test_training_and_inference_see_the_same_inputs(tiny_dataset, tmp_path, kind, reloaded):
     # under every edge strategy, a recorded sample's training row is the
     # network's own `inputs` of its features and the adjacency they give under
-    # the training strategy, in `canonical` order, and the episode controller
-    # acts on that observation with the same bits; `reloaded` runs the dataset
+    # the training strategy, in `canonical` order, and the network acts on
+    # those inputs, as the episode controller does, with the same bits; the
+    # recorded samples keep no world to act on; `reloaded` runs the dataset
     # through write_dataset and read_dataset first, since the records keep
     # only `S` and every adjacency is rebuilt from it
     dataset = tiny_dataset
@@ -89,7 +91,6 @@ def test_training_and_inference_see_the_same_inputs(tiny_dataset, tmp_path, kind
     cls = NETWORKS[kind]
     for strategy in EdgeStrategyKind:
         graph_cfg = GraphConfig(strategy=EdgeStrategy(kind=strategy))
-        controller = NetworkController(net, graph_cfg.strategy)
         prepared = _PreparedData(dataset, kind, graph_cfg)
         for command in COMMANDS:
             samples = dataset.buffers[command]
@@ -102,7 +103,7 @@ def test_training_and_inference_see_the_same_inputs(tiny_dataset, tmp_path, kind
                 assert len(row) == len(expected)
                 for got, want in zip(row, expected):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                action = controller.act(None, None, command, s.features)
+                action = net.act(*inputs, command)
                 u, _ = net.forward_batch(*row, command)
                 assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
 
@@ -238,8 +239,8 @@ class TestTraining:
         assert final < run.history[0]["mean_loss"] * 0.05
 
     def test_branch_untouched_without_its_samples(self, tiny_dataset):
-        # manual steps against a dataset that only ever serves one command
-        # are impossible through sample_minibatch (it would raise), so check
+        # steps against a dataset that only ever serves one command are
+        # impossible through train (it refuses an empty buffer), so check
         # the invariant at the gradient level instead: optimizer moments for
         # an untouched branch stay zero and its parameters stay put
         ds = _subset_dataset(tiny_dataset, 6)
@@ -319,11 +320,10 @@ needs_worker = pytest.mark.skipif(not hasattr(os, "fork") or training._openblas(
 
 @needs_worker
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
-@pytest.mark.parametrize("polled", [True, False])
-def test_worker_steps_equal_serial_steps(tiny_dataset, kind, polled):
+def test_worker_steps_equal_serial_steps(tiny_dataset, kind):
     """Over several minibatches and Adam updates, a step whose first
-    command runs in the worker returns the serial step's bits, whether the
-    parent adds its parts as they come or (unpolled) all after the prefix."""
+    command runs in the worker returns the serial step's bits: the parent
+    adds its parts after the worker's prefix, in COMMANDS order."""
     ds = _subset_dataset(tiny_dataset, 12)
     prepared = _PreparedData(ds, kind, GraphConfig())
     network = build_network(kind, seed=4)
@@ -331,8 +331,6 @@ def test_worker_steps_equal_serial_steps(tiny_dataset, kind, polled):
     training._bind(network, optimizer)
     with (training._one_blas_thread(),
           training._StepWorker(network, prepared, 15, optimizer.grads) as worker):
-        if not polled:
-            worker.ready = lambda: False
         for step in range(5):
             indices = sample_minibatch(prepared.sizes, 15, np.random.default_rng(step), step)
             serial = training._train_step(network, prepared, indices, 15)
