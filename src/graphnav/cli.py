@@ -62,6 +62,18 @@ def _flag_for(key: str):
 _worker_count = _int_flag((lambda v: v >= 1, "at least 1"))
 
 
+def _strategy_kinds(text: str) -> list:
+    """argparse type for a comma-separated list of edge strategy names, each
+    stripped of surrounding whitespace; an unknown name is a usage error."""
+    kinds = []
+    for name in text.split(","):
+        try:
+            kinds.append(EdgeStrategyKind(name.strip()))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"unknown edge strategy {name.strip()!r}") from None
+    return kinds
+
+
 def _add_common(parser, jobs: bool = False) -> None:
     """--config and --out; --jobs only for the subcommands that fan episodes out."""
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
@@ -173,15 +185,8 @@ def cmd_ablate(args) -> int:
     dataset = read_dataset(args.dataset)
     trials = args.trials if args.trials is not None else REFERENCE_TRIALS
     base_seed = args.seed if args.seed is not None else cfg["eval"]["base_seed"]
-    strategy_names = args.strategies.split(",") if args.strategies else [k.value for k in EdgeStrategyKind]
     graph_cfg = graph_config(cfg)
-    strategies = []
-    for name in strategy_names:
-        try:
-            kind = EdgeStrategyKind(name.strip())
-        except ValueError:
-            raise ConfigError(f"unknown edge strategy {name!r}") from None
-        strategies.append(replace(graph_cfg.strategy, kind=kind))
+    strategies = [replace(graph_cfg.strategy, kind=kind) for kind in args.strategies]
     rows, _ = run_ablation(dataset, strategies, train_config(cfg),
                            scenario_config(cfg, mode="eval"), graph_cfg,
                            trials=trials, base_seed=base_seed, jobs=args.jobs)
@@ -204,8 +209,9 @@ def cmd_replay(args) -> int:
     out = _ensure_out(args)
     loaded = load_checkpoint(args.checkpoint, expected_kind=args.network)
     policy = NetworkController(loaded.network)
+    density = args.density if args.density is not None else cfg["traffic"]["density"]
     (record,) = run_episodes(policy, scenario_config(cfg, mode="eval"), loaded.graph,
-                             [(Command(args.command), args.density, args.seed)],
+                             [(Command(args.command), density, args.seed)],
                              record_trajectory=True)
     actions_path = out / "actions.csv"
     write_actions_csv(actions_path, record.trajectory)
@@ -269,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="retrain and evaluate per edge strategy")
     _add_common(p, jobs=True)
     p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--strategies", default=None, help="comma-separated strategy names")
+    p.add_argument("--strategies", type=_strategy_kinds, default=list(EdgeStrategyKind),
+                   help="comma-separated strategy names")
     p.add_argument("--trials", type=_flag_for("eval.trials"), default=None)
     p.add_argument("--seed", type=_flag_for("eval.base_seed"), default=None)
     p.set_defaults(func=cmd_ablate)
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--network", choices=NETWORK_KINDS, default=None)
     p.add_argument("--command", choices=[c.value for c in Command], default="forward")
-    p.add_argument("--density", type=_flag_for("traffic.density"), default=3)
+    p.add_argument("--density", type=_flag_for("traffic.density"), help="default: traffic.density")
     p.add_argument("--seed", type=_flag_for("eval.base_seed"), required=True)
     p.set_defaults(func=cmd_replay)
 

@@ -2,9 +2,10 @@
 
 One file per command buffer (forward.jsonl, turn_left.jsonl,
 turn_right.jsonl) plus manifest.json. A record holds a step's features `S`
-and its label, not its adjacency, which training builds from `S`. Records
-round-trip exactly: floats are written with shortest-repr JSON encoding,
-which parses back bit-identical.
+and its label, not its adjacency, which training builds from `S`. All of a
+buffer's records have one node count; reading refuses one that differs.
+Records round-trip exactly: floats are written with shortest-repr JSON
+encoding, which parses back bit-identical.
 Each buffer goes through checkpoints' two-process writer
 (`atomic.atomic_write_halves`): a forked helper on another CPU writes the
 back half of the records, with the same bytes as one process writes.
@@ -131,6 +132,9 @@ def read_buffer(path, expected_command: Command) -> list[DemoSample]:
                 raise DatasetFormatError(path, line_no,
                                          f"command {sample.command.value!r} in the "
                                          f"{expected_command.value!r} buffer")
+            if samples and len(sample.features) != len(samples[0].features):
+                raise DatasetFormatError(path, line_no, f"S has {len(sample.features)} rows, but the "
+                                         f"buffer's first record has {len(samples[0].features)}")
             samples.append(sample)
     return samples
 

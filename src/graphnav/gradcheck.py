@@ -53,7 +53,7 @@ def policy_gradient_check(network, prepared, n_samples: int = 200, eps: float = 
                           rng=None, margin: float = 1e-3) -> float:
     """End-to-end check of training's own step on every sample of `prepared`.
 
-    The gradient `_train_step` returns is compared against central
+    The gradient `_train_step` writes is compared against central
     differences of the mean loss it returns. Raises if any ReLU
     pre-activation sits within `margin` of its kink, in which case the
     caller should draw a fresh batch.
@@ -64,9 +64,11 @@ def policy_gradient_check(network, prepared, n_samples: int = 200, eps: float = 
         m = network.kink_margin(cache)
         if m < margin:
             raise ValueError(f"relu pre-activation within {margin} of the kink (min {m:.2e})")
-    _, _, analytic = _train_step(network, prepared, every, batch)
-    return finite_diff_check(lambda: _train_step(network, prepared, every, batch)[0],
-                             network.parameters(), analytic, n_samples=n_samples, eps=eps, rng=rng)
+    params = network.parameters()
+    analytic, scratch = ({k: np.empty_like(v) for k, v in params.items()} for _ in range(2))
+    _train_step(network, prepared, every, batch, analytic)
+    return finite_diff_check(lambda: _train_step(network, prepared, every, batch, scratch)[0],
+                             params, analytic, n_samples=n_samples, eps=eps, rng=rng)
 
 
 def run_policy_check(kind: str, seed: int = 0, n_samples: int = 200, eps: float = 1e-5) -> float:

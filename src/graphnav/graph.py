@@ -7,7 +7,8 @@ the features' relative offsets under a selectable edge strategy,
 row-normalized to sum 1 with exact summation, so consistent relabelings of
 the inputs permute it bitwise. The adjacency is built for a (..., N) stack
 of samples of one node count at once, with no per-sample path: training
-passes whole node-count groups, the controller one (N, 12) sample.
+passes a command buffer's samples, which share one node count, and the
+controller one (N, 12) sample.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ use a fixed nearest-3 vector MLP or a summed set encoding. `NETWORKS` is the
 one place that maps a kind to its class; each class's static `inputs` turns
 the observation's features and an edge strategy into what its forward takes
 (only gcil's reads the strategy, to build the adjacency). `inputs` takes a
-(..., N, 12) stack of one node count, so training builds a whole group's
-inputs in one call and `act` the one sample's. The ego block is row 0's
+(..., N, 12) stack of one node count, so training builds a command
+buffer's inputs, which share one node count, in one call per chunk, and
+`act` the one sample's. The ego block is row 0's
 first six features; no network takes it separately. A `GraphConfig` holds
 both the feature settings and the edge strategy: `NetworkController` holds
 only the network and acts under the `GraphConfig` its rollout passes.
@@ -18,7 +19,7 @@ Each class's static `canonical` puts a sample's nodes (or set elements) in
 a canonical sort order, which makes permutation equivariance/invariance hold
 bitwise despite floating-point summation order. The order is set once per
 sample: `forward` (the `act` path) applies it to its one sample, training
-applies it once to each group's stacked inputs, and `forward_batch` takes
+applies it once to each buffer's stacked inputs, and `forward_batch` takes
 inputs already in canonical order.
 """
 

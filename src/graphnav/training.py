@@ -5,7 +5,8 @@ the three command buffers (with replacement), runs every sample through its
 command's branch, and applies one Adam step to the shared trunk, perception
 weights and all touched branches. A graph network's adjacencies are built
 from the features under the config's edge strategy, as inference builds
-them, and features built under other graph settings are refused. Sampling at
+them, and features built under other graph settings are refused, as is a
+buffer whose samples have more than one node count. Sampling at
 step t is a pure function of (seed, t), so an interrupted run resumed from a
 checkpoint reproduces the uninterrupted trajectory bit for bit, and refuses
 a dataset or a training setting other than the checkpoint's.
@@ -13,9 +14,9 @@ a dataset or a training setting other than the checkpoint's.
 The step loop pins numpy's OpenBLAS to one thread, and keeps the
 parameters, their gradient and both Adam moments in one flat buffer in a
 shared anonymous mapping. Where at least two CPUs are usable, a forked step
-worker runs the first command's passes of each step while this process runs
-the other two, adds their gradients onto the worker's sum in COMMANDS
-order and takes the Adam step, so the parameters equal those of a serial
+worker runs the first command's pass of each step while this process runs
+the other two, adds their gradients onto the worker's in COMMANDS order and
+takes the Adam step, so the parameters equal those of a serial
 single-thread run bit for bit.
 """
 
@@ -108,117 +109,79 @@ def sample_minibatch(dataset_sizes: dict, batch_size: int, rng, step: int) -> di
 
 
 class _PreparedData:
-    """Per-command sample arrays grouped by node count for batched forward
-    passes. A group is an (inputs, targets) pair: the network's `inputs` of
-    the group's stacked (B, N, 12) features, built and put in `canonical`
-    order one `CANONICAL_CHUNK` slice at a time, and the (B, 2) labels.
-    `inputs` runs under `graph_cfg`'s edge strategy, as `NetworkController`'s."""
+    """Per-command sample arrays for batched forward passes. A buffer holds
+    one node count, so a command has one inputs tuple, the network's `inputs`
+    of its stacked (B, N, 12) features, built and put in `canonical` order one
+    `CANONICAL_CHUNK` slice at a time, and one (B, 2) targets array. `inputs`
+    runs under `graph_cfg`'s edge strategy, as `NetworkController`'s."""
 
     def __init__(self, dataset: DemoDataset, kind: str, graph_cfg: GraphConfig) -> None:
         network_cls = NETWORKS[kind]
-        self.groups: dict = {}
-        self.group_of: dict = {}
-        self.local_of: dict = {}
+        self.inputs: dict = {}
+        self.targets: dict = {}
         self.sizes: dict = {}
         for command in COMMANDS:
             samples = dataset.buffers[command]
             self.sizes[command] = len(samples)
-            node_counts, group_of = np.unique([s.features.shape[0] for s in samples],
-                                              return_inverse=True)
-            local_of = np.zeros(len(samples), dtype=int)
-            groups = []
-            for g in range(len(node_counts)):
-                members = np.flatnonzero(group_of == g)
-                local_of[members] = np.arange(len(members))
-                feats = np.stack([samples[i].features for i in members])
-                parts = []
-                for start in range(0, len(members), CANONICAL_CHUNK):
-                    part = network_cls.inputs(feats[start:start + CANONICAL_CHUNK], graph_cfg.strategy)
-                    parts.append(network_cls.canonical(*part))
-                inputs = tuple(np.concatenate(column) for column in zip(*parts))
-                groups.append((inputs, np.stack([samples[i].u_star for i in members])))
-            self.groups[command] = groups
-            self.group_of[command] = group_of
-            self.local_of[command] = local_of
+            feats = np.stack([s.features for s in samples])
+            parts = [network_cls.canonical(*network_cls.inputs(feats[start:start + CANONICAL_CHUNK],
+                                                               graph_cfg.strategy))
+                     for start in range(0, len(samples), CANONICAL_CHUNK)]
+            self.inputs[command] = tuple(np.concatenate(column) for column in zip(*parts))
+            self.targets[command] = np.stack([s.u_star for s in samples])
 
     def gather(self, command: Command, idx: np.ndarray):
-        """Split sampled indices into per-group (inputs, targets) slices."""
-        out = []
-        group_of = self.group_of[command][idx]
-        local_of = self.local_of[command][idx]
-        for g, (inputs, targets) in enumerate(self.groups[command]):
-            sel = local_of[group_of == g]
-            if sel.size == 0:
-                continue
-            out.append((tuple(arr[sel] for arr in inputs), targets[sel]))
-        return out
+        """The (inputs, targets) rows of sampled indices."""
+        return tuple(arr[idx] for arr in self.inputs[command]), self.targets[command][idx]
 
 
 def _losses(network, prepared: _PreparedData, indices: dict, denom: int, commands=COMMANDS):
-    """The forward pass and action loss of sampled indices, one node-count
-    group at a time in `commands` order. Yields (command, per-sample losses,
-    gradient of their sum / `denom` with respect to the outputs, cache)."""
+    """The forward pass and action loss of sampled indices, one command at a
+    time in `commands` order. Yields (command, per-sample losses, gradient of
+    their sum / `denom` with respect to the outputs, cache)."""
     for command in commands:
-        for inputs, targets in prepared.gather(command, indices[command]):
-            u, cache = network.forward_batch(*inputs, command)
-            per_sample, du = batch_action_loss(u, targets, denom=denom)
-            yield command, per_sample, du, cache
+        inputs, targets = prepared.gather(command, indices[command])
+        u, cache = network.forward_batch(*inputs, command)
+        per_sample, du = batch_action_loss(u, targets, denom=denom)
+        yield command, per_sample, du, cache
 
 
-def _passes(network, prepared: _PreparedData, indices: dict, batch_size: int, commands,
-            cmd_loss: dict, cmd_n: dict):
-    """Forward/backward over the groups of `commands`, in order: adds each
-    group's loss sum and sample count to cmd_loss and cmd_n and yields its
-    gradient."""
-    for command, per_sample, du, cache in _losses(network, prepared, indices, batch_size, commands):
-        cmd_loss[command] += float(per_sample.sum())
-        cmd_n[command] += len(per_sample)
-        yield network.backward_batch(cache, du)
+def _first_pass(network, prepared: _PreparedData, idx: np.ndarray, batch_size: int,
+                grads: dict) -> tuple:
+    """The first command's forward/backward pass over sampled indices `idx`:
+    copies its gradient into the views `grads` and returns its loss sum and
+    sample count."""
+    [(_, per_sample, du, cache)] = _losses(network, prepared, {COMMANDS[0]: idx}, batch_size,
+                                           COMMANDS[:1])
+    part = network.backward_batch(cache, du)
+    for k, g in grads.items():
+        g[...] = part[k]
+    return float(per_sample.sum()), len(per_sample)
 
 
-def _add(total, parts: list, out):
-    """`total` (None: no gradient yet) plus `parts` added in order and in
-    place; empties `parts`. A first part is copied into the views `out`, or
-    kept where `out` is None."""
-    for part in parts:
-        if total is not None:
-            for k, g in total.items():
-                g += part[k]
-        elif out is None:
-            total = part
-        else:
-            for k, g in out.items():
-                g[...] = part[k]
-            total = out
-    parts.clear()
-    return total
-
-
-def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int, worker=None,
-                grads=None):
-    """Forward/backward over one minibatch; returns (mean loss, per-command
-    means, gradient): the groups' gradients added in COMMANDS order, into
-    new arrays or into the views `grads`, which only the step loop passes
-    (its next step overwrites them). With a `_StepWorker`, the worker runs
-    the first command's groups meanwhile and leaves their sum in its views
-    of the gradient, the prefix the other parts are added to once they are
-    all computed."""
-    cmd_loss = dict.fromkeys(COMMANDS, 0.0)
-    cmd_n = dict.fromkeys(COMMANDS, 0)
-    commands = COMMANDS
-    if worker is not None:
+def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int, grads: dict,
+                worker=None):
+    """Forward/backward over one minibatch; writes its gradient into the
+    views `grads` and returns (mean loss, per-command means). The first
+    command's pass leaves its gradient in `grads`, run by the `_StepWorker`
+    meanwhile where one is given; the other two commands' gradients are then
+    added onto it in COMMANDS order."""
+    if worker is None:
+        first = _first_pass(network, prepared, indices[COMMANDS[0]], batch_size, grads)
+    else:
         worker.start(indices[COMMANDS[0]])
-        commands = COMMANDS[1:]
-    total, pending = None, []
-    for part in _passes(network, prepared, indices, batch_size, commands, cmd_loss, cmd_n):
-        pending.append(part)
-        if worker is None:
-            total = _add(total, pending, grads)
+    losses, parts = [], []
+    for _, per_sample, du, cache in _losses(network, prepared, indices, batch_size, COMMANDS[1:]):
+        losses.append((float(per_sample.sum()), len(per_sample)))
+        parts.append(network.backward_batch(cache, du))
     if worker is not None:
-        total = worker.prefix(cmd_loss, cmd_n)
-    total = _add(total, pending, grads)
-    per_command = {c: cmd_loss[c] / max(1, cmd_n[c]) for c in COMMANDS}
-    return sum(cmd_loss.values()) / batch_size, per_command, total
+        first = worker.wait()
+    for part in parts:
+        for k, g in grads.items():
+            g += part[k]
+    losses.insert(0, first)
+    per_command = {c: loss / n for c, (loss, n) in zip(COMMANDS, losses)}
+    return sum(loss for loss, _ in losses) / batch_size, per_command
 
 
 def _bind(network, optimizer: Adam) -> None:
@@ -229,14 +192,14 @@ def _bind(network, optimizer: Adam) -> None:
 
 
 class _StepWorker:
-    """A forked process that runs the first command's passes of every step.
+    """A forked process that runs the first command's pass of every step.
 
     It holds the parent's `_PreparedData` and network through fork, and with
     them the optimizer's shared buffer, which the network's layers view
     (`_bind`) and `grads` is part of. For each step the parent sends the
-    first command's sampled indices; the worker runs `_passes` over that
-    command's groups, leaves their gradient sum in `grads` and answers with
-    their loss sum and sample count. As a context manager it stops the
+    first command's sampled indices; the worker runs `_first_pass` on them,
+    which leaves that command's gradient in `grads`, and answers with its
+    loss sum and sample count. As a context manager it stops the
     worker on a normal exit, and kills it after an exception; it reaps it
     either way."""
 
@@ -265,12 +228,8 @@ class _StepWorker:
         gc.disable()  # finalize nothing inherited from the parent
         code = 1
         try:
-            first = COMMANDS[0]
             while (idx := conn.recv()) is not None:
-                loss, n, total = {first: 0.0}, {first: 0}, None
-                for part in _passes(network, prepared, {first: idx}, batch_size, (first,), loss, n):
-                    total = _add(total, [part], self.grads)
-                conn.send(("step", loss[first], n[first]))
+                conn.send(("step", *_first_pass(network, prepared, idx, batch_size, self.grads)))
             usage = resource.getrusage(resource.RUSAGE_SELF)
             conn.send(("exit", {"minor_page_faults": usage.ru_minflt,
                                 "peak_rss_mb": usage.ru_maxrss / 1024.0}))
@@ -294,13 +253,10 @@ class _StepWorker:
             raise TrainingError(f"the training step worker failed:\n{message[1]}")
         return message
 
-    def prefix(self, cmd_loss: dict, cmd_n: dict) -> dict:
-        """Wait for the worker's part of this step. Its loss sum and sample
-        count go into cmd_loss and cmd_n; the gradient views holding its
-        gradient sum are returned."""
-        _, loss, n = self._receive()
-        cmd_loss[COMMANDS[0]], cmd_n[COMMANDS[0]] = loss, n
-        return self.grads
+    def wait(self) -> tuple:
+        """Wait for the worker's pass of this step, which leaves its gradient
+        in the gradient views; returns its loss sum and sample count."""
+        return self._receive()[1:]
 
     def __enter__(self):
         return self
@@ -407,9 +363,13 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
         raise TrainingError(f"the dataset's manifest.json records the graph settings {recorded}, "
                             f"but the train config's graph has {wanted}")
     for command in COMMANDS:
-        if not dataset.buffers[command]:
+        node_counts = sorted({s.features.shape[0] for s in dataset.buffers[command]})
+        if not node_counts:
             raise TrainingError(f"empty demonstration buffer for command {command.value!r} "
                                 f"({BUFFER_FILES[command]})")
+        if len(node_counts) > 1:
+            raise TrainingError(f"demonstration buffer for command {command.value!r} "
+                                f"({BUFFER_FILES[command]}) mixes node counts {node_counts}")
     prepared = _PreparedData(dataset, config.network, config.graph)
 
     steps_total = steps_for(config, dataset.total())
@@ -441,7 +401,6 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
     checkpoint_paths = []
     history = []
     _bind(network, optimizer)
-    params = optimizer.params
     t0 = time.perf_counter()
 
     save_s = 0.0
@@ -467,13 +426,12 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
             for step in range(start_step, steps_total):
                 rng = np.random.default_rng([config.seed, 2, step])
                 indices = sample_minibatch(prepared.sizes, config.batch_size, rng, step)
-                mean_loss, per_command, grads = _train_step(network, prepared, indices,
-                                                            config.batch_size, worker,
-                                                            optimizer.grads)
+                mean_loss, per_command = _train_step(network, prepared, indices,
+                                                     config.batch_size, optimizer.grads, worker)
                 if not math.isfinite(mean_loss):
                     save(step, "checkpoint_diagnostic.json")
                     raise TrainingError(f"non-finite loss {mean_loss} at step {step}")
-                optimizer.step(params, grads)
+                optimizer.step(optimizer.params, optimizer.grads)
                 history.append({
                     "step": step,
                     "mean_loss": mean_loss,

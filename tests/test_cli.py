@@ -127,6 +127,16 @@ def test_replay_trajectory_matches_eval_dump(workdir, tmp_path):
     assert (replay_out / "trajectory.csv").read_bytes() == dumped.read_bytes()
 
 
+def test_replay_density_defaults_to_the_configs_traffic_density(workdir, tmp_path):
+    config = tmp_path / "dense.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "traffic": {"density": 5}}))
+    out = tmp_path / "replay"
+    assert main(["replay", "--config", str(config), "--out", str(out), "--seed", "11",
+                 "--checkpoint", str(workdir["run"] / "checkpoint_final.json")]) == 0
+    with open(out / "trajectory.csv") as fh:
+        assert {row["vehicle_id"] for row in csv.DictReader(fh)} == {str(i) for i in range(6)}
+
+
 def test_eval_always_brake_baseline(workdir, tmp_path):
     out = tmp_path / "brake"
     assert main(["eval", "--config", str(workdir["config"]), "--checkpoint", "always-brake",
@@ -233,6 +243,14 @@ def test_non_finite_dataset_value_is_runtime_error(workdir, tmp_path, capsys, fi
     assert code == 3
     err = capsys.readouterr().err
     assert f"{path}:2:" in err and f"{field} holds a non-finite value" in err
+
+
+def test_buffer_that_mixes_node_counts_is_runtime_error(workdir, tmp_path, capsys):
+    code, path = _train_on_edited_record(workdir, tmp_path, lambda r: r["S"].pop())
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{path}:2: S has 2 rows, but the buffer's first record has 3" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -597,8 +615,10 @@ def test_ablate_strategies_keep_the_configured_graph(workdir, tmp_path, monkeypa
     assert main(args + ["--strategies", "non_weighted, star_connected"]) == 0
     assert [s.kind.value for s in seen] == ["non_weighted", "star_connected"]
     assert all(_strategy_fields(s) == (7.5, 2, False) for s in seen)
-    assert main(args + ["--strategies", "mesh"]) == 2
-    assert "unknown edge strategy 'mesh'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--strategies", "non_weighted, mesh"])
+    assert exc.value.code == 2
+    assert "argument --strategies: unknown edge strategy 'mesh'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -608,9 +628,11 @@ def test_ablate_strategies_keep_the_configured_graph(workdir, tmp_path, monkeypa
     (["eval", "--checkpoint", "always-brake", "--seed", "-5"], "--seed"),
     (["ablate", "--dataset", "d", "--trials", "0"], "--trials"),
     (["replay", "--checkpoint", "c", "--seed", "1", "--density", "-1"], "--density"),
+    (["ablate", "--dataset", "d", "--strategies", "mesh"], "--strategies"),
 ])
 def test_flag_out_of_its_config_range_is_usage_error(tmp_path, capsys, argv, flag):
-    # the flags stand in for config keys and take those keys' range checks
+    # the flags stand in for config keys and take those keys' range checks;
+    # --strategies takes only edge strategy names
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2

@@ -64,6 +64,15 @@ class TestMinibatchComposition:
                                                 r"'turn_left' \(turn_left\.jsonl\)"):
             train(dataset, TrainConfig(batch_size=6, epochs=1))
 
+    def test_buffer_that_mixes_node_counts_is_a_configuration_error(self, tiny_dataset):
+        dataset = _subset_dataset(tiny_dataset, 3)
+        s = dataset.buffers[Command.TURN_RIGHT][1]
+        dataset.buffers[Command.TURN_RIGHT][1] = DemoSample(s.features[:2], s.command, s.u_star,
+                                                            s.episode_id, s.step)
+        with pytest.raises(TrainingError, match=r"demonstration buffer for command 'turn_right' "
+                                                r"\(turn_right\.jsonl\) mixes node counts \[2, 3\]"):
+            train(dataset, TrainConfig(batch_size=6, epochs=1))
+
 
 def _subset_dataset(dataset, per_command):
     small = DemoDataset()
@@ -97,7 +106,7 @@ def test_training_and_inference_see_the_same_inputs(tiny_dataset, tmp_path, kind
             for i in (0, len(samples) // 2, len(samples) - 1):
                 s = samples[i]
                 assert s.features.tobytes() == tiny_dataset.buffers[command][i].features.tobytes()
-                [(row, _)] = prepared.gather(command, np.array([i]))
+                row, _ = prepared.gather(command, np.array([i]))
                 inputs = cls.inputs(s.features, graph_cfg.strategy)
                 expected = cls.canonical(*[a[None] for a in inputs])
                 assert len(row) == len(expected)
@@ -115,16 +124,16 @@ def test_prepared_rows_are_canonical_and_act_ignores_node_order(tiny_dataset, ki
     cls = NETWORKS[kind]
     rng = np.random.default_rng(0)
     for command in COMMANDS:
-        for inputs, _ in prepared.groups[command]:
-            # canonical rows are a fixed point: ordering them again moves no bit
-            again = cls.canonical(*inputs)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, again))
+        # canonical rows are a fixed point: ordering them again moves no bit
+        inputs = prepared.inputs[command]
+        again = cls.canonical(*inputs)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, again))
         samples = tiny_dataset.buffers[command]
         for i in range(0, len(samples), 7):
             s = samples[i]
             order = np.concatenate([[0], 1 + rng.permutation(len(s.features) - 1)])
             action = net.act(*cls.inputs(s.features[order], GraphConfig().strategy), command)
-            [(row, _)] = prepared.gather(command, np.array([i]))
+            row, _ = prepared.gather(command, np.array([i]))
             u, _ = net.forward_batch(*row, command)
             assert np.array([action.delta, action.tau]).tobytes() == u[0].tobytes()
 
@@ -135,14 +144,14 @@ def test_canonical_order_does_not_depend_on_the_preparation_chunk(tiny_dataset, 
     monkeypatch.setattr("graphnav.training.CANONICAL_CHUNK", 3)
     chunked = _PreparedData(tiny_dataset, kind, GraphConfig())
     for command in COMMANDS:
-        for (a, _), (b, _) in zip(whole.groups[command], chunked.groups[command], strict=True):
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+        a, b = whole.inputs[command], chunked.inputs[command]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
-def test_one_adjacency_build_per_group_and_chunk(tiny_dataset, monkeypatch, kind):
-    # gcil builds its adjacencies once per (command, node-count group, chunk)
-    # slice of stacked features; nncil and setcil build none
+def test_one_adjacency_build_per_command_and_chunk(tiny_dataset, monkeypatch, kind):
+    # gcil builds its adjacencies once per (command, chunk) slice of stacked
+    # features; nncil and setcil build none
     calls = []
 
     def counting(feats, strategy):
@@ -153,10 +162,7 @@ def test_one_adjacency_build_per_group_and_chunk(tiny_dataset, monkeypatch, kind
         monkeypatch.setattr("graphnav.training.CANONICAL_CHUNK", chunk)
         calls.clear()
         _PreparedData(tiny_dataset, kind, GraphConfig())
-        slices = 0
-        for c in COMMANDS:
-            node_counts = [s.features.shape[0] for s in tiny_dataset.buffers[c]]
-            slices += sum(math.ceil(node_counts.count(n) / chunk) for n in set(node_counts))
+        slices = sum(math.ceil(len(tiny_dataset.buffers[c]) / chunk) for c in COMMANDS)
         assert len(calls) == (slices if kind == "gcil" else 0)
 
 
@@ -322,24 +328,22 @@ needs_worker = pytest.mark.skipif(not hasattr(os, "fork") or training._openblas(
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 def test_worker_steps_equal_serial_steps(tiny_dataset, kind):
     """Over several minibatches and Adam updates, a step whose first
-    command runs in the worker returns the serial step's bits: the parent
-    adds its parts after the worker's prefix, in COMMANDS order."""
+    command runs in the worker returns and writes the serial step's bits:
+    the parent adds its parts onto the worker's gradient, in COMMANDS order."""
     ds = _subset_dataset(tiny_dataset, 12)
     prepared = _PreparedData(ds, kind, GraphConfig())
     network = build_network(kind, seed=4)
     optimizer = Adam(network.parameters())
     training._bind(network, optimizer)
+    serial_grads = {k: np.empty_like(g) for k, g in optimizer.grads.items()}
     with (training._one_blas_thread(),
           training._StepWorker(network, prepared, 15, optimizer.grads) as worker):
         for step in range(5):
             indices = sample_minibatch(prepared.sizes, 15, np.random.default_rng(step), step)
-            serial = training._train_step(network, prepared, indices, 15)
-            split = training._train_step(network, prepared, indices, 15, worker)
-            assert split[:2] == serial[:2]
-            assert serial[2].keys() == split[2].keys()
-            assert all(np.array_equal(serial[2][k], split[2][k]) for k in serial[2])
-            for k, g in serial[2].items():
-                optimizer.grads[k][...] = g
+            serial = training._train_step(network, prepared, indices, 15, serial_grads)
+            split = training._train_step(network, prepared, indices, 15, optimizer.grads, worker)
+            assert split == serial
+            assert all(np.array_equal(serial_grads[k], optimizer.grads[k]) for k in serial_grads)
             optimizer.step(optimizer.params, optimizer.grads)
 
 
@@ -359,14 +363,13 @@ def worker_pids(monkeypatch):
 
 
 def _fail_in_worker(monkeypatch, fail):
-    """Run `fail` in place of the passes of the first command, which only the worker runs."""
-    passes = training._passes
+    """Run `fail` before the first command's pass, which under the worker only the worker runs."""
+    first_pass = training._first_pass
 
-    def planted(network, prepared, indices, batch_size, commands, *rest):
-        if tuple(commands) == COMMANDS[:1]:
-            fail()
-        return passes(network, prepared, indices, batch_size, commands, *rest)
-    monkeypatch.setattr(training, "_passes", planted)
+    def planted(*args):
+        fail()
+        return first_pass(*args)
+    monkeypatch.setattr(training, "_first_pass", planted)
 
 
 @needs_worker
