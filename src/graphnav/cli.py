@@ -55,7 +55,7 @@ def _int_flag(check):
 
 
 def _flag_for(key: str):
-    """argparse type for a flag that stands in for config `key`: its range check."""
+    """argparse type that takes config `key`'s range check."""
     return _int_flag(key_check(key))
 
 
@@ -74,6 +74,24 @@ def _strategy_kinds(text: str) -> list:
     return kinds
 
 
+def _config_flag(parser, flag: str, key: str, **kwargs) -> None:
+    """A flag that overrides config `key`: the key's dotted name is its dest,
+    and it takes the key's range check unless it lists its `choices`."""
+    if "choices" not in kwargs:
+        kwargs.update(type=_flag_for(key), metavar=flag.lstrip("-").upper())
+    parser.add_argument(flag, dest=key, **kwargs)
+
+
+def _overrides(args) -> dict:
+    """`load_config` overrides from every config flag given: {section: {key: value}}."""
+    overrides = {}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            overrides.setdefault(section, {})[key] = value
+    return overrides
+
+
 def _add_common(parser, jobs: bool = False) -> None:
     """--config and --out; --jobs only for the subcommands that fan episodes out."""
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
@@ -84,23 +102,10 @@ def _add_common(parser, jobs: bool = False) -> None:
                                  "of 4-episode chunks")
 
 
-def _ensure_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_collect(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-    started = now_utc()
-    out = _ensure_out(args)
-    base_seed = cfg["train"]["seed"]
-    episodes = args.episodes if args.episodes is not None else cfg["train"]["episodes_per_command"]
-    scenario = scenario_config(cfg, mode="train")
+def cmd_collect(args, cfg: dict, out: Path) -> tuple:
+    base_seed, episodes = cfg["train"]["seed"], cfg["train"]["episodes_per_command"]
     dataset, outcomes = collect_dataset(
-        scenario, graph_config(cfg), expert_params(cfg),
+        scenario_config(cfg, mode="train"), graph_config(cfg), expert_params(cfg),
         episodes_per_command=episodes, base_seed=base_seed,
         densities=train_densities(cfg), jobs=args.jobs, noise=noise_params(cfg),
     )
@@ -111,46 +116,28 @@ def cmd_collect(args) -> int:
     rates = dataset.manifest["expert_success_rate_pct"]
     for command, rate in rates.items():
         print(f"expert success rate [{command}]: {rate:.1f}%")
-    files = [out / name for name in [*BUFFER_FILES.values(), "manifest.json"]]
+    print(f"wrote {dataset.total()} samples to {out}")
     counters = {"outcomes": outcomes, "dataset_write_s": write_s,
                 "dataset_write_processes": processes}
-    write_manifest(out, "collect", cfg, {"base_seed": base_seed, "episodes_per_command": episodes},
-                   files, started, extra={"expert_success_rate_pct": rates, "counters": counters})
-    print(f"wrote {dataset.total()} samples to {out}")
-    return EXIT_OK
+    return ({"base_seed": base_seed, "episodes_per_command": episodes},
+            [out / name for name in [*BUFFER_FILES.values(), "manifest.json"]],
+            {"expert_success_rate_pct": rates, "counters": counters})
 
 
-def cmd_train(args) -> int:
-    overrides = {}
-    if args.network is not None:
-        overrides = {"train": {"network": args.network}}
-    cfg = load_config(args.config, overrides)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-    started = now_utc()
-    out = _ensure_out(args)
+def cmd_train(args, cfg: dict, out: Path) -> tuple:
     dataset = read_dataset(args.dataset)
-    tcfg = train_config(cfg)
-    if args.strategy is not None:
-        strategy = replace(graph_config(cfg).strategy, kind=EdgeStrategyKind(args.strategy))
-        tcfg = replace(tcfg, graph=replace(tcfg.graph, strategy=strategy))
-    run = train(dataset, tcfg, out_dir=out, resume=args.resume)
-    files = [*run.checkpoint_paths, out / "loss.csv"]
-    write_manifest(out, "train", cfg, {"seed": tcfg.seed}, files, started,
-                   extra={"steps": run.steps, "counters": run.counters, "step_loop": run.step_loop,
-                          "final_loss": run.history[-1]["mean_loss"] if run.history else None})
-    final = run.history[-1]["mean_loss"] if run.history else float("nan")
-    print(f"trained {run.steps} steps, final minibatch loss {final:.6f}")
+    run = train(dataset, train_config(cfg), out_dir=out, resume=args.resume)
+    final = run.history[-1]["mean_loss"] if run.history else None
+    print(f"trained {run.steps} steps, final minibatch loss "
+          f"{float('nan') if final is None else final:.6f}")
     print(f"checkpoint: {out / 'checkpoint_final.json'}")
-    return EXIT_OK
+    return ({"seed": cfg["train"]["seed"]}, [*run.checkpoint_paths, out / "loss.csv"],
+            {"steps": run.steps, "counters": run.counters, "step_loop": run.step_loop,
+             "final_loss": final})
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    started = now_utc()
-    out = _ensure_out(args)
-    trials = args.trials if args.trials is not None else cfg["eval"]["trials"]
-    base_seed = args.seed if args.seed is not None else cfg["eval"]["base_seed"]
+def cmd_eval(args, cfg: dict, out: Path) -> tuple:
+    trials, base_seed = cfg["eval"]["trials"], cfg["eval"]["base_seed"]
     if args.checkpoint == "always-brake":
         policy = AlwaysBrake()
         graph_cfg = graph_config(cfg)
@@ -173,23 +160,18 @@ def cmd_eval(args) -> int:
     files = [out / "suite_report.csv", out / "trials.csv"]
     if trajectory_dir is not None:
         files.extend(trajectory_dir / r.trajectory_name for r in results)
-    write_manifest(out, "eval", cfg, {"base_seed": base_seed, "trials_per_cell": trials},
-                   files, started, extra={"counters": {"outcomes": outcome_counts(results)}})
-    return EXIT_OK
+    return ({"base_seed": base_seed, "trials_per_cell": trials}, files,
+            {"counters": {"outcomes": outcome_counts(results)}})
 
 
-def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
-    started = now_utc()
-    out = _ensure_out(args)
+def cmd_ablate(args, cfg: dict, out: Path) -> tuple:
     dataset = read_dataset(args.dataset)
-    trials = args.trials if args.trials is not None else REFERENCE_TRIALS
-    base_seed = args.seed if args.seed is not None else cfg["eval"]["base_seed"]
+    base_seed = cfg["eval"]["base_seed"]
     graph_cfg = graph_config(cfg)
     strategies = [replace(graph_cfg.strategy, kind=kind) for kind in args.strategies]
     rows, _ = run_ablation(dataset, strategies, train_config(cfg),
                            scenario_config(cfg, mode="eval"), graph_cfg,
-                           trials=trials, base_seed=base_seed, jobs=args.jobs)
+                           trials=args.trials, base_seed=base_seed, jobs=args.jobs)
     write_ablation_csv(rows, out / "ablation.csv")
     print(f"{'strategy':20} {'SR%':>8} {'CR%':>8} {'time(s)':>8}   reference SR/CR/time")
     for row in rows:
@@ -198,20 +180,14 @@ def cmd_ablate(args) -> int:
                        for name in ("success_rate_pct", "collision_rate_pct", "mean_nav_time_s"))
         print(f"{row['strategy']:20} {row['success_rate_pct']:8.2f} "
               f"{row['collision_rate_pct']:8.2f} {nav:>8}   {ref}")
-    write_manifest(out, "ablate", cfg, {"base_seed": base_seed, "trials": trials},
-                   [out / "ablation.csv"], started)
-    return EXIT_OK
+    return {"base_seed": base_seed, "trials": args.trials}, [out / "ablation.csv"], None
 
 
-def cmd_replay(args) -> int:
-    cfg = load_config(args.config)
-    started = now_utc()
-    out = _ensure_out(args)
+def cmd_replay(args, cfg: dict, out: Path) -> tuple:
     loaded = load_checkpoint(args.checkpoint, expected_kind=args.network)
     policy = NetworkController(loaded.network)
-    density = args.density if args.density is not None else cfg["traffic"]["density"]
     (record,) = run_episodes(policy, scenario_config(cfg, mode="eval"), loaded.graph,
-                             [(Command(args.command), density, args.seed)],
+                             [(Command(args.command), cfg["traffic"]["density"], args.seed)],
                              record_trajectory=True)
     actions_path = out / "actions.csv"
     write_actions_csv(actions_path, record.trajectory)
@@ -219,16 +195,15 @@ def cmd_replay(args) -> int:
     write_trajectory_csv(trajectory_path, record.trajectory)
     print(f"outcome: {record.outcome.tag.value} after {record.outcome.elapsed:.1f} s "
           f"({record.outcome.steps} steps)")
-    write_manifest(out, "replay", cfg, {"seed": args.seed}, [actions_path, trajectory_path],
-                   started, extra={"outcome": record.outcome.tag.value})
-    return EXIT_OK
+    return ({"seed": args.seed}, [actions_path, trajectory_path],
+            {"outcome": record.outcome.tag.value, "command": args.command})
 
 
 def cmd_gradcheck(args) -> int:
     worst = 0.0
     kinds = [args.network] if args.network else list(NETWORK_KINDS)
     for kind in kinds:
-        err = run_policy_check(kind, seed=args.seed if args.seed is not None else 0)
+        err = run_policy_check(kind, seed=args.seed)
         print(f"gradcheck {kind}: max relative error {err:.3e}")
         worst = max(worst, err)
     if worst > GRADCHECK_TOLERANCE:
@@ -238,6 +213,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A flag whose dest is a dotted config key overrides that key; the other
+    flags that take a key's range check only borrow it."""
     parser = argparse.ArgumentParser(prog="graphnav",
                                      description="intersection navigation policies: "
                                                  "collect, train, evaluate, ablate")
@@ -246,19 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect", help="record expert demonstrations")
     _add_common(p, jobs=True)
-    p.add_argument("--episodes", type=_flag_for("train.episodes_per_command"), default=None,
-                   help="episodes per command")
-    p.add_argument("--seed", type=_flag_for("train.seed"), default=None, help="base seed")
+    _config_flag(p, "--episodes", "train.episodes_per_command", help="episodes per command")
+    _config_flag(p, "--seed", "train.seed", help="base seed")
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("train", help="behavior-clone a policy from a dataset")
     _add_common(p)
     p.add_argument("--dataset", type=Path, required=True, help="dataset directory")
-    p.add_argument("--network", choices=NETWORK_KINDS, default=None)
-    p.add_argument("--strategy", choices=[k.value for k in EdgeStrategyKind], default=None,
-                   help="train under this edge strategy")
+    _config_flag(p, "--network", "train.network", choices=NETWORK_KINDS)
+    _config_flag(p, "--strategy", "graph.strategy", choices=[k.value for k in EdgeStrategyKind],
+                 help="train under this edge strategy")
     p.add_argument("--resume", type=Path, default=None, help="checkpoint to resume from")
-    p.add_argument("--seed", type=_flag_for("train.seed"), default=None)
+    _config_flag(p, "--seed", "train.seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="run the seeded evaluation suite")
@@ -267,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint path, or 'always-brake' for the degenerate baseline")
     p.add_argument("--network", choices=NETWORK_KINDS, default=None,
                    help="require this network kind in the checkpoint")
-    p.add_argument("--trials", type=_flag_for("eval.trials"), default=None, help="trials per cell")
-    p.add_argument("--seed", type=_flag_for("eval.base_seed"), default=None, help="base seed")
+    _config_flag(p, "--trials", "eval.trials", help="trials per cell")
+    _config_flag(p, "--seed", "eval.base_seed", help="base seed")
     p.add_argument("--dump-trajectories", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -277,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--strategies", type=_strategy_kinds, default=list(EdgeStrategyKind),
                    help="comma-separated strategy names")
-    p.add_argument("--trials", type=_flag_for("eval.trials"), default=None)
-    p.add_argument("--seed", type=_flag_for("eval.base_seed"), default=None)
+    p.add_argument("--trials", type=_flag_for("eval.trials"), default=REFERENCE_TRIALS,
+                   help="trials per cell")
+    _config_flag(p, "--seed", "eval.base_seed")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("replay", help="re-run one seeded trial and dump action curves")
@@ -286,23 +263,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--network", choices=NETWORK_KINDS, default=None)
     p.add_argument("--command", choices=[c.value for c in Command], default="forward")
-    p.add_argument("--density", type=_flag_for("traffic.density"), help="default: traffic.density")
+    _config_flag(p, "--density", "traffic.density")
     p.add_argument("--seed", type=_flag_for("eval.base_seed"), required=True)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of policy gradients")
     p.add_argument("--network", choices=NETWORK_KINDS, default=None)
-    p.add_argument("--seed", type=_flag_for("train.seed"), default=None)
-    p.set_defaults(func=cmd_gradcheck)
+    p.add_argument("--seed", type=_flag_for("train.seed"), default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. Each but gradcheck, which writes nothing, runs as
+    cmd_*(args, cfg, out) in the effective config (defaults, --config, then the
+    config flags) and returns the (seeds, files, extra) of its run manifest."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.subcommand == "gradcheck":
+            return cmd_gradcheck(args)
+        cfg = load_config(args.config, _overrides(args))
+        started = now_utc()
+        args.out.mkdir(parents=True, exist_ok=True)
+        seeds, files, extra = args.func(args, cfg, args.out)
+        write_manifest(args.out, args.subcommand, cfg, seeds, files, started, extra=extra)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -388,7 +388,11 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
             optimizer = Adam.from_state_dict(loaded.optimizer_state, network.parameters())
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint {resume}: invalid optimizer state: {exc}") from exc
-        start_step = int(state.get("step", optimizer.t))
+        start_step = state.get("step", optimizer.t)
+        if type(start_step) is not int or not (start_step == optimizer.t <= steps_total):
+            raise CheckpointError(f"checkpoint {resume}: train_state step {start_step!r} must be "
+                                  f"the optimizer's t ({optimizer.t}) and at most this run's "
+                                  f"{steps_total} steps")
     else:
         network = build_network(config.network, rng=np.random.default_rng([config.seed, 1]))
         optimizer = Adam(network.parameters(), lr=config.lr, beta1=config.beta1,

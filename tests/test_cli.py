@@ -531,6 +531,31 @@ def test_resume_without_provenance_is_refused(workdir, tmp_path, capsys, train_s
     assert str(ckpt) in err and "trained on dataset None with train config None" in err
 
 
+@pytest.mark.parametrize("step", ["x", None, [1], -3, 1.5, True, 99999999],
+                         ids=["string", "null", "list", "negative", "float", "bool", "past-t"])
+def test_resume_refuses_a_malformed_step(workdir, tmp_path, capsys, step):
+    doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
+    doc["train_state"]["step"] = step
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(workdir["config"]), "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "o"), "--resume", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: train_state step {step!r} must be the optimizer's t" in err
+
+
+def test_resume_past_this_runs_budget_is_refused(workdir, tmp_path, capsys):
+    ckpt = workdir["run"] / "checkpoint_final.json"
+    step = json.loads(ckpt.read_text())["train_state"]["step"]
+    config = tmp_path / "config.json"  # no epochs: a budget of no steps
+    config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "epochs": 0}}))
+    assert main(["train", "--config", str(config), "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "o"), "--resume", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert f"train_state step {step} must be the optimizer's t ({step}) and at most " \
+           f"this run's 0 steps" in err
+
+
 def test_train_manifest_counts_page_faults(workdir):
     manifest = json.loads((workdir["run"] / "run_manifest.json").read_text())
     faults = manifest["counters"]["minor_page_faults"]
@@ -619,6 +644,71 @@ def test_ablate_strategies_keep_the_configured_graph(workdir, tmp_path, monkeypa
         main(args + ["--strategies", "non_weighted, mesh"])
     assert exc.value.code == 2
     assert "argument --strategies: unknown edge strategy 'mesh'" in capsys.readouterr().err
+
+
+def _manifest(out):
+    return json.loads((out / "run_manifest.json").read_text())
+
+
+def test_run_manifests_state_what_ran(workdir, tmp_path):
+    """A config flag's value is in the effective config the manifest records."""
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(workdir["config"]), "--dataset", str(workdir["data"]),
+                 "--strategy", "star_connected", "--out", str(run)]) == 0
+    assert _manifest(run)["effective_config"]["graph"]["strategy"] == "star_connected"
+    ckpt = run / "checkpoint_final.json"
+    assert json.loads(ckpt.read_text())["graph"]["strategy"] == "star_connected"
+
+    replay = tmp_path / "replay"
+    assert main(["replay", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                 "--out", str(replay), "--density", "2", "--command", "turn_left",
+                 "--seed", "3"]) == 0
+    manifest = _manifest(replay)
+    assert manifest["effective_config"]["traffic"]["density"] == 2
+    assert (manifest["command"], manifest["seeds"]) == ("turn_left", {"seed": 3})
+
+    evaluated = tmp_path / "eval"  # no --config: the defaults hold other trials and seed
+    assert main(["eval", "--checkpoint", str(ckpt), "--out", str(evaluated),
+                 "--trials", "1", "--seed", "5"]) == 0
+    manifest = _manifest(evaluated)
+    assert {key: manifest["effective_config"]["eval"][key] for key in ("trials", "base_seed")} \
+        == {"trials": 1, "base_seed": 5}
+    assert manifest["seeds"] == {"base_seed": 5, "trials_per_cell": 1}
+
+
+def _config_flags():
+    """(subcommand, its parser, action) for every flag whose dest is dotted."""
+    import argparse
+
+    from graphnav.cli import build_parser
+
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, parser, action) for name, parser in sub.choices.items()
+            for action in parser._actions if "." in action.dest]
+
+
+CONFIG_FLAGS = _config_flags()
+
+
+@pytest.mark.parametrize("subcommand, parser, action", CONFIG_FLAGS,
+                         ids=[f"{name}{action.option_strings[0]}" for name, _, action in CONFIG_FLAGS])
+def test_a_config_flag_overrides_its_key_in_the_run_manifest(tmp_path, monkeypatch, subcommand,
+                                                             parser, action):
+    """A misspelt dest would pass argparse and never reach the config."""
+    import graphnav.cli as cli_mod
+    from graphnav.config import DEFAULTS
+
+    section, key = action.dest.split(".")
+    assert key in DEFAULTS.get(section, {}), f"{action.dest} is not a config key"
+    default = DEFAULTS[section][key]
+    value = next(c for c in action.choices if c != default) if action.choices else default + 1
+    monkeypatch.setattr(cli_mod, f"cmd_{subcommand}", lambda args, cfg, out: ({}, [], None))
+    required = [arg for a in parser._actions if a.required and a.dest != "out"
+                for arg in (a.option_strings[0], "1")]
+    out = tmp_path / "o"
+    assert main([subcommand, *required, "--out", str(out),
+                 action.option_strings[0], str(value)]) == 0
+    assert _manifest(out)["effective_config"][section][key] == value
 
 
 @pytest.mark.parametrize("argv, flag", [
