@@ -7,6 +7,7 @@ over `path` with `os.replace`. A reader, or a run interrupted midway, thus
 sees either the previous file or the complete new one, never a truncated
 mix, and a failed write leaves no temporary file behind. The file is not
 fsynced, so this guards against a process dying, not against power loss.
+`write_csv` writes every CSV report through it, with one rule per field.
 
 `atomic_write_halves` writes a file in two halves at once: a forked helper
 writes the back half into a hidden sibling part file while this process
@@ -45,6 +46,17 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Atomically write the `header` columns, then each of `rows`, which is
+    read only once the temporary file is open: a float field as its repr,
+    None as an empty field, anything else as its str."""
+    with atomic_write(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else "" if v is None else str(v)
+                              for v in row) + "\n")
 
 
 def atomic_write_halves(path, emit, front: list, back: list) -> int:

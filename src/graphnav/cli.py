@@ -13,10 +13,10 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import (ConfigError, config_hash, expert_params, graph_config, key_check,
                      load_config, noise_params, scenario_config, train_config, train_densities)
 from .dataset import BUFFER_FILES, DatasetFormatError, read_dataset, write_dataset
-from .evaluation import (AlwaysBrake, REFERENCE_TRIALS, collect_dataset, format_report,
-                         outcome_counts, run_ablation, run_episodes, run_suite, write_ablation_csv,
-                         write_actions_csv, write_suite_csv, write_trajectory_csv,
-                         write_trials_csv)
+from .evaluation import (AlwaysBrake, REFERENCE_TRIALS, collect_dataset, format_ablation,
+                         format_report, outcome_counts, run_ablation, run_episodes, run_suite,
+                         write_ablation_csv, write_actions_csv, write_suite_csv,
+                         write_trajectory_csv, write_trials_csv)
 from .graph import EdgeStrategyKind
 from .gradcheck import run_policy_check
 from .layout import Command
@@ -173,13 +173,7 @@ def cmd_ablate(args, cfg: dict, out: Path) -> tuple:
                            scenario_config(cfg, mode="eval"), graph_cfg,
                            trials=args.trials, base_seed=base_seed, jobs=args.jobs)
     write_ablation_csv(rows, out / "ablation.csv")
-    print(f"{'strategy':20} {'SR%':>8} {'CR%':>8} {'time(s)':>8}   reference SR/CR/time")
-    for row in rows:
-        nav = "NA" if row["mean_nav_time_s"] is None else f"{row['mean_nav_time_s']:.2f}"
-        ref = "/".join("NA" if row[f"ref_{name}"] is None else str(row[f"ref_{name}"])
-                       for name in ("success_rate_pct", "collision_rate_pct", "mean_nav_time_s"))
-        print(f"{row['strategy']:20} {row['success_rate_pct']:8.2f} "
-              f"{row['collision_rate_pct']:8.2f} {nav:>8}   {ref}")
+    print(format_ablation(rows))
     return {"base_seed": base_seed, "trials": args.trials}, [out / "ablation.csv"], None
 
 

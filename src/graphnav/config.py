@@ -222,8 +222,12 @@ def _validate(cfg: dict) -> None:
 
 
 def key_check(key: str) -> tuple:
-    """The (predicate, requirement) range check of the dotted config `key`."""
-    return next(row.check for row in _TABLE if f"{row.section}.{row.name}" == key)
+    """The (predicate, requirement) range check of the dotted config `key`;
+    an unknown key is a ConfigError naming it."""
+    for row in _TABLE:
+        if f"{row.section}.{row.name}" == key:
+            return row.check
+    raise _unknown_key(key)
 
 
 def config_hash(cfg: dict) -> str:

@@ -1,5 +1,7 @@
 """Seeded episode grids and their one process-pool fan-out: expert collection,
-closed-loop trial suites, rates, report tables, ablations."""
+closed-loop trial suites and ablations, and their reports. `rates` makes a
+cell's rates, `SuiteReport.rows` walks the grid for the suite CSV and the
+printed table, and every CSV is written by `atomic.write_csv`."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .dataset import SCHEMA_VERSION, DemoDataset
 from .expert import ExpertController, ExpertParams
 from .graph import GraphConfig
@@ -50,27 +52,22 @@ class TrialResult:
         return f"trajectory_{self.setup}_{self.command.value}_{self.seed}.csv"
 
 
-def success_rate(results) -> float:
+RATES = ("success_rate_pct", "collision_rate_pct", "mean_nav_time_s")
+
+
+def rates(results) -> dict:
+    """One cell's RATES and trial count: the success and collision rates in
+    percent, and the mean navigation time of its successful trials (None,
+    rendered NA, when none succeeded)."""
     results = list(results)
     if not results:
-        raise ValueError("success rate needs at least one trial")
-    n = sum(1 for r in results if r.outcome.tag is OutcomeTag.SUCCESS)
-    return 100.0 * n / len(results)
-
-
-def collision_rate(results) -> float:
-    results = list(results)
-    if not results:
-        raise ValueError("collision rate needs at least one trial")
-    n = sum(1 for r in results if r.outcome.tag is OutcomeTag.COLLISION)
-    return 100.0 * n / len(results)
-
-
-def mean_navigation_time(results) -> float | None:
-    times = [r.outcome.elapsed for r in results if r.outcome.tag is OutcomeTag.SUCCESS]
-    if not times:
-        return None  # rendered as NA in reports
-    return sum(times) / len(times)
+        raise ValueError("rates need at least one trial")
+    tags = [r.outcome.tag for r in results]
+    times = [r.nav_time for r in results if r.nav_time is not None]
+    return {"success_rate_pct": 100.0 * tags.count(OutcomeTag.SUCCESS) / len(results),
+            "collision_rate_pct": 100.0 * tags.count(OutcomeTag.COLLISION) / len(results),
+            "mean_nav_time_s": sum(times) / len(times) if times else None,
+            "trials": len(results)}
 
 
 def outcome_counts(results) -> dict:
@@ -93,28 +90,25 @@ class AlwaysBrake:
 
 @dataclass
 class SuiteReport:
-    cells: dict            # (setup, command) -> {"success_rate_pct", ...}
-    trials_per_cell: int
+    cells: dict            # (setup, command) -> rates() of that cell's trials
     base_seed: int
     method: str
 
-    def avg(self, setup: str) -> dict:
-        rows = [self.cells[(setup, c)] for c in COMMANDS]
-        nav = [r["mean_nav_time_s"] for r in rows if r["mean_nav_time_s"] is not None]
-        return {
-            "success_rate_pct": sum(r["success_rate_pct"] for r in rows) / 3.0,
-            "collision_rate_pct": sum(r["collision_rate_pct"] for r in rows) / 3.0,
-            "mean_nav_time_s": sum(nav) / len(nav) if nav else None,
-        }
-
-
-def _cell_stats(results) -> dict:
-    return {
-        "success_rate_pct": success_rate(results),
-        "collision_rate_pct": collision_rate(results),
-        "mean_nav_time_s": mean_navigation_time(results),
-        "trials": len(list(results)),
-    }
+    def rows(self):
+        """(setup, command value or AVG, rates) in SETUPS x COMMANDS order: each
+        cell there is, then, for a setup with every command, an AVG row whose
+        rates are the means of its cells' (navigation time over the cells that
+        have one) and whose trials are their sum."""
+        for setup, _density in SETUPS:
+            cells = {c.value: self.cells[(setup, c)] for c in COMMANDS if (setup, c) in self.cells}
+            yield from ((setup, command, cell) for command, cell in cells.items())
+            if len(cells) == len(COMMANDS):
+                nav = [r["mean_nav_time_s"] for r in cells.values() if r["mean_nav_time_s"] is not None]
+                yield setup, "AVG", {
+                    "success_rate_pct": sum(r["success_rate_pct"] for r in cells.values()) / 3.0,
+                    "collision_rate_pct": sum(r["collision_rate_pct"] for r in cells.values()) / 3.0,
+                    "mean_nav_time_s": sum(nav) / len(nav) if nav else None,
+                    "trials": sum(r["trials"] for r in cells.values())}
 
 
 POOL_CHUNKSIZE = 4  # episodes per task chunk sent to a pool worker
@@ -235,90 +229,64 @@ def run_suite(
     records = run_episodes(policy, base_cfg, graph_cfg, tasks, jobs=jobs,
                            record_trajectory=trajectory_dir is not None)
 
-    results = []
+    results, cells = [], {}
     for setup, record in zip(labels, records):
         results.append(TrialResult(setup=setup, command=record.command, seed=record.seed,
                                    outcome=record.outcome))
+        cells.setdefault((setup, record.command), []).append(results[-1])
         if trajectory_dir is not None:
             write_trajectory_csv(Path(trajectory_dir) / results[-1].trajectory_name,
                                  record.trajectory)
-
-    cells = {}
-    for setup, _density in setups:
-        for command in commands:
-            cell = [r for r in results if r.setup == setup and r.command is command]
-            cells[(setup, command)] = _cell_stats(cell)
-    report = SuiteReport(cells=cells, trials_per_cell=trials_per_cell,
-                         base_seed=base_seed, method=method)
-    return report, results
+    return SuiteReport({key: rates(cell) for key, cell in cells.items()}, base_seed,
+                       method), results
 
 
-def _fmt(value, decimals: int = 2) -> str:
-    if value is None:
-        return "NA"
-    return f"{value:.{decimals}f}"
+def _fmt(value) -> str:
+    return "NA" if value is None else f"{value:.2f}"
+
+
+def _fixed(cell) -> list:
+    """A cell's RATES to two places, NA for None, and its trials."""
+    return [*(_fmt(cell[name]) for name in RATES), cell["trials"]]
 
 
 def write_suite_csv(report: SuiteReport, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("setup,method,command,success_rate_pct,collision_rate_pct,"
-                 "mean_nav_time_s,trials,base_seed\n")
-        for setup, _density in SETUPS:
-            for command in COMMANDS:
-                cell = report.cells.get((setup, command))
-                if cell is None:
-                    continue
-                fh.write(f"{setup},{report.method},{command.value},"
-                         f"{_fmt(cell['success_rate_pct'])},{_fmt(cell['collision_rate_pct'])},"
-                         f"{_fmt(cell['mean_nav_time_s'])},{cell['trials']},{report.base_seed}\n")
-            if all((setup, c) in report.cells for c in COMMANDS):
-                avg = report.avg(setup)
-                fh.write(f"{setup},{report.method},AVG,"
-                         f"{_fmt(avg['success_rate_pct'])},{_fmt(avg['collision_rate_pct'])},"
-                         f"{_fmt(avg['mean_nav_time_s'])},{report.trials_per_cell * 3},{report.base_seed}\n")
+    write_csv(path, ("setup", "method", "command", *RATES, "trials", "base_seed"),
+              ((setup, report.method, command, *_fixed(cell), report.base_seed)
+               for setup, command, cell in report.rows()))
 
 
 def write_trials_csv(results, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("setup,command,seed,outcome,elapsed_s,steps,nav_time_s\n")
-        for r in results:
-            nav = "" if r.nav_time is None else repr(r.nav_time)
-            fh.write(f"{r.setup},{r.command.value},{r.seed},{r.outcome.tag.value},"
-                     f"{r.outcome.elapsed!r},{r.outcome.steps},{nav}\n")
+    write_csv(path, ("setup", "command", "seed", "outcome", "elapsed_s", "steps", "nav_time_s"),
+              ((r.setup, r.command.value, r.seed, r.outcome.tag.value, r.outcome.elapsed,
+                r.outcome.steps, r.nav_time) for r in results))
 
 
 def write_trajectory_csv(path, rows) -> None:
-    with atomic_write(path) as fh:
-        fh.write("step,vehicle_id,x,y,heading,speed,delta,tau\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    write_csv(path, ("step", "vehicle_id", "x", "y", "heading", "speed", "delta", "tau"), rows)
 
 
 def write_actions_csv(path, rows) -> None:
     """The ego's (step, delta, tau) from trajectory rows."""
-    with atomic_write(path) as fh:
-        fh.write("step,delta,tau\n")
-        for row in rows:
-            if row[1] == 0:  # ego rows only
-                fh.write(f"{row[0]},{row[6]!r},{row[7]!r}\n")
+    write_csv(path, ("step", "delta", "tau"),
+              ((row[0], row[6], row[7]) for row in rows if row[1] == 0))
+
+
+def format_table(labels, rows) -> str:
+    """A text table of `rows`, each its label columns then a rates dict: the
+    labels left-aligned at the widths of `labels`' (name, width) pairs, then
+    the RATES to two places, NA for None."""
+    header = " ".join([f"{name:{width}}" for name, width in labels]
+                      + [f"{name:>8}" for name in ("SR%", "CR%", "time(s)")])
+    lines = [header, "-" * len(header)]
+    for *names, cell in rows:
+        lines.append(" ".join([f"{name:{width}}" for name, (_, width) in zip(names, labels)]
+                              + [f"{_fmt(cell[rate]):>8}" for rate in RATES]))
+    return "\n".join(lines)
 
 
 def format_report(report: SuiteReport) -> str:
-    lines = []
-    header = f"{'setup':8} {'command':12} {'SR%':>8} {'CR%':>8} {'time(s)':>8}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for setup, _density in SETUPS:
-        if not all((setup, c) in report.cells for c in COMMANDS):
-            continue
-        for command in COMMANDS:
-            cell = report.cells[(setup, command)]
-            lines.append(f"{setup:8} {command.value:12} {_fmt(cell['success_rate_pct']):>8} "
-                         f"{_fmt(cell['collision_rate_pct']):>8} {_fmt(cell['mean_nav_time_s']):>8}")
-        avg = report.avg(setup)
-        lines.append(f"{setup:8} {'AVG':12} {_fmt(avg['success_rate_pct']):>8} "
-                     f"{_fmt(avg['collision_rate_pct']):>8} {_fmt(avg['mean_nav_time_s']):>8}")
-    return "\n".join(lines)
+    return format_table((("setup", 8), ("command", 12)), report.rows())
 
 
 def run_ablation(
@@ -345,28 +313,23 @@ def run_ablation(
             setups=(("hard", 7),), commands=(Command.FORWARD,), jobs=jobs,
             method=strategy.kind.value,
         )
-        cell = report.cells[("hard", Command.FORWARD)]
         ref = REFERENCE_ABLATION.get(strategy.kind.value, {})
-        rows.append({
-            "strategy": strategy.kind.value,
-            "success_rate_pct": cell["success_rate_pct"],
-            "collision_rate_pct": cell["collision_rate_pct"],
-            "mean_nav_time_s": cell["mean_nav_time_s"],
-            "trials": trials,
-            "ref_success_rate_pct": ref.get("success_rate_pct"),
-            "ref_collision_rate_pct": ref.get("collision_rate_pct"),
-            "ref_mean_nav_time_s": ref.get("mean_nav_time_s"),
-        })
+        rows.append({"strategy": strategy.kind.value, **report.cells[("hard", Command.FORWARD)],
+                     **{f"ref_{name}": ref.get(name) for name in RATES}})
         networks[strategy.kind.value] = run.network
     return rows, networks
 
 
 def write_ablation_csv(rows, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("strategy,success_rate_pct,collision_rate_pct,mean_nav_time_s,trials,"
-                 "ref_success_rate_pct,ref_collision_rate_pct,ref_mean_nav_time_s\n")
-        for row in rows:
-            fh.write(f"{row['strategy']},{_fmt(row['success_rate_pct'])},"
-                     f"{_fmt(row['collision_rate_pct'])},{_fmt(row['mean_nav_time_s'])},"
-                     f"{row['trials']},{_fmt(row['ref_success_rate_pct'])},"
-                     f"{_fmt(row['ref_collision_rate_pct'])},{_fmt(row['ref_mean_nav_time_s'])}\n")
+    write_csv(path, ("strategy", *RATES, "trials", *(f"ref_{name}" for name in RATES)),
+              ((row["strategy"], *_fixed(row), *(_fmt(row[f"ref_{name}"]) for name in RATES))
+               for row in rows))
+
+
+def format_ablation(rows) -> str:
+    """Per strategy, its rates in this run, then the reported reference's."""
+    table = []
+    for row in rows:
+        table.append((row["strategy"], "this run", row))
+        table.append((row["strategy"], "reported", {name: row[f"ref_{name}"] for name in RATES}))
+    return format_table((("strategy", 20), ("source", 8)), table)

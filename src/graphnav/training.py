@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, usable_cpus as _usable_cpus  # tests force the step path here
+from .atomic import write_csv, usable_cpus as _usable_cpus  # tests force the step path here
 from .checkpoint import CheckpointError, graph_config_to_dict, load_checkpoint, save_checkpoint
 from .dataset import BUFFER_FILES, DemoDataset
 from .graph import GraphConfig
@@ -462,11 +462,7 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
 
 
 def write_loss_csv(path, history) -> None:
-    with atomic_write(path) as fh:
-        fh.write(",".join(LOSS_COLUMNS) + "\n")
-        for row in history:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in LOSS_COLUMNS) + "\n")
+    write_csv(path, LOSS_COLUMNS, ([row[c] for c in LOSS_COLUMNS] for row in history))
 
 
 def dataset_mean_loss(network, dataset: DemoDataset, config: TrainConfig) -> float:

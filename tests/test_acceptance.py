@@ -15,10 +15,9 @@ import pytest
 
 from graphnav.checkpoint import load_checkpoint
 from graphnav.dataset import write_dataset
-from graphnav.evaluation import (AlwaysBrake, REFERENCE_ABLATION, TrialResult,
-                                 collect_dataset, collision_rate, mean_navigation_time,
-                                 run_ablation, run_suite, success_rate, write_ablation_csv,
-                                 write_suite_csv, write_trials_csv)
+from graphnav.evaluation import (AlwaysBrake, REFERENCE_ABLATION, SuiteReport, TrialResult,
+                                 collect_dataset, rates, run_ablation, run_suite,
+                                 write_ablation_csv, write_suite_csv, write_trials_csv)
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.gradcheck import run_policy_check
 from graphnav.graph import (EdgeStrategy, EdgeStrategyKind, GraphConfig, build_adjacency,
@@ -279,10 +278,12 @@ def test_criterion_9_metric_exactness(tmp_path):
         + [TrialResult("easy", Command.FORWARD, 20 + i, outcome(OutcomeTag.TIMEOUT, 30.0))
            for i in range(3)]
     )
-    assert success_rate(results) == 30.0
-    assert collision_rate(results) == 40.0
-    assert mean_navigation_time(results) == 11.0
-    assert mean_navigation_time([r for r in results if r.outcome.tag is OutcomeTag.COLLISION]) is None
+    cell = rates(results)
+    assert cell["success_rate_pct"] == 30.0
+    assert cell["collision_rate_pct"] == 40.0
+    assert cell["mean_nav_time_s"] == 11.0
+    collisions = [r for r in results if r.outcome.tag is OutcomeTag.COLLISION]
+    assert rates(collisions)["mean_nav_time_s"] is None
 
     write_trials_csv(results, tmp_path / "trials.csv")
     with open(tmp_path / "trials.csv") as fh:
@@ -290,15 +291,13 @@ def test_criterion_9_metric_exactness(tmp_path):
     sr = 100.0 * sum(r["outcome"] == "success" for r in rows) / len(rows)
     cr = 100.0 * sum(r["outcome"] == "collision" for r in rows) / len(rows)
     nav = [float(r["nav_time_s"]) for r in rows if r["nav_time_s"]]
-    assert sr == success_rate(results)
-    assert cr == collision_rate(results)
-    assert sum(nav) / len(nav) == mean_navigation_time(results)
-
-    from graphnav.evaluation import SuiteReport
+    assert sr == cell["success_rate_pct"]
+    assert cr == cell["collision_rate_pct"]
+    assert sum(nav) / len(nav) == cell["mean_nav_time_s"]
 
     cells = {("easy", c): {"success_rate_pct": 0.0, "collision_rate_pct": 100.0,
                            "mean_nav_time_s": None, "trials": 3} for c in COMMANDS}
-    write_suite_csv(SuiteReport(cells, 3, 0, "setcil"), tmp_path / "na.csv")
+    write_suite_csv(SuiteReport(cells, 0, "setcil"), tmp_path / "na.csv")
     assert ",NA," in (tmp_path / "na.csv").read_text()
     _passed(9, "rates recompute exactly from raw records; 30%/40% case; NA rendering")
 

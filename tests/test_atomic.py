@@ -1,5 +1,8 @@
+import contextlib
 import os
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ from graphnav import atomic
 from graphnav.atomic import atomic_write, atomic_write_halves
 from graphnav.checkpoint import save_checkpoint
 from graphnav.dataset import BUFFER_FILES, DemoDataset, DemoSample, write_dataset
-from graphnav.evaluation import (SuiteReport, TrialResult, write_ablation_csv, write_actions_csv,
-                                 write_suite_csv, write_trajectory_csv, write_trials_csv)
+from graphnav.evaluation import (SuiteReport, TrialResult, rates, write_ablation_csv,
+                                 write_actions_csv, write_suite_csv, write_trajectory_csv,
+                                 write_trials_csv)
 from graphnav.graph import GraphConfig
 from graphnav.layout import Command
 from graphnav.manifest import write_manifest
@@ -48,9 +52,10 @@ def _sample(command) -> DemoSample:
 def _unserializable(tmp_path, name):
     """Each artifact writer, given data that fails partway through its write."""
     if name == "checkpoint_final.json":
-        # train_state is the last key written, after every weight
+        # train_state is the last key written, after every weight; an array is
+        # encoded only as it is written, so this one fails in the open file
         save_checkpoint(tmp_path / name, build_network("gcil", seed=0), GraphConfig(),
-                        train_state={"step": object()})
+                        train_state={"step": np.array([object()], dtype=object)})
     elif name == "forward.jsonl":
         dataset = DemoDataset()
         dataset.buffers[Command.FORWARD] = [_sample(Command.FORWARD)] * 3 + [_sample(None)]
@@ -67,8 +72,10 @@ def _unserializable(tmp_path, name):
         trial = TrialResult("easy", Command.FORWARD, 1, EpisodeOutcome(OutcomeTag.TIMEOUT, 30.0, 300))
         write_trials_csv([trial, trial, None], tmp_path / name)
     elif name == "suite_report.csv":
-        report = SuiteReport({("easy", Command.FORWARD): {"success_rate_pct": 0.0}}, 1, 0, "gcil")
-        write_suite_csv(report, tmp_path / name)
+        trial = TrialResult("easy", Command.FORWARD, 1, EpisodeOutcome(OutcomeTag.TIMEOUT, 30.0, 300))
+        cells = {("easy", Command.FORWARD): rates([trial]),
+                 ("easy", Command.TURN_LEFT): {"success_rate_pct": 0.0}}
+        write_suite_csv(SuiteReport(cells, 0, "gcil"), tmp_path / name)
     elif name == "ablation.csv":
         write_ablation_csv([{"strategy": "fully_connected"}], tmp_path / name)
     elif name in ("trajectory.csv", "actions.csv"):
@@ -77,17 +84,36 @@ def _unserializable(tmp_path, name):
         writer(tmp_path / name, [row, row, None])
 
 
+@pytest.fixture
+def entered(monkeypatch):
+    """The name of each file an `atomic_write` block was entered for, through
+    any graphnav module that holds the function."""
+    names, real = [], atomic.atomic_write
+
+    @contextlib.contextmanager
+    def spy(path):
+        names.append(Path(path).name)
+        with real(path) as fh:
+            yield fh
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("graphnav") and getattr(module, "atomic_write", None) is real:
+            monkeypatch.setattr(module, "atomic_write", spy)
+    return names
+
+
 @pytest.mark.parametrize("name", ["checkpoint_final.json", "forward.jsonl", "manifest.json",
                                   "run_manifest.json", "loss.csv", "trials.csv",
                                   "suite_report.csv", "ablation.csv", "trajectory.csv",
                                   "actions.csv"])
-def test_a_failed_artifact_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
-    """One CPU: the failure is raised where it happens, in this process."""
+def test_a_failed_artifact_write_keeps_the_previous_file(tmp_path, monkeypatch, entered, name):
+    """One CPU: the failure is raised where it happens, in this process, after
+    the temporary file is open."""
     monkeypatch.setattr(atomic, "usable_cpus", lambda: 1)
     path = tmp_path / name
     path.write_text(PREVIOUS)
     with pytest.raises((TypeError, AttributeError, KeyError)):
         _unserializable(tmp_path, name)
+    assert name in entered
     assert path.read_text() == PREVIOUS
     # no temporary file is left behind; the buffers write_dataset finished
     # before its manifest failed are whole files

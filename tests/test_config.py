@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphnav.config import (ConfigError, DEFAULTS, _VALID_KEYS, config_hash,
-                             expert_params, graph_config, load_config, noise_params,
+                             expert_params, graph_config, key_check, load_config, noise_params,
                              scenario_config, tracking_params, train_config, vehicle_params)
 from graphnav.rollout import NoiseParams
 from graphnav.expert import ExpertParams
@@ -143,3 +143,9 @@ def test_wrong_json_type_rejected_naming_the_key(section, key, value):
 def test_an_int_passes_for_a_float():
     cfg = load_config(None, overrides={"episode": {"dt": 1}, "traffic": {"cruise_speed_range": [2, 6]}})
     assert scenario_config(cfg).dt == 1 and scenario_config(cfg).cruise_speed_range == (2, 6)
+
+
+def test_a_misspelt_key_has_no_range_check_and_is_named():
+    assert key_check("eval.trials")[1] == "at least 1"
+    with pytest.raises(ConfigError, match=r"'eval\.trial'; did you mean 'eval\.trials'\?"):
+        key_check("eval.trial")

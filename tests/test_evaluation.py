@@ -9,9 +9,8 @@ import pytest
 from graphnav import evaluation, graph
 from graphnav.config import load_config, scenario_config
 from graphnav.evaluation import (AlwaysBrake, SuiteReport, TrialResult, collect_dataset,
-                                 collision_rate, format_report, mean_navigation_time,
-                                 outcome_counts, run_suite, success_rate, write_suite_csv,
-                                 write_trials_csv)
+                                 format_ablation, format_report, outcome_counts, rates, run_suite,
+                                 write_suite_csv, write_trials_csv)
 from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import GraphConfig
 from graphnav.layout import COMMANDS, Command, build_layout
@@ -27,37 +26,37 @@ def _trial(tag, elapsed=10.0, setup="easy", command=Command.FORWARD, seed=0):
 class TestRates:
     def test_seven_of_ten(self):
         results = [_trial(OutcomeTag.SUCCESS)] * 7 + [_trial(OutcomeTag.TIMEOUT)] * 3
-        assert success_rate(results) == 70.0
+        assert rates(results)["success_rate_pct"] == 70.0
+        assert rates(results)["trials"] == 10
 
     def test_seventy_trials_rounding(self):
         results = [_trial(OutcomeTag.SUCCESS)] * 55 + [_trial(OutcomeTag.COLLISION)] * 15
-        assert f"{success_rate(results):.2f}" == "78.57"
+        assert f"{rates(results)['success_rate_pct']:.2f}" == "78.57"
 
     def test_rates_need_not_sum_to_hundred(self):
         results = ([_trial(OutcomeTag.SUCCESS)] * 3 + [_trial(OutcomeTag.COLLISION)] * 4
                    + [_trial(OutcomeTag.TIMEOUT)] * 3)
-        assert success_rate(results) == 30.0
-        assert collision_rate(results) == 40.0
-        assert success_rate(results) + collision_rate(results) < 100.0
+        cell = rates(results)
+        assert cell["success_rate_pct"] == 30.0
+        assert cell["collision_rate_pct"] == 40.0
+        assert cell["success_rate_pct"] + cell["collision_rate_pct"] < 100.0
 
     def test_empty_results_error(self):
         with pytest.raises(ValueError):
-            success_rate([])
-        with pytest.raises(ValueError):
-            collision_rate([])
+            rates([])
 
 
 class TestNavigationTime:
     def test_mean_over_successes_only(self):
         results = [_trial(OutcomeTag.SUCCESS, 10.0), _trial(OutcomeTag.SUCCESS, 12.0),
                    _trial(OutcomeTag.COLLISION, 3.0)]
-        assert mean_navigation_time(results) == 11.0
+        assert rates(results)["mean_nav_time_s"] == 11.0
 
     def test_no_successes_is_na(self):
-        assert mean_navigation_time([_trial(OutcomeTag.COLLISION)]) is None
+        assert rates([_trial(OutcomeTag.COLLISION)])["mean_nav_time_s"] is None
 
     def test_single_success(self):
-        assert mean_navigation_time([_trial(OutcomeTag.SUCCESS, 14.2)]) == 14.2
+        assert rates([_trial(OutcomeTag.SUCCESS, 14.2)])["mean_nav_time_s"] == 14.2
 
 
 class TestRunSuite:
@@ -169,13 +168,19 @@ class TestReports:
                     "mean_nav_time_s": float(rng.uniform(10, 18)),
                     "trials": 70,
                 }
-        return SuiteReport(cells=cells, trials_per_cell=70, base_seed=1, method="gcil")
+        return SuiteReport(cells=cells, base_seed=1, method="gcil")
+
+    @staticmethod
+    def _avg(report, setup):
+        (avg,) = [cell for s, command, cell in report.rows() if (s, command) == (setup, "AVG")]
+        return avg
 
     def test_avg_is_arithmetic_mean(self):
         report = self._report()
-        avg = report.avg("middle")
+        avg = self._avg(report, "middle")
         srs = [report.cells[("middle", c)]["success_rate_pct"] for c in COMMANDS]
         assert avg["success_rate_pct"] == pytest.approx(sum(srs) / 3)
+        assert avg["trials"] == 3 * 70
 
     def test_csv_re_aggregates_exactly(self, tmp_path):
         report = self._report()
@@ -185,7 +190,7 @@ class TestReports:
         assert len(rows) == 12  # 9 cells + 3 AVG rows
         for row in rows:
             if row["command"] == "AVG":
-                avg = report.avg(row["setup"])
+                avg = self._avg(report, row["setup"])
                 assert row["success_rate_pct"] == f"{avg['success_rate_pct']:.2f}"
             else:
                 cell = report.cells[(row["setup"], Command(row["command"]))]
@@ -195,7 +200,7 @@ class TestReports:
     def test_na_rendering(self, tmp_path):
         cells = {("easy", c): {"success_rate_pct": 0.0, "collision_rate_pct": 100.0,
                                "mean_nav_time_s": None, "trials": 5} for c in COMMANDS}
-        report = SuiteReport(cells=cells, trials_per_cell=5, base_seed=0, method="setcil")
+        report = SuiteReport(cells=cells, base_seed=0, method="setcil")
         path = tmp_path / "suite.csv"
         write_suite_csv(report, path)
         content = path.read_text()
@@ -213,7 +218,32 @@ class TestReports:
         assert rows[1]["nav_time_s"] == ""
         # rates recomputed from the raw rows match the aggregate exactly
         n_success = sum(1 for r in rows if r["outcome"] == "success")
-        assert 100.0 * n_success / len(rows) == success_rate(results)
+        assert 100.0 * n_success / len(rows) == rates(results)["success_rate_pct"]
+
+    def test_a_partial_grid_lists_its_cells_and_averages_complete_setups(self, tmp_path):
+        cells = {**{("hard", c): rates([_trial(OutcomeTag.SUCCESS, 12.0)]) for c in COMMANDS},
+                 ("easy", Command.TURN_LEFT): rates([_trial(OutcomeTag.COLLISION)])}
+        report = SuiteReport(cells=cells, base_seed=0, method="gcil")
+        assert [(setup, command) for setup, command, _ in report.rows()] == [
+            ("easy", "turn_left"), ("hard", "forward"), ("hard", "turn_left"),
+            ("hard", "turn_right"), ("hard", "AVG")]
+        write_suite_csv(report, tmp_path / "suite.csv")
+        csv_rows = list(csv.DictReader((tmp_path / "suite.csv").open()))
+        table = format_report(report).splitlines()[2:]
+        assert [(r["setup"], r["command"]) for r in csv_rows] == [tuple(line.split()[:2])
+                                                                  for line in table]
+
+
+def test_the_ablation_table_has_eval_s_rate_columns_and_the_reported_rates():
+    rows = [{"strategy": "star_connected", **rates([_trial(OutcomeTag.SUCCESS, 12.5)]),
+             "ref_success_rate_pct": 45.71, "ref_collision_rate_pct": 54.29,
+             "ref_mean_nav_time_s": None}]
+    header, rule, run, reported = format_ablation(rows).splitlines()
+    assert header.split() == ["strategy", "source", "SR%", "CR%", "time(s)"]
+    assert header.endswith(" SR%      CR%  time(s)")  # format_report's rate columns
+    assert rule == "-" * len(header) and len(run) == len(reported) == len(header)
+    assert run.split() == ["star_connected", "this", "run", "100.00", "0.00", "12.50"]
+    assert reported.split() == ["star_connected", "reported", "45.71", "54.29", "NA"]
 
 
 def test_outcome_counts_list_every_tag_per_setup_and_command():
