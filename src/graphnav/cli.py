@@ -104,21 +104,21 @@ def _add_common(parser, jobs: bool = False) -> None:
 
 def cmd_collect(args, cfg: dict, out: Path) -> tuple:
     base_seed, episodes = cfg["train"]["seed"], cfg["train"]["episodes_per_command"]
+    digest = config_hash(cfg)  # taken first: nothing may raise between collect and write
     dataset, outcomes = collect_dataset(
         scenario_config(cfg, mode="train"), graph_config(cfg), expert_params(cfg),
         episodes_per_command=episodes, base_seed=base_seed,
-        densities=train_densities(cfg), jobs=args.jobs, noise=noise_params(cfg),
+        densities=train_densities(cfg), jobs=args.jobs, noise=noise_params(cfg), out_dir=out,
     )
-    dataset.manifest["config_hash"] = config_hash(cfg)
+    dataset.manifest["config_hash"] = digest
     write_started = time.perf_counter()
-    processes = write_dataset(dataset, out)
-    write_s = time.perf_counter() - write_started
+    buffers = write_dataset(dataset, out)
+    write_s = time.perf_counter() - write_started  # what is left to write after the last episode
     rates = dataset.manifest["expert_success_rate_pct"]
     for command, rate in rates.items():
         print(f"expert success rate [{command}]: {rate:.1f}%")
     print(f"wrote {dataset.total()} samples to {out}")
-    counters = {"outcomes": outcomes, "dataset_write_s": write_s,
-                "dataset_write_processes": processes}
+    counters = {"outcomes": outcomes, "dataset_write_s": write_s, "dataset_buffers": buffers}
     return ({"base_seed": base_seed, "episodes_per_command": episodes},
             [out / name for name in [*BUFFER_FILES.values(), "manifest.json"]],
             {"expert_success_rate_pct": rates, "counters": counters})

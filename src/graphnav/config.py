@@ -134,7 +134,7 @@ _TABLE = (
     _row("train.eval_every", (TrainConfig, "eval_every"), check=_NON_NEGATIVE),
     _row("train.seed", (TrainConfig, "seed"), check=_NON_NEGATIVE),
     _row("train.network", (TrainConfig, "network"), check=_one_of(NETWORK_KINDS)),
-    _row("train.episodes_per_command", check=_NON_NEGATIVE, default=100),
+    _row("train.episodes_per_command", check=_AT_LEAST_ONE, default=100),
     _row("train.densities", convert=_densities,
          check=(lambda d: min(d.values()) >= 0, "non-negative counts for forward, turn_left, turn_right"),
          default={c.value: n for c, n in TRAIN_DENSITIES.items()}),

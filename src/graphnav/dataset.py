@@ -6,20 +6,24 @@ and its label, not its adjacency, which training builds from `S`. All of a
 buffer's records have one node count; reading refuses one that differs.
 Records round-trip exactly: floats are written with shortest-repr JSON
 encoding, which parses back bit-identical.
-Each buffer goes through checkpoints' two-process writer
-(`atomic.atomic_write_halves`): a forked helper on another CPU writes the
-back half of the records, with the same bytes as one process writes.
+A finished buffer may be handed to a forked writer on another CPU
+(`DemoDataset.write_behind`, `atomic.WriteBehind`) while collection goes on;
+`write_dataset` moves its file into place and writes every other buffer
+through checkpoints' two-process writer (`atomic.atomic_write_halves`), a
+forked helper writing the back half of the records. Either way the bytes
+are those one process writes.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, atomic_write_halves
+from .atomic import WriteBehind, atomic_write, atomic_write_halves
 from .graph import GraphConfig
 from .jsontypes import COMPACT, has_type_of, require_types
 from .layout import COMMANDS, Command
@@ -46,6 +50,23 @@ class DatasetFormatError(ValueError):
 class DemoDataset:
     buffers: dict = field(default_factory=lambda: {c: [] for c in COMMANDS})
     manifest: dict = field(default_factory=dict)
+    # buffer path -> the WriteBehind writing it, until write_dataset reaps it
+    writers: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def write_behind(self, command: Command, out_dir) -> None:
+        """Start writing `command`'s buffer, which must be complete, into
+        `out_dir` from a forked process; `write_dataset` into the same
+        directory moves it into place."""
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / BUFFER_FILES[command]
+        self.writers[path] = WriteBehind(path, _emit_records, self.buffers[command])
+
+    def cancel_writers(self) -> None:
+        """Kill and reap every writer and remove its file."""
+        for writer in self.writers.values():
+            writer.cancel()
+        self.writers.clear()
 
     def counts(self) -> dict:
         return {c.value: len(self.buffers[c]) for c in COMMANDS}
@@ -87,23 +108,38 @@ def _emit_records(fh, samples: list) -> None:
         fh.write(COMPACT.encode(_sample_to_record(sample)) + "\n")
 
 
-def write_dataset(dataset: DemoDataset, out_dir) -> int:
-    """Write the buffers, then the manifest; returns the most processes that
-    wrote one buffer (1 or 2). Each buffer is cut at half its records: a
-    buffer's records all have one node count, as density is fixed per command."""
+def write_dataset(dataset: DemoDataset, out_dir) -> dict:
+    """Write the buffers, then the manifest. Returns, per command, whether
+    its buffer was written `behind`, by how many `processes` and in how many
+    wall seconds (`write_s`). A buffer whose writer `dataset.write_behind`
+    started into `out_dir` is moved into place once that writer is reaped;
+    any other is written here, cut at half its records: a buffer's records
+    all have one node count, as density is fixed per command. On any
+    failure, an interrupt included, every writer is killed and reaped and
+    no temporary file is left."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    processes = 1
-    for command, filename in BUFFER_FILES.items():
-        samples = dataset.buffers[command]
-        half = (len(samples) + 1) // 2
-        processes = max(processes, atomic_write_halves(out_dir / filename, _emit_records,
-                                                       samples[:half], samples[half:]))
+    writes = {}
+    try:
+        for command, filename in BUFFER_FILES.items():
+            path = out_dir / filename
+            writer = dataset.writers.pop(path, None)
+            if writer is not None:
+                writes[command.value] = {"behind": True, "processes": 1, "write_s": writer.finish()}
+                continue
+            started = time.perf_counter()
+            samples = dataset.buffers[command]
+            half = (len(samples) + 1) // 2
+            processes = atomic_write_halves(path, _emit_records, samples[:half], samples[half:])
+            writes[command.value] = {"behind": False, "processes": processes,
+                                     "write_s": time.perf_counter() - started}
+    finally:
+        dataset.cancel_writers()
     manifest = {**dataset.manifest, "schema_version": SCHEMA_VERSION}
     manifest["counts"] = dataset.counts()
     with atomic_write(out_dir / "manifest.json") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return processes
+    return writes
 
 
 def read_buffer(path, expected_command: Command) -> list[DemoSample]:

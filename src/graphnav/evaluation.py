@@ -5,10 +5,12 @@ printed table, and every CSV is written by `atomic.write_csv`."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import atomic
 from .atomic import write_csv
 from .dataset import SCHEMA_VERSION, DemoDataset
 from .expert import ExpertController, ExpertParams
@@ -58,12 +60,13 @@ RATES = ("success_rate_pct", "collision_rate_pct", "mean_nav_time_s")
 def rates(results) -> dict:
     """One cell's RATES and trial count: the success and collision rates in
     percent, and the mean navigation time of its successful trials (None,
-    rendered NA, when none succeeded)."""
+    rendered NA, when none succeeded). A result is anything with an
+    `outcome`: a trial result or an episode record."""
     results = list(results)
     if not results:
         raise ValueError("rates need at least one trial")
     tags = [r.outcome.tag for r in results]
-    times = [r.nav_time for r in results if r.nav_time is not None]
+    times = [r.outcome.elapsed for r in results if r.outcome.tag is OutcomeTag.SUCCESS]
     return {"success_rate_pct": 100.0 * tags.count(OutcomeTag.SUCCESS) / len(results),
             "collision_rate_pct": 100.0 * tags.count(OutcomeTag.COLLISION) / len(results),
             "mean_nav_time_s": sum(times) / len(times) if times else None,
@@ -148,17 +151,21 @@ def _run_shared(task) -> EpisodeRecord:
 
 def run_episodes(controller, base_cfg: ScenarioConfig, graph_cfg: GraphConfig, tasks,
                  jobs: int = 1, noise: NoiseParams | None = None, record_samples: bool = False,
-                 record_trajectory: bool = False) -> list[EpisodeRecord]:
+                 record_trajectory: bool = False) -> Iterator[EpisodeRecord]:
     """One episode of `base_cfg` per (command, density, seed) task, with that
-    command and density; the records come back in task order. With `jobs` > 1
-    the tasks are mapped over worker processes in POOL_CHUNKSIZE chunks."""
+    command and density; the records are yielded in task order as they
+    finish. With `jobs` > 1 the tasks are mapped over worker processes in
+    POOL_CHUNKSIZE chunks, one pool for all of them, shut down before the
+    generator ends."""
     shared = (controller, base_cfg, graph_cfg, noise, record_samples, record_trajectory)
     workers = pool_size(jobs, len(tasks))
     if workers <= 1:
-        return [_run_task(*shared, task) for task in tasks]
+        for task in tasks:
+            yield _run_task(*shared, task)
+        return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=shared) as pool:
-        return list(pool.map(_run_shared, tasks, chunksize=POOL_CHUNKSIZE))
+        yield from pool.map(_run_shared, tasks, chunksize=POOL_CHUNKSIZE)
 
 
 def collect_dataset(
@@ -170,31 +177,49 @@ def collect_dataset(
     densities: dict | None = None,
     jobs: int = 1,
     noise: NoiseParams | None = NoiseParams(),
+    out_dir=None,
 ) -> tuple[DemoDataset, dict]:
     """Per-command buffers of expert episodes, failed ones kept, and the expert's
     outcome counts per command; the success rates go into the dataset's manifest.
-    The expert keeps no state, so one instance drives every episode."""
+    The expert keeps no state, so one instance drives every episode.
+
+    Episodes run in COMMANDS order. With `out_dir`, where this process runs
+    them itself (no pool: a fork would copy a pool's threads) and two CPUs
+    are usable, each command's buffer but the last is handed to a forked
+    writer into `out_dir` (`DemoDataset.write_behind`) as soon as its last
+    episode is in, so it is written while the next command's episodes run;
+    `write_dataset` into `out_dir` reaps the writers and writes the rest.
+    If an episode raises, every writer is killed and reaped first."""
     densities = densities or TRAIN_DENSITIES
     tasks = [(command, densities[command], base_seed + ci * episodes_per_command + i)
              for ci, command in enumerate(COMMANDS) for i in range(episodes_per_command)]
     expert = ExpertController(expert_params, base_cfg.vehicle, base_cfg.tracking)
-    records = run_episodes(expert, base_cfg, graph_cfg, tasks, jobs=jobs, noise=noise,
-                           record_samples=True)
-
+    behind = (out_dir is not None and pool_size(jobs, len(tasks)) <= 1
+              and atomic.usable_cpus() > 1)
     dataset = DemoDataset()
-    outcomes = {c.value: {tag.value: 0 for tag in OutcomeTag} for c in COMMANDS}
-    for record in records:
-        dataset.buffers[record.command].extend(record.samples)
-        outcomes[record.command.value][record.outcome.tag.value] += 1
-    rates = {c: 100.0 * counts[OutcomeTag.SUCCESS.value] / max(1, episodes_per_command)
-             for c, counts in outcomes.items()}
+    results = {c: [] for c in COMMANDS}
+    try:
+        for record in run_episodes(expert, base_cfg, graph_cfg, tasks, jobs=jobs, noise=noise,
+                                   record_samples=True):
+            dataset.buffers[record.command].extend(record.samples)
+            results[record.command].append(record)
+            if behind and record.command is not COMMANDS[-1] \
+                    and len(results[record.command]) == episodes_per_command:
+                dataset.write_behind(record.command, out_dir)
+    except BaseException:
+        dataset.cancel_writers()
+        raise
+
+    outcomes = {c.value: {tag.value: sum(r.outcome.tag is tag for r in results[c])
+                          for tag in OutcomeTag} for c in COMMANDS}
     dataset.manifest = {
         "schema_version": SCHEMA_VERSION,
         "base_seed": base_seed,
         "episodes_per_command": episodes_per_command,
         "densities": {c.value: densities[c] for c in COMMANDS},
         "counts": dataset.counts(),
-        "expert_success_rate_pct": rates,
+        "expert_success_rate_pct": {c.value: rates(results[c])["success_rate_pct"]
+                                    for c in COMMANDS},
         **graph_cfg.feature_settings(),
         # stored features are raw physical units; policy networks divide by
         # fixed characteristic scales (see policies.BLOCK_SCALE) at their input

@@ -13,8 +13,8 @@ from graphnav.world import ScenarioConfig, WorldState
 
 @pytest.fixture
 def helper_pids(monkeypatch):
-    """The pid of every helper `atomic.atomic_write_halves` forks; one is
-    forked even on a one-CPU host."""
+    """The pid of every helper `atomic.atomic_write_halves` forks and of
+    every `atomic.WriteBehind` writer; they are forked even on a one-CPU host."""
     pids = []
     fork = os.fork
 

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import reaped
 from graphnav.cli import main
 from graphnav.config import load_config, train_config
 from graphnav.dataset import read_dataset
@@ -719,6 +720,7 @@ def test_a_config_flag_overrides_its_key_in_the_run_manifest(tmp_path, monkeypat
     (["ablate", "--dataset", "d", "--trials", "0"], "--trials"),
     (["replay", "--checkpoint", "c", "--seed", "1", "--density", "-1"], "--density"),
     (["ablate", "--dataset", "d", "--strategies", "mesh"], "--strategies"),
+    (["collect", "--episodes", "0"], "--episodes"),
 ])
 def test_flag_out_of_its_config_range_is_usage_error(tmp_path, capsys, argv, flag):
     # the flags stand in for config keys and take those keys' range checks;
@@ -804,8 +806,39 @@ def test_collect_manifest_counts_outcomes_and_the_write(workdir):
     assert all(sum(tags.values()) == 2 for tags in outcomes.values())  # episodes_per_command
     assert {"success", "collision", "timeout", "goal_missed"} == set(outcomes["forward"])
     assert isinstance(counters["dataset_write_s"], float) and counters["dataset_write_s"] > 0
-    assert counters["dataset_write_processes"] == (2 if atomic.usable_cpus() > 1 else 1)
+    # with two CPUs, forward and turn_left are written behind the next command's episodes
+    two = atomic.usable_cpus() > 1
+    buffers = counters["dataset_buffers"]
+    assert {c: (b["behind"], b["processes"]) for c, b in buffers.items()} == {
+        "forward": (two, 1), "turn_left": (two, 1), "turn_right": (False, 2 if two else 1)}
+    assert all(isinstance(b["write_s"], float) and b["write_s"] > 0 for b in buffers.values())
     assert "counters" not in json.loads((workdir["data"] / "manifest.json").read_text())
+
+
+def test_a_failed_buffer_writer_exits_3_naming_its_buffer(tmp_path, monkeypatch, capsys,
+                                                         helper_pids):
+    """The forward buffer's writer fails behind the turn_left episodes:
+    collect exits 3 naming forward.jsonl, every writer is reaped, and the
+    previous manifest.json is all the output directory holds."""
+    from graphnav import dataset
+    from graphnav.layout import Command
+    emit = dataset._emit_records
+
+    def failing(fh, samples):
+        if samples[0].command is Command.FORWARD:
+            raise OSError("No space left on device")
+        emit(fh, samples)
+    monkeypatch.setattr(dataset, "_emit_records", failing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    out = tmp_path / "data"
+    out.mkdir()
+    (out / "manifest.json").write_text("previous\n")
+    assert main(["collect", "--config", str(config), "--out", str(out), "--seed", "3"]) == 3
+    assert f"cannot write {out / 'forward.jsonl'}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == "previous\n"
+    assert len(helper_pids) == 2 and all(map(reaped, helper_pids))
 
 
 def test_train_manifest_lists_only_this_runs_checkpoints(workdir, tmp_path):

@@ -1,4 +1,8 @@
 import json
+import os
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -169,7 +173,8 @@ def test_parallel_collection_sends_shared_state_once(recording_pool):
 def test_helper_and_one_cpu_writes_give_the_same_bytes(tmp_path, monkeypatch, helper_pids,
                                                        tiny_dataset, sizes):
     """Buffers whose back half a forked helper writes equal one process's
-    bytes; one helper is forked and reaped per buffer of two records or more."""
+    bytes; one helper is forked and reaped per buffer of two records or more,
+    and write_dataset reports each buffer's processes."""
     dataset = tiny_dataset
     if sizes is not None:
         dataset = DemoDataset({c: tiny_dataset.buffers[c][:n] for c, n in zip(COMMANDS, sizes)},
@@ -177,10 +182,95 @@ def test_helper_and_one_cpu_writes_give_the_same_bytes(tmp_path, monkeypatch, he
     written, processes = {}, {}
     for cpus in (2, 1):
         monkeypatch.setattr(atomic, "usable_cpus", lambda cpus=cpus: cpus)
-        processes[cpus] = write_dataset(dataset, tmp_path / str(cpus))
+        writes = write_dataset(dataset, tmp_path / str(cpus))
+        processes[cpus] = {c: w["processes"] for c, w in writes.items() if not w["behind"]}
         written[cpus] = {p.name: p.read_bytes() for p in (tmp_path / str(cpus)).iterdir()}
     assert written[2] == written[1]
     assert sorted(written[1]) == sorted([*BUFFER_FILES.values(), "manifest.json"])
     forked = sum(len(b) >= 2 for b in dataset.buffers.values())
-    assert processes == {2: 2, 1: 1} and forked == (3 if sizes is None else 1)
+    assert processes == {cpus: {c.value: 2 if cpus == 2 and len(dataset.buffers[c]) >= 2 else 1
+                                for c in COMMANDS} for cpus in (2, 1)}
+    assert forked == (3 if sizes is None else 1)
     assert len(helper_pids) == forked and all(map(reaped, helper_pids))
+
+
+_STREAMED = dict(base_cfg=ScenarioConfig(density=2, timeout_s=20.0), graph_cfg=GraphConfig(),
+                 expert_params=ExpertParams(), episodes_per_command=2, base_seed=83,
+                 densities={c: 2 for c in COMMANDS})
+
+
+def _files(directory) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("jobs, cpus", [(1, 2), (1, 1), (2, 2), (2, 1)])
+def test_a_streamed_collect_writes_the_bytes_of_write_dataset(tmp_path, monkeypatch, jobs, cpus):
+    """Buffers written behind the episodes, and the manifest after them, equal
+    write_dataset of the same dataset; only a serial collect on two CPUs
+    writes forward and turn_left behind."""
+    monkeypatch.setattr(atomic, "usable_cpus", lambda: cpus)
+    dataset, _ = collect_dataset(**_STREAMED, jobs=jobs)
+    write_dataset(dataset, tmp_path / "whole")
+    streamed, _ = collect_dataset(**_STREAMED, jobs=jobs, out_dir=tmp_path / "streamed")
+    writes = write_dataset(streamed, tmp_path / "streamed")
+    assert _files(tmp_path / "streamed") == _files(tmp_path / "whole")
+    assert sorted(_files(tmp_path / "whole")) == sorted([*BUFFER_FILES.values(), "manifest.json"])
+    behind = jobs == 1 and cpus == 2
+    assert {c: w["behind"] for c, w in writes.items()} == {
+        "forward": behind, "turn_left": behind, "turn_right": False}
+    assert streamed.writers == {}
+
+
+class _LaterEpisodeFails(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [_LaterEpisodeFails, KeyboardInterrupt])
+def test_an_episode_that_raises_reaps_every_writer(tmp_path, monkeypatch, helper_pids, error):
+    """The first turn_right episode raises after forward and turn_left went
+    to their writers: both are killed and reaped, and no file is left."""
+    run_episode = evaluation.run_episode
+
+    def failing(cfg, seed, *args, **kwargs):
+        if cfg.command is Command.TURN_RIGHT:
+            raise error
+        return run_episode(cfg, seed, *args, **kwargs)
+    monkeypatch.setattr(evaluation, "run_episode", failing)
+    with pytest.raises(error):
+        collect_dataset(**_STREAMED, out_dir=tmp_path)
+    assert len(helper_pids) == 2 and all(map(reaped, helper_pids))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_process_is_forked_while_the_pool_is_open(tmp_path, monkeypatch):
+    """With jobs=2 every buffer is written after the pool has shut down: the
+    only forks while it is open are its own workers'."""
+    class Tracked(ProcessPoolExecutor):
+        open = False
+
+        def __enter__(self):
+            Tracked.open = True
+            return super().__enter__()
+
+        def __exit__(self, *exc):
+            try:
+                return super().__exit__(*exc)
+            finally:
+                Tracked.open = False
+
+    forks, fork = [], os.fork
+
+    def recording():
+        caller = sys._getframe(1).f_globals["__name__"]
+        if os.getpid() == parent:
+            forks.append((caller, Tracked.open or threading.active_count() > 1))
+        return fork()
+    parent = os.getpid()
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Tracked)
+    monkeypatch.setattr(os, "fork", recording)
+    monkeypatch.setattr(atomic, "usable_cpus", lambda: 2)
+    dataset, _ = collect_dataset(**_STREAMED, jobs=2, out_dir=tmp_path)
+    write_dataset(dataset, tmp_path)
+    ours = [pool_open for caller, pool_open in forks if caller.startswith("graphnav.")]
+    assert ours == [False] * 3  # one halves helper per buffer, after the pool
+    assert any(pool_open for caller, pool_open in forks if not caller.startswith("graphnav."))
