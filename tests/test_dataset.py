@@ -261,11 +261,9 @@ def test_no_process_is_forked_while_the_pool_is_open(tmp_path, monkeypatch):
     forks, fork = [], os.fork
 
     def recording():
-        caller = sys._getframe(1).f_globals["__name__"]
-        if os.getpid() == parent:
-            forks.append((caller, Tracked.open or threading.active_count() > 1))
+        forks.append((sys._getframe(1).f_globals["__name__"],
+                      Tracked.open or threading.active_count() > 1))
         return fork()
-    parent = os.getpid()
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Tracked)
     monkeypatch.setattr(os, "fork", recording)
     monkeypatch.setattr(atomic, "usable_cpus", lambda: 2)
