@@ -9,6 +9,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+_CELL = 1.0  # m, side of the grid cells whose candidate segments project caches
+_MARGIN = 5.0  # m, how far past its points' bounding box a polyline caches cells
+
 
 def normalize_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -29,12 +32,26 @@ class Polyline:
     overhead. They repeat the arithmetic of the numpy formulation kept in
     tests/test_geometry.py operation for operation, so their results are
     bit-identical to it.
+
+    `project` loops only over the segments cached for the point's `_CELL`
+    grid cell: those whose distance from the cell centre is within
+    `2r + pad` of the smallest one, `r` being the cell's half-diagonal and
+    `pad` a rounding margin. Every point of the cell lies within `r` of the
+    centre, so a segment left out is farther from the point than the
+    centre's closest segment, by more than rounding can close; the loop's
+    arithmetic and order are unchanged, so it returns the full scan's bits
+    and ties still go to the earliest segment. A one-segment polyline, a
+    point outside the points' bounding box grown by `_MARGIN`, and a
+    non-finite point take the full scan and add no cell, so a polyline
+    caches at most `cell_cap` cells.
     """
 
     def __init__(self, points) -> None:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
             raise ValueError(f"polyline needs (M, 2) points, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("polyline contains a non-finite point")
         segs = np.diff(pts, axis=0)
         lens = np.hypot(segs[:, 0], segs[:, 1])
         if np.any(lens <= 0.0):
@@ -50,6 +67,36 @@ class Polyline:
             for (px, py), (sx, sy), ln, c in zip(pts[:-1].tolist(), segs.tolist(),
                                                  lens.tolist(), self._cum)
         )
+        # (x_lo, x_hi, y_lo, y_hi) of the cached region; empty for one segment,
+        # where a cell lookup costs more than the scan it saves
+        lo = (pts.min(axis=0) - _MARGIN).tolist()
+        hi = (pts.max(axis=0) + _MARGIN).tolist()
+        self._box = ((lo[0], hi[0], lo[1], hi[1]) if len(self._table) > 1
+                     else (math.inf, -math.inf, math.inf, -math.inf))
+        self._pad = 1e-9 * (1.0 + max(map(abs, lo + hi)))
+        self._cells: dict = {}
+
+    @property
+    def cell_cap(self) -> int:
+        """Most cells `project` can cache: those that meet the cached region."""
+        x0, x1, y0, y1 = self._box
+        if x0 > x1:
+            return 0
+        nx = math.floor(x1 / _CELL) - math.floor(x0 / _CELL) + 1
+        return nx * (math.floor(y1 / _CELL) - math.floor(y0 / _CELL) + 1)
+
+    def _candidates(self, key: tuple) -> tuple:
+        """The table rows that can hold the closest segment to a point of cell
+        `key`, in table order; cached."""
+        cx, cy = (key[0] + 0.5) * _CELL, (key[1] + 0.5) * _CELL
+        dist = []
+        for px, py, sx, sy, _, ln2, _ in self._table:
+            t = min(max(((cx - px) * sx + (cy - py) * sy) / ln2, 0.0), 1.0)
+            dist.append(math.hypot(cx - (px + t * sx), cy - (py + t * sy)))
+        cut = min(dist) + _CELL * math.sqrt(2.0) + self._pad  # + 2r
+        rows = tuple(row for row, d in zip(self._table, dist) if d <= cut)
+        self._cells[key] = rows
+        return rows
 
     def _segment(self, s: float) -> tuple:
         i = bisect_right(self._cum, s) - 1
@@ -79,9 +126,15 @@ class Polyline:
         Ties go to the earliest segment.
         """
         x, y = float(x), float(y)
+        x0, x1, y0, y1 = self._box
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            key = (math.floor(x / _CELL), math.floor(y / _CELL))
+            rows = self._cells.get(key) or self._candidates(key)
+        else:
+            rows = self._table
         best_d2 = math.inf
         best_s = 0.0
-        for px, py, sx, sy, ln, ln2, c in self._table:
+        for px, py, sx, sy, ln, ln2, c in rows:
             t = ((x - px) * sx + (y - py) * sy) / ln2
             t = t if t > 0.0 else 0.0
             t = t if t < 1.0 else 1.0

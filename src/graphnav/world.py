@@ -87,8 +87,10 @@ class WorldState:
     the routes: per agent, (vehicle, same route, that vehicle's entry_s) for
     each vehicle that may lead it. Those are the other agents on its inbound
     arm in index order, then the ego if agents react to it and it shares
-    the arm. The layout and its routes are shared by every trial and never
-    mutated, so nothing carries over from one trial to the next.
+    the arm. The layout and its routes are shared by every trial. The one
+    state they keep is each route path's projection cache, which carries
+    over from trial to trial but cannot change a result: `Polyline.project`
+    returns the bits of its full scan from a cold or a warm cache.
     """
 
     dt: float

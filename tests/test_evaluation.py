@@ -115,6 +115,25 @@ def test_trial_order_does_not_change_trials_csv(tmp_path):
     assert written[0] == written[1]
 
 
+def test_warm_projection_caches_change_no_trial():
+    """Each route's Polyline caches the candidate segments of every grid cell
+    it projects, and the cache outlives the trial, the run and the fork of a
+    pool's workers. The same trials over cleared, warm and forked-warm caches
+    give the same results."""
+    cfg = ScenarioConfig(react_to_ego=True, allow_ego_arm=True, nonconflicting_fraction=0.5)
+    expert = ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking)
+
+    def run(jobs=1):
+        return run_suite(expert, cfg, GraphConfig(), 2, 300, setups=(("easy", 3), ("hard", 7)),
+                         jobs=jobs)[1]
+
+    build_layout.cache_clear()
+    cold = run()
+    assert any(route.path._cells for route in cfg.layout().routes.values())
+    assert run() == cold
+    assert run(jobs=2) == cold
+
+
 @pytest.fixture
 def recording_executor(recording_pool):
     return recording_pool(evaluation)

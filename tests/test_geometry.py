@@ -50,6 +50,13 @@ class TestPolyline:
         with pytest.raises(ValueError):
             Polyline([(0.0, 0.0), (0.0, 0.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Polyline([(0.0, 0.0), (bad, 1.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            Polyline([(0.0, 0.0), (1.0, 0.0), (2.0, bad)])
+
 
 def _grid_overlap_oracle(a, b, n=100):
     """Dense point sampling: any grid point of rectangle a inside rectangle b."""
@@ -237,3 +244,146 @@ def test_project_returns_python_floats():
     _key, path = _layout_paths()[0]
     s, lateral = path.project(np.float64(1.0), np.float64(-20.0))
     assert type(s) is float and type(lateral) is float
+
+
+# --- the per-cell candidate cache of Polyline.project ---
+
+def _full_scan(path: Polyline, x: float, y: float) -> tuple[float, float]:
+    """`project`'s loop over every segment, which the cell lists must not change."""
+    best_d2, best_s = math.inf, 0.0
+    for px, py, sx, sy, ln, ln2, c in path._table:
+        t = ((x - px) * sx + (y - py) * sy) / ln2
+        t = t if t > 0.0 else 0.0
+        t = t if t < 1.0 else 1.0
+        dx = x - (px + t * sx)
+        dy = y - (py + t * sy)
+        d2 = dx * dx + dy * dy
+        if d2 < best_d2:
+            best_d2, best_s = d2, c + t * ln
+    return best_s, math.sqrt(best_d2)
+
+
+def _assert_exact_cold_and_warm(path, points, seed):
+    """Exact on a fresh copy of `path`, then again, in reverse order, on a copy
+    warmed first by other points near the path."""
+    cold = Polyline(path.points)
+    for x, y in points:
+        assert cold.project(x, y) == _reference_project(cold, x, y), (x, y)
+    warm = Polyline(path.points)
+    rng = np.random.default_rng(seed)
+    for s in rng.permutation(np.linspace(-6.0, warm.length + 6.0, 400)).tolist():
+        px, py = warm.point_at(s)
+        jx, jy = rng.normal(0.0, 2.0, size=2).tolist()
+        warm.project(px + jx, py + jy)
+    assert warm._cells or warm.cell_cap == 0
+    for x, y in points[::-1]:
+        assert warm.project(x, y) == _reference_project(warm, x, y), (x, y)
+    assert len(warm._cells) <= warm.cell_cap
+
+
+def _cell_edge_points(path):
+    """Cell corners and points on cell edges around the path, every metre."""
+    out = []
+    for s in np.arange(-3.0, path.length + 3.0, 1.0).tolist():
+        x, y = path.point_at(s)
+        fx, fy = math.floor(x), math.floor(y)
+        out += [(fx + a, fy + b) for a in (-1.0, 0.0, 1.0, 2.0) for b in (-1.0, 0.0, 1.0, 2.0)]
+        out += [(float(fx), y), (x, float(fy)), (fx - 1.0, y), (x, fy + 1.0)]
+    return out
+
+
+def _vertex_and_bisector_points(path):
+    pts = path.points
+    out = pts.tolist() + (0.5 * (pts[:-1] + pts[1:])).tolist()
+    for i in range(1, len(pts) - 1):
+        a = (pts[i - 1] - pts[i]) / np.hypot(*(pts[i - 1] - pts[i]))
+        b = (pts[i + 1] - pts[i]) / np.hypot(*(pts[i + 1] - pts[i]))
+        if np.hypot(*(a + b)) < 1e-9:
+            continue
+        bis = (a + b) / np.hypot(*(a + b))
+        for r in (0.1, 0.5, 1.0, 3.0):
+            out += [tuple((pts[i] - r * bis).tolist()), tuple((pts[i] + r * bis).tolist())]
+    return out
+
+
+def test_cached_project_exact_on_cell_edges_corners_vertices_and_ties():
+    for i, (_key, path) in enumerate(_layout_paths() + _oblique_paths()):
+        points = _cell_edge_points(path) + _vertex_and_bisector_points(path)
+        points += [(0.0, 0.0), (-0.0, -0.0), (-1.0, -1.0), (-2.0, 3.0), (2.0, -2.0)]
+        _assert_exact_cold_and_warm(path, points, seed=i)
+    corner = Polyline([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)])
+    ties = [(10.0 - d, d) for d in (0.5, 1.0, 2.0, 2.5, 4.0)] + [(10.0 + d, -d) for d in (0.5, 1.0, 3.0)]
+    _assert_exact_cold_and_warm(corner, ties, seed=99)
+    assert Polyline(corner.points).project(8.0, 2.0)[0] == 8.0  # first segment wins the tie
+
+
+def test_cached_project_exact_at_random_points_cold_and_warm():
+    rng = np.random.default_rng(3)
+    for i, (_key, path) in enumerate(_layout_paths() + _oblique_paths()):
+        s = rng.uniform(-5.0, path.length + 5.0, size=150)
+        on = [path.point_at(v) for v in s]
+        jitter = rng.normal(0.0, 3.0, size=(150, 2)).tolist()
+        points = [(px + jx, py + jy) for (px, py), (jx, jy) in zip(on, jitter)]
+        _assert_exact_cold_and_warm(path, points + rng.uniform(-60.0, 60.0, (100, 2)).tolist(), i)
+
+
+def test_far_and_non_finite_points_take_the_full_scan_and_add_no_cell():
+    odd = [math.nan, math.inf, -math.inf, 1e300, -1e300]
+    points = [(a, 0.0) for a in odd] + [(0.0, a) for a in odd] + [(a, b) for a in odd for b in odd]
+    for _key, path in _layout_paths() + _oblique_paths():
+        fresh = Polyline(path.points)
+        for x, y in points:
+            assert fresh.project(x, y) == _full_scan(fresh, x, y), (x, y)
+        assert fresh.project(math.nan, 0.0) == (0.0, math.inf)
+        assert fresh._cells == {}
+
+
+def test_the_cache_never_holds_more_than_its_cap():
+    for _key, path in _layout_paths()[1:3] + _oblique_paths()[1:2]:
+        fresh = Polyline(path.points)
+        (x0, y0), (x1, y1) = fresh.points.min(axis=0), fresh.points.max(axis=0)
+        # cell corners and centres over the bounding box grown by 12 m, then odd inputs,
+        # and the edges of the cached region, whose end cells it may barely meet
+        xs = np.arange(math.floor(x0) - 12.0, x1 + 12.0, 0.5).tolist() + list(fresh._box[:2])
+        ys = np.arange(math.floor(y0) - 12.0, y1 + 12.0, 0.5).tolist() + list(fresh._box[2:])
+        for x in xs:
+            for y in ys:
+                assert fresh.project(x, y) == _full_scan(fresh, x, y), (x, y)
+        for x, y in [(math.nan, 1.0), (math.inf, 0.0), (1e300, -1e300), (-1e300, 0.0)]:
+            fresh.project(x, y)
+        assert 0 < len(fresh._cells) == fresh.cell_cap
+
+
+def test_a_one_segment_polyline_keeps_an_empty_cache():
+    rng = np.random.default_rng(4)
+    for path in [p for _k, p in _layout_paths() if len(p.points) == 2] + [_oblique_paths()[0][1]]:
+        fresh = Polyline(path.points)
+        assert fresh.cell_cap == 0
+        for x, y in rng.uniform(-60.0, 60.0, (200, 2)).tolist() + [(1.0, 2.0), (-3.0, 0.0)]:
+            assert fresh.project(x, y) == _reference_project(fresh, x, y)
+        assert fresh._cells == {}
+
+
+def _far_tie(rng):
+    """A point on a cell corner that ties between two segments: one beyond the
+    corner, the other behind the cell centre at the cut's 2r from the first.
+    The first segment in table order is the one the cell list can drop."""
+    i, k = rng.integers(-20, 21, size=2).tolist()
+    cx, cy = i + 0.5, k + 0.5
+    qx, qy = i + int(rng.integers(2)), k + int(rng.integers(2))
+    ux, uy = (qx - cx) / math.sqrt(0.5), (qy - cy) / math.sqrt(0.5)
+    dm, half = rng.uniform(0.1, 5.0), rng.uniform(1.0, 4.0)
+    dj = dm + 2.0 * math.sqrt(0.5)
+    jx, jy, mx, my = cx + dj * ux, cy + dj * uy, cx - dm * ux, cy - dm * uy
+    vx, vy = -uy * half, ux * half
+    pts = [(jx - vx, jy - vy), (jx + vx, jy + vy),
+           (jx + vx + 60.0 * ux, jy + vy + 60.0 * uy), (mx + vx - 60.0 * ux, my + vy - 60.0 * uy),
+           (mx + vx, my + vy), (mx - vx, my - vy)]
+    return Polyline(pts), (float(qx), float(qy))
+
+
+def test_cell_lists_keep_ties_at_the_cut_through_rounding():
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        path, (x, y) = _far_tie(rng)
+        assert path.project(x, y) == _full_scan(path, x, y) == _reference_project(path, x, y)
