@@ -1,5 +1,5 @@
-"""Atomic file replacement for every artifact graphnav writes, and the CPU
-rule of the helper processes graphnav forks on its own (not `--jobs`').
+"""Atomic file replacement for every artifact graphnav writes, and the one
+place graphnav forks a process of its own (not `--jobs`') to write a file.
 
 `atomic_write(path)` hands out a text file that is a hidden sibling of
 `path`; only when the `with` block ends without an exception is it moved
@@ -9,16 +9,16 @@ mix, and a failed write leaves no temporary file behind. The file is not
 fsynced, so this guards against a process dying, not against power loss.
 `write_csv` writes every CSV report through it, with one rule per field.
 
-`atomic_write_halves` writes a file in two halves at once: a forked helper
-writes the back half into a hidden sibling part file while this process
-writes the front half. Checkpoints and the demonstration buffers share it.
 `WriteBehind` hands a whole file to a forked writer while this process goes
-on with other work, and moves the file into place only when `finish` reaps
-the writer: collect writes a finished demonstration buffer this way while
-it runs the next command's episodes. Where the affinity set holds two CPUs
-or more, a forked process runs on all of them but the first, since Linux
-often starts a forked child on its parent's CPU; `atomic_write_halves` also
-keeps this process on the first until its write ends.
+on with other work; `finish` reaps the writer and moves its file into place.
+Collect writes a finished demonstration buffer this way while it runs the
+next command's episodes. `atomic_write_halves` writes a file in two halves
+at once: a `WriteBehind` writes the back half while this process writes the
+front half, then appends the writer's file. Checkpoints and the other
+buffers are written this way. One CPU rule holds for every writer: where the
+affinity set holds two CPUs or more it runs on all of them but the first,
+since Linux often starts a forked child on its parent's CPU; this process's
+own affinity is never set.
 """
 
 from __future__ import annotations
@@ -69,100 +69,83 @@ def write_csv(path, header, rows) -> None:
                               for v in row) + "\n")
 
 
-def _fork_emit(path: Path, emit, items, cpus: list, report: int | None = None) -> int:
-    """Fork a process that writes `emit(fh, items)` into the new file `path`
-    on all of `cpus` but the first, where it holds two or more, sends its wall
-    seconds down the pipe end `report` if one is given, and leaves through
-    `os._exit`, flushing and finalizing nothing of this process's; it exits
-    1, after a traceback, if the write fails. Returns its pid."""
-    pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        started = time.perf_counter()
-        gc.disable()
-        if len(cpus) > 1:
-            os.sched_setaffinity(0, cpus[1:])
-        with open(path, "x") as out:
-            emit(out, items)
-        if report is not None:
-            os.write(report, repr(time.perf_counter() - started).encode())
-        code = 0
-    except Exception:
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
 def atomic_write_halves(path, emit, front: list, back: list) -> int:
     """Atomically write `emit(fh, front)` then `emit(fh, back)` to `path`,
     and return how many processes wrote it. Where two CPUs are usable, a
-    helper forked before the file holds any buffered data emits `back` into
-    a part file meanwhile, which is then appended; this process runs on one
-    CPU of its affinity set and the helper on the rest until the write ends.
-    On any failure, an interrupt included, the helper is killed and reaped,
-    and no temporary file is left."""
-    with atomic_write(path) as fh:
-        part, pid, cpus = Path(f"{fh.name}.part"), 0, []
-        try:
-            if back and usable_cpus() > 1:
-                cpus = sorted(os.sched_getaffinity(0))
-                pid = _fork_emit(part, emit, back, cpus)
-                if len(cpus) > 1:
-                    os.sched_setaffinity(0, cpus[:1])
+    `WriteBehind` of `back` is started before the file holds any buffered
+    data, and its finished file is appended once this process has written
+    `front`. On any failure, an interrupt included, the writer is killed and
+    reaped, and no temporary file is left."""
+    if not back or usable_cpus() < 2:
+        with atomic_write(path) as fh:
             emit(fh, front)
-            if not pid:
-                emit(fh, back)
-                return 1
-            status = os.waitpid(pid, 0)[1]
-            pid = 0
-            if status:
-                raise OSError(f"cannot write {path}: the helper writing its second half "
-                              f"ended with wait status {status}")
-            with open(part) as src:
+            emit(fh, back)
+        return 1
+    writer = WriteBehind(path, emit, back)
+    try:
+        with atomic_write(path) as fh:
+            emit(fh, front)
+            with open(writer.wait()) as src:
                 shutil.copyfileobj(src, fh)
-            return 2
-        finally:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            if len(cpus) > 1:
-                os.sched_setaffinity(0, cpus)
-            part.unlink(missing_ok=True)
+        return 2
+    finally:
+        writer.cancel()
 
 
 class WriteBehind:
     """`emit(fh, items)` written atomically to `path` by a forked process
-    while this one goes on: the writer fills a hidden sibling of `path`, and
-    `finish` reaps it and moves that file over `path`, which is untouched
+    while this one goes on: the writer fills a hidden sibling of `path` on
+    every CPU of the affinity set but the first, where it holds two or more,
+    and `finish` reaps it and moves that file over `path`, which is untouched
     until then. `cancel` kills and reaps the writer and removes its file; it
     may be repeated, and `finish` runs it on every way out."""
 
     def __init__(self, path, emit, items) -> None:
         self.path = Path(path)
         self._tmp = _temporary(self.path)
+        cpus = sorted(os.sched_getaffinity(0))
         read, write = os.pipe()
         try:
-            self._pid = _fork_emit(self._tmp, emit, items, sorted(os.sched_getaffinity(0)), write)
+            self._pid = os.fork()
         except BaseException:
             os.close(read)
-            raise
-        finally:
             os.close(write)
+            raise
+        if not self._pid:  # the writer leaves through os._exit, finalizing nothing of ours
+            code = 1
+            try:
+                started = time.perf_counter()
+                gc.disable()
+                if len(cpus) > 1:
+                    os.sched_setaffinity(0, cpus[1:])
+                with open(self._tmp, "x") as out:
+                    emit(out, items)
+                os.write(write, repr(time.perf_counter() - started).encode())
+                code = 0
+            except Exception:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(write)
         self._pipe = read
+
+    def wait(self) -> Path:
+        """Reap the writer and return its finished file. A failed writer
+        raises an OSError naming `path`."""
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = 0
+        if status:
+            raise OSError(f"cannot write {self.path}: its forked writer ended "
+                          f"with wait status {status}")
+        return self._tmp
 
     def finish(self) -> float:
         """Wait for the writer and move its file into place; returns the
-        writer's wall seconds. A failed writer raises an OSError naming `path`."""
+        writer's wall seconds."""
         try:
-            status = os.waitpid(self._pid, 0)[1]
-            self._pid = 0
-            if status:
-                raise OSError(f"cannot write {self.path}: the process writing it behind ended "
-                              f"with wait status {status}")
+            tmp = self.wait()
             seconds = float(os.read(self._pipe, 64))
-            os.replace(self._tmp, self.path)
+            os.replace(tmp, self.path)
             return seconds
         finally:
             self.cancel()

@@ -7,10 +7,11 @@ needed to reproduce the policy's inputs.
 The model is never held as one document. `save_checkpoint` walks it once
 into ordered pieces, strings and the weight and Adam-moment arrays as blocks
 of rows, and cuts them at about half their floats. Where two CPUs are usable
-a forked helper writes the back half while this process writes the front
-half, one array row at a time, into a temporary file that replaces the
-checkpoint only once complete (`atomic.atomic_write_halves`); elsewhere this
-process writes both halves. The bytes are the same either way.
+a forked writer (`atomic.WriteBehind`) writes the back half while this
+process writes the front half, one array row at a time, into a temporary
+file that replaces the checkpoint only once complete
+(`atomic.atomic_write_halves`); elsewhere this process writes both halves.
+The bytes are the same either way.
 `load_checkpoint` turns each parsed weight table into float arrays as soon
 as it is read.
 """
@@ -178,6 +179,8 @@ def load_checkpoint(path, expected_kind: str | None = None) -> LoadedCheckpoint:
                               f"network: differing keys {differing}")
     params = network.parameters()
     saved = doc.get("params", {})
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"checkpoint {path}: params must be a JSON object, got {saved!r}")
     if set(saved) != set(params):
         missing = sorted(set(params) - set(saved))
         extra = sorted(set(saved) - set(params))

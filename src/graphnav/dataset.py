@@ -6,12 +6,12 @@ and its label, not its adjacency, which training builds from `S`. All of a
 buffer's records have one node count; reading refuses one that differs.
 Records round-trip exactly: floats are written with shortest-repr JSON
 encoding, which parses back bit-identical.
-A finished buffer may be handed to a forked writer on another CPU
-(`DemoDataset.write_behind`, `atomic.WriteBehind`) while collection goes on;
-`write_dataset` moves its file into place and writes every other buffer
-through checkpoints' two-process writer (`atomic.atomic_write_halves`), a
-forked helper writing the back half of the records. Either way the bytes
-are those one process writes.
+Every buffer is written by a forked writer (`atomic.WriteBehind`) where two
+CPUs are usable. A finished buffer may be handed to one whole while
+collection goes on (`DemoDataset.write_behind`), and `write_dataset` moves
+its file into place; it writes every other buffer as checkpoints are
+written (`atomic.atomic_write_halves`), a forked writer writing the back
+half of the records. Either way the bytes are those one process writes.
 """
 
 from __future__ import annotations

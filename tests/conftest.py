@@ -13,8 +13,9 @@ from graphnav.world import ScenarioConfig, WorldState
 
 @pytest.fixture
 def helper_pids(monkeypatch):
-    """The pid of every helper `atomic.atomic_write_halves` forks and of
-    every `atomic.WriteBehind` writer; they are forked even on a one-CPU host."""
+    """The pid of every process forked while the test runs, such as each
+    `atomic.WriteBehind` writer, which is forked even on a one-CPU host. At
+    teardown every one of them must have been reaped."""
     pids = []
     fork = os.fork
 
@@ -25,7 +26,8 @@ def helper_pids(monkeypatch):
         return pid
     monkeypatch.setattr(os, "fork", recording)
     monkeypatch.setattr(atomic, "usable_cpus", lambda: 2)
-    return pids
+    yield pids
+    assert [pid for pid in pids if not reaped(pid)] == []
 
 
 def reaped(pid: int) -> bool:

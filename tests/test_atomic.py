@@ -152,29 +152,45 @@ def _parent_interrupted(fh, items):
 
 @pytest.mark.parametrize("emit, error", [(_affinity, None), (_helper_fails, OSError),
                                          (_parent_interrupted, KeyboardInterrupt)])
-def test_the_writer_and_its_helper_run_on_separate_cpus(tmp_path, helper_pids, emit, error):
-    """This process writes on the first CPU of its affinity set and the helper
-    on the rest; the set is restored after a write, a failed helper and an
-    interrupt alike."""
+def test_the_writer_and_its_helper_run_on_separate_cpus(tmp_path, monkeypatch, helper_pids,
+                                                        emit, error):
+    """The back half is written on every CPU of the affinity set but the
+    first, and this process never sets its own affinity: after a write, a
+    failed writer and an interrupt alike. The writer is reaped and no
+    temporary file is left."""
     cpus = sorted(os.sched_getaffinity(0))
     if len(cpus) < 2:
         pytest.skip("the affinity set holds one CPU")
-    front_cpus = []
-    path = tmp_path / "out.txt"
+    pinned, setaffinity = [], os.sched_setaffinity
 
-    def recording(fh, items):
-        if "front" in items:
-            front_cpus.append(sorted(os.sched_getaffinity(0)))
-        emit(fh, items)
+    def recording(pid, mask):
+        pinned.append(mask)  # the writer's calls land in its own copy of the list
+        setaffinity(pid, mask)
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    path = tmp_path / "out.txt"
     if error is None:
-        assert atomic_write_halves(path, recording, ["front"], ["back"]) == 2
-        assert path.read_text() == f"front {cpus[:1]}\nback {cpus[1:]}\n"
+        assert atomic_write_halves(path, emit, ["front"], ["back"]) == 2
+        assert path.read_text() == f"front {cpus}\nback {cpus[1:]}\n"
     else:
         with pytest.raises(error):
-            atomic_write_halves(path, recording, ["front"], ["back"])
+            atomic_write_halves(path, emit, ["front"], ["back"])
         assert list(tmp_path.iterdir()) == []
-    assert front_cpus == [cpus[:1]]
+    assert pinned == []
     assert sorted(os.sched_getaffinity(0)) == cpus
+    assert len(helper_pids) == 1 and reaped(helper_pids[0])
+
+
+def test_a_failed_writer_raises_from_wait_naming_the_target(tmp_path, helper_pids):
+    path = tmp_path / "out.txt"
+    path.write_text(PREVIOUS)
+    writer = atomic.WriteBehind(path, _helper_fails, ["back"])
+    try:
+        with pytest.raises(OSError, match=re.escape(f"cannot write {path}: its forked writer")):
+            writer.wait()
+    finally:
+        writer.cancel()
+    assert path.read_text() == PREVIOUS
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
     assert len(helper_pids) == 1 and reaped(helper_pids[0])
 
 

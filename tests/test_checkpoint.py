@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 import tracemalloc
 
@@ -114,7 +115,7 @@ def test_a_failing_helper_keeps_the_previous_file(tmp_path, monkeypatch, helper_
     path = tmp_path / "ck.json"
     path.write_text("previous\n")
     net, opt = _stepped("gcil")
-    with pytest.raises(OSError, match="the helper writing its second half"):
+    with pytest.raises(OSError, match=re.escape(f"cannot write {path}: its forked writer ended")):
         save_checkpoint(path, net, GraphConfig(), opt, TRAIN_STATE)
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
@@ -122,9 +123,9 @@ def test_a_failing_helper_keeps_the_previous_file(tmp_path, monkeypatch, helper_
 
 
 def test_an_interrupted_parent_kills_the_helper(tmp_path, monkeypatch, helper_pids):
-    """The parent is interrupted once the helper's part file exists; the
-    helper, which would write for a minute, is killed and both temporary
-    files go."""
+    """The parent is interrupted once the helper's file exists beside its
+    own; the helper, which would write for a minute, is killed and both
+    temporary files go."""
     def slow(fh, pieces):
         fh.write("[")
         fh.flush()
@@ -132,9 +133,9 @@ def test_an_interrupted_parent_kills_the_helper(tmp_path, monkeypatch, helper_pi
 
     def interrupted(fh, pieces):
         deadline = time.monotonic() + 30
-        while not any(tmp_path.glob(".ck.json.*.part")) and time.monotonic() < deadline:
+        while len(list(tmp_path.glob(".ck.json.*.tmp"))) < 2 and time.monotonic() < deadline:
             time.sleep(0.01)
-        seen.append(any(tmp_path.glob(".ck.json.*.part")))
+        seen.append(len(list(tmp_path.glob(".ck.json.*.tmp"))) == 2)
         raise KeyboardInterrupt
     seen = []
     monkeypatch.setattr(checkpoint, "_emit", _in_the_helper(os.getpid(), slow, interrupted))
@@ -220,6 +221,10 @@ BAD_DOCUMENTS = {
                "'gcn.0.w' is not a numeric array"),
     "non-finite": (_set("params", "gcn.0.w", [[None] * 32] * 12), None,
                    "'gcn.0.w' holds a non-finite value"),
+    "params-null": (_put("params", None), None, "params must be a JSON object, got None"),
+    "params-number": (_put("params", 3.5), None, "params must be a JSON object, got 3.5"),
+    "params-list": (_put("params", [1, 2]), None, "params must be a JSON object, got [1, 2]"),
+    "params-bool": (_put("params", True), None, "params must be a JSON object, got True"),
     "graph-section": (_set("graph", "strategy", "hexagonal"), None, "invalid graph section"),
     "graph-float-k": (_set("graph", "k", 3.7), None,
                       "invalid graph section: k must be an integer, got 3.7"),

@@ -441,6 +441,17 @@ def test_ragged_checkpoint_parameter_is_runtime_error(workdir, tmp_path, capsys)
     assert str(ckpt) in err and "'gcn.1.w'" in err
 
 
+def test_replay_of_a_checkpoint_with_null_params_is_runtime_error(workdir, tmp_path, capsys):
+    doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
+    doc["params"] = None
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(["replay", "--config", str(workdir["config"]), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "o"), "--command", "forward", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: params must be a JSON object, got None" in err
+
+
 def test_resume_without_optimizer_state_is_runtime_error(workdir, tmp_path, capsys):
     doc = json.loads((workdir["run"] / "checkpoint_final.json").read_text())
     doc["optimizer"] = None
