@@ -5,11 +5,11 @@ Every checkpoint embeds the network kind and the graph-encoder configuration
 needed to reproduce the policy's inputs.
 
 The model is never held as one document. `save_checkpoint` walks it once
-into ordered pieces, strings and the weight and Adam-moment arrays as blocks
-of rows, and cuts them at about half their floats. Where two CPUs are usable
-a forked writer (`atomic.WriteBehind`) writes the back half while this
-process writes the front half, one array row at a time, into a temporary
-file that replaces the checkpoint only once complete
+into ordered pieces, strings and the rows of the weight and Adam-moment
+arrays, and cuts them at the end of the row nearest half their floats.
+Where two CPUs are usable a forked writer (`atomic.WriteBehind`) writes the
+back half while this process writes the front half, one row at a time,
+into a temporary file that replaces the checkpoint only once complete
 (`atomic.atomic_write_halves`); elsewhere this process writes both halves.
 The bytes are the same either way.
 `load_checkpoint` turns each parsed weight table into float arrays as soon
@@ -68,17 +68,22 @@ class LoadedCheckpoint:
 
 def _pieces(value, out: list) -> list:
     """Append `COMPACT.encode(value)`'s text to `out` as ordered pieces:
-    strings, and (rows, columns) float blocks whose rows are written as JSON
-    lists with commas between. Dicts go key by key in sorted order, a 2-D
-    array is one block and a 1-D array a one-row block."""
+    strings, and float rows, each written as one JSON list. Dicts go key by
+    key in sorted order, a 1-D array is one row and a 2-D array one row per
+    piece, with "," pieces between them."""
     if isinstance(value, dict):
         out.append("{")
         for i, key in enumerate(sorted(value)):
             out.append(("," if i else "") + COMPACT.encode(key) + ":")
             _pieces(value[key], out)
         out.append("}")
-    elif isinstance(value, np.ndarray) and value.ndim in (1, 2):
-        out += ["[", value, "]"] if value.ndim == 2 else [value[np.newaxis]]
+    elif isinstance(value, np.ndarray) and value.ndim == 2:
+        out.append("[")
+        for i, row in enumerate(value):
+            out += [",", row] if i else [row]
+        out.append("]")
+    elif isinstance(value, np.ndarray) and value.ndim == 1:
+        out.append(value)
     else:
         out.append(COMPACT.encode(value))
     return out
@@ -87,27 +92,14 @@ def _pieces(value, out: list) -> list:
 def _emit(fh, pieces: list) -> None:
     """Write the pieces, converting one array row to Python floats at a time."""
     for piece in pieces:
-        if isinstance(piece, str):
-            fh.write(piece)
-        else:
-            for i, row in enumerate(piece):
-                fh.write(("," if i else "") + COMPACT.encode(row.tolist()))
+        fh.write(piece if isinstance(piece, str) else COMPACT.encode(piece.tolist()))
 
 
 def _halves(pieces: list) -> tuple[list, list]:
-    """The pieces cut at about half their floats; the block the middle falls
-    in is cut between two rows."""
-    half = sum(piece.size for piece in pieces if not isinstance(piece, str)) / 2
-    for i, piece in enumerate(pieces):
-        if isinstance(piece, str):
-            continue
-        if piece.size >= half:
-            rows = min(max(1, round(half / piece.shape[1])), len(piece))
-            if rows == len(piece):
-                return pieces[:i + 1], pieces[i + 1:]
-            return pieces[:i] + [piece[:rows]], [",", piece[rows:]] + pieces[i + 1:]
-        half -= piece.size
-    return pieces, []
+    """The pieces cut at the end of the row nearest half their floats."""
+    floats = np.cumsum([0 if isinstance(piece, str) else piece.size for piece in pieces])
+    cut = int(np.argmin(np.abs(2 * floats - floats[-1]))) + 1
+    return pieces[:cut], pieces[cut:]
 
 
 def save_checkpoint(path, network, graph_cfg: GraphConfig,

@@ -13,10 +13,10 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import (ConfigError, config_hash, expert_params, graph_config, key_check,
                      load_config, noise_params, scenario_config, train_config, train_densities)
 from .dataset import BUFFER_FILES, DatasetFormatError, read_dataset, write_dataset
-from .evaluation import (AlwaysBrake, REFERENCE_TRIALS, collect_dataset, format_ablation,
-                         format_report, outcome_counts, run_ablation, run_episodes, run_suite,
-                         write_ablation_csv, write_actions_csv, write_suite_csv,
-                         write_trajectory_csv, write_trials_csv)
+from .evaluation import (POOL_CHUNKSIZE, AlwaysBrake, REFERENCE_TRIALS, collect_dataset,
+                         format_ablation, format_report, outcome_counts, run_ablation,
+                         run_episodes, run_suite, write_ablation_csv, write_actions_csv,
+                         write_suite_csv, write_trajectory_csv, write_trials_csv)
 from .graph import EdgeStrategyKind
 from .gradcheck import run_policy_check
 from .layout import Command
@@ -99,21 +99,20 @@ def _add_common(parser, jobs: bool = False) -> None:
     if jobs:
         parser.add_argument("--jobs", type=_worker_count, default=1,
                             help="episode worker processes (1 = serial), capped at the number "
-                                 "of 4-episode chunks")
+                                 f"of {POOL_CHUNKSIZE}-episode chunks")
 
 
 def cmd_collect(args, cfg: dict, out: Path) -> tuple:
     base_seed, episodes = cfg["train"]["seed"], cfg["train"]["episodes_per_command"]
-    digest = config_hash(cfg)  # taken first: nothing may raise between collect and write
     dataset, outcomes = collect_dataset(
         scenario_config(cfg, mode="train"), graph_config(cfg), expert_params(cfg),
         episodes_per_command=episodes, base_seed=base_seed,
         densities=train_densities(cfg), jobs=args.jobs, noise=noise_params(cfg), out_dir=out,
     )
-    dataset.manifest["config_hash"] = digest
+    dataset.manifest["config_hash"] = config_hash(cfg)
     write_started = time.perf_counter()
     buffers = write_dataset(dataset, out)
-    write_s = time.perf_counter() - write_started  # what is left to write after the last episode
+    write_s = time.perf_counter() - write_started  # what is left to write after collect returns
     rates = dataset.manifest["expert_success_rate_pct"]
     for command, rate in rates.items():
         print(f"expert success rate [{command}]: {rate:.1f}%")

@@ -7,11 +7,12 @@ buffer's records have one node count; reading refuses one that differs.
 Records round-trip exactly: floats are written with shortest-repr JSON
 encoding, which parses back bit-identical.
 Every buffer is written by a forked writer (`atomic.WriteBehind`) where two
-CPUs are usable. A finished buffer may be handed to one whole while
-collection goes on (`DemoDataset.write_behind`), and `write_dataset` moves
-its file into place; it writes every other buffer as checkpoints are
-written (`atomic.atomic_write_halves`), a forked writer writing the back
-half of the records. Either way the bytes are those one process writes.
+CPUs are usable. Collection may hand a finished buffer to one whole
+(`write_behind`) and reap it itself, recording its file in
+`DemoDataset.written`; `write_dataset` writes every other buffer as
+checkpoints are written (`atomic.atomic_write_halves`), a forked writer
+writing the back half of the records. Either way the bytes are those one
+process writes.
 """
 
 from __future__ import annotations
@@ -50,23 +51,8 @@ class DatasetFormatError(ValueError):
 class DemoDataset:
     buffers: dict = field(default_factory=lambda: {c: [] for c in COMMANDS})
     manifest: dict = field(default_factory=dict)
-    # buffer path -> the WriteBehind writing it, until write_dataset reaps it
-    writers: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def write_behind(self, command: Command, out_dir) -> None:
-        """Start writing `command`'s buffer, which must be complete, into
-        `out_dir` from a forked process; `write_dataset` into the same
-        directory moves it into place."""
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / BUFFER_FILES[command]
-        self.writers[path] = WriteBehind(path, _emit_records, self.buffers[command])
-
-    def cancel_writers(self) -> None:
-        """Kill and reap every writer and remove its file."""
-        for writer in self.writers.values():
-            writer.cancel()
-        self.writers.clear()
+    # buffer path -> wall seconds of the writer that wrote it during collection
+    written: dict = field(default_factory=dict)
 
     def counts(self) -> dict:
         return {c.value: len(self.buffers[c]) for c in COMMANDS}
@@ -108,33 +94,35 @@ def _emit_records(fh, samples: list) -> None:
         fh.write(COMPACT.encode(_sample_to_record(sample)) + "\n")
 
 
+def write_behind(path, samples: list) -> WriteBehind:
+    """A forked writer of `samples`' records to `path`, to finish or cancel."""
+    return WriteBehind(path, _emit_records, samples)
+
+
 def write_dataset(dataset: DemoDataset, out_dir) -> dict:
     """Write the buffers, then the manifest. Returns, per command, whether
     its buffer was written `behind`, by how many `processes` and in how many
-    wall seconds (`write_s`). A buffer whose writer `dataset.write_behind`
-    started into `out_dir` is moved into place once that writer is reaped;
-    any other is written here, cut at half its records: a buffer's records
-    all have one node count, as density is fixed per command. On any
-    failure, an interrupt included, every writer is killed and reaped and
-    no temporary file is left."""
+    wall seconds (`write_s`). A buffer that `dataset.written` holds under
+    its path in `out_dir` is already in place and reported with its
+    writer's seconds; any other is written here, cut at half its records: a
+    buffer's records all have one node count, as density is fixed per
+    command. On any failure, an interrupt included, no writer outlives the
+    call and no temporary file is left."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     writes = {}
-    try:
-        for command, filename in BUFFER_FILES.items():
-            path = out_dir / filename
-            writer = dataset.writers.pop(path, None)
-            if writer is not None:
-                writes[command.value] = {"behind": True, "processes": 1, "write_s": writer.finish()}
-                continue
-            started = time.perf_counter()
-            samples = dataset.buffers[command]
-            half = (len(samples) + 1) // 2
-            processes = atomic_write_halves(path, _emit_records, samples[:half], samples[half:])
-            writes[command.value] = {"behind": False, "processes": processes,
-                                     "write_s": time.perf_counter() - started}
-    finally:
-        dataset.cancel_writers()
+    for command, filename in BUFFER_FILES.items():
+        path = out_dir / filename
+        if path in dataset.written:
+            writes[command.value] = {"behind": True, "processes": 1,
+                                     "write_s": dataset.written[path]}
+            continue
+        started = time.perf_counter()
+        samples = dataset.buffers[command]
+        half = (len(samples) + 1) // 2
+        processes = atomic_write_halves(path, _emit_records, samples[:half], samples[half:])
+        writes[command.value] = {"behind": False, "processes": processes,
+                                 "write_s": time.perf_counter() - started}
     manifest = {**dataset.manifest, "schema_version": SCHEMA_VERSION}
     manifest["counts"] = dataset.counts()
     with atomic_write(out_dir / "manifest.json") as fh:

@@ -12,11 +12,11 @@ from pathlib import Path
 
 from . import atomic
 from .atomic import write_csv
-from .dataset import SCHEMA_VERSION, DemoDataset
+from .dataset import BUFFER_FILES, SCHEMA_VERSION, DemoDataset, write_behind
 from .expert import ExpertController, ExpertParams
 from .graph import GraphConfig
 from .layout import COMMANDS, Command
-from .policies import NetworkController
+from .policies import BLOCK_SCALE, NetworkController
 from .rollout import EpisodeRecord, NoiseParams, run_episode
 from .training import TrainConfig, train
 from .vehicle import Action
@@ -186,10 +186,13 @@ def collect_dataset(
     Episodes run in COMMANDS order. With `out_dir`, where this process runs
     them itself (no pool: a fork would copy a pool's threads) and two CPUs
     are usable, each command's buffer but the last is handed to a forked
-    writer into `out_dir` (`DemoDataset.write_behind`) as soon as its last
-    episode is in, so it is written while the next command's episodes run;
-    `write_dataset` into `out_dir` reaps the writers and writes the rest.
-    If an episode raises, every writer is killed and reaped first."""
+    writer into `out_dir` (`dataset.write_behind`) as soon as its last
+    episode is in, so it is written while the next command's episodes run.
+    Once the manifest is built every writer is reaped and its file moved
+    into place, recorded in the dataset's `written`; `write_dataset` into
+    `out_dir` writes the rest. If anything raises first, an interrupt
+    included, every writer is killed and reaped and its file removed: no
+    writer outlives the call."""
     densities = densities or TRAIN_DENSITIES
     tasks = [(command, densities[command], base_seed + ci * episodes_per_command + i)
              for ci, command in enumerate(COMMANDS) for i in range(episodes_per_command)]
@@ -198,6 +201,7 @@ def collect_dataset(
               and atomic.usable_cpus() > 1)
     dataset = DemoDataset()
     results = {c: [] for c in COMMANDS}
+    writers = []
     try:
         for record in run_episodes(expert, base_cfg, graph_cfg, tasks, jobs=jobs, noise=noise,
                                    record_samples=True):
@@ -205,27 +209,31 @@ def collect_dataset(
             results[record.command].append(record)
             if behind and record.command is not COMMANDS[-1] \
                     and len(results[record.command]) == episodes_per_command:
-                dataset.write_behind(record.command, out_dir)
-    except BaseException:
-        dataset.cancel_writers()
-        raise
+                path = Path(out_dir) / BUFFER_FILES[record.command]
+                path.parent.mkdir(parents=True, exist_ok=True)
+                writers.append(write_behind(path, dataset.buffers[record.command]))
 
-    outcomes = {c.value: {tag.value: sum(r.outcome.tag is tag for r in results[c])
-                          for tag in OutcomeTag} for c in COMMANDS}
-    dataset.manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "base_seed": base_seed,
-        "episodes_per_command": episodes_per_command,
-        "densities": {c.value: densities[c] for c in COMMANDS},
-        "counts": dataset.counts(),
-        "expert_success_rate_pct": {c.value: rates(results[c])["success_rate_pct"]
-                                    for c in COMMANDS},
-        **graph_cfg.feature_settings(),
-        # stored features are raw physical units; policy networks divide by
-        # fixed characteristic scales (see policies.BLOCK_SCALE) at their input
-        "inputs_normalized": False,
-        "network_feature_scale": {"distance_m": 20.0, "speed_mps": 5.0},
-    }
+        outcomes = {c.value: {tag.value: sum(r.outcome.tag is tag for r in results[c])
+                              for tag in OutcomeTag} for c in COMMANDS}
+        dataset.manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "base_seed": base_seed,
+            "episodes_per_command": episodes_per_command,
+            "densities": {c.value: densities[c] for c in COMMANDS},
+            "counts": dataset.counts(),
+            "expert_success_rate_pct": {c.value: rates(results[c])["success_rate_pct"]
+                                        for c in COMMANDS},
+            **graph_cfg.feature_settings(),
+            # stored features are raw physical units; policy networks divide
+            # them by these fixed characteristic scales at their input
+            "inputs_normalized": False,
+            "network_feature_scale": {"distance_m": float(BLOCK_SCALE[0]),
+                                      "speed_mps": float(BLOCK_SCALE[3])},
+        }
+        dataset.written = {writer.path: writer.finish() for writer in writers}
+    finally:
+        for writer in writers:
+            writer.cancel()
     return dataset, outcomes
 
 

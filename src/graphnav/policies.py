@@ -117,17 +117,20 @@ class _BranchedHead:
 class BranchedPolicy:
     """A perception frontend feeding the shared branched head.
 
-    Each subclass builds its frontend from `rng` before the head, and
-    defines the static `inputs(feats, strategy)` tuple of (..., N, 12)
-    features, the static `canonical` that puts (B, ...) inputs in canonical
-    order, the `forward_batch` that takes them so ordered, its
-    `backward_batch`, and the frontend's topology keys, parameter slots and
-    ReLU kink margin. `forward` is the one-sample case: the same `inputs`,
-    `canonical` and `forward_batch` at B=1. Batch caches start with
-    (frontend cache, head cache).
+    Each subclass builds `frontend`, its list of ReLU perception layers,
+    from `rng` before the head, and names their parameters
+    `{prefix}.{i}.w` / `.b` after its class `prefix`. It defines the static
+    `inputs(feats, strategy)` tuple of (..., N, 12) features, the static
+    `canonical` that puts (B, ...) inputs in canonical order, the
+    `forward_batch` that takes them so ordered, its `backward_batch` and the
+    frontend's topology keys. `forward` is the one-sample case: the same
+    `inputs`, `canonical` and `forward_batch` at B=1. Batch caches start
+    with (one cache per frontend layer, head cache), so the parameter slots
+    and the ReLU kink margin walk `frontend` here.
     """
 
     kind: str
+    prefix: str
 
     def topology(self) -> dict:
         return {**self.frontend_topology(), "trunk_widths": list(TRUNK_WIDTHS),
@@ -135,13 +138,14 @@ class BranchedPolicy:
 
     def slots(self) -> dict:
         """(layer, attribute) of every parameter, by name."""
-        return {**self.frontend_slots(), **self.head.slots()}
+        return {**_slots(self.prefix, self.frontend), **self.head.slots()}
 
     def parameters(self) -> dict:
         return {name: getattr(layer, attr) for name, (layer, attr) in self.slots().items()}
 
     def kink_margin(self, cache) -> float:
-        return min(self.frontend_margin(cache[0]), self.head.kink_margin(cache[1]))
+        return min(*(layer.kink_margin(c) for layer, c in zip(self.frontend, cache[0])),
+                   self.head.kink_margin(cache[1]))
 
     def forward(self, *args):
         """One sample in any node order: the `inputs` tuple, then the command."""
@@ -159,10 +163,12 @@ class GcilNetwork(BranchedPolicy):
     """GCN perception into the branched control head."""
 
     kind = "gcil"
+    prefix = "gcn"
 
     def __init__(self, rng) -> None:
         widths = (FEATURE_DIM, *GCN_WIDTHS)
-        self.gcn = [GcnLayer.create(rng, widths[i], widths[i + 1]) for i in range(len(GCN_WIDTHS))]
+        self.frontend = [GcnLayer.create(rng, widths[i], widths[i + 1])
+                         for i in range(len(GCN_WIDTHS))]
         self.head = _BranchedHead(rng, GCN_WIDTHS[-1] + EGO_DIM)
 
     @staticmethod
@@ -180,19 +186,13 @@ class GcilNetwork(BranchedPolicy):
     def frontend_topology(self) -> dict:
         return {"feature_dim": FEATURE_DIM, "gcn_widths": list(GCN_WIDTHS)}
 
-    def frontend_slots(self) -> dict:
-        return _slots("gcn", self.gcn)
-
-    def frontend_margin(self, gcn_caches) -> float:
-        return min(layer.kink_margin(c) for layer, c in zip(self.gcn, gcn_caches))
-
     def forward_batch(self, feats: np.ndarray, adj: np.ndarray, command: Command):
         """A batch of `canonical` samples; the ego node is row 0, and its
         first EGO_DIM features are the ego block the head also takes."""
         h = feats / FEATURE_SCALE
         ego = feats[:, 0, :EGO_DIM] / BLOCK_SCALE
         gcn_caches = []
-        for layer in self.gcn:
+        for layer in self.frontend:
             h, cache = layer.forward(adj, h)
             gcn_caches.append(cache)
         p = np.concatenate([h[:, 0, :], ego], axis=1)
@@ -204,8 +204,8 @@ class GcilNetwork(BranchedPolicy):
         dp, grads = self.head.backward(head_cache, du)
         dh = np.zeros(top_shape)
         dh[:, 0, :] = dp[:, :GCN_WIDTHS[-1]]  # the ego-block half of p is input, not parameter
-        for i in range(len(self.gcn) - 1, -1, -1):
-            dh, dw = self.gcn[i].backward(gcn_caches[i], dh)
+        for i in range(len(self.frontend) - 1, -1, -1):
+            dh, dw = self.frontend[i].backward(gcn_caches[i], dh)
             grads[f"gcn.{i}.w"] = dw
         return grads
 
@@ -228,10 +228,12 @@ class NnCilNetwork(BranchedPolicy):
     """Fixed-width nearest-3 perception MLP into the branched control head."""
 
     kind = "nncil"
+    prefix = "perception"
 
     def __init__(self, rng) -> None:
         widths = (NNCIL_INPUT_DIM, *PERCEPTION_WIDTHS)
         self.perception = Mlp.create(rng, list(widths), [RELU] * len(PERCEPTION_WIDTHS))
+        self.frontend = self.perception.layers
         self.head = _BranchedHead(rng, PERCEPTION_WIDTHS[-1])
 
     @staticmethod
@@ -245,12 +247,6 @@ class NnCilNetwork(BranchedPolicy):
 
     def frontend_topology(self) -> dict:
         return {"input_dim": NNCIL_INPUT_DIM, "perception_widths": list(PERCEPTION_WIDTHS)}
-
-    def frontend_slots(self) -> dict:
-        return _slots("perception", self.perception.layers)
-
-    def frontend_margin(self, pcache) -> float:
-        return self.perception.kink_margin(pcache)
 
     def forward_batch(self, x: np.ndarray, command: Command):
         x = x / NNCIL_SCALE
@@ -277,10 +273,12 @@ class SetCilNetwork(BranchedPolicy):
     """Order-free perception: encode each 6-vector and sum, then the head."""
 
     kind = "setcil"
+    prefix = "encoder"
 
     def __init__(self, rng) -> None:
         widths = (EGO_DIM, *PERCEPTION_WIDTHS)
         self.encoder = Mlp.create(rng, list(widths), [RELU] * len(PERCEPTION_WIDTHS))
+        self.frontend = self.encoder.layers
         self.head = _BranchedHead(rng, PERCEPTION_WIDTHS[-1])
 
     @staticmethod
@@ -295,12 +293,6 @@ class SetCilNetwork(BranchedPolicy):
 
     def frontend_topology(self) -> dict:
         return {"element_dim": EGO_DIM, "encoder_widths": list(PERCEPTION_WIDTHS)}
-
-    def frontend_slots(self) -> dict:
-        return _slots("encoder", self.encoder.layers)
-
-    def frontend_margin(self, ecache) -> float:
-        return self.encoder.kink_margin(ecache)
 
     def forward_batch(self, elements: np.ndarray, command: Command):
         """A batch of `canonical` element sets."""

@@ -218,24 +218,32 @@ def test_a_streamed_collect_writes_the_bytes_of_write_dataset(tmp_path, monkeypa
     behind = jobs == 1 and cpus == 2
     assert {c: w["behind"] for c, w in writes.items()} == {
         "forward": behind, "turn_left": behind, "turn_right": False}
-    assert streamed.writers == {}
+    assert set(streamed.written) == ({tmp_path / "streamed" / BUFFER_FILES[c] for c in COMMANDS[:2]}
+                                     if behind else set())
 
 
 class _LaterEpisodeFails(Exception):
     pass
 
 
-@pytest.mark.parametrize("error", [_LaterEpisodeFails, KeyboardInterrupt])
-def test_an_episode_that_raises_reaps_every_writer(tmp_path, monkeypatch, helper_pids, error):
+@pytest.mark.parametrize("error, where", [
+    (_LaterEpisodeFails, "run_episode"), (KeyboardInterrupt, "run_episode"),
+    (_LaterEpisodeFails, "rates"), (KeyboardInterrupt, "rates"),
+], ids=["_LaterEpisodeFails", "KeyboardInterrupt", "rates-_LaterEpisodeFails",
+        "rates-KeyboardInterrupt"])
+def test_an_episode_that_raises_reaps_every_writer(tmp_path, monkeypatch, helper_pids, error,
+                                                    where):
     """The first turn_right episode raises after forward and turn_left went
-    to their writers: both are killed and reaped, and no file is left."""
-    run_episode = evaluation.run_episode
+    to their writers, or `rates` raises after the last episode, as the
+    manifest is built: both writers are killed and reaped, and no file is
+    left."""
+    real = getattr(evaluation, where)
 
-    def failing(cfg, seed, *args, **kwargs):
-        if cfg.command is Command.TURN_RIGHT:
+    def failing(*args, **kwargs):
+        if where == "rates" or args[0].command is Command.TURN_RIGHT:
             raise error
-        return run_episode(cfg, seed, *args, **kwargs)
-    monkeypatch.setattr(evaluation, "run_episode", failing)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(evaluation, where, failing)
     with pytest.raises(error):
         collect_dataset(**_STREAMED, out_dir=tmp_path)
     assert len(helper_pids) == 2 and all(map(reaped, helper_pids))

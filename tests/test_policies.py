@@ -350,6 +350,24 @@ def test_parameter_names_and_topology_are_pinned(kind, frontend_names, frontend_
     assert sorted(grads) == sorted(net.parameters())
 
 
+@pytest.mark.parametrize("kind", NETWORK_KINDS)
+def test_the_kink_margin_is_the_smallest_relu_pre_activation(kind):
+    """A batch's kink margin is its smallest |pre-activation| over every ReLU
+    layer it went through: the frontend, the trunk and the active branch's
+    hidden layer, not the branch's tanh output layer."""
+    net = build_network(kind, seed=4)
+    feats = np.stack([_features(density=3, seed=s) for s in range(4)])
+    inputs = net.canonical(*net.inputs(feats, GraphConfig().strategy))
+    for command in COMMANDS:
+        _, cache = net.forward_batch(*inputs, command)
+        frontend, (cached_command, trunk, (hidden, _tanh)) = cache[:2]
+        assert cached_command is command
+        pres = [c[2] if kind == "gcil" else c[1] for c in frontend]  # GcnLayer: (adj, ah, pre)
+        pres += [c[1] for c in trunk] + [hidden[1]]  # DenseLayer: (x, pre, out)
+        assert len(pres) == 3 + 4 + 1
+        assert net.kink_margin(cache) == min(float(np.abs(pre).min()) for pre in pres)
+
+
 def _reference_gcil_order(feats, adj):
     """The per-sample canonicalization the shared helper replaced: ego first,
     the other rows by np.lexsort, gathered with np.ix_."""
