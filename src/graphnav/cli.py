@@ -160,7 +160,8 @@ def cmd_eval(args, cfg: dict, out: Path) -> tuple:
     if trajectory_dir is not None:
         files.extend(trajectory_dir / r.trajectory_name for r in results)
     return ({"base_seed": base_seed, "trials_per_cell": trials}, files,
-            {"counters": {"outcomes": outcome_counts(results)}})
+            {"counters": {"outcomes": {setup: outcome_counts(r for r in results if r.setup == setup)
+                                       for setup in dict.fromkeys(r.setup for r in results)}}})
 
 
 def cmd_ablate(args, cfg: dict, out: Path) -> tuple:

@@ -74,12 +74,12 @@ def rates(results) -> dict:
 
 
 def outcome_counts(results) -> dict:
-    """{setup: {command: {tag: count}}} of trial results, every tag listed:
-    per setup, the shape of collect's expert outcome counts."""
+    """{command: {tag: count}} of results, every tag listed, commands in
+    order of first appearance. A result is anything with a `command` and an
+    `outcome`: a trial result or an episode record."""
     counts: dict = {}
     for r in results:
-        tags = counts.setdefault(r.setup, {}).setdefault(
-            r.command.value, dict.fromkeys((tag.value for tag in OutcomeTag), 0))
+        tags = counts.setdefault(r.command.value, dict.fromkeys((t.value for t in OutcomeTag), 0))
         tags[r.outcome.tag.value] += 1
     return counts
 
@@ -213,8 +213,7 @@ def collect_dataset(
                 path.parent.mkdir(parents=True, exist_ok=True)
                 writers.append(write_behind(path, dataset.buffers[record.command]))
 
-        outcomes = {c.value: {tag.value: sum(r.outcome.tag is tag for r in results[c])
-                              for tag in OutcomeTag} for c in COMMANDS}
+        outcomes = outcome_counts(r for c in COMMANDS for r in results[c])
         dataset.manifest = {
             "schema_version": SCHEMA_VERSION,
             "base_seed": base_seed,

@@ -13,11 +13,12 @@ a dataset or a training setting other than the checkpoint's.
 
 The step loop pins numpy's OpenBLAS to one thread, and keeps the
 parameters, their gradient and both Adam moments in one flat buffer in a
-shared anonymous mapping. Where at least two CPUs are usable, a forked step
-worker runs the first command's pass of each step while this process runs
-the other two, adds their gradients onto the worker's in COMMANDS order and
-takes the Adam step, so the parameters equal those of a serial
-single-thread run bit for bit.
+shared anonymous mapping. Where at least two CPUs are usable, a step worker
+forked by `atomic.Forked`, so on every CPU but the first, runs the first
+command's pass of each step while this process runs the other two, adds
+their gradients onto the worker's in COMMANDS order and takes the Adam step,
+so the parameters equal those of a serial single-thread run bit for bit. A
+worker that fails or dies, between steps too, raises a TrainingError.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ import contextlib
 import functools
 import math
 import os
-import signal
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_csv, usable_cpus as _usable_cpus  # tests force the step path here
+from .atomic import Forked, write_csv, usable_cpus as _usable_cpus  # tests force the step path here
 from .checkpoint import CheckpointError, graph_config_to_dict, load_checkpoint, save_checkpoint
 from .dataset import BUFFER_FILES, DemoDataset
 from .graph import GraphConfig
@@ -169,13 +169,13 @@ def _train_step(network, prepared: _PreparedData, indices: dict, batch_size: int
     if worker is None:
         first = _first_pass(network, prepared, indices[COMMANDS[0]], batch_size, grads)
     else:
-        worker.start(indices[COMMANDS[0]])
+        worker.send(indices[COMMANDS[0]])
     losses, parts = [], []
     for _, per_sample, du, cache in _losses(network, prepared, indices, batch_size, COMMANDS[1:]):
         losses.append((float(per_sample.sum()), len(per_sample)))
         parts.append(network.backward_batch(cache, du))
     if worker is not None:
-        first = worker.wait()
+        first = worker.recv()
     for part in parts:
         for k, g in grads.items():
             g += part[k]
@@ -191,72 +191,25 @@ def _bind(network, optimizer: Adam) -> None:
         setattr(layer, attr, view)
 
 
-class _StepWorker:
-    """A forked process that runs the first command's pass of every step.
-
-    It holds the parent's `_PreparedData` and network through fork, and with
-    them the optimizer's shared buffer, which the network's layers view
-    (`_bind`) and `grads` is part of. For each step the parent sends the
-    first command's sampled indices; the worker runs `_first_pass` on them,
-    which leaves that command's gradient in `grads`, and answers with its
-    loss sum and sample count. As a context manager it stops the
-    worker on a normal exit, and kills it after an exception; it reaps it
-    either way."""
+class _StepWorker(Forked):
+    """A forked child (`atomic.Forked`) that runs the first command's pass of
+    every step. It holds the parent's `_PreparedData` and network through
+    fork, and with them the optimizer's shared buffer, which the network's
+    layers view (`_bind`) and `grads` is part of. Its `serve` loop runs
+    `_first_pass` on each step's first-command indices, which leaves that
+    command's gradient in `grads`, and answers with its loss sum and sample
+    count. None ends the loop: a normal end of the `with` block sends it and
+    joins the worker, and after an exception the worker is killed. It is
+    reaped either way, and its failures are TrainingErrors."""
 
     def __init__(self, network, prepared: _PreparedData, batch_size: int, grads: dict) -> None:
-        from multiprocessing.connection import Pipe
+        def serve(conn) -> None:
+            while (idx := conn.recv()) is not None:
+                conn.send(_first_pass(network, prepared, idx, batch_size, grads))
 
-        self.grads = grads
-        self.counters = None
-        self.conn, child = Pipe()
         # train() starts no threads, and OpenBLAS stops its own pool across
         # fork (pthread_atfork), so the child starts in a consistent state.
-        self.pid = os.fork()
-        if self.pid == 0:
-            self.conn.close()
-            self._serve(child, network, prepared, batch_size)
-        child.close()
-
-    def _serve(self, conn, network, prepared: _PreparedData, batch_size: int):
-        """The worker's loop; never returns. On None it sends its minor page
-        faults and peak RSS and exits; on an error it sends the traceback
-        and exits, and on an interrupt it just exits."""
-        import gc
-        import resource
-        import traceback
-
-        gc.disable()  # finalize nothing inherited from the parent
-        code = 1
-        try:
-            while (idx := conn.recv()) is not None:
-                conn.send(("step", *_first_pass(network, prepared, idx, batch_size, self.grads)))
-            usage = resource.getrusage(resource.RUSAGE_SELF)
-            conn.send(("exit", {"minor_page_faults": usage.ru_minflt,
-                                "peak_rss_mb": usage.ru_maxrss / 1024.0}))
-            code = 0
-        except Exception:
-            with contextlib.suppress(OSError):
-                conn.send(("error", traceback.format_exc()))
-        finally:
-            os._exit(code)
-
-    def start(self, idx: np.ndarray) -> None:
-        """Hand the worker this step's first-command indices."""
-        self.conn.send(idx)
-
-    def _receive(self):
-        try:
-            message = self.conn.recv()
-        except EOFError:
-            raise TrainingError("the training step worker exited unexpectedly") from None
-        if message[0] == "error":
-            raise TrainingError(f"the training step worker failed:\n{message[1]}")
-        return message
-
-    def wait(self) -> tuple:
-        """Wait for the worker's pass of this step, which leaves its gradient
-        in the gradient views; returns its loss sum and sample count."""
-        return self._receive()[1:]
+        super().__init__(serve, lambda detail: TrainingError(f"the training step worker {detail}"))
 
     def __enter__(self):
         return self
@@ -264,13 +217,10 @@ class _StepWorker:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
-                self.conn.send(None)
-                self.counters = self._receive()[1]
+                self.send(None)
+                self.join()
         finally:
-            if self.counters is None:
-                os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.conn.close()
+            self.reap()
 
 
 def steps_for(config: TrainConfig, total_samples: int) -> int:
@@ -451,7 +401,8 @@ def train(dataset: DemoDataset, config: TrainConfig, out_dir=None, resume=None) 
     step_loop = {"blas_threads": 1 if pinned else None,
                  "step_processes": 1 if worker is None else 2}
     if worker is not None:
-        counters.update({f"worker_{key}": value for key, value in worker.counters.items()})
+        counters.update(worker_minor_page_faults=worker.rusage.ru_minflt,
+                        worker_peak_rss_mb=worker.rusage.ru_maxrss / 1024.0)
     save(steps_total, "checkpoint_final.json")
     counters.update(checkpoint_saves=len(checkpoint_paths), checkpoint_save_s=save_s)
     if out_path is not None:

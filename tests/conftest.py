@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from graphnav import atomic, evaluation
+from graphnav import atomic, evaluation, training
 from graphnav.evaluation import collect_dataset
 from graphnav.expert import ExpertParams
 from graphnav.geometry import Polyline
@@ -14,8 +14,9 @@ from graphnav.world import ScenarioConfig, WorldState
 @pytest.fixture
 def helper_pids(monkeypatch):
     """The pid of every process forked while the test runs, such as each
-    `atomic.WriteBehind` writer, which is forked even on a one-CPU host. At
-    teardown every one of them must have been reaped."""
+    `atomic.Forked` child: the writers and train()'s step worker, which are
+    forked even on a one-CPU host. At teardown every one of them must have
+    been reaped."""
     pids = []
     fork = os.fork
 
@@ -26,6 +27,7 @@ def helper_pids(monkeypatch):
         return pid
     monkeypatch.setattr(os, "fork", recording)
     monkeypatch.setattr(atomic, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     yield pids
     assert [pid for pid in pids if not reaped(pid)] == []
 

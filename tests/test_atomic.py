@@ -204,3 +204,10 @@ def test_a_one_cpu_affinity_set_still_forks_the_helper_unpinned(tmp_path, monkey
     assert atomic_write_halves(path, _affinity, ["front"], ["back"]) == 2
     assert path.read_text() == "front [0]\nback [0]\n"
     assert len(helper_pids) == 1 and reaped(helper_pids[0])
+
+
+def test_graphnav_forks_and_exits_a_child_in_one_place():
+    """`atomic.Forked` is the one fork of graphnav's own, and its child's
+    os._exit the one way a child leaves."""
+    source = "".join(path.read_text() for path in Path(atomic.__file__).parent.glob("*.py"))
+    assert source.count("os.fork(") == 1 and source.count("os._exit(") == 1

@@ -852,6 +852,25 @@ def test_a_failed_buffer_writer_exits_3_naming_its_buffer(tmp_path, monkeypatch,
     assert len(helper_pids) == 2 and all(map(reaped, helper_pids))
 
 
+def test_a_failed_step_worker_exits_3_with_its_error(workdir, tmp_path, monkeypatch, capsys,
+                                                     helper_pids):
+    """The training step worker fails its first pass: train exits 3 with the
+    worker's own error, and the worker is reaped."""
+    from graphnav import training
+    if training._openblas() is None:
+        pytest.skip("the step worker needs numpy's OpenBLAS")
+
+    def failing(*args):
+        raise RuntimeError("planted worker failure")
+    monkeypatch.setattr(training, "_first_pass", failing)
+    assert main(["train", "--config", str(workdir["config"]), "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "error: the training step worker failed:" in err
+    assert "RuntimeError: planted worker failure" in err
+    assert len(helper_pids) == 1 and reaped(helper_pids[0])
+
+
 def test_train_manifest_lists_only_this_runs_checkpoints(workdir, tmp_path):
     out = tmp_path / "run"
     for eval_every in (1, 0):

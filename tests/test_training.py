@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -347,21 +348,6 @@ def test_worker_steps_equal_serial_steps(tiny_dataset, kind):
             optimizer.step(optimizer.params, optimizer.grads)
 
 
-@pytest.fixture
-def worker_pids(monkeypatch):
-    """The pid of every step worker train() starts; the worker path is taken
-    even on a one-CPU host."""
-    pids = []
-    init = training._StepWorker.__init__
-
-    def recording(self, *args):
-        init(self, *args)
-        pids.append(self.pid)
-    monkeypatch.setattr(training._StepWorker, "__init__", recording)
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
-    return pids
-
-
 def _fail_in_worker(monkeypatch, fail):
     """Run `fail` before the first command's pass, which under the worker only the worker runs."""
     first_pass = training._first_pass
@@ -372,39 +358,97 @@ def _fail_in_worker(monkeypatch, fail):
     monkeypatch.setattr(training, "_first_pass", planted)
 
 
+def _killed(pid: int) -> None:
+    """Kill the process and wait until it is dead, leaving it unreaped."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
+def _interrupted(pid: int) -> None:
+    raise KeyboardInterrupt
+
+
 @needs_worker
 class TestStepWorker:
-    def test_reaped_after_a_normal_return(self, tiny_dataset, worker_pids):
+    def test_reaped_after_a_normal_return(self, tiny_dataset, helper_pids):
         run = train(_subset_dataset(tiny_dataset, 6), _tiny_config(epochs=2))
         assert run.step_loop == {"blas_threads": 1, "step_processes": 2}
         assert run.counters["worker_peak_rss_mb"] > 0
-        assert len(worker_pids) == 1 and reaped(worker_pids[0])
+        assert run.counters["worker_minor_page_faults"] > 0
+        assert len(helper_pids) == 1 and reaped(helper_pids[0])
 
-    def test_reaped_after_a_non_finite_loss(self, tiny_dataset, worker_pids, tmp_path):
+    def test_reaped_after_a_non_finite_loss(self, tiny_dataset, helper_pids, tmp_path):
         ds = _subset_dataset(tiny_dataset, 4)
         ds.buffers[Command.FORWARD] = [  # the worker's command
             DemoSample(s.features, s.command, np.array([np.nan, 0.0]),
                        s.episode_id, s.step) for s in ds.buffers[Command.FORWARD]]
         with pytest.raises(TrainingError, match="non-finite loss nan at step 0"):
             train(ds, _tiny_config(batch_size=12), out_dir=tmp_path)
-        assert len(worker_pids) == 1 and reaped(worker_pids[0])
+        # the step worker, then the diagnostic checkpoint's writer
+        assert len(helper_pids) == 2 and all(map(reaped, helper_pids))
 
     def test_exception_in_the_worker_is_raised_and_the_worker_reaped(
-            self, tiny_dataset, worker_pids, monkeypatch):
+            self, tiny_dataset, helper_pids, monkeypatch):
         def fail():
             raise RuntimeError("planted worker failure")
         _fail_in_worker(monkeypatch, fail)
         with pytest.raises(TrainingError, match="planted worker failure"):
             train(_subset_dataset(tiny_dataset, 6), _tiny_config())
-        assert len(worker_pids) == 1 and reaped(worker_pids[0])
+        assert len(helper_pids) == 1 and reaped(helper_pids[0])
 
-    def test_worker_that_dies_is_reported(self, tiny_dataset, worker_pids, monkeypatch):
+    def test_worker_that_dies_is_reported(self, tiny_dataset, helper_pids, monkeypatch):
         _fail_in_worker(monkeypatch, lambda: os._exit(3))
         with pytest.raises(TrainingError, match="exited unexpectedly"):
             train(_subset_dataset(tiny_dataset, 6), _tiny_config())
-        assert len(worker_pids) == 1 and reaped(worker_pids[0])
+        assert len(helper_pids) == 1 and reaped(helper_pids[0])
 
-    def test_blas_thread_count_is_restored(self, tiny_dataset, worker_pids, tmp_path):
+    @pytest.mark.parametrize("between, error, match", [
+        (_killed, TrainingError, "the training step worker exited unexpectedly"),
+        (_interrupted, KeyboardInterrupt, None)])
+    def test_an_end_between_steps_is_raised_and_the_worker_reaped(
+            self, tiny_dataset, helper_pids, monkeypatch, between, error, match):
+        """Once step 0 is done, the worker is killed, as the OOM killer would
+        kill it, or this process is interrupted. A dead worker handed step 1
+        is a TrainingError, not a BrokenPipeError; the worker is reaped
+        either way."""
+        sample = training.sample_minibatch
+
+        def ending(sizes, batch_size, rng, step):
+            if step == 1:
+                between(helper_pids[0])
+            return sample(sizes, batch_size, rng, step)
+        monkeypatch.setattr(training, "sample_minibatch", ending)
+        with pytest.raises(error, match=match):
+            train(_subset_dataset(tiny_dataset, 6), _tiny_config())
+        assert len(helper_pids) == 1 and reaped(helper_pids[0])
+
+    def test_the_worker_runs_on_every_cpu_but_the_first(self, tiny_dataset, helper_pids,
+                                                         monkeypatch):
+        """As each forked writer: train() never sets its own affinity."""
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) < 2:
+            pytest.skip("the affinity set holds one CPU")
+        pinned, seen = [], []
+        setaffinity, sample = os.sched_setaffinity, training.sample_minibatch
+
+        def recording(pid, mask):
+            pinned.append(mask)  # the worker's calls land in its own copy of the list
+            setaffinity(pid, mask)
+
+        def sampling(sizes, batch_size, rng, step):
+            if step > 0:  # the worker has answered step 0, so it has pinned itself
+                seen.append(sorted(os.sched_getaffinity(helper_pids[0])))
+            return sample(sizes, batch_size, rng, step)
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        monkeypatch.setattr(training, "sample_minibatch", sampling)
+        run = train(_subset_dataset(tiny_dataset, 6), _tiny_config(epochs=2))
+        assert run.step_loop["step_processes"] == 2
+        assert seen and all(worker == cpus[1:] for worker in seen)
+        assert pinned == []
+        assert sorted(os.sched_getaffinity(0)) == cpus
+        assert len(helper_pids) == 1 and reaped(helper_pids[0])
+
+    def test_blas_thread_count_is_restored(self, tiny_dataset, helper_pids, tmp_path):
         get, put = training._openblas()
         before = get()
         put(2)
