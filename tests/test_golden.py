@@ -32,6 +32,15 @@ digests pin the adjacency itself: the bytes of the adjacency gcil's
 edge strategies with default parameters. They were recorded while the
 rollout still built an adjacency at every env-step.
 
+The trajectory digest pins the world itself beyond the default scenario:
+every vehicle's pose and action at every step, then the outcome, of
+expert-driven episodes (collection noise on) over the collect and eval
+spawn settings, agents that react to the ego on its own arm or not, small
+agent fractions 0 and 0.5, non-conflicting fractions 0 and 0.5, every
+command, densities 0, 3 and 7 and seeds 0 to 2; a spawn that refuses its
+constraints is hashed as the refusal. It was recorded before `track_path`,
+`step_world` and `step_vehicle` were folded into fewer calls.
+
 The training digests hash `checkpoint_final.json` of gcil, nncil and setcil
 trained for four epochs (B=512, seed 3) on that collection: the weights, the
 Adam moments, the graph settings and the topology, every byte of the file up
@@ -50,6 +59,7 @@ stored one; nncil's and setcil's, which read no adjacency, held.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -62,12 +72,14 @@ import pytest
 from graphnav.cli import main
 from graphnav.config import load_config, scenario_config
 from graphnav.dataset import read_dataset
+from graphnav.expert import ExpertController, ExpertParams
 from graphnav.graph import EdgeStrategy, EdgeStrategyKind, GraphConfig, encode_world
 from graphnav.layout import COMMANDS
 from graphnav.policies import NETWORK_KINDS, GcilNetwork, NetworkController, build_network
+from graphnav.rollout import NoiseParams, run_episode
 from graphnav import training
 from graphnav.training import TrainConfig, train
-from graphnav.world import spawn_scenario
+from graphnav.world import ScenarioConfig, ScenarioError, spawn_scenario
 
 GOLDEN_SHA256 = {
     "forward.jsonl": "4d3356b2391997406e90546de55d284d1227eaa3b3ba13ff39b04bd68f3ce1cb",
@@ -88,6 +100,8 @@ ADJACENCY_SHA256 = {
     "non_weighted": "faa5906c932acb041ded63824904b2173c207f44add12fbe593a947281cc1f29",
 }
 
+TRAJECTORY_SHA256 = "7e05a9ceb5c1fef530ed45d87a4beec0ca063d04b2fbd9929e242f0207476900"
+
 TRAINING_SHA256 = {
     "gcil": "1b3e920741ff5cf73df8ded711d7e5ccaf8e36ec0517a71045c320ea7462b9ca",
     "nncil": "b15cb01c47c4933daf80a39947e8c3a4832fdacd4aae65c4abffac195e025c69",
@@ -107,6 +121,35 @@ def test_collect_digest_is_pinned(collected):
     got = {name: hashlib.sha256((collected / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+def trajectory_digest() -> str:
+    """sha256 of the packed trajectory rows and outcome of every episode of
+    the grid the module docstring describes, or of its spawn refusal."""
+    h = hashlib.sha256()
+    templates = (ScenarioConfig(), scenario_config(load_config(), "eval"))
+    grid = itertools.product(templates, (False, True), (0.0, 0.5), (0.0, 0.5), COMMANDS, (0, 3, 7))
+    for template, react, small, free, command, density in grid:
+        cfg = dataclasses.replace(template, command=command, density=density, react_to_ego=react,
+                                  allow_ego_arm=react, small_agent_fraction=small,
+                                  nonconflicting_fraction=free)
+        expert = ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking)
+        for seed in range(3):
+            try:
+                record = run_episode(cfg, seed, expert, GraphConfig(), record_trajectory=True,
+                                     noise=NoiseParams())
+            except ScenarioError:
+                h.update(b"ScenarioError")
+                continue
+            for row in record.trajectory:
+                h.update(struct.pack("<2q6d", *row))
+            h.update(struct.pack("<dq", record.outcome.elapsed, record.outcome.steps))
+            h.update(record.outcome.tag.value.encode())
+    return h.hexdigest()
+
+
+def test_expert_trajectories_are_pinned():
+    assert trajectory_digest() == TRAJECTORY_SHA256
 
 
 def training_digests(data, out) -> dict:
