@@ -51,7 +51,8 @@ class DatasetFormatError(ValueError):
 class DemoDataset:
     buffers: dict = field(default_factory=lambda: {c: [] for c in COMMANDS})
     manifest: dict = field(default_factory=dict)
-    # buffer path -> wall seconds of the writer that wrote it during collection
+    # buffer path -> (wall seconds of the writer that wrote it during
+    # collection, seconds collection then waited in its finish)
     written: dict = field(default_factory=dict)
 
     def counts(self) -> dict:
@@ -101,10 +102,12 @@ def write_behind(path, samples: list) -> WriteBehind:
 
 def write_dataset(dataset: DemoDataset, out_dir) -> dict:
     """Write the buffers, then the manifest. Returns, per command, whether
-    its buffer was written `behind`, by how many `processes` and in how many
-    wall seconds (`write_s`). A buffer that `dataset.written` holds under
-    its path in `out_dir` is already in place and reported with its
-    writer's seconds; any other is written here, cut at half its records: a
+    its buffer was written `behind`, by how many `processes`, in how many
+    wall seconds (`write_s`) and, if behind, how many seconds collection
+    waited for its writer once the episodes were done (`wait_s`, else None).
+    A buffer that `dataset.written` holds under its path in `out_dir` is
+    already in place and reported with its writer's seconds; any other is
+    written here, cut at half its records: a
     buffer's records all have one node count, as density is fixed per
     command. On any failure, an interrupt included, no writer outlives the
     call and no temporary file is left."""
@@ -114,15 +117,16 @@ def write_dataset(dataset: DemoDataset, out_dir) -> dict:
     for command, filename in BUFFER_FILES.items():
         path = out_dir / filename
         if path in dataset.written:
-            writes[command.value] = {"behind": True, "processes": 1,
-                                     "write_s": dataset.written[path]}
+            write_s, wait_s = dataset.written[path]
+            writes[command.value] = {"behind": True, "processes": 1, "write_s": write_s,
+                                     "wait_s": wait_s}
             continue
         started = time.perf_counter()
         samples = dataset.buffers[command]
         half = (len(samples) + 1) // 2
         processes = atomic_write_halves(path, _emit_records, samples[:half], samples[half:])
         writes[command.value] = {"behind": False, "processes": processes,
-                                 "write_s": time.perf_counter() - started}
+                                 "write_s": time.perf_counter() - started, "wait_s": None}
     manifest = {**dataset.manifest, "schema_version": SCHEMA_VERSION}
     manifest["counts"] = dataset.counts()
     with atomic_write(out_dir / "manifest.json") as fh:

@@ -5,6 +5,7 @@ printed table, and every CSV is written by `atomic.write_csv`."""
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -189,7 +190,8 @@ def collect_dataset(
     writer into `out_dir` (`dataset.write_behind`) as soon as its last
     episode is in, so it is written while the next command's episodes run.
     Once the manifest is built every writer is reaped and its file moved
-    into place, recorded in the dataset's `written`; `write_dataset` into
+    into place, recorded in the dataset's `written` with the writer's wall
+    seconds and the seconds this call waited for it; `write_dataset` into
     `out_dir` writes the rest. If anything raises first, an interrupt
     included, every writer is killed and reaped and its file removed: no
     writer outlives the call."""
@@ -229,7 +231,10 @@ def collect_dataset(
             "network_feature_scale": {"distance_m": float(BLOCK_SCALE[0]),
                                       "speed_mps": float(BLOCK_SCALE[3])},
         }
-        dataset.written = {writer.path: writer.finish() for writer in writers}
+        for writer in writers:
+            started = time.perf_counter()
+            write_s = writer.finish()
+            dataset.written[writer.path] = (write_s, time.perf_counter() - started)
     finally:
         for writer in writers:
             writer.cancel()

@@ -63,22 +63,20 @@ class ExpertController:
                 return True
         return False
 
-    def _target_speed(self, world: WorldState, s: float) -> float:
-        dist_to_entry = world.route[0].entry_s - s
-        if dist_to_entry <= 0.0:
-            return self.params.v_pref  # inside or past the box: clear it
-        stopping = world.speed[0]**2 / (2.0 * self.vparams.b_max)
-        if dist_to_entry <= stopping + 0.3:
-            return self.params.v_pref  # cannot brake in time, commit
-        if self._gap_rejected(world):
-            return 0.0 if dist_to_entry <= self.params.stop_distance else self.params.creep_speed
-        return self.params.v_pref
-
     def act(self, world: WorldState, goal: GoalSpec, command, graph_cfg=None) -> Action:
+        """Track the ego's route at v_pref, unless the ego can still stop
+        before the entry line and a gap is rejected: then creep toward the
+        line, and hold once within `stop_distance` of it."""
+        params = self.params
         path = world.route[0].path
-        x, y = world.x[0], world.y[0]
+        x, y, speed = world.x[0], world.y[0], world.speed[0]
         projection = path.project(x, y)
-        return track_path(x, y, world.heading[0], world.speed[0], path, projection,
-                          self._target_speed(world, projection[0]), self.tracking,
+        dist_to_entry = world.route[0].entry_s - projection[0]
+        target = params.v_pref
+        # inside or past the box, clear it; unable to brake before it, commit
+        committed = (dist_to_entry <= 0.0
+                     or dist_to_entry <= speed**2 / (2.0 * self.vparams.b_max) + 0.3)
+        if not committed and self._gap_rejected(world):
+            target = 0.0 if dist_to_entry <= params.stop_distance else params.creep_speed
+        return track_path(x, y, world.heading[0], speed, path, projection, target, self.tracking,
                           self.vparams)
-

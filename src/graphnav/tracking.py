@@ -21,29 +21,6 @@ class TrackingParams:
     desired_gap: float = 6.0         # m, spacing the follower regulates toward
 
 
-def pursuit_curvature(x: float, y: float, heading: float, tx: float, ty: float) -> float:
-    """Curvature of the arc from the pose (x, y, heading) through (tx, ty).
-
-    Equivalent to 2*sin(alpha)/d for bearing error alpha and chord d.
-    """
-    dx, dy = tx - x, ty - y
-    c, s = math.cos(heading), math.sin(heading)
-    y_local = -s * dx + c * dy
-    d2 = dx * dx + dy * dy
-    if d2 < 1e-12:
-        return 0.0
-    return 2.0 * y_local / d2
-
-
-def steering_for_curvature(kappa: float, params: VehicleParams) -> float:
-    phi = math.atan(kappa * params.wheelbase)
-    return max(-1.0, min(1.0, phi / params.phi_max))
-
-
-def speed_control(speed: float, target: float, kp: float) -> float:
-    return max(-1.0, min(1.0, kp * (target - speed)))
-
-
 def track_path(
     x: float,
     y: float,
@@ -57,15 +34,26 @@ def track_path(
 ) -> Action:
     """Pure pursuit along `path` from the pose (x, y, heading, speed);
     `projection` is `path.project(x, y)`, which the caller has already
-    needed for its own arc length."""
+    needed for its own arc length.
+
+    The steering follows the curvature of the arc from the pose through the
+    lookahead point, 2*sin(alpha)/d for bearing error alpha and chord d,
+    through the wheel angle atan(kappa * wheelbase) scaled by `phi_max`; the
+    throttle is proportional to the speed error. Both are clamped to
+    [-1, 1]."""
     s, lateral = projection
     if lateral > tparams.capture_distance:
         return Action(0.0, 0.0)
     tx, ty = path.point_at(s + tparams.lookahead)
-    kappa = pursuit_curvature(x, y, heading, tx, ty)
-    delta = steering_for_curvature(kappa, vparams)
-    tau = speed_control(speed, target_speed, tparams.speed_kp)
-    return Action(delta, tau)
+    dx, dy = tx - x, ty - y
+    d2 = dx * dx + dy * dy
+    kappa = 0.0 if d2 < 1e-12 else 2.0 * (-math.sin(heading) * dx + math.cos(heading) * dy) / d2
+    # the clamps as vehicle.step_vehicle writes max(-1.0, min(1.0, v))
+    delta = math.atan(kappa * vparams.wheelbase) / vparams.phi_max
+    delta = delta if delta < 1.0 else 1.0
+    tau = tparams.speed_kp * (target_speed - speed)
+    tau = tau if tau < 1.0 else 1.0
+    return Action(delta if delta > -1.0 else -1.0, tau if tau > -1.0 else -1.0)
 
 
 def surrounding_control(

@@ -31,20 +31,30 @@ def step_vehicle(x: float, y: float, heading: float, speed: float, action: Actio
     return the new one: position along the current heading, heading via the
     bicycle yaw rate v * tan(phi) / wheelbase, then the speed update with the
     result clamped to [0, v_max]."""
-    isfinite = math.isfinite
-    if not (isfinite(x) and isfinite(y) and isfinite(heading) and isfinite(speed)
-            and isfinite(action.delta) and isfinite(action.tau) and isfinite(dt)):
-        raise ValueError(f"non-finite vehicle step input: pose=({x}, {y}, {heading}, {speed}), "
-                         f"action={action}, dt={dt}")
+    delta, tau = action.delta, action.tau
+    # one call clears the common case: the sum is finite only if every input
+    # is; a non-finite sum may be an overflow, which the per-input check passes
+    if not math.isfinite(x + y + heading + speed + delta + tau + dt):
+        isfinite = math.isfinite
+        if not (isfinite(x) and isfinite(y) and isfinite(heading) and isfinite(speed)
+                and isfinite(delta) and isfinite(tau) and isfinite(dt)):
+            raise ValueError(f"non-finite vehicle step input: pose=({x}, {y}, {heading}, {speed}), "
+                             f"action={action}, dt={dt}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    delta = max(-1.0, min(1.0, action.delta))
-    tau = max(-1.0, min(1.0, action.tau))
+    # each clamp max(lo, min(hi, v)) as the two comparisons those builtins
+    # make, in their order, for the same bits without their two calls
+    delta = delta if delta < 1.0 else 1.0
+    delta = delta if delta > -1.0 else -1.0
+    tau = tau if tau < 1.0 else 1.0
+    tau = tau if tau > -1.0 else -1.0
     phi = delta * params.phi_max
     accel = tau * (params.a_max if tau >= 0.0 else params.b_max)
+    v = speed + accel * dt
+    v = v if v < params.v_max else params.v_max
 
     return (x + speed * math.cos(heading) * dt,
             y + speed * math.sin(heading) * dt,
             normalize_angle(heading + speed / params.wheelbase * math.tan(phi) * dt),
-            max(0.0, min(params.v_max, speed + accel * dt)))
+            v if v > 0.0 else 0.0)

@@ -213,29 +213,17 @@ def spawn_scenario(cfg: ScenarioConfig, seed: int) -> tuple[WorldState, GoalSpec
     return world, goal, cfg.command
 
 
-def _leader_for(world: WorldState, i: int, arc: list) -> tuple[float, float] | None:
-    """(gap, speed) of the nearest vehicle directly ahead on agent i's path, if any.
-
-    Agents on the same full route follow anywhere; agents sharing only the
-    inbound arm follow while both are still before the junction entry. Ties
-    go to the earlier candidate in `world.leaders[i]`.
-    """
-    s_i = arc[i]
-    before_entry = s_i <= world.route[i].entry_s
-    best = None
-    for k, same_route, entry_k in world.leaders[i]:
-        if same_route or (arc[k] <= entry_k and before_entry):
-            gap = arc[k] - s_i
-            if gap > 0.0 and (best is None or gap < best[0]):
-                best = (gap, world.speed[k])
-    return best
-
-
 def step_world(world: WorldState, ego_action: Action, cfg: ScenarioConfig) -> list[Action]:
     """Advance every vehicle one step in place; return the actions taken,
     indexed by vehicle. Every control comes from the pre-step state: all
-    agents' actions are computed before any vehicle moves."""
+    agents' actions are computed before any vehicle moves.
+
+    An agent follows the nearest vehicle directly ahead on its path, if
+    any: agents on the same full route follow anywhere; agents sharing only
+    the inbound arm follow while both are still before the junction entry.
+    Ties go to the earlier candidate in `world.leaders[i]`."""
     x, y, heading, speed, route = world.x, world.y, world.heading, world.speed, world.route
+    tracking, vehicle, cruise, leaders = cfg.tracking, cfg.vehicle, world.cruise, world.leaders
     n = len(x)
     projections = [route[i].path.project(x[i], y[i]) for i in range(1, n)]
     # the ego's arc length is read only by agents that react to it
@@ -244,18 +232,22 @@ def step_world(world: WorldState, ego_action: Action, cfg: ScenarioConfig) -> li
 
     actions = [ego_action]
     for i in range(1, n):
-        leader = _leader_for(world, i, arc)
-        actions.append(surrounding_control(
-            x[i], y[i], heading[i], speed[i], route[i].path, projections[i - 1],
-            world.cruise[i], cfg.tracking, cfg.vehicle,
-            leader_gap=None if leader is None else leader[0],
-            leader_speed=None if leader is None else leader[1],
-        ))
+        s_i = arc[i]
+        before_entry = s_i <= route[i].entry_s
+        gap = leader_speed = None
+        for k, same_route, entry_k in leaders[i]:
+            if same_route or (arc[k] <= entry_k and before_entry):
+                gap_k = arc[k] - s_i
+                if gap_k > 0.0 and (gap is None or gap_k < gap):
+                    gap, leader_speed = gap_k, speed[k]
+        actions.append(surrounding_control(x[i], y[i], heading[i], speed[i], route[i].path,
+                                           projections[i - 1], cruise[i], tracking, vehicle,
+                                           gap, leader_speed))
 
     dt = world.dt
     for i, action in enumerate(actions):
         x[i], y[i], heading[i], speed[i] = step_vehicle(x[i], y[i], heading[i], speed[i],
-                                                        action, dt, cfg.vehicle)
+                                                        action, dt, vehicle)
     world.time += dt
     return actions
 
@@ -294,9 +286,8 @@ class OutcomeTracker:
             return EpisodeOutcome(OutcomeTag.SUCCESS, world.time, steps)
         if steps * world.dt >= self.cfg.timeout_s:  # `time` sums dt and can run an ulp short
             return EpisodeOutcome(OutcomeTag.TIMEOUT, world.time, steps)
-        outside = not world.layout.junction_contains(ex, ey)
-        if (outside and dist > self.cfg.arm_length
-                and self._prev_dist is not None and dist > self._prev_dist):
+        if (dist > self.cfg.arm_length and self._prev_dist is not None and dist > self._prev_dist
+                and not world.layout.junction_contains(ex, ey)):
             self._receding += world.dt
         else:
             self._receding = 0.0

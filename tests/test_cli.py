@@ -823,6 +823,9 @@ def test_collect_manifest_counts_outcomes_and_the_write(workdir):
     assert {c: (b["behind"], b["processes"]) for c, b in buffers.items()} == {
         "forward": (two, 1), "turn_left": (two, 1), "turn_right": (False, 2 if two else 1)}
     assert all(isinstance(b["write_s"], float) and b["write_s"] > 0 for b in buffers.values())
+    # the seconds collection waited for each writer behind it; none for the others
+    assert all(isinstance(b["wait_s"], float) and b["wait_s"] >= 0 if b["behind"]
+               else b["wait_s"] is None for b in buffers.values())
     assert "counters" not in json.loads((workdir["data"] / "manifest.json").read_text())
 
 

@@ -1,9 +1,11 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphnav.geometry import normalize_angle
 from graphnav.vehicle import Action, VehicleParams, step_vehicle
 
 PARAMS = VehicleParams()
@@ -61,12 +63,31 @@ def test_heading_stays_normalized():
 
 
 def test_rejects_non_finite_inputs():
-    with pytest.raises(ValueError):
-        step_vehicle(*pose(speed=float("nan")), Action(0.0, 0.0), 0.1, PARAMS)
-    with pytest.raises(ValueError):
-        step_vehicle(*pose(), Action(float("inf"), 0.0), 0.1, PARAMS)
-    with pytest.raises(ValueError):
-        step_vehicle(*pose(), Action(0.0, 0.0), 0.0, PARAMS)
+    # every argument, each non-finite value: the one-call sum check must fall
+    # back to the per-argument check and raise exactly as it does
+    finite = [1.0, -2.0, 0.3, 4.0, -0.5, 0.5, 0.1]
+    for index in range(7):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = list(finite)
+            args[index] = bad
+            x, y, heading, speed, delta, tau, dt = args
+            with pytest.raises(ValueError, match="non-finite"):
+                step_vehicle(x, y, heading, speed, Action(delta, tau), dt, PARAMS)
+
+
+def test_overflowing_finite_inputs_step_normally():
+    # the inputs' sum overflows to +inf or -inf, yet every input is finite
+    for big in (1e308, -1e308):
+        assert not math.isfinite(big + big)
+        x, y, heading, speed = step_vehicle(*pose(big, big, 0.0, 5.0), Action(0.0, 0.0), 0.1,
+                                            PARAMS)
+        assert (x, y, heading, speed) == (big + 0.5, big, 0.0, 5.0)
+
+
+def test_rejects_non_positive_dt():
+    for dt in (0.0, -0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_vehicle(*pose(), Action(0.0, 0.0), dt, PARAMS)
 
 
 @settings(max_examples=120, deadline=None)
@@ -83,3 +104,30 @@ def test_kinematic_consistency(speed, heading, delta, tau):
     moved = math.hypot(x, y)
     assert moved <= PARAMS.v_max * dt + 0.5 * PARAMS.a_max * dt**2 + 1e-12
     assert v >= 0.0
+
+
+def reference_step(x, y, heading, speed, action, dt, params):
+    """step_vehicle's arithmetic with its clamps as the min/max builtins."""
+    delta = max(-1.0, min(1.0, action.delta))
+    tau = max(-1.0, min(1.0, action.tau))
+    phi = delta * params.phi_max
+    accel = tau * (params.a_max if tau >= 0.0 else params.b_max)
+    return (x + speed * math.cos(heading) * dt,
+            y + speed * math.sin(heading) * dt,
+            normalize_angle(heading + speed / params.wheelbase * math.tan(phi) * dt),
+            max(0.0, min(params.v_max, speed + accel * dt)))
+
+
+def edgy(lo, hi):
+    """Floats in [lo, hi], the clamp bounds and both zeros among them."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from([0.0, -0.0, 1.0, -1.0, lo, hi]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=edgy(-50.0, 50.0), y=edgy(-50.0, 50.0), heading=edgy(-math.pi, math.pi),
+       speed=edgy(-1.0, 12.0), delta=edgy(-2.0, 2.0), tau=edgy(-2.0, 2.0),
+       dt=st.sampled_from([0.1, 0.5, 1.0]))
+def test_step_matches_builtin_clamps_bit_for_bit(x, y, heading, speed, delta, tau, dt):
+    got = step_vehicle(x, y, heading, speed, Action(delta, tau), dt, PARAMS)
+    want = reference_step(x, y, heading, speed, Action(delta, tau), dt, PARAMS)
+    assert struct.pack("<4d", *got) == struct.pack("<4d", *want)

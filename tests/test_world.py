@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from graphnav import expert as expert_module
+from graphnav import tracking
 from graphnav import world as world_module
+from graphnav.expert import ExpertController, ExpertParams
 from graphnav.layout import Arm, Command, COMMANDS, build_layout
 from graphnav.vehicle import Action
 from graphnav.world import (GoalSpec, OutcomeTag, OutcomeTracker, ScenarioConfig,
@@ -187,19 +190,50 @@ def test_step_projects_each_agent_once(projection_calls):
     assert len(projection_calls) == 6
 
 
+def counting(monkeypatch, module, name) -> list:
+    """The arguments of every call of `module.name` while the test runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_step_calls_step_vehicle_once_per_vehicle(monkeypatch):
     # the benchmark wraps step_vehicle by name and divides the projection
     # count by its calls, so every vehicle is stepped by one call of it
-    calls = []
-    real = world_module.step_vehicle
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(world_module, "step_vehicle", counting)
+    calls = counting(monkeypatch, world_module, "step_vehicle")
     for react in (False, True):
         cfg = ScenarioConfig(density=5, react_to_ego=react)
         world, _, _ = spawn_scenario(cfg, seed=3)
         calls.clear()
         step_world(world, Action(0.0, 0.0), cfg)
         assert len(calls) == 6
+
+
+def test_step_controls_each_agent_with_one_call_of_each_layer(monkeypatch):
+    # the benchmark wraps surrounding_control and track_path by name and
+    # reports their calls per env-step, so each agent's control is one call
+    # of each, with or without a leader
+    controls = counting(monkeypatch, world_module, "surrounding_control")
+    tracks = counting(monkeypatch, tracking, "track_path")
+    for react in (False, True):
+        cfg = ScenarioConfig(density=5, react_to_ego=react, allow_ego_arm=react)
+        world, _, _ = spawn_scenario(cfg, seed=3)
+        assert any(world.leaders[1:])
+        controls.clear()
+        tracks.clear()
+        for _ in range(3):
+            step_world(world, Action(0.0, 0.0), cfg)
+        assert len(controls) == len(tracks) == 15
+
+
+def test_expert_act_tracks_the_ego_path_once(monkeypatch):
+    tracks = counting(monkeypatch, expert_module, "track_path")
+    cfg = ScenarioConfig(density=3)
+    world, goal, command = spawn_scenario(cfg, seed=8)
+    ExpertController(ExpertParams(), cfg.vehicle, cfg.tracking).act(world, goal, command)
+    assert len(tracks) == 1
