@@ -26,7 +26,7 @@ import numpy as np
 
 from .atomic import atomic_write_halves
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
-from .jsontypes import COMPACT, require_types
+from .jsontypes import COMPACT, float_array, require_types
 from .nn import Adam
 from .policies import NETWORK_KINDS, build_network
 
@@ -122,14 +122,15 @@ def save_checkpoint(path, network, graph_cfg: GraphConfig,
 
 def _arrays(pairs):
     """JSON object hook: an object whose values are all lists (a weight or
-    moment table) gets each list that converts as a float array; a list that
-    does not convert, such as a ragged one, stays a list for the checks."""
+    moment table) gets each list one or two deep that `float_array` takes as
+    a float array; one it refuses stays a list for `load_checkpoint` to name."""
     obj = dict(pairs)
     if obj and all(isinstance(v, list) for v in obj.values()):
         for key, value in obj.items():
             try:
-                obj[key] = np.array(value, dtype=float)
-            except (ValueError, TypeError):
+                shape = (None, None) if value and type(value[0]) is list else (None,)
+                obj[key] = float_array(value, shape, key)
+            except ValueError:
                 pass
     return obj
 
@@ -179,15 +180,10 @@ def load_checkpoint(path, expected_kind: str | None = None) -> LoadedCheckpoint:
         raise CheckpointError(f"checkpoint {path}: parameter names do not match topology: "
                               f"missing={missing}, extra={extra}")
     for name, target in params.items():
-        arr = saved[name]
-        if not isinstance(arr, np.ndarray):
-            raise CheckpointError(f"checkpoint {path}: parameter {name!r} is not a numeric array")
-        if arr.shape != target.shape:
-            raise CheckpointError(f"checkpoint {path}: parameter {name!r} has shape "
-                                  f"{arr.shape}, expected {target.shape}")
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"checkpoint {path}: parameter {name!r} holds a non-finite value")
-        target[...] = arr
+        try:
+            target[...] = float_array(saved[name], target.shape, f"parameter {name!r}")
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint {path}: {exc}") from exc
 
     try:
         graph_cfg = graph_config_from_dict(doc.get("graph"))

@@ -10,8 +10,8 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import (ConfigError, config_hash, expert_params, graph_config, key_check,
-                     load_config, noise_params, scenario_config, train_config, train_densities)
+from .config import (ConfigError, expert_params, graph_config, key_check, load_config,
+                     noise_params, scenario_config, train_config, train_densities)
 from .dataset import BUFFER_FILES, DatasetFormatError, read_dataset, write_dataset
 from .evaluation import (POOL_CHUNKSIZE, AlwaysBrake, REFERENCE_TRIALS, collect_dataset,
                          format_ablation, format_report, outcome_counts, run_ablation,
@@ -19,6 +19,7 @@ from .evaluation import (POOL_CHUNKSIZE, AlwaysBrake, REFERENCE_TRIALS, collect_
                          write_suite_csv, write_trajectory_csv, write_trials_csv)
 from .graph import EdgeStrategyKind
 from .gradcheck import run_policy_check
+from .jsontypes import config_hash
 from .layout import Command
 from .manifest import now_utc, write_manifest
 from .policies import NETWORK_KINDS, NetworkController

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import difflib
-import hashlib
 import json
 import math
 from collections import namedtuple
@@ -24,7 +23,7 @@ from pathlib import Path
 from .evaluation import TRAIN_DENSITIES
 from .expert import ExpertParams
 from .graph import EdgeStrategy, EdgeStrategyKind, GraphConfig
-from .jsontypes import COMPACT, has_type_of, type_name
+from .jsontypes import has_type_of, type_name
 from .layout import Arm, Command
 from .policies import NETWORK_KINDS
 from .rollout import NoiseParams
@@ -228,10 +227,6 @@ def key_check(key: str) -> tuple:
         if f"{row.section}.{row.name}" == key:
             return row.check
     raise _unknown_key(key)
-
-
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(COMPACT.encode(cfg).encode()).hexdigest()
 
 
 def _fields(target, cfg: dict) -> dict:

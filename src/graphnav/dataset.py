@@ -22,11 +22,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .atomic import WriteBehind, atomic_write, atomic_write_halves
 from .graph import GraphConfig
-from .jsontypes import COMPACT, has_type_of, require_types
+from .jsontypes import COMPACT, float_array, has_type_of, require_types
 from .layout import COMMANDS, Command
 from .rollout import DemoSample
 
@@ -72,22 +70,8 @@ def _sample_to_record(sample: DemoSample) -> dict:
     }
 
 
-_RECORD_TYPES = {"episode_id": 0, "step": 0, "command": "forward", "u_star": [0.0, 0.0]}  # S: an array
-_RECORD_KEYS = {*_RECORD_TYPES, "S"}
-
-
-def _record_to_sample(record: dict) -> DemoSample:
-    feats = np.asarray(record["S"], dtype=float)
-    u_star = np.asarray(record["u_star"], dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != 12:
-        raise ValueError(f"S must be (N, 12), got {feats.shape}")
-    if u_star.shape != (2,):
-        raise ValueError("u_star must have 2 entries")
-    for name, arr in (("S", feats), ("u_star", u_star)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} holds a non-finite value")
-    require_types(record, _RECORD_TYPES)
-    return DemoSample(feats, Command(record["command"]), u_star, record["episode_id"], record["step"])
+_RECORD_TYPES = {"episode_id": 0, "step": 0, "command": "forward"}  # S, u_star: float tables
+_RECORD_KEYS = {*_RECORD_TYPES, "S", "u_star"}
 
 
 def _emit_records(fh, samples: list) -> None:
@@ -153,8 +137,11 @@ def read_buffer(path, expected_command: Command) -> list[DemoSample]:
                 raise DatasetFormatError(path, line_no, f"missing fields {sorted(_RECORD_KEYS - keys)}, "
                                          f"unexpected fields {sorted(keys - _RECORD_KEYS)}: {_RECOLLECT}")
             try:
-                sample = _record_to_sample(record)
-            except (ValueError, KeyError, TypeError) as exc:
+                require_types(record, _RECORD_TYPES)
+                sample = DemoSample(float_array(record["S"], (None, 12), "S"), Command(record["command"]),
+                                    float_array(record["u_star"], (2,), "u_star"),
+                                    record["episode_id"], record["step"])
+            except ValueError as exc:
                 raise DatasetFormatError(path, line_no, str(exc)) from exc
             if sample.command is not expected_command:
                 raise DatasetFormatError(path, line_no,

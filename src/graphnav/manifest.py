@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import __version__
 from .atomic import atomic_write
-from .config import config_hash
+from .jsontypes import config_hash
 
 MANIFEST_SCHEMA_VERSION = 1
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .jsontypes import require_types
+from .jsontypes import float_array, require_types
 
 RELU = "relu"
 TANH = "tanh"
@@ -226,8 +226,8 @@ class Adam:
     @classmethod
     def from_state_dict(cls, state: dict, params: dict) -> "Adam":
         """A new optimizer whose moments are copies of `state`'s arrays. A
-        scalar of the wrong JSON type or out of range, or a moment of the
-        wrong shape or not finite, raises a ValueError naming its key."""
+        scalar of the wrong JSON type or out of range, or a moment that
+        `float_array` refuses, raises a ValueError naming its key."""
         require_types(state, {key: rule[0] for key, rule in _STATE_RULES.items()})
         for key, (_, in_range, words) in _STATE_RULES.items():
             if not in_range(state[key]):
@@ -240,13 +240,7 @@ class Adam:
             if set(saved) != set(target):
                 raise ValueError(f"optimizer {field_name} keys do not match parameters")
             for k in target:
-                arr = np.asarray(saved[k], dtype=float)
-                if arr.shape != target[k].shape:
-                    raise ValueError(f"optimizer {field_name}[{k}] shape {arr.shape} "
-                                     f"does not match {target[k].shape}")
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"optimizer {field_name}[{k}] holds a non-finite value")
-                target[k][...] = arr
+                target[k][...] = float_array(saved[k], target[k].shape, f"optimizer {field_name}[{k}]")
         return opt
 
 

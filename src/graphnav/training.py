@@ -37,6 +37,7 @@ from .atomic import Forked, write_csv, usable_cpus as _usable_cpus  # tests forc
 from .checkpoint import CheckpointError, graph_config_to_dict, load_checkpoint, save_checkpoint
 from .dataset import BUFFER_FILES, DemoDataset
 from .graph import GraphConfig
+from .jsontypes import config_hash
 from .layout import COMMANDS, Command
 from .nn import Adam, batch_action_loss
 from .policies import NETWORKS, build_network
@@ -230,8 +231,6 @@ def steps_for(config: TrainConfig, total_samples: int) -> int:
 def provenance(dataset: DemoDataset, config: TrainConfig) -> dict:
     """What a resume must match: the hash of the dataset manifest and of every
     training setting except the budget and the checkpoint cadence."""
-    from .config import config_hash  # config imports this module
-
     settings = {f.name: getattr(config, f.name) for f in fields(config)
                 if f.name not in RESUMABLE_FIELDS}
     settings["graph"] = graph_config_to_dict(config.graph)

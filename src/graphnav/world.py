@@ -118,7 +118,8 @@ class WorldState:
             self.leaders.append(tuple((k, route[k].key == me.key, route[k].entry_s) for k in ahead))
 
 
-def _pick_routes(rng, cfg: ScenarioConfig, layout: IntersectionLayout, ego_route: Route) -> list[Route]:
+def _route_pools(cfg: ScenarioConfig, layout: IntersectionLayout, ego_route: Route) -> tuple[list, list]:
+    """The routes agents may take: those that conflict with the ego's, and the others."""
     candidates = [
         layout.route(arm, cmd)
         for arm in Arm
@@ -128,6 +129,10 @@ def _pick_routes(rng, cfg: ScenarioConfig, layout: IntersectionLayout, ego_route
     candidates = [r for r in candidates if r.key != ego_route.key]
     conflicting = [r for r in candidates if layout.conflicting(r.key, ego_route.key)]
     free = [r for r in candidates if not layout.conflicting(r.key, ego_route.key)]
+    return conflicting, free
+
+
+def _pick_routes(rng, cfg: ScenarioConfig, conflicting: list, free: list) -> list[Route]:
     routes = []
     for _ in range(cfg.density):
         want_free = rng.random() < cfg.nonconflicting_fraction
@@ -141,28 +146,42 @@ def spawn_scenario(cfg: ScenarioConfig, seed: int) -> tuple[WorldState, GoalSpec
 
     The ego starts on its approach arm; surrounding agents start at offsets
     drawn uniformly from the spawn window with a minimum pairwise separation
-    (bounded retries, then ScenarioError).
+    (bounded retries, then ScenarioError; a density that the arms its routes
+    start on cannot hold is refused before any draw).
     """
     if cfg.density < 0:
         raise ScenarioError(f"density must be non-negative, got {cfg.density}")
     lo, hi = cfg.spawn_window
     if not (0.0 < lo < hi <= cfg.arm_length):
         raise ScenarioError(f"spawn window {cfg.spawn_window} must lie within (0, arm_length]")
-    rng = np.random.default_rng(seed)
     layout = cfg.layout()
     ego_route = layout.route(cfg.ego_arm, cfg.command)
+    n = cfg.density
+    span = hi - lo
+    gap = cfg.min_separation + 1e-6  # pad keeps exact-separation pairs above the threshold
+    conflicting, free = _route_pools(cfg, layout, ego_route)
+    # the arms of the routes a draw can take: a draw that wants a free route
+    # (fraction > 0) takes `free`, any other (fraction < 1) `conflicting or free`
+    frac = cfg.nonconflicting_fraction
+    arms = {r.arm for r in conflicting or free} if frac < 1 or not free else set()
+    if frac > 0:
+        arms |= {r.arm for r in free}
+    capacity = sum((k - 1) * gap <= span for k in range(1, n + 1))  # per arm, by the redraw test below
+    if len(arms) * capacity < n:
+        names = ", ".join(arm.value for arm in Arm if arm in arms)
+        raise ScenarioError(f"density {n} exceeds the {len(arms) * capacity} agents that the arms "
+                            f"its routes start on ({names}) hold: {capacity} each, "
+                            f"{cfg.min_separation} m apart in a {span} m spawn window")
+    rng = np.random.default_rng(seed)
 
     d_ego = rng.uniform(*cfg.ego_spawn_window)
     ego_s = ego_route.entry_s - d_ego
     ego_xy = ego_route.path.point_at(ego_s)
 
-    n = cfg.density
-    span = hi - lo
-    gap = cfg.min_separation + 1e-6  # pad keeps exact-separation pairs above the threshold
     routes: list[Route] = []
     positions = None
     for _attempt in range(cfg.max_spawn_attempts):
-        routes = _pick_routes(rng, cfg, layout, ego_route)
+        routes = _pick_routes(rng, cfg, conflicting, free)
         by_arm: dict = {}
         for idx, r in enumerate(routes):
             by_arm.setdefault(r.arm, []).append(idx)

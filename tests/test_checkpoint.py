@@ -220,8 +220,9 @@ BAD_DOCUMENTS = {
     "shape": (_set("params", "gcn.0.w", [[1.0, 2.0]]), None, "'gcn.0.w' has shape (1, 2)"),
     "ragged": (_set("params", "gcn.0.w", [[1.0, 2.0], [1.0]]), None,
                "'gcn.0.w' is not a numeric array"),
-    "non-finite": (_set("params", "gcn.0.w", [[None] * 32] * 12), None,
+    "non-finite": (_set("params", "gcn.0.w", [[float("nan")] * 32] * 12), None,
                    "'gcn.0.w' holds a non-finite value"),
+    "null": (_set("params", "gcn.0.w", [[None] * 32] * 12), None, "'gcn.0.w' holds None, not a number"),
     "params-null": (_put("params", None), None, "params must be a JSON object, got None"),
     "params-number": (_put("params", 3.5), None, "params must be a JSON object, got 3.5"),
     "params-list": (_put("params", [1, 2]), None, "params must be a JSON object, got [1, 2]"),

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from graphnav.config import (ConfigError, DEFAULTS, _VALID_KEYS, config_hash,
-                             expert_params, graph_config, key_check, load_config, noise_params,
-                             scenario_config, tracking_params, train_config, vehicle_params)
+from graphnav.config import (ConfigError, DEFAULTS, _VALID_KEYS, expert_params, graph_config,
+                             key_check, load_config, noise_params, scenario_config,
+                             tracking_params, train_config, vehicle_params)
+from graphnav.jsontypes import config_hash
 from graphnav.rollout import NoiseParams
 from graphnav.expert import ExpertParams
 from graphnav.graph import EdgeStrategyKind, GraphConfig

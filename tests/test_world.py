@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,25 @@ def test_spawn_unsatisfiable_raises():
     cfg = ScenarioConfig(density=7, spawn_window=(3.0, 7.0))
     with pytest.raises(ScenarioError):
         spawn_scenario(cfg, seed=0)
+
+
+def test_a_density_its_arms_cannot_hold_is_refused_before_any_draw(monkeypatch):
+    """A turn_right ego's conflicting routes start on two arms, each holding
+    3 agents 6 m apart in the 15 m traffic window: density 7 is refused
+    before a route is drawn, naming the arms, while density 6, or density 7
+    with free routes on more arms, is drawn as before."""
+    draws = []
+    pick = world_module._pick_routes
+    monkeypatch.setattr(world_module, "_pick_routes", lambda *args: draws.append(1) or pick(*args))
+    cfg = ScenarioConfig(density=7, command=Command.TURN_RIGHT)
+    words = ("density 7 exceeds the 6 agents that the arms its routes start on (west, north) "
+             "hold: 3 each, 6.0 m apart in a 15.0 m spawn window")
+    with pytest.raises(ScenarioError, match=re.escape(words)):
+        spawn_scenario(cfg, seed=0)
+    assert draws == []
+    for fits in (replace(cfg, density=6), replace(cfg, nonconflicting_fraction=0.5)):
+        world, _, _ = spawn_scenario(fits, seed=0)
+        assert len(world.x) == fits.density + 1 and draws
 
 
 def test_agent_ids_unique_and_on_lanes():
